@@ -16,7 +16,9 @@ from .errors import (
     DepthZero,
     MalformedLine,
     MissingFile,
+    MissingPoint3D,
     NegativeDepth,
+    NonFiniteInput,
     PnpError,
     RankDeficient,
     ReflectionDetected,
@@ -34,7 +36,6 @@ from .geometry import (
     cross_matrix,
     decompose_projection,
     nearest_rotation,
-    project,
     project_points,
     quat_to_rotation,
     rodrigues,
@@ -65,7 +66,9 @@ __all__ = [
     "MalformedLine",
     "METHODS",
     "MissingFile",
+    "MissingPoint3D",
     "NegativeDepth",
+    "NonFiniteInput",
     "PnpError",
     "PnpResult",
     "Pose",
@@ -82,7 +85,6 @@ __all__ = [
     "decompose_projection",
     "estimate_projection",
     "nearest_rotation",
-    "project",
     "project_points",
     "quat_to_rotation",
     "refine_gauss_newton",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedLine, MissingFile, UnsupportedCameraModel
+from .errors import MalformedLine, MissingFile, MissingPoint3D, UnsupportedCameraModel
 from .geometry import CameraIntrinsics, Correspondence, Pose, quat_to_rotation
 
 SUPPORTED_MODELS = ("PINHOLE", "SIMPLE_PINHOLE")
@@ -299,9 +299,7 @@ def build_problems(model: ColmapModel, min_points: int = 6) -> tuple[list, int]:
         usable = img.point3d_ids >= 0
         for pid in img.point3d_ids[usable]:
             if int(pid) not in model.points3d:
-                raise ValueError(
-                    f"image {image_id} references missing 3D point {int(pid)}"
-                )
+                raise MissingPoint3D(f"image {image_id} references missing 3D point {int(pid)}")
         count = int(usable.sum())
         if count < min_points:
             skipped += 1

@@ -7,6 +7,11 @@ the cross-product matrix has rank 2. Stacking n such 2x12 blocks gives the
 homogeneous system A vec(P) = 0 whose null direction is the projection
 matrix estimate.
 
+The null direction comes from the R factor of A = QR: A and the 12x12 R
+share singular values and right singular vectors, so an O(n) QR and the SVD
+of R give A's exact spectrum at any n, with no 2n x 12 left factor and no
+squared Gram matrix.
+
 vec(P) is column-major: entries 0-8 hold the left 3x3 block of P column by
 column, entries 9-11 hold the fourth column.
 """
@@ -18,14 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient, TooFewPoints
-from .geometry import Correspondence, correspondence_arrays
+from .geometry import correspondence_arrays
 
 MIN_POINTS = 6
-
-# Direct SVD of the stacked matrix up to this many rows; above it, the
-# null space is taken from an eigendecomposition of the 12x12 Gram matrix,
-# which keeps the working set O(1) for any n.
-GRAM_ROW_THRESHOLD = 4096
 
 _RANK_TOL = 1e-10
 
@@ -67,22 +67,19 @@ def _assemble_arrays(ps: np.ndarray, us: np.ndarray, weights=None) -> np.ndarray
     pbar = np.empty((n, 4))
     pbar[:, :3] = ps
     pbar[:, 3] = 1.0
-    su = _reduced_rows(us)
-    # blocks[m, r, 3j+i] = pbar[m, j] * su[m, r, i]
-    blocks = pbar[:, None, :, None] * su[:, :, None, :]
     if weights is not None:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.shape[0] != n:
             raise ValueError(f"expected {n} weights, got {w.shape[0]}")
-        blocks *= w[:, None, None, None]
+        pbar *= w[:, None]
+    # blocks[m, r, j, i] = pbar[m, j] * su[m, r, i] for the reduced rows
+    # su = ((0, -1, v), (1, 0, -u)): only four column groups are nonzero.
+    blocks = np.zeros((n, 2, 4, 3))
+    blocks[:, 0, :, 1] = -pbar
+    blocks[:, 0, :, 2] = pbar * us[:, 1, None]
+    blocks[:, 1, :, 0] = pbar
+    blocks[:, 1, :, 2] = pbar * -us[:, 0, None]
     return blocks.reshape(2 * n, 12)
-
-
-def constraint_block(c: Correspondence) -> np.ndarray:
-    """Row-reduced 2x12 constraint block for a single correspondence."""
-    pbar = np.append(c.p, 1.0)
-    su = _reduced_rows(c.u[None, :])[0]
-    return (pbar[None, :, None] * su[:, None, :]).reshape(2, 12)
 
 
 def assemble(cs, weights=None) -> np.ndarray:
@@ -120,16 +117,10 @@ def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != 12:
         raise ValueError(f"expected (m, 12) matrix, got {A.shape}")
-    if A.shape[0] <= GRAM_ROW_THRESHOLD:
-        _, s, Vt = np.linalg.svd(A, full_matrices=False)
-        if s.shape[0] < 12:
-            raise RankDeficient(f"only {s.shape[0]} rows; null space is not unique")
-        V = Vt.T
-    else:
-        G = A.T @ A
-        evals, evecs = np.linalg.eigh(G)
-        s = np.sqrt(np.clip(evals[::-1], 0.0, None))
-        V = evecs[:, ::-1]
+    _, s, Vt = np.linalg.svd(np.linalg.qr(A, mode="r"))
+    if s.shape[0] < 12:
+        raise RankDeficient(f"only {s.shape[0]} rows; null space is not unique")
+    V = Vt.T
     if s[0] <= 0.0 or s[10] / s[0] < _RANK_TOL:
         raise RankDeficient(
             f"two-dimensional null space: sigma_11/sigma_1 = {s[10] / max(s[0], 1e-300):.3e}"

@@ -25,6 +25,10 @@ class ZeroQuaternion(PnpError):
     """Quaternion norm is too small to normalize."""
 
 
+class NonFiniteInput(PnpError):
+    """A point or pixel coordinate is NaN or infinite."""
+
+
 class DegeneratePoints(PnpError):
     """Point set collapses to (nearly) a single location; normalization undefined."""
 
@@ -65,6 +69,10 @@ class MalformedLine(ColmapParseError):
         self.path = str(path)
         self.line_number = line_number
         super().__init__(f"{path}:{line_number}: {message}")
+
+
+class MissingPoint3D(ColmapParseError):
+    """An image observation references a 3D point id absent from the model."""
 
 
 class UnsupportedCameraModel(ColmapParseError):

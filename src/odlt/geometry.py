@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DegenerateInput,
     DepthZero,
+    NonFiniteInput,
     SingularProjection,
     ZeroQuaternion,
 )
@@ -122,6 +123,9 @@ def correspondence_arrays(cs) -> tuple[np.ndarray, np.ndarray]:
 
     Accepts either a sequence of Correspondence or a pre-split pair
     (points (n,3), pixels (n,2)). Returns float64 arrays.
+
+    Raises:
+        NonFiniteInput: if any coordinate is NaN or infinite.
     """
     if (
         isinstance(cs, (tuple, list))
@@ -138,6 +142,8 @@ def correspondence_arrays(cs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"point/pixel count mismatch: {ps.shape[0]} vs {us.shape[0]}")
     if ps.shape[1] != 3 or us.shape[1] != 2:
         raise ValueError(f"expected shapes (n,3) and (n,2), got {ps.shape} and {us.shape}")
+    if not (np.isfinite(ps).all() and np.isfinite(us).all()):
+        raise NonFiniteInput("point and pixel coordinates must be finite")
     return ps, us
 
 
@@ -161,27 +167,6 @@ def intrinsic_matrix(K) -> np.ndarray:
     if K.shape != (3, 3):
         raise ValueError(f"expected 3x3 intrinsic matrix, got {K.shape}")
     return K
-
-
-def project(P: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Project a single world point through a 3x4 projection matrix.
-
-    Args:
-        P: 3x4 projection matrix.
-        p: world point (3,).
-
-    Returns:
-        Pixel coordinates (2,).
-
-    Raises:
-        DepthZero: if the homogeneous scale |k^T P pbar| falls below 1e-12.
-    """
-    P = np.asarray(P, dtype=float)
-    p = np.asarray(p, dtype=float).reshape(3)
-    w = P[:, :3] @ p + P[:, 3]
-    if abs(w[2]) <= _DEPTH_EPS:
-        raise DepthZero(f"projective depth {w[2]!r} too close to zero")
-    return w[:2] / w[2]
 
 
 def project_points(P: np.ndarray, ps: np.ndarray) -> np.ndarray:

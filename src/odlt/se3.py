@@ -1,14 +1,15 @@
 """Recovery of a metric SE(3) pose from the linear solution.
 
 The null-space estimate lives in normalized projective coordinates. Removing
-the calibration and the normalizations ("de-clamping") maps vec(P_norm)
-through the 12x12 matrix M = T_p^T kron (K^-1 T_u^-1) onto vec(R'[I | -r']),
-where R' is only approximately a scaled rotation. The information matrix of
-the solution transports through the same map, and its nine leading diagonal
-entries (column-major, i.e. the R' block) form the 3x3 weight matrix W used
-to project R' onto SO(3) by a weighted Procrustes step. Translation can
-either be read off r' or re-triangulated from the sliced linear system with
-the rotation fixed (LOST), which is O(n) and reuses the optimal weights.
+the calibration and the normalizations ("de-clamping") gives
+G = K^-1 T_u^-1 P_norm T_p = R'[I | -r'], R' only approximately a scaled
+rotation. The information matrix of vec(P_norm) transports through the vec
+form of that map, M = T_p^T kron (K^-1 T_u^-1); its nine leading diagonal
+entries (column-major, the R' block) form the 3x3 weight matrix W of the
+weighted Procrustes projection of R' onto SO(3). M is never formed: by
+(A kron B) vec(X) = vec(B X A^T) both steps are 3x3, 3x4 and 4x4 products.
+Translation is read off r' or re-triangulated with the rotation fixed (LOST),
+which is O(n) and reuses the optimal weights.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ _LOST_COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class DenormalizedPose:
-    """De-clamped linear solution: R_acute [I | -r_acute], plus the weight
-    matrix W holding the marginal information of the R_acute entries."""
+    """De-clamped linear solution: R_acute [I | -r_acute], det(R_acute), and
+    the weight matrix W holding the marginal information of its entries."""
 
     R_acute: np.ndarray
     r_acute: np.ndarray
     W: np.ndarray
+    det: float
 
 
 def intrinsic_inverse(K) -> np.ndarray:
@@ -78,29 +80,26 @@ def declamp_denormalize(
 ) -> DenormalizedPose:
     """Map the normalized linear solution back to calibrated world coordinates.
 
-    Computes G = K^-1 T_u^-1 P_norm T_p as M vec(P_norm) with
-    M = T_p^T kron (K^-1 T_u^-1), reads off R_acute = G[:, :3] and
+    Computes G = K^-1 T_u^-1 P_norm T_p, reads off R_acute = G[:, :3] and
     r_acute = -R_acute^-1 G[:, 3], and transports the information matrix of
-    vec(P_norm) through M^-1 to fill W from the nine leading diagonal
-    entries (column-major).
+    vec(P_norm) through M^-1, M = T_p^T kron (K^-1 T_u^-1), to fill W from
+    the nine leading diagonal entries (column-major).
 
     Raises:
         SingularCalibration: if K cannot be inverted reliably.
     """
     Km = intrinsic_matrix(K)
-    B = intrinsic_inverse(Km) @ pixel_norm.T_inv
-    M = np.kron(point_norm.T.T, B)
-    vec_p = sol.P.T.reshape(12)
-    G = (M @ vec_p).reshape(4, 3).T
-    # Information transport: Sigma'^-1 = M^-T (V D^2 V^T) M^-1. Only the
-    # diagonal is needed, so accumulate N = M^-T V once.
-    M_inv = np.kron(point_norm.T_inv.T, pixel_norm.T @ Km)
-    N = M_inv.T @ sol.V
-    diag = (N * N) @ (sol.singular_values**2)
-    W = diag[:9].reshape(3, 3, order="F")
+    G = intrinsic_inverse(Km) @ pixel_norm.T_inv @ sol.P @ point_norm.T
+    # Sigma'^-1 = M^-T (V D^2 V^T) M^-1; only its R' diagonal is needed. With
+    # C = T_u K, column k of M^-T V is vec(C^T X_k T_p^-T), X_k = unvec(V[:, k]),
+    # whose first nine entries are the left 3x3 block.
+    C = pixel_norm.T @ Km
+    X = sol.V.T.reshape(12, 4, 3).transpose(0, 2, 1)
+    Y = C.T @ X @ point_norm.T_inv[:3].T
+    W = (sol.singular_values**2 @ (Y * Y).reshape(12, 9)).reshape(3, 3)
     R_acute = G[:, :3]
     r_acute = -np.linalg.solve(R_acute, G[:, 3])
-    return DenormalizedPose(R_acute=R_acute, r_acute=r_acute, W=W)
+    return DenormalizedPose(R_acute, r_acute, W, float(np.linalg.det(R_acute)))
 
 
 def procrustes_cost(R: np.ndarray, target: np.ndarray, W: np.ndarray) -> float:
@@ -109,11 +108,21 @@ def procrustes_cost(R: np.ndarray, target: np.ndarray, W: np.ndarray) -> float:
     return float(np.sum(d * d))
 
 
+def _solve_psd(N: np.ndarray, b: np.ndarray, cond_limit: float) -> np.ndarray | None:
+    """Solve N x = b for symmetric PSD N by one eigh; None when N is singular
+    or lambda_max / lambda_min (its 2-norm condition number) > cond_limit."""
+    lam, E = np.linalg.eigh(N)
+    if not lam[0] > 0 or lam[2] > cond_limit * lam[0]:
+        return None
+    return E @ ((E.T @ b) / lam)
+
+
 def weighted_procrustes(
     R_acute: np.ndarray,
     W: np.ndarray,
     max_iters: int = 1,
     tol: float = 1e-12,
+    det: float | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Project the de-clamped linear rotation block onto SO(3), weighted by W.
 
@@ -123,7 +132,7 @@ def weighted_procrustes(
     the small-angle model R ~ (I - [dphi x]) R0, solving 3x3 normal
     equations per iteration and re-projecting with nearest_rotation. One
     iteration is the default; up to five are allowed, stopping early when
-    |dphi| < tol.
+    |dphi| < tol. det, when given, is det(R_acute) computed by the caller.
 
     Returns:
         (R, fallback_used): fallback_used is True when the normal matrix
@@ -134,23 +143,31 @@ def weighted_procrustes(
     W = np.asarray(W, dtype=float).reshape(3, 3)
     if not 1 <= max_iters <= 5:
         raise ValueError(f"max_iters must be in 1..5, got {max_iters}")
-    det = np.linalg.det(R_acute)
+    if det is None:
+        det = np.linalg.det(R_acute)
     if det == 0:
         raise DegenerateInput("de-clamped rotation block is singular")
-    s = 1.0 / np.cbrt(det)
-    Rs = s * R_acute
+    Rs = (1.0 / np.cbrt(det)) * R_acute
+    Q = W * W
     R = nearest_rotation(Rs)
     R0 = R
     for _ in range(max_iters):
-        # Residual entries e_ij = W_ij (R - Rs)_ij shrink along
-        # -W_ij ([dphi x] R)_ij = W_ij ([R_col_j x] dphi)_i.
-        D = np.stack([W[:, j, None] * cross_matrix(R[:, j]) for j in range(3)], axis=0)
-        D = D.transpose(1, 0, 2).reshape(9, 3)  # rows ordered (i, j), j minor
-        y = -((R - Rs) * W).reshape(9)
-        Nmat = D.T @ D
-        if np.linalg.cond(Nmat) > _WEIGHT_COND_LIMIT:
+        # e_ij = W_ij (R - Rs)_ij moves by W_ij (e_i x R_col_j) . dphi, so the
+        # normal matrix is sum_i [e_i x] M_i [e_i x]^T with M_i = R diag(Q[i]) R^T
+        # and the right-hand side is vee(H^T - H) with H = (Q * (Rs - R)) R^T.
+        M = (R[None, :, :] * Q[:, None, :]) @ R.T
+        Nmat = np.array(
+            [
+                [M[1, 2, 2] + M[2, 1, 1], -M[2, 0, 1], -M[1, 0, 2]],
+                [-M[2, 0, 1], M[0, 2, 2] + M[2, 0, 0], -M[0, 1, 2]],
+                [-M[1, 0, 2], -M[0, 1, 2], M[0, 1, 1] + M[1, 0, 0]],
+            ]
+        )
+        H = (Q * (Rs - R)) @ R.T
+        g = np.array([H[1, 2] - H[2, 1], H[2, 0] - H[0, 2], H[0, 1] - H[1, 0]])
+        dphi = _solve_psd(Nmat, g, _WEIGHT_COND_LIMIT)
+        if dphi is None:
             return R0, True
-        dphi = np.linalg.solve(Nmat, D.T @ y)
         candidate = nearest_rotation((np.eye(3) - cross_matrix(dphi)) @ R)
         if procrustes_cost(candidate, Rs, W) > procrustes_cost(R, Rs, W):
             break
@@ -164,25 +181,25 @@ def recover_scale_and_position(
     R_acute: np.ndarray,
     r_acute: np.ndarray,
     R_final: np.ndarray,
-) -> tuple[Pose, float]:
-    """Assemble the metric pose and report the recovered projective scale.
+    det: float | None = None,
+) -> Pose:
+    """Assemble the metric pose from the Procrustes rotation and r_acute.
 
     The center of projection is invariant to the global scale of the linear
-    solution, so the pose simply pairs the Procrustes rotation with r_acute;
-    the scale s = det(R_acute)^(-1/3) that makes the linear block
-    unimodular is returned alongside.
+    solution, so the pose simply pairs the Procrustes rotation with r_acute.
+    det, when given, is det(R_acute) as already computed by the caller.
 
     Raises:
         ReflectionDetected: if det(R_acute) < 0 (after the depth sign fix,
             this indicates a mirrored solution, not a camera pose).
     """
-    det = float(np.linalg.det(np.asarray(R_acute, dtype=float)))
+    if det is None:
+        det = float(np.linalg.det(np.asarray(R_acute, dtype=float)))
     if det < 0:
         raise ReflectionDetected(f"linear rotation block has determinant {det!r}")
     if det == 0:
         raise DegenerateInput("linear rotation block is singular")
-    s = det ** (-1.0 / 3.0)
-    return Pose(R=R_final, r=np.asarray(r_acute, dtype=float)), s
+    return Pose(R=R_final, r=np.asarray(r_acute, dtype=float))
 
 
 def lost_translation(cs, K, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -219,7 +236,7 @@ def lost_translation(cs, K, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
     xb3 = np.concatenate([xb, np.ones((xb.shape[0], 1))], axis=1)
     rhs = -(q[:, None] * np.cross(xb3, ps @ np.asarray(R, dtype=float).T)[:, :2])
     Nmat = np.einsum("nri,nrj->ij", L, L)
-    if np.linalg.cond(Nmat) > _LOST_COND_LIMIT:
+    t = _solve_psd(Nmat, np.einsum("nri,nr->i", L, rhs), _LOST_COND_LIMIT)
+    if t is None:
         raise RankDeficient("translation normal matrix is ill conditioned")
-    g = np.einsum("nri,nr->i", L, rhs)
-    return np.linalg.solve(Nmat, g)
+    return t

@@ -205,13 +205,13 @@ def _recover_pose(out: _LinearOutcome, K, cfg: SolverConfig, weighted: bool) -> 
     if weighted:
         W = np.ones((3, 3)) if cfg.force_unit_weights else dn.W
         R, fallback = weighted_procrustes(
-            dn.R_acute, W, max_iters=cfg.procrustes_iters, tol=cfg.procrustes_tol
+            dn.R_acute, W, max_iters=cfg.procrustes_iters, tol=cfg.procrustes_tol, det=dn.det
         )
         if fallback:
             out.flags.add(FLAG_DEGENERATE_WEIGHTS)
     else:
         R = nearest_rotation(dn.R_acute)
-    pose, _ = recover_scale_and_position(dn.R_acute, dn.r_acute, R)
+    pose = recover_scale_and_position(dn.R_acute, dn.r_acute, R, det=dn.det)
     out.timings["recover"] = time.perf_counter() - t0
     return pose
 

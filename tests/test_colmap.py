@@ -9,7 +9,7 @@ from odlt.colmap import (
     parse_model,
     write_model,
 )
-from odlt.errors import MalformedLine, MissingFile, UnsupportedCameraModel
+from odlt.errors import MalformedLine, MissingFile, MissingPoint3D, UnsupportedCameraModel
 from odlt.geometry import rotation_angle_deg
 from odlt.solvers import SolverConfig, solve
 
@@ -250,7 +250,7 @@ class TestBuildProblems:
         )
         write_tree(tmp_path, files)
         model = parse_model(tmp_path)
-        with pytest.raises(ValueError, match="77"):
+        with pytest.raises(MissingPoint3D, match="image 1 references missing 3D point 77"):
             build_problems(model, min_points=1)
 
 

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from odlt.dlt import (
-    GRAM_ROW_THRESHOLD,
     MIN_POINTS,
     assemble,
-    constraint_block,
     information_matrix,
     solve_nullspace,
 )
@@ -23,10 +21,8 @@ def as_cs(ps, us):
     return [Correspondence(p=p, u=u) for p, u in zip(ps, us)]
 
 
-def test_constraint_block_matches_kron_oracle(rng):
-    # One block is kron(pbar, S [ubar x]) with S keeping the first two rows.
-    p = np.array([0.3, -1.2, 4.0])
-    u = np.array([17.0, -5.5])
+def kron_block(p, u):
+    """One constraint block, kron(pbar, S [ubar x]) with S keeping the first two rows."""
     ubar = np.array([u[0], u[1], 1.0])
     cross = np.array(
         [
@@ -35,17 +31,26 @@ def test_constraint_block_matches_kron_oracle(rng):
             [-ubar[1], ubar[0], 0.0],
         ]
     )
-    oracle = np.kron(np.append(p, 1.0), cross[:2])
-    block = constraint_block(Correspondence(p=p, u=u))
-    np.testing.assert_array_equal(block, oracle)
+    return np.kron(np.append(p, 1.0), cross[:2])
+
+
+def test_constraint_block_matches_kron_oracle(rng):
+    # The hand-picked correspondence's rows in the stack, unweighted and weighted.
+    _, _, _, ps, us = make_exact_scene(rng, n=6)
+    ps[2] = [0.3, -1.2, 4.0]
+    us[2] = [17.0, -5.5]
+    oracle = kron_block(ps[2], us[2])
+    np.testing.assert_array_equal(assemble((ps, us))[4:6], oracle)
+    w = rng.uniform(0.5, 2.0, 6)
+    np.testing.assert_allclose(assemble((ps, us), w)[4:6], w[2] * oracle, rtol=1e-15, atol=0)
 
 
 def test_assemble_stacks_blocks(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=8)
     A = assemble((ps, us))
     assert A.shape == (16, 12)
-    for i, c in enumerate(as_cs(ps, us)):
-        np.testing.assert_array_equal(A[2 * i : 2 * i + 2], constraint_block(c))
+    for i, (p, u) in enumerate(zip(ps, us)):
+        np.testing.assert_array_equal(A[2 * i : 2 * i + 2], kron_block(p, u))
 
 
 def test_exact_data_annihilates_true_projection(rng):
@@ -99,17 +104,17 @@ def test_eigensolver_oracle_small_matrix(rng):
     np.testing.assert_allclose(x, x_oracle, atol=1e-8)
 
 
-def test_gram_path_agrees_with_direct_svd(rng):
-    rows = GRAM_ROW_THRESHOLD + 24
+@pytest.mark.parametrize("rows", [12, 24, 100, 4000, 4120, 10000])
+def test_qr_path_agrees_with_direct_svd(rng, rows):
     A = rng.standard_normal((rows, 12))
-    sol = solve_nullspace(A)  # must take the Gram route
+    sol = solve_nullspace(A)
     _, s_oracle, Vt = np.linalg.svd(A, full_matrices=False)
-    np.testing.assert_allclose(sol.singular_values, s_oracle, rtol=1e-8)
+    np.testing.assert_allclose(sol.singular_values, s_oracle, rtol=1e-12)
     x_oracle = Vt[11]
     x = vec_cm(sol.P)
     if np.dot(x, x_oracle) < 0:
         x_oracle = -x_oracle
-    np.testing.assert_allclose(x, x_oracle, atol=1e-6)
+    np.testing.assert_allclose(x, x_oracle, atol=1e-10)
 
 
 def test_coplanar_points_rank_deficient(rng):

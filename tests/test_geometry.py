@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from odlt.errors import DegenerateInput, DepthZero, SingularProjection, ZeroQuaternion
+from odlt.errors import (
+    DegenerateInput,
+    DepthZero,
+    NonFiniteInput,
+    SingularProjection,
+    ZeroQuaternion,
+)
 from odlt.geometry import (
     CameraIntrinsics,
     Correspondence,
@@ -11,7 +17,6 @@ from odlt.geometry import (
     cross_matrix,
     decompose_projection,
     nearest_rotation,
-    project,
     project_points,
     quat_to_rotation,
     rodrigues,
@@ -53,7 +58,7 @@ class TestProjection:
         # front of an identity camera lands at (320 + 800/4, 240 + 1600/4).
         K = CameraIntrinsics(fx=800, fy=800, cx=320, cy=240)
         P = compose_projection(K, Pose(R=np.eye(3), r=np.zeros(3)))
-        u = project(P, np.array([1.0, 2.0, 4.0]))
+        u = project_points(P, np.array([[1.0, 2.0, 4.0]]))[0]
         np.testing.assert_allclose(u, [520.0, 640.0], rtol=0, atol=1e-12)
 
     def test_matches_longhand_formula(self, rng):
@@ -75,13 +80,13 @@ class TestProjection:
         P = compose_projection(Km, Pose(R=R, r=r))
         batch = project_points(P, ps)
         for p, u in zip(ps, batch):
-            np.testing.assert_allclose(project(P, p), u, rtol=1e-12)
+            np.testing.assert_allclose(project_points(P, p[None])[0], u, rtol=1e-12)
 
     def test_zero_depth_raises(self):
         K = CameraIntrinsics(fx=800, fy=800, cx=320, cy=240)
         P = compose_projection(K, Pose(R=np.eye(3), r=np.zeros(3)))
         with pytest.raises(DepthZero):
-            project(P, np.array([1.0, 1.0, 0.0]))
+            project_points(P, np.array([[1.0, 1.0, 0.0]]))
         with pytest.raises(DepthZero):
             project_points(P, np.array([[1.0, 1.0, 5.0], [1.0, 1.0, 0.0]]))
 
@@ -257,3 +262,11 @@ class TestSmallPieces:
             correspondence_arrays((ps, us[:5]))
         with pytest.raises(ValueError):
             Correspondence(p=np.array([1.0, np.nan, 0.0]), u=np.zeros(2))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_correspondence_arrays_reject_non_finite(self, rng, side, bad):
+        arrays = [rng.standard_normal((8, 3)), rng.standard_normal((8, 2))]
+        arrays[side][5, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            correspondence_arrays(tuple(arrays))

@@ -3,11 +3,13 @@ import pytest
 
 import odlt.solvers as solvers_module
 from odlt.errors import NegativeDepth, TooFewPoints
+from odlt.evaluation import CENTERED_BOX, UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.geometry import (
     CameraIntrinsics,
     Correspondence,
     Pose,
     compose_projection,
+    correspondence_arrays,
     rotation_angle_deg,
 )
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
@@ -53,6 +55,20 @@ class TestExactness:
             assert rot < 1e-6, f"{method}: rotation error {rot}"
             assert pos < 1e-8, f"{method}: position error {pos}"
             assert result.reprojection_rms < 1e-6
+
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
+    @pytest.mark.parametrize("n", [2049, 5000])
+    def test_zero_noise_recovery_large_n(self, box, n):
+        # Criterion 01's bounds beyond its n <= 100 scenes: the null space
+        # must stay exact for thousands of rows, unnormalized dlt included.
+        sc = SyntheticScenario(box=box, n=n, sigma_u=0.0, trials=1, seed=0)
+        cs, truth = generate_scene(sc, 0)
+        arrays = correspondence_arrays(cs)
+        for method in ("dlt", "ndlt", "odlt"):
+            result = solve(arrays, sc.intrinsics, SolverConfig(method=method))
+            rot, pos = pose_errors(result, truth.R, truth.r)
+            assert rot < 1e-6, f"{method}: rotation error {rot}"
+            assert pos < 1e-8, f"{method}: position error {pos}"
 
     def test_accepts_correspondence_sequences(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=10)
