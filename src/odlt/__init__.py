@@ -14,6 +14,7 @@ from .errors import (
     DegenerateInput,
     DegeneratePoints,
     DepthZero,
+    InvalidIntrinsics,
     MalformedLine,
     MissingFile,
     MissingPoint3D,
@@ -63,6 +64,7 @@ __all__ = [
     "DegenerateInput",
     "DegeneratePoints",
     "DepthZero",
+    "InvalidIntrinsics",
     "MalformedLine",
     "METHODS",
     "MissingFile",

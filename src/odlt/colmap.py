@@ -101,18 +101,23 @@ def _parse_cameras(path: Path) -> dict:
         if model == "PINHOLE":
             if len(params) != 4:
                 raise MalformedLine(path, lineno, f"PINHOLE expects 4 params, got {len(params)}")
-            intr = CameraIntrinsics(fx=params[0], fy=params[1], cx=params[2], cy=params[3])
+            fx, fy, cx, cy = params
         elif model == "SIMPLE_PINHOLE":
             if len(params) != 3:
                 raise MalformedLine(
                     path, lineno, f"SIMPLE_PINHOLE expects 3 params, got {len(params)}"
                 )
-            intr = CameraIntrinsics(fx=params[0], fy=params[0], cx=params[1], cy=params[2])
+            fx, cx, cy = params
+            fy = fx
         else:
             raise UnsupportedCameraModel(
                 f"{path}:{lineno}: camera model {model!r} not supported "
                 f"(expected one of {SUPPORTED_MODELS})"
             )
+        try:
+            intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, f"bad camera parameters: {exc}") from exc
         cameras[camera_id] = ColmapCamera(
             camera_id=camera_id, model=model, width=width, height=height, intrinsics=intr
         )
@@ -140,6 +145,8 @@ def _parse_images(path: Path) -> dict:
             raise MalformedLine(path, pose_lineno, f"bad integer field: {exc}") from exc
         qvec = np.array(_floats(path, pose_lineno, fields[1:5], "quaternion"))
         tvec = np.array(_floats(path, pose_lineno, fields[5:8], "translation"))
+        if not (np.isfinite(qvec).all() and np.isfinite(tvec).all()):
+            raise MalformedLine(path, pose_lineno, "non-finite pose")
         norm = np.linalg.norm(qvec)
         if abs(norm - 1.0) > _QUAT_NORM_TOL:
             raise MalformedLine(
@@ -151,17 +158,16 @@ def _parse_images(path: Path) -> dict:
             raise MalformedLine(
                 path, lineno, f"observation line length {len(obs)} is not a multiple of 3"
             )
-        m = len(obs) // 3
-        xys = np.empty((m, 2))
-        ids = np.empty(m, dtype=np.int64)
-        for k in range(m):
-            x, y = _floats(path, lineno, obs[3 * k : 3 * k + 2], "observation")
-            try:
-                pid = int(obs[3 * k + 2])
-            except ValueError as exc:
-                raise MalformedLine(path, lineno, f"bad point3d id: {exc}") from exc
-            xys[k] = (x, y)
-            ids[k] = pid
+        try:
+            xys = np.array([obs[0::3], obs[1::3]], dtype=float).T
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, f"non-numeric observation: {exc}") from exc
+        try:
+            ids = np.array(obs[2::3], dtype=np.int64)
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, f"bad point3d id: {exc}") from exc
+        if not np.isfinite(xys).all():
+            raise MalformedLine(path, lineno, "non-finite observation")
         images[image_id] = ColmapImage(
             image_id=image_id,
             name=name,
@@ -191,6 +197,8 @@ def _parse_points3d(path: Path) -> dict:
         except ValueError as exc:
             raise MalformedLine(path, lineno, f"bad integer field: {exc}") from exc
         xyz = np.array(_floats(path, lineno, fields[1:4], "coordinates"))
+        if not np.isfinite(xyz).all():
+            raise MalformedLine(path, lineno, "non-finite coordinates")
         error = _floats(path, lineno, fields[7:8], "reprojection error")[0]
         points[pid] = ColmapPoint3D(point3d_id=pid, xyz=xyz, rgb=rgb, error=error, track=track)
     return points
@@ -292,22 +300,27 @@ def build_problems(model: ColmapModel, min_points: int = 6) -> tuple[list, int]:
     Returns:
         (problems, skipped_count), problems ordered by image id.
     """
+    ids = np.fromiter(model.points3d, dtype=np.int64, count=len(model.points3d))
+    order = np.argsort(ids)
+    ids = ids[order]
+    xyz = np.array([pt.xyz for pt in model.points3d.values()]).reshape(-1, 3)[order]
+    # -1 past the end never matches a usable id, so a lookup past the last id misses.
+    keys = np.append(ids, -1)
     problems = []
     skipped = 0
     for image_id in sorted(model.images):
         img = model.images[image_id]
         usable = img.point3d_ids >= 0
-        for pid in img.point3d_ids[usable]:
-            if int(pid) not in model.points3d:
-                raise MissingPoint3D(f"image {image_id} references missing 3D point {int(pid)}")
-        count = int(usable.sum())
-        if count < min_points:
+        pids = img.point3d_ids[usable]
+        rows = np.searchsorted(ids, pids)
+        missing = keys[rows] != pids
+        if missing.any():
+            pid = int(pids[np.argmax(missing)])
+            raise MissingPoint3D(f"image {image_id} references missing 3D point {pid}")
+        if pids.size < min_points:
             skipped += 1
             continue
-        cs = [
-            Correspondence(p=model.points3d[int(pid)].xyz, u=xy)
-            for xy, pid in zip(img.xys[usable], img.point3d_ids[usable])
-        ]
+        cs = [Correspondence(p=p, u=u) for p, u in zip(xyz[rows], img.xys[usable])]
         problems.append(
             ColmapProblem(
                 image_id=image_id,

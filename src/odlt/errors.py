@@ -25,6 +25,10 @@ class ZeroQuaternion(PnpError):
     """Quaternion norm is too small to normalize."""
 
 
+class InvalidIntrinsics(PnpError, ValueError):
+    """An intrinsic matrix is not 3x3, finite, upper triangular with K[2,2] == 1."""
+
+
 class NonFiniteInput(PnpError):
     """A point or pixel coordinate is NaN or infinite."""
 

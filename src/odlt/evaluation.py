@@ -25,7 +25,6 @@ import numpy as np
 from .errors import PnpError
 from .geometry import (
     CameraIntrinsics,
-    Correspondence,
     Pose,
     compose_projection,
     correspondence_arrays,
@@ -79,11 +78,15 @@ class TrialMetrics:
     runtime: float = float("nan")
 
 
-def generate_scene(sc: SyntheticScenario, trial: int) -> tuple[list, Pose]:
-    """Deterministic scene for (sc.seed, trial): correspondences and truth pose.
+def generate_scene(
+    sc: SyntheticScenario, trial: int
+) -> tuple[tuple[np.ndarray, np.ndarray], Pose]:
+    """Deterministic scene for (sc.seed, trial): ((ps, us), truth pose).
 
-    The RNG stream draws the points first, then the pixel noise, so scenes
-    are reproducible bit for bit across runs and across processes.
+    ps holds the (n, 3) world points and us the (n, 2) noisy pixels, the
+    array pair that solve() and compute_metrics() take. The RNG stream draws
+    the points first, then the pixel noise, so scenes are reproducible bit
+    for bit across runs and across processes.
     """
     rng = np.random.default_rng([sc.seed, trial])
     lo = np.asarray(sc.box[0], dtype=float)
@@ -96,8 +99,7 @@ def generate_scene(sc: SyntheticScenario, trial: int) -> tuple[list, Pose]:
     if sc.truncate_noise:
         noise = np.clip(noise, -_TRUNCATION_SIGMAS, _TRUNCATION_SIGMAS)
     us = exact + sc.sigma_u * noise
-    cs = [Correspondence(p=p, u=u) for p, u in zip(ps, us)]
-    return cs, truth
+    return (ps, us), truth
 
 
 def compute_metrics(result, truth: Pose, cs, K, runtime: float = float("nan")) -> TrialMetrics:
@@ -131,8 +133,7 @@ def _run_trial_range(
     """Per-trial metrics (or None on failure) for each config, in trial order."""
     rows = []
     for trial in trials:
-        cs, truth = generate_scene(sc, trial)
-        arrays = correspondence_arrays(cs)
+        arrays, truth = generate_scene(sc, trial)
         per_config = []
         for cfg in configs:
             try:
@@ -250,8 +251,7 @@ def intrinsics_rmse_experiment(
         m: {"fx": [], "fy": [], "cx": [], "cy": []} for m in methods
     }
     for trial in range(sc.trials):
-        cs, _ = generate_scene(sc, trial)
-        arrays = correspondence_arrays(cs)
+        arrays, _ = generate_scene(sc, trial)
         for m in methods:
             P = estimate_projection(arrays, method=m, cfg=replace(base, method=m))
             K_est, _ = decompose_projection(P)

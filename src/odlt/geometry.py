@@ -13,6 +13,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import (
     DegenerateInput,
     DepthZero,
+    InvalidIntrinsics,
     NonFiniteInput,
     SingularProjection,
     ZeroQuaternion,
@@ -64,13 +66,25 @@ class CameraIntrinsics:
 
     @classmethod
     def from_matrix(cls, K: np.ndarray) -> "CameraIntrinsics":
-        K = np.asarray(K, dtype=float)
-        if K.shape != (3, 3):
-            raise ValueError(f"expected 3x3 matrix, got {K.shape}")
-        lower = np.array([K[1, 0], K[2, 0], K[2, 1]])
-        if np.abs(lower).max() > 1e-9 * max(1.0, np.abs(K).max()) or abs(K[2, 2] - 1.0) > 1e-9:
-            raise ValueError("intrinsic matrix must be upper triangular with K[2,2] == 1")
+        K = _checked_intrinsic_matrix(K)
         return cls(fx=K[0, 0], fy=K[1, 1], cx=K[0, 2], cy=K[1, 2], skew=K[0, 1])
+
+
+def _checked_intrinsic_matrix(K) -> np.ndarray:
+    """K as a 3x3 float matrix, finite, upper triangular and with K[2,2] == 1.
+
+    Raises:
+        InvalidIntrinsics: if any of these does not hold.
+    """
+    K = np.asarray(K, dtype=float)
+    if K.shape != (3, 3):
+        raise InvalidIntrinsics(f"expected 3x3 intrinsic matrix, got {K.shape}")
+    if not np.isfinite(K).all():
+        raise InvalidIntrinsics("intrinsic matrix entries must be finite")
+    lower = np.array([K[1, 0], K[2, 0], K[2, 1]])
+    if np.abs(lower).max() > 1e-9 * max(1.0, np.abs(K).max()) or abs(K[2, 2] - 1.0) > 1e-9:
+        raise InvalidIntrinsics("intrinsic matrix must be upper triangular with K[2,2] == 1")
+    return K
 
 
 @dataclass(frozen=True)
@@ -112,7 +126,7 @@ class Correspondence:
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float).reshape(3)
         u = np.asarray(self.u, dtype=float).reshape(2)
-        if not np.all(np.isfinite(p)) or not np.all(np.isfinite(u)):
+        if not all(map(math.isfinite, p.tolist() + u.tolist())):
             raise ValueError("correspondence entries must be finite")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "u", u)
@@ -160,13 +174,18 @@ def cross_matrix(v: np.ndarray) -> np.ndarray:
 
 
 def intrinsic_matrix(K) -> np.ndarray:
-    """Coerce CameraIntrinsics or an ndarray to a 3x3 float matrix."""
+    """Coerce CameraIntrinsics or an ndarray to a 3x3 float matrix.
+
+    A raw matrix must pass the same check as CameraIntrinsics.from_matrix;
+    CameraIntrinsics were validated when they were built.
+
+    Raises:
+        InvalidIntrinsics: if a raw matrix is not 3x3, not finite, not upper
+            triangular or has K[2,2] != 1.
+    """
     if isinstance(K, CameraIntrinsics):
         return K.matrix
-    K = np.asarray(K, dtype=float)
-    if K.shape != (3, 3):
-        raise ValueError(f"expected 3x3 intrinsic matrix, got {K.shape}")
-    return K
+    return _checked_intrinsic_matrix(K)
 
 
 def project_points(P: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -238,7 +257,7 @@ def nearest_rotation(M: np.ndarray) -> np.ndarray:
     U, s, Vt = np.linalg.svd(M)
     if s[1] < 1e-12 and s[2] < 1e-12:
         raise DegenerateInput("matrix is rank <= 1; nearest rotation undetermined")
-    d = 1.0 if np.linalg.det(U) * np.linalg.det(Vt) > 0 else -1.0
+    d = 1.0 if np.linalg.det(U @ Vt) > 0 else -1.0
     return (U * np.array([1.0, 1.0, d])) @ Vt
 
 

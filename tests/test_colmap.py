@@ -206,6 +206,67 @@ class TestParseErrors:
         with pytest.raises(MalformedLine, match="8 \\+ 2k"):
             parse_model(tmp_path)
 
+    def test_observation_non_numeric_x(self, tmp_path):
+        bad = "# header\n1 1.0 0.0 0.0 0.0 0.0 0.0 2.0 1 a.png\n1.0 2.0 5 x3.0 4.0 5\n"
+        write_tree(tmp_path, minimal_files(**{"images.txt": bad}))
+        with pytest.raises(MalformedLine, match="non-numeric observation") as exc:
+            parse_model(tmp_path)
+        assert exc.value.line_number == 3
+        assert "images.txt" in str(exc.value)
+
+    def test_observation_bad_point_id(self, tmp_path):
+        bad = "# header\n1 1.0 0.0 0.0 0.0 0.0 0.0 2.0 1 a.png\n1.0 2.0 5 3.0 4.0 5.5\n"
+        write_tree(tmp_path, minimal_files(**{"images.txt": bad}))
+        with pytest.raises(MalformedLine, match="bad point3d id") as exc:
+            parse_model(tmp_path)
+        assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_observation_non_finite(self, tmp_path, bad):
+        text = f"# header\n1 1.0 0.0 0.0 0.0 0.0 0.0 2.0 1 a.png\n1.0 2.0 5 3.0 {bad} 5\n"
+        write_tree(tmp_path, minimal_files(**{"images.txt": text}))
+        with pytest.raises(MalformedLine, match="non-finite observation") as exc:
+            parse_model(tmp_path)
+        assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_point_coordinates_non_finite(self, tmp_path, bad):
+        text = f"5 0.0 0.0 4.0 0 0 0 0.0\n6 {bad} 0.0 4.0 0 0 0 0.0\n"
+        write_tree(tmp_path, minimal_files(**{"points3D.txt": text}))
+        with pytest.raises(MalformedLine, match="non-finite coordinates") as exc:
+            parse_model(tmp_path)
+        assert exc.value.line_number == 2
+        assert "points3D.txt" in str(exc.value)
+
+    @pytest.mark.parametrize("pose", ["nan 0.0 0.0 0.0 0.0 0.0 2.0", "1.0 0.0 0.0 0.0 0.0 inf 2.0"])
+    def test_image_pose_non_finite(self, tmp_path, pose):
+        text = f"1 {pose} 1 a.png\n1.0 2.0 -1\n"
+        write_tree(tmp_path, minimal_files(**{"images.txt": text}))
+        with pytest.raises(MalformedLine, match="non-finite pose") as exc:
+            parse_model(tmp_path)
+        assert exc.value.line_number == 1
+
+    @pytest.mark.parametrize("params", ["nan 800.0 320.0 240.0", "-800.0 800.0 320.0 240.0"])
+    def test_camera_bad_parameters(self, tmp_path, params):
+        text = f"1 PINHOLE 640 480 {params}\n"
+        write_tree(tmp_path, minimal_files(**{"cameras.txt": text}))
+        with pytest.raises(MalformedLine, match="bad camera parameters") as exc:
+            parse_model(tmp_path)
+        assert exc.value.line_number == 1
+
+    def test_non_finite_pixel_in_solvable_fixture(self, tmp_path):
+        for name in ("cameras.txt", "points3D.txt"):
+            (tmp_path / name).write_text((SOLVABLE / name).read_text())
+        lines = (SOLVABLE / "images.txt").read_text().splitlines(keepends=True)
+        assert lines[3].startswith("1 ")  # image 1's pose line; its observations follow
+        fields = lines[4].split()
+        fields[0] = "nan"
+        lines[4] = " ".join(fields) + "\n"
+        (tmp_path / "images.txt").write_text("".join(lines))
+        with pytest.raises(MalformedLine, match="non-finite observation") as exc:
+            parse_model(tmp_path)
+        assert exc.value.line_number == 5
+
     def test_unknown_camera_reference(self, tmp_path):
         write_tree(
             tmp_path,
@@ -252,6 +313,44 @@ class TestBuildProblems:
         model = parse_model(tmp_path)
         with pytest.raises(MissingPoint3D, match="image 1 references missing 3D point 77"):
             build_problems(model, min_points=1)
+
+
+    def test_first_missing_point_in_observation_order_is_named(self, tmp_path):
+        files = minimal_files(
+            **{
+                "images.txt": (
+                    "1 1.0 0.0 0.0 0.0 0.0 0.0 2.0 1 a.png\n"
+                    "1.0 2.0 5 3.0 4.0 88 5.0 6.0 -1 7.0 8.0 77\n"
+                )
+            }
+        )
+        write_tree(tmp_path, files)
+        model = parse_model(tmp_path)
+        with pytest.raises(MissingPoint3D, match="image 1 references missing 3D point 88"):
+            build_problems(model, min_points=1)
+
+    def test_missing_point_in_a_model_without_points(self, tmp_path):
+        files = minimal_files(
+            **{
+                "images.txt": "1 1.0 0.0 0.0 0.0 0.0 0.0 2.0 1 a.png\n1.0 2.0 5\n",
+                "points3D.txt": "",
+            }
+        )
+        write_tree(tmp_path, files)
+        with pytest.raises(MissingPoint3D, match="missing 3D point 5"):
+            build_problems(parse_model(tmp_path), min_points=1)
+
+    def test_correspondences_follow_observation_order(self):
+        model = parse_model(SOLVABLE)
+        problems, _ = build_problems(model)
+        for prob in problems:
+            img = model.images[prob.image_id]
+            usable = img.point3d_ids >= 0
+            ps = np.array([c.p for c in prob.correspondences])
+            us = np.array([c.u for c in prob.correspondences])
+            expected = np.array([model.points3d[int(pid)].xyz for pid in img.point3d_ids[usable]])
+            np.testing.assert_array_equal(ps, expected)
+            np.testing.assert_array_equal(us, img.xys[usable])
 
 
 class TestSolvableRecovery:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,18 +14,32 @@ from odlt.evaluation import (
     intrinsics_rmse_experiment,
     run_monte_carlo,
 )
-from odlt.geometry import Pose, correspondence_arrays, intrinsic_matrix
+from odlt.geometry import Pose, intrinsic_matrix
 from odlt.solvers import SolverConfig, solve
 from conftest import oracle_project
 
 
 def scene_arrays(sc, trial):
-    cs, truth = generate_scene(sc, trial)
-    ps, us = correspondence_arrays(cs)
+    (ps, us), truth = generate_scene(sc, trial)
     return ps, us, truth
 
 
 class TestSceneGeneration:
+    def test_returns_an_array_pair(self):
+        sc = SyntheticScenario(n=30, trials=1)
+        (ps, us), truth = generate_scene(sc, 0)
+        assert ps.shape == (30, 3) and us.shape == (30, 2)
+        assert ps.dtype == us.dtype == np.float64
+        assert isinstance(truth, Pose)
+
+    def test_scene_bytes_are_pinned(self):
+        # Digest of the scene as the per-point Correspondence path built it,
+        # so a change in the order or shape of the RNG draws fails here.
+        sc = SyntheticScenario(n=50, sigma_u=1.0, trials=10, seed=7)
+        ps, us, _ = scene_arrays(sc, 3)
+        digest = hashlib.sha256(ps.tobytes() + us.tobytes()).hexdigest()
+        assert digest == "14eddc75c5dc4de5787cd56ca67c7ae885baccea591438df9286ca03da89ac54"
+
     def test_zero_noise_pixels_are_exact_projections(self):
         sc = SyntheticScenario(n=40, sigma_u=0.0, trials=1)
         ps, us, truth = scene_arrays(sc, 0)
@@ -83,14 +99,13 @@ class TestSceneGeneration:
 class TestMetrics:
     def test_exact_pose_scores_zero_error_and_pure_noise_reproj(self):
         sc = SyntheticScenario(n=60, sigma_u=1.5, trials=1)
-        cs, truth = generate_scene(sc, 0)
-        ps, us = correspondence_arrays(cs)
+        (ps, us), truth = generate_scene(sc, 0)
         Km = intrinsic_matrix(DEFAULT_INTRINSICS)
 
         class Res:
             pose = truth
 
-        m = compute_metrics(Res(), truth, cs, DEFAULT_INTRINSICS, runtime=0.125)
+        m = compute_metrics(Res(), truth, (ps, us), DEFAULT_INTRINSICS, runtime=0.125)
         assert m.rot_err_deg < 1e-12
         assert m.pos_err == 0.0
         expected = np.mean(np.linalg.norm(us - oracle_project(Km, truth.R, truth.r, ps), axis=1))
@@ -99,12 +114,12 @@ class TestMetrics:
 
     def test_position_error_is_euclidean_distance(self):
         sc = SyntheticScenario(n=20, sigma_u=0.0, trials=1)
-        cs, truth = generate_scene(sc, 0)
+        arrays, truth = generate_scene(sc, 0)
 
         class Res:
             pose = Pose(R=np.eye(3), r=np.array([0.3, 0.0, 0.4]))
 
-        m = compute_metrics(Res(), truth, cs, DEFAULT_INTRINSICS)
+        m = compute_metrics(Res(), truth, arrays, DEFAULT_INTRINSICS)
         np.testing.assert_allclose(m.pos_err, 0.5, rtol=1e-12)
         assert np.isnan(m.runtime)
 
@@ -116,9 +131,9 @@ class TestMonteCarlo:
         agg = summary[0]
         rots, reprojs = [], []
         for trial in range(sc.trials):
-            cs, truth = generate_scene(sc, trial)
-            result = solve(correspondence_arrays(cs), sc.intrinsics, SolverConfig(method="ndlt"))
-            m = compute_metrics(result, truth, cs, sc.intrinsics)
+            arrays, truth = generate_scene(sc, trial)
+            result = solve(arrays, sc.intrinsics, SolverConfig(method="ndlt"))
+            m = compute_metrics(result, truth, arrays, sc.intrinsics)
             rots.append(m.rot_err_deg)
             reprojs.append(m.mean_reproj_err)
         assert agg["method"] == "ndlt"

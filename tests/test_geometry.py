@@ -4,7 +4,9 @@ import pytest
 from odlt.errors import (
     DegenerateInput,
     DepthZero,
+    InvalidIntrinsics,
     NonFiniteInput,
+    PnpError,
     SingularProjection,
     ZeroQuaternion,
 )
@@ -16,6 +18,7 @@ from odlt.geometry import (
     correspondence_arrays,
     cross_matrix,
     decompose_projection,
+    intrinsic_matrix,
     nearest_rotation,
     project_points,
     quat_to_rotation,
@@ -270,3 +273,48 @@ class TestSmallPieces:
         arrays[side][5, 1] = bad
         with pytest.raises(NonFiniteInput):
             correspondence_arrays(tuple(arrays))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field, index", [("p", 0), ("p", 1), ("p", 2), ("u", 0), ("u", 1)]
+    )
+    def test_correspondence_rejects_non_finite(self, field, index, bad):
+        coords = {"p": [1.0, 2.0, 3.0], "u": [4.0, 5.0]}
+        coords[field][index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Correspondence(p=np.array(coords["p"]), u=np.array(coords["u"]))
+
+    def test_correspondence_coerces_and_reshapes(self):
+        c = Correspondence(p=[[1, 2, 3]], u=(4, 5))
+        assert c.p.dtype == c.u.dtype == np.float64
+        assert c.p.shape == (3,) and c.u.shape == (2,)
+
+
+class TestIntrinsicMatrix:
+    K = np.array([[800.0, 0.5, 320.0], [0.0, 790.0, 240.0], [0.0, 0.0, 1.0]])
+
+    def test_valid_matrix_passes_through(self):
+        np.testing.assert_array_equal(intrinsic_matrix(self.K), self.K)
+        intr = CameraIntrinsics.from_matrix(self.K)
+        np.testing.assert_array_equal(intrinsic_matrix(intr), self.K)
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((1, 0), 5.0), ((2, 0), 1e-3), ((2, 1), -2.0), ((2, 2), 2.0), ((0, 0), np.nan),
+         ((1, 2), np.inf)],
+    )
+    def test_raw_matrix_checked_like_from_matrix(self, entry, value):
+        K = self.K.copy()
+        K[entry] = value
+        with pytest.raises(InvalidIntrinsics):
+            intrinsic_matrix(K)
+        with pytest.raises(InvalidIntrinsics):
+            CameraIntrinsics.from_matrix(K)
+
+    def test_wrong_shape(self):
+        with pytest.raises(InvalidIntrinsics, match="3x3"):
+            intrinsic_matrix(np.eye(3, 4))
+
+    def test_error_is_a_pnp_error_and_a_value_error(self):
+        assert issubclass(InvalidIntrinsics, PnpError)
+        assert issubclass(InvalidIntrinsics, ValueError)

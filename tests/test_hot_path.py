@@ -1,30 +1,36 @@
-"""Operation-count guard for the per-solve hot path.
+"""Operation-count guards for the hot paths.
 
 Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
-operating point (n=50). Unlike a timing, the counts are exact and repeatable,
-so any extra decomposition on the hot path, or a reintroduced Kronecker
-product or hidden condition-number SVD, fails here on any host.
+operating point (n=50), and the Correspondence objects the Monte Carlo
+harness and the COLMAP problem builder create. Unlike a timing, the counts
+are exact and repeatable, so any extra decomposition on the hot path, a
+reintroduced Kronecker product or hidden condition-number SVD, or a return
+to per-point objects on an array path fails here on any host.
 """
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from odlt.evaluation import SyntheticScenario, generate_scene
-from odlt.geometry import correspondence_arrays
+from odlt.colmap import build_problems, parse_model
+from odlt.evaluation import SyntheticScenario, generate_scene, run_monte_carlo
+from odlt.geometry import Correspondence
 from odlt.solvers import METHODS, SolverConfig, solve
+
+SOLVABLE = Path(__file__).parent / "fixtures" / "colmap_solvable"
 
 # Per method: null spaces (preliminary + final for the weighted methods) each
 # take one SVD of the 12x12 R factor; every nearest_rotation takes one SVD and
-# two determinants; declamping takes one determinant, shared with the
+# one determinant; declamping takes one determinant, shared with the
 # Procrustes scale and the reflection check; each Pose validation takes one.
 EXPECTED = {
-    "dlt": {"svd": 2, "det": 4, "solve": 1, "cond": 0, "kron": 0},
-    "ndlt": {"svd": 2, "det": 4, "solve": 1, "cond": 0, "kron": 0},
-    "odlt": {"svd": 4, "det": 6, "solve": 1, "cond": 0, "kron": 0},
-    "odlt_lost": {"svd": 4, "det": 7, "solve": 1, "cond": 0, "kron": 0},
-    "ndlt_gn": {"svd": 3, "det": 7, "solve": 4, "cond": 0, "kron": 0},
+    "dlt": {"svd": 2, "det": 3, "solve": 1, "cond": 0, "kron": 0},
+    "ndlt": {"svd": 2, "det": 3, "solve": 1, "cond": 0, "kron": 0},
+    "odlt": {"svd": 4, "det": 4, "solve": 1, "cond": 0, "kron": 0},
+    "odlt_lost": {"svd": 4, "det": 5, "solve": 1, "cond": 0, "kron": 0},
+    "ndlt_gn": {"svd": 3, "det": 5, "solve": 4, "cond": 0, "kron": 0},
 }
 
 
@@ -50,9 +56,35 @@ def counts(monkeypatch):
 @pytest.mark.parametrize("method", METHODS)
 def test_linalg_calls_per_solve(method, counts):
     sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
-    cs, _ = generate_scene(sc, 0)
-    arrays = correspondence_arrays(cs)
+    arrays, _ = generate_scene(sc, 0)
     counts.clear()
     solve(arrays, sc.intrinsics, SolverConfig(method=method))
     observed = {name: counts[name] for name in EXPECTED[method]}
     assert observed == EXPECTED[method]
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    tally = Counter()
+    post_init = Correspondence.__post_init__
+
+    def counted(self):
+        tally["Correspondence"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Correspondence, "__post_init__", counted)
+    return tally
+
+
+def test_monte_carlo_builds_no_correspondence_objects(constructions):
+    summary = run_monte_carlo(SyntheticScenario(n=50, trials=3), METHODS, collect_timing=False)
+    assert [row["failures"] for row in summary] == [0] * len(METHODS)
+    assert constructions["Correspondence"] == 0
+
+
+def test_build_problems_builds_one_object_per_usable_observation(constructions):
+    model = parse_model(SOLVABLE)
+    usable = sum(int((img.point3d_ids >= 0).sum()) for img in model.images.values())
+    _, skipped = build_problems(model)
+    assert skipped == 0
+    assert constructions["Correspondence"] == usable == 48

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import odlt.solvers as solvers_module
-from odlt.errors import NegativeDepth, TooFewPoints
+from odlt.errors import InvalidIntrinsics, NegativeDepth, TooFewPoints
 from odlt.evaluation import CENTERED_BOX, UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.geometry import (
     CameraIntrinsics,
@@ -300,6 +300,17 @@ class TestApiSurface:
             result = solve((ps, us), Km, SolverConfig(method=method))
             assert expected <= set(result.timings), method
             assert all(v >= 0.0 for v in result.timings.values())
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_triangular_intrinsic_matrix_raises(self, method, rng):
+        # A lower-left K entry used to be accepted silently: odlt returned a
+        # pose with ~1.8 px RMS and no flag.
+        Km, R, r, ps, us = make_exact_scene(rng, n=30)
+        bad = Km.copy()
+        bad[1, 0] = 5.0
+        bad[2, 0] = 1e-3
+        with pytest.raises(InvalidIntrinsics, match="upper triangular"):
+            solve((ps, us), bad, SolverConfig(method=method))
 
     def test_intrinsics_object_and_matrix_agree(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=12)
