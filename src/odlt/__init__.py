@@ -15,6 +15,7 @@ from .errors import (
     DegeneratePoints,
     DepthZero,
     InvalidIntrinsics,
+    InvalidShape,
     MalformedLine,
     MissingFile,
     MissingPoint3D,
@@ -50,10 +51,6 @@ from .solvers import (
     estimate_projection,
     refine_gauss_newton,
     solve,
-    solve_dlt,
-    solve_ndlt,
-    solve_odlt,
-    solve_odlt_lost,
 )
 
 __all__ = [
@@ -65,6 +62,7 @@ __all__ = [
     "DegeneratePoints",
     "DepthZero",
     "InvalidIntrinsics",
+    "InvalidShape",
     "MalformedLine",
     "METHODS",
     "MissingFile",
@@ -94,8 +92,4 @@ __all__ = [
     "rotation_angle_deg",
     "rotation_to_quat",
     "solve",
-    "solve_dlt",
-    "solve_ndlt",
-    "solve_odlt",
-    "solve_odlt_lost",
 ]

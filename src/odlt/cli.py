@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import ColmapParseError, PnpError
+from .errors import ColmapParseError, MalformedLine, PnpError
 from .evaluation import (
     CENTERED_BOX,
     UNCENTERED_BOX,
@@ -232,35 +233,51 @@ def _cmd_eval_colmap(args: argparse.Namespace) -> int:
     return 0
 
 
+def _problem_line(path, line_number: int, line: str, what: str, counts: tuple) -> list:
+    """The numbers on one problem-file line, which must be finite and as many
+    as one of `counts`; MalformedLine otherwise."""
+    try:
+        vals = [float(tok) for tok in line.split()]
+    except ValueError as exc:
+        raise MalformedLine(path, line_number, f"{what}: {exc}") from None
+    if len(vals) not in counts:
+        expected = " or ".join(str(c) for c in counts)
+        raise MalformedLine(path, line_number, f"{what} needs {expected} numbers, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise MalformedLine(path, line_number, f"non-finite value in {what}")
+    return vals
+
+
 def _read_problem(path):
     """Read a single-problem text file.
 
     Line 1: fx fy cx cy [skew]; following lines: px py X Y Z. Blank lines
-    and '#' comments are ignored.
+    and '#' comments are ignored but counted, so a MalformedLine names the
+    file's own line number.
     """
     stream = sys.stdin if path == "-" else open(path, "r")
     try:
         lines = []
-        for raw in stream:
+        for line_number, raw in enumerate(stream, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            lines.append(line)
+            lines.append((line_number, line))
     finally:
         if stream is not sys.stdin:
             stream.close()
     if not lines:
         raise ValueError(f"{path}: empty problem file")
-    head = [float(tok) for tok in lines[0].split()]
-    if len(head) not in (4, 5):
-        raise ValueError(f"{path}: intrinsics line needs 4 or 5 numbers, got {len(head)}")
+    line_number, line = lines[0]
+    head = _problem_line(path, line_number, line, "intrinsics line", (4, 5))
     skew = head[4] if len(head) == 5 else 0.0
-    intr = CameraIntrinsics(fx=head[0], fy=head[1], cx=head[2], cy=head[3], skew=skew)
+    try:
+        intr = CameraIntrinsics(fx=head[0], fy=head[1], cx=head[2], cy=head[3], skew=skew)
+    except ValueError as exc:
+        raise MalformedLine(path, line_number, str(exc)) from None
     cs = []
-    for line in lines[1:]:
-        vals = [float(tok) for tok in line.split()]
-        if len(vals) != 5:
-            raise ValueError(f"{path}: correspondence line needs 5 numbers, got {len(vals)}")
+    for line_number, line in lines[1:]:
+        vals = _problem_line(path, line_number, line, "correspondence line", (5,))
         cs.append(Correspondence(p=np.array(vals[2:]), u=np.array(vals[:2])))
     return intr, cs
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient, TooFewPoints
-from .geometry import correspondence_arrays
 
 MIN_POINTS = 6
 
@@ -82,21 +81,6 @@ def _assemble_arrays(ps: np.ndarray, us: np.ndarray, weights=None) -> np.ndarray
     return blocks.reshape(2 * n, 12)
 
 
-def assemble(cs, weights=None) -> np.ndarray:
-    """Stack the 2x12 blocks of all correspondences into a 2n x 12 matrix.
-
-    Args:
-        cs: sequence of Correspondence, or a pair of arrays (points (n,3),
-            pixels (n,2)).
-        weights: optional per-point scalars multiplying each 2-row block.
-
-    Raises:
-        TooFewPoints: if n < 6.
-    """
-    ps, us = correspondence_arrays(cs)
-    return _assemble_arrays(ps, us, weights)
-
-
 def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
     """Extract the null direction of the stacked constraint matrix.
 
@@ -139,9 +123,3 @@ def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
         mixed = max(npos, depths.shape[0] - npos) < 0.9 * depths.shape[0]
     return DltSolution(P=P, singular_values=s, V=V, mixed_depths=mixed)
 
-
-def information_matrix(sol: DltSolution) -> np.ndarray:
-    """Information (inverse covariance) of vec(P): V diag(s^2) V^T."""
-    V = sol.V
-    s2 = sol.singular_values**2
-    return (V * s2) @ V.T

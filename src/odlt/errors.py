@@ -33,6 +33,10 @@ class NonFiniteInput(PnpError):
     """A point or pixel coordinate is NaN or infinite."""
 
 
+class InvalidShape(PnpError, ValueError):
+    """A point/pixel array pair does not have shapes (n,3) and (n,2)."""
+
+
 class DegeneratePoints(PnpError):
     """Point set collapses to (nearly) a single location; normalization undefined."""
 
@@ -67,7 +71,7 @@ class MissingFile(ColmapParseError):
 
 
 class MalformedLine(ColmapParseError):
-    """A model file line does not match the expected layout."""
+    """A COLMAP model or `solve` problem file line has a bad layout or value."""
 
     def __init__(self, path, line_number: int, message: str):
         self.path = str(path)

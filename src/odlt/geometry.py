@@ -23,6 +23,7 @@ from .errors import (
     DegenerateInput,
     DepthZero,
     InvalidIntrinsics,
+    InvalidShape,
     NonFiniteInput,
     SingularProjection,
     ZeroQuaternion,
@@ -136,26 +137,28 @@ def correspondence_arrays(cs) -> tuple[np.ndarray, np.ndarray]:
     """Split correspondences into point and pixel arrays.
 
     Accepts either a sequence of Correspondence or a pre-split pair
-    (points (n,3), pixels (n,2)). Returns float64 arrays.
+    (points (n,3), pixels (n,2)), at least one of them an ndarray. Returns
+    float64 arrays.
 
     Raises:
+        InvalidShape: if the arrays do not have shapes (n,3) and (n,2).
         NonFiniteInput: if any coordinate is NaN or infinite.
     """
     if (
         isinstance(cs, (tuple, list))
         and len(cs) == 2
-        and isinstance(cs[0], np.ndarray)
-        and getattr(cs[0], "ndim", 0) == 2
+        and (isinstance(cs[0], np.ndarray) or isinstance(cs[1], np.ndarray))
     ):
         ps = np.asarray(cs[0], dtype=float)
         us = np.asarray(cs[1], dtype=float)
     else:
         ps = np.array([c.p for c in cs], dtype=float).reshape(-1, 3)
         us = np.array([c.u for c in cs], dtype=float).reshape(-1, 2)
-    if ps.shape[0] != us.shape[0]:
-        raise ValueError(f"point/pixel count mismatch: {ps.shape[0]} vs {us.shape[0]}")
-    if ps.shape[1] != 3 or us.shape[1] != 2:
-        raise ValueError(f"expected shapes (n,3) and (n,2), got {ps.shape} and {us.shape}")
+    if ps.shape[1:] != (3,) or us.shape[1:] != (2,) or ps.shape[0] != us.shape[0]:
+        raise InvalidShape(
+            f"expected point and pixel arrays of shapes (n,3) and (n,2), "
+            f"got {ps.shape} and {us.shape}"
+        )
     if not (np.isfinite(ps).all() and np.isfinite(us).all()):
         raise NonFiniteInput("point and pixel coordinates must be finite")
     return ps, us

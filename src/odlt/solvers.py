@@ -1,12 +1,15 @@
 """End-to-end pose solvers built from the linear engine.
 
-Methods:
-    dlt        unnormalized linear solve, unweighted Procrustes projection.
-    ndlt       same, with pixel/point normalization (the practical baseline).
-    odlt       normalized solve with optimal row weights from a preliminary
-               subset estimate, information-weighted Procrustes rotation.
-    odlt_lost  odlt rotation plus O(n) translation re-triangulation.
-    ndlt_gn    ndlt followed by Gauss-Newton reprojection refinement.
+solve() is the one pose pipeline. Every method runs the linear solve, the
+pose recovery and a final reprojection; STAGES says which optional stages
+it adds:
+
+    normalize  similarity-normalize pixels and points before the linear solve.
+    weighted   scale the rows by q_i = 1/(sigma_u depth_i) from a preliminary
+               subset estimate, and project the rotation with the
+               information-weighted Procrustes step.
+    lost       re-triangulate the translation with the rotation fixed (O(n)).
+    refine     Gauss-Newton on the reprojection error from the linear pose.
 
 All solvers are deterministic functions of (correspondences, intrinsics,
 config): the only randomness is the seeded subset choice inside the
@@ -16,12 +19,12 @@ preliminary estimate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dlt import MIN_POINTS, _assemble_arrays, solve_nullspace
+from .dlt import MIN_POINTS, DltSolution, _assemble_arrays, solve_nullspace
 from .errors import NegativeDepth, RankDeficient
 from .geometry import (
     Pose,
@@ -51,7 +54,25 @@ from .weighting import (
     weight_factors,
 )
 
-METHODS = ("dlt", "ndlt", "odlt", "odlt_lost", "ndlt_gn")
+
+class Stages(NamedTuple):
+    """The optional stages one method runs, as the module docstring defines them."""
+
+    normalize: bool
+    weighted: bool
+    lost: bool
+    refine: bool
+
+
+STAGES = {
+    "dlt": Stages(normalize=False, weighted=False, lost=False, refine=False),
+    "ndlt": Stages(normalize=True, weighted=False, lost=False, refine=False),
+    "odlt": Stages(normalize=True, weighted=True, lost=False, refine=False),
+    "odlt_lost": Stages(normalize=True, weighted=True, lost=True, refine=False),
+    "ndlt_gn": Stages(normalize=True, weighted=False, lost=False, refine=True),
+}
+
+METHODS = tuple(STAGES)
 
 FLAG_MIXED_DEPTHS = "MixedDepths"
 FLAG_DEGENERATE_WEIGHTS = "DegenerateWeights"
@@ -61,6 +82,9 @@ FLAG_FALLBACK_USED = "FallbackUsed"
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver settings; defaults reproduce the published pipeline.
+
+    method picks the STAGES row that solve() runs; the other fields tune
+    the weighted stage (sigma_u to procrustes_tol) and the refine stage (gn_*).
 
     force_unit_weights is a test hook: it replaces the optimal weights (both
     the row scalars and the Procrustes weight matrix) with ones, which must
@@ -73,7 +97,6 @@ class SolverConfig:
     seed: int = 0
     procrustes_iters: int = 1
     procrustes_tol: float = 1e-12
-    reweight_iters: int = 1
     gn_max_iters: int = 10
     gn_tol: float = 1e-10
     force_unit_weights: bool = False
@@ -87,8 +110,6 @@ class SolverConfig:
             raise ValueError(f"subset_size must be >= {MIN_POINTS}, got {self.subset_size}")
         if not 1 <= self.procrustes_iters <= 5:
             raise ValueError(f"procrustes_iters must be in 1..5, got {self.procrustes_iters}")
-        if self.reweight_iters < 1:
-            raise ValueError(f"reweight_iters must be >= 1, got {self.reweight_iters}")
         if self.gn_max_iters < 1:
             raise ValueError(f"gn_max_iters must be >= 1, got {self.gn_max_iters}")
 
@@ -110,29 +131,18 @@ def _reprojection_rms(ps: np.ndarray, us: np.ndarray, K, pose: Pose) -> float:
     return float(np.sqrt(np.mean(np.sum((us - pred) ** 2, axis=1))))
 
 
-class _LinearOutcome:
-    """Intermediate state shared by the linear methods."""
+class _LinearOutcome(NamedTuple):
+    """Null-space solution, the normalizations it lives in, flags, timings."""
 
-    __slots__ = ("sol", "pix", "pt", "P", "flags", "timings", "weights", "kept")
-
-    def __init__(self, sol, pix, pt, P, flags, timings, weights, kept):
-        self.sol = sol
-        self.pix = pix
-        self.pt = pt
-        self.P = P
-        self.flags = flags
-        self.timings = timings
-        self.weights = weights
-        self.kept = kept
+    sol: DltSolution
+    pix: PixelNormalization
+    pt: PointNormalization
+    flags: set
+    timings: dict
 
 
 def _linear_solve(
-    ps: np.ndarray,
-    us: np.ndarray,
-    cfg: SolverConfig,
-    normalize: bool,
-    weighted: bool,
-    preliminary: Optional[np.ndarray] = None,
+    ps: np.ndarray, us: np.ndarray, cfg: SolverConfig, normalize: bool, weighted: bool
 ) -> _LinearOutcome:
     flags = set()
     timings = {}
@@ -140,29 +150,21 @@ def _linear_solve(
     if normalize:
         pix = fit_pixel_normalization(us)
         pt = fit_point_normalization(ps)
-        usn = pix.apply(us)
-        psn = pt.apply(ps)
+        us = pix.apply(us)
+        ps = pt.apply(ps)
     else:
         pix = PixelNormalization.identity()
         pt = PointNormalization.identity()
-        usn = us
-        psn = ps
     timings["normalize"] = time.perf_counter() - t0
 
-    kept = slice(None)
     weights = None
     if weighted:
         t0 = time.perf_counter()
-        if preliminary is None:
-            P0, used_full = _preliminary_normalized(psn, usn, cfg.subset_size, cfg.seed)
-            if used_full:
-                flags.add(FLAG_FALLBACK_USED)
-        else:
-            P0 = np.asarray(preliminary, dtype=float).reshape(3, 4)
-        if cfg.force_unit_weights:
-            weights = np.ones(psn.shape[0])
-        else:
-            depths = depths_under(P0, psn)
+        P0, used_full = _preliminary_normalized(ps, us, cfg.subset_size, cfg.seed)
+        if used_full:
+            flags.add(FLAG_FALLBACK_USED)
+        if not cfg.force_unit_weights:
+            depths = depths_under(P0, ps)
             neg = depths <= 0
             if neg.any():
                 frac = float(neg.mean())
@@ -170,33 +172,17 @@ def _linear_solve(
                     raise NegativeDepth(
                         f"{frac:.0%} of points behind the preliminary camera"
                     )
-                kept = ~neg
-                depths = depths[kept]
+                front = ~neg
+                ps, us, depths = ps[front], us[front], depths[front]
             weights = 1.0 / (cfg.sigma_u * depths)
         timings["weights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ps_used = psn[kept] if weighted else psn
-    us_used = usn[kept] if weighted else usn
-    sol = solve_nullspace(_assemble_arrays(ps_used, us_used, weights), points=ps_used)
-    if weighted and not cfg.force_unit_weights:
-        for _ in range(cfg.reweight_iters - 1):
-            depths = depths_under(sol.P, psn)
-            neg = depths <= 0
-            if neg.any():
-                if float(neg.mean()) >= NEGATIVE_DEPTH_LIMIT:
-                    raise NegativeDepth("re-weighting left too many points behind the camera")
-                kept = ~neg
-            else:
-                kept = slice(None)
-            weights = 1.0 / (cfg.sigma_u * depths[kept])
-            ps_used, us_used = psn[kept], usn[kept]
-            sol = solve_nullspace(_assemble_arrays(ps_used, us_used, weights), points=ps_used)
+    sol = solve_nullspace(_assemble_arrays(ps, us, weights), points=ps)
     timings["solve"] = time.perf_counter() - t0
     if sol.mixed_depths:
         flags.add(FLAG_MIXED_DEPTHS)
-    P = denormalize_projection(sol.P, pix, pt)
-    return _LinearOutcome(sol, pix, pt, P, flags, timings, weights, kept)
+    return _LinearOutcome(sol, pix, pt, flags, timings)
 
 
 def _recover_pose(out: _LinearOutcome, K, cfg: SolverConfig, weighted: bool) -> Pose:
@@ -226,72 +212,35 @@ def _finish(ps, us, K, pose, flags, timings, t_start) -> PnpResult:
     )
 
 
-def solve_dlt(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
-    """Classical DLT: raw linear solve, unweighted rotation projection."""
-    cfg = cfg or SolverConfig(method="dlt")
-    t_start = time.perf_counter()
-    ps, us = correspondence_arrays(cs)
-    out = _linear_solve(ps, us, cfg, normalize=False, weighted=False)
-    pose = _recover_pose(out, K, cfg, weighted=False)
-    return _finish(ps, us, K, pose, out.flags, out.timings, t_start)
+def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
+    """Estimate the camera pose of cs = (points (n,3), pixels (n,2)) or a
+    sequence of Correspondence, under intrinsics K, with the stages that
+    STAGES lists for cfg.method (default odlt).
 
-
-def solve_ndlt(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
-    """Normalized DLT: as solve_dlt with similarity-normalized data."""
-    cfg = cfg or SolverConfig(method="ndlt")
-    t_start = time.perf_counter()
-    ps, us = correspondence_arrays(cs)
-    out = _linear_solve(ps, us, cfg, normalize=True, weighted=False)
-    pose = _recover_pose(out, K, cfg, weighted=False)
-    return _finish(ps, us, K, pose, out.flags, out.timings, t_start)
-
-
-def solve_odlt(
-    cs, K, cfg: Optional[SolverConfig] = None, preliminary: Optional[np.ndarray] = None
-) -> PnpResult:
-    """Optimally weighted DLT.
-
-    Two-shot: a preliminary subset estimate supplies per-point depths, rows
-    are scaled by q_i = 1/(sigma_u depth_i), and the rotation is recovered
-    by the information-weighted Procrustes projection.
-
-    Args:
-        preliminary: optional override for the preliminary estimate, a 3x4
-            matrix in the normalized coordinates of the full set (advanced
-            use; mainly for sensitivity studies).
+    LOST keeps the rotation bit for bit and replaces the camera center,
+    with weights recomputed from the projection of the recovered pose.
     """
-    cfg = cfg or SolverConfig(method="odlt")
+    cfg = cfg or SolverConfig()
+    normalize, weighted, lost, refine = STAGES[cfg.method]
     t_start = time.perf_counter()
     ps, us = correspondence_arrays(cs)
-    out = _linear_solve(ps, us, cfg, normalize=True, weighted=True, preliminary=preliminary)
-    pose = _recover_pose(out, K, cfg, weighted=True)
-    return _finish(ps, us, K, pose, out.flags, out.timings, t_start)
-
-
-def solve_odlt_lost(
-    cs, K, cfg: Optional[SolverConfig] = None, preliminary: Optional[np.ndarray] = None
-) -> PnpResult:
-    """odlt rotation with the translation re-triangulated (LOST).
-
-    The rotation is bit-identical to solve_odlt's; the camera center is
-    replaced by the solution of the sliced linear system with weights
-    recomputed from the final projection estimate.
-    """
-    cfg = cfg or SolverConfig(method="odlt_lost")
-    t_start = time.perf_counter()
-    ps, us = correspondence_arrays(cs)
-    out = _linear_solve(ps, us, cfg, normalize=True, weighted=True, preliminary=preliminary)
-    pose = _recover_pose(out, K, cfg, weighted=True)
-
-    t0 = time.perf_counter()
-    P_final = compose_projection(K, pose)
-    depths = depths_under(P_final, ps)
-    front = depths > 0
-    q = weight_factors(P_final, ps[front], cfg.sigma_u)
-    t = lost_translation((ps[front], us[front]), K, pose.R, q)
-    pose = Pose(R=pose.R, r=-pose.R.T @ t)
-    out.timings["lost"] = time.perf_counter() - t0
-    return _finish(ps, us, K, pose, out.flags, out.timings, t_start)
+    out = _linear_solve(ps, us, cfg, normalize, weighted)
+    pose = _recover_pose(out, K, cfg, weighted)
+    flags, timings = out.flags, out.timings
+    if lost:
+        t0 = time.perf_counter()
+        P_final = compose_projection(K, pose)
+        front = depths_under(P_final, ps) > 0
+        q = weight_factors(P_final, ps[front], cfg.sigma_u)
+        t = lost_translation((ps[front], us[front]), K, pose.R, q)
+        pose = Pose(R=pose.R, r=-pose.R.T @ t)
+        timings["lost"] = time.perf_counter() - t0
+    if refine:
+        refined = refine_gauss_newton((ps, us), K, pose, cfg)
+        pose = refined.pose
+        flags |= refined.flags
+        timings["refine"] = refined.timings["refine"]
+    return _finish(ps, us, K, pose, flags, timings, t_start)
 
 
 def refine_gauss_newton(cs, K, init: Pose, cfg: Optional[SolverConfig] = None) -> PnpResult:
@@ -340,7 +289,7 @@ def refine_gauss_newton(cs, K, init: Pose, cfg: Optional[SolverConfig] = None) -
     timings["refine"] = time.perf_counter() - t0
 
     pose = Pose(R=nearest_rotation(R), r=r)
-    return _finish(ps, us, Km, pose, flags, timings, t_start)
+    return _finish(ps, us, K, pose, flags, timings, t_start)
 
 
 def _gn_cost(ps, us, Km, R, r) -> float:
@@ -384,58 +333,21 @@ def _gn_residuals_jacobian(ps, us, Km, R, r):
     return e, J.reshape(2 * n, 6)
 
 
-def estimate_projection(
-    cs,
-    method: str = "ndlt",
-    cfg: Optional[SolverConfig] = None,
-    preliminary: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def estimate_projection(cs, method: str = "ndlt", cfg: Optional[SolverConfig] = None) -> np.ndarray:
     """Estimate the 3x4 projection matrix only (no calibration required).
 
-    Supports the linear methods ("dlt", "ndlt", "odlt"). The returned matrix
-    is in the original (de-normalized) coordinates, scaled to unit Frobenius
-    norm with positive mean depth.
+    Supports the methods whose STAGES row ends with the linear solve ("dlt",
+    "ndlt", "odlt"). The returned matrix is in the original (de-normalized)
+    coordinates, scaled to unit Frobenius norm with positive mean depth.
     """
-    if method not in ("dlt", "ndlt", "odlt"):
+    stages = STAGES.get(method)
+    if stages is None or stages.lost or stages.refine:
         raise ValueError(f"projection-only estimation needs a linear method, got {method!r}")
     cfg = cfg or SolverConfig(method=method)
     ps, us = correspondence_arrays(cs)
-    out = _linear_solve(
-        ps,
-        us,
-        cfg,
-        normalize=method != "dlt",
-        weighted=method == "odlt",
-        preliminary=preliminary,
-    )
-    P = out.P / np.linalg.norm(out.P)
+    out = _linear_solve(ps, us, cfg, stages.normalize, stages.weighted)
+    P = denormalize_projection(out.sol.P, out.pix, out.pt)
+    P = P / np.linalg.norm(P)
     if depths_under(P, ps).mean() < 0:
         P = -P
     return P
-
-
-def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
-    """Dispatch to the solver named by cfg.method."""
-    cfg = cfg or SolverConfig()
-    if cfg.method == "dlt":
-        return solve_dlt(cs, K, cfg)
-    if cfg.method == "ndlt":
-        return solve_ndlt(cs, K, cfg)
-    if cfg.method == "odlt":
-        return solve_odlt(cs, K, cfg)
-    if cfg.method == "odlt_lost":
-        return solve_odlt_lost(cs, K, cfg)
-    if cfg.method == "ndlt_gn":
-        t_start = time.perf_counter()
-        base = solve_ndlt(cs, K, replace(cfg, method="ndlt"))
-        refined = refine_gauss_newton(cs, K, base.pose, cfg)
-        timings = dict(base.timings)
-        timings["refine"] = refined.timings.get("refine", 0.0)
-        timings["total"] = time.perf_counter() - t_start
-        return PnpResult(
-            pose=refined.pose,
-            reprojection_rms=refined.reprojection_rms,
-            flags=base.flags | refined.flags,
-            timings=timings,
-        )
-    raise ValueError(f"unknown method {cfg.method!r}")

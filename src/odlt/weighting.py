@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dlt import MIN_POINTS, _assemble_arrays, solve_nullspace
-from .errors import NegativeDepth, RankDeficient
-from .geometry import Correspondence, correspondence_arrays, cross_matrix
-from .normalization import fit_pixel_normalization, fit_point_normalization
+from .dlt import _assemble_arrays, solve_nullspace
+from .errors import RankDeficient
+from .geometry import Correspondence, cross_matrix
 
 # Dropping points that fall behind the preliminary camera is tolerated up to
 # this fraction; beyond it the preliminary estimate cannot be trusted.
@@ -46,10 +45,6 @@ class WeightContext:
             raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
 
 
-def _depth(P0: np.ndarray, p: np.ndarray) -> float:
-    return float(P0[2, :3] @ p + P0[2, 3])
-
-
 def depths_under(P0: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Projective depths k^T P0 pbar for an (n,3) array of points."""
     ps = np.asarray(ps, dtype=float).reshape(-1, 3)
@@ -67,20 +62,8 @@ def residual_covariance(ctx: WeightContext, c: Correspondence) -> np.ndarray:
     Ux = cross_matrix(ubar)
     M = Ux.copy()
     M[2, :] = 0.0  # S^T S [ubar x]
-    d = _depth(ctx.P0, c.p)
+    d = float(ctx.P0[2, :3] @ c.p + ctx.P0[2, 3])
     return -(d * d * ctx.sigma_u * ctx.sigma_u) * (Ux @ M)
-
-
-def weight_factor(ctx: WeightContext, c: Correspondence) -> float:
-    """Scalar row weight q = 1 / (sigma_u * depth) for one correspondence.
-
-    Raises:
-        NegativeDepth: if the point's depth under P0 is not positive.
-    """
-    d = _depth(ctx.P0, c.p)
-    if d <= 0:
-        raise NegativeDepth(f"depth {d!r} under preliminary estimate is not positive")
-    return 1.0 / (ctx.sigma_u * d)
 
 
 def weight_factors(P0: np.ndarray, ps: np.ndarray, sigma_u: float) -> np.ndarray:
@@ -93,12 +76,13 @@ def _preliminary_normalized(
 ) -> tuple[np.ndarray, bool]:
     """Unweighted solve on a seeded subset of pre-normalized data.
 
+    psn and usn are normalized over the full set, so P0 lives in those
+    coordinates; only the solve uses the subset of min(n, subset_size) points.
+
     Returns (P0, used_full_set). Falls back to the full point set when the
     subset system is rank deficient.
     """
     n = psn.shape[0]
-    if subset_size < MIN_POINTS:
-        raise ValueError(f"subset_size must be >= {MIN_POINTS}, got {subset_size}")
     if n > subset_size:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(n, size=subset_size, replace=False))
@@ -111,18 +95,3 @@ def _preliminary_normalized(
         sol = solve_nullspace(_assemble_arrays(psn, usn), points=psn)
         return sol.P, True
 
-
-def preliminary_estimate(cs, subset_size: int = 12, seed: int = 0) -> np.ndarray:
-    """Preliminary projection from an unweighted normalized solve on a subset.
-
-    The normalization is fitted on the full correspondence set; a
-    deterministic pseudo-random subset of min(n, subset_size) points is used
-    only for the solve, so the returned 3x4 matrix lives in the normalized
-    coordinates of the full set. A rank-deficient subset triggers one retry
-    with all points.
-    """
-    ps, us = correspondence_arrays(cs)
-    pix = fit_pixel_normalization(us)
-    pt = fit_point_normalization(ps)
-    P0, _ = _preliminary_normalized(pt.apply(ps), pix.apply(us), subset_size, seed)
-    return P0

@@ -48,9 +48,6 @@ from odlt.solvers import (
     _gn_residuals_jacobian,
     _linear_solve,
     solve,
-    solve_ndlt,
-    solve_odlt,
-    solve_odlt_lost,
 )
 from odlt.weighting import WeightContext, residual_covariance, weight_factors
 from conftest import make_exact_scene, oracle_project
@@ -177,10 +174,10 @@ def test_criterion_06_unit_weight_reduction(rng):
     for _ in range(100):
         Km, R, r, ps, us = make_exact_scene(rng, n=15)
         us = us + rng.standard_normal(us.shape)
-        forced = solve_odlt(
+        forced = solve(
             (ps, us), Km, SolverConfig(method="odlt", force_unit_weights=True)
         )
-        plain = solve_ndlt((ps, us), Km, SolverConfig(method="ndlt"))
+        plain = solve((ps, us), Km, SolverConfig(method="ndlt"))
         np.testing.assert_allclose(forced.pose.R, plain.pose.R, atol=1e-12)
         np.testing.assert_allclose(forced.pose.r, plain.pose.r, atol=1e-12)
 
@@ -351,8 +348,8 @@ def test_criterion_09_lost_translation_is_optimal(rng):
         Km, R_true, r_true, ps, us = make_exact_scene(rng, n=50)
         us = us + rng.standard_normal(us.shape)
         cfg = SolverConfig(method="odlt")
-        full = solve_odlt((ps, us), Km, cfg)
-        lost = solve_odlt_lost((ps, us), Km, SolverConfig(method="odlt_lost"))
+        full = solve((ps, us), Km, cfg)
+        lost = solve((ps, us), Km, SolverConfig(method="odlt_lost"))
         R = full.pose.R
         np.testing.assert_array_equal(R, lost.pose.R)
 

@@ -246,6 +246,25 @@ class TestSolve:
         assert rc == 3
         assert "intrinsics line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("1 2 abc 4 5", "correspondence line: could not convert string to float: 'abc'"),
+            ("1 2 3 4", "correspondence line needs 5 numbers, got 4"),
+            ("nan 2 3 4 5", "non-finite value in correspondence line"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys, bad_line, message):
+        # Comments and blank lines count, so the number is the file's own line.
+        path = tmp_path / "bad.txt"
+        write_problem_file(path, solvable_problem())
+        lines = path.read_text().splitlines()
+        lines[4:4] = ["# a comment", "", bad_line]
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["solve", "--input", str(path)])
+        assert rc == 3
+        assert f"error: {path}:7: {message}" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_version_flag(self, capsys):

@@ -1,24 +1,15 @@
 import numpy as np
 import pytest
 
-from odlt.dlt import (
-    MIN_POINTS,
-    assemble,
-    information_matrix,
-    solve_nullspace,
-)
+from odlt.dlt import MIN_POINTS, _assemble_arrays, solve_nullspace
 from odlt.errors import RankDeficient, TooFewPoints
-from odlt.geometry import Correspondence, Pose, compose_projection
+from odlt.geometry import Pose, compose_projection
 from conftest import make_exact_scene, oracle_project, random_rotation
 
 
 def vec_cm(P):
     """Column-major vec of a 3x4 matrix, used as the layout oracle."""
     return np.asarray(P).T.reshape(12)
-
-
-def as_cs(ps, us):
-    return [Correspondence(p=p, u=u) for p, u in zip(ps, us)]
 
 
 def kron_block(p, u):
@@ -40,14 +31,16 @@ def test_constraint_block_matches_kron_oracle(rng):
     ps[2] = [0.3, -1.2, 4.0]
     us[2] = [17.0, -5.5]
     oracle = kron_block(ps[2], us[2])
-    np.testing.assert_array_equal(assemble((ps, us))[4:6], oracle)
+    np.testing.assert_array_equal(_assemble_arrays(ps, us)[4:6], oracle)
     w = rng.uniform(0.5, 2.0, 6)
-    np.testing.assert_allclose(assemble((ps, us), w)[4:6], w[2] * oracle, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(
+        _assemble_arrays(ps, us, w)[4:6], w[2] * oracle, rtol=1e-15, atol=0
+    )
 
 
 def test_assemble_stacks_blocks(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=8)
-    A = assemble((ps, us))
+    A = _assemble_arrays(ps, us)
     assert A.shape == (16, 12)
     for i, (p, u) in enumerate(zip(ps, us)):
         np.testing.assert_array_equal(A[2 * i : 2 * i + 2], kron_block(p, u))
@@ -57,7 +50,7 @@ def test_exact_data_annihilates_true_projection(rng):
     for _ in range(10):
         Km, R, r, ps, us = make_exact_scene(rng, n=12)
         P = compose_projection(Km, Pose(R=R, r=r))
-        A = assemble((ps, us))
+        A = _assemble_arrays(ps, us)
         residual = A @ vec_cm(P)
         assert np.abs(residual).max() < 1e-6 * np.abs(P).max()
 
@@ -66,7 +59,7 @@ def test_nullspace_recovers_projection(rng):
     for _ in range(10):
         Km, R, r, ps, us = make_exact_scene(rng, n=15)
         P = compose_projection(Km, Pose(R=R, r=r))
-        sol = solve_nullspace(assemble((ps, us)), points=ps)
+        sol = solve_nullspace(_assemble_arrays(ps, us), points=ps)
         P_ref = P / np.linalg.norm(P)
         np.testing.assert_allclose(sol.P, P_ref, atol=1e-9 * np.abs(P_ref).max())
         assert sol.singular_values[11] < 1e-9 * sol.singular_values[0]
@@ -75,7 +68,7 @@ def test_nullspace_recovers_projection(rng):
 
 def test_cheirality_sign_is_fixed_by_points(rng):
     Km, R, r, ps, us = make_exact_scene(rng, n=10)
-    A = assemble((ps, us))
+    A = _assemble_arrays(ps, us)
     sol_pos = solve_nullspace(A, points=ps)
     sol_neg = solve_nullspace(-A, points=ps)
     depths = ps @ sol_pos.P[2, :3] + sol_pos.P[2, 3]
@@ -85,7 +78,7 @@ def test_cheirality_sign_is_fixed_by_points(rng):
 
 def test_unit_norm_and_layout(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=9)
-    sol = solve_nullspace(assemble((ps, us)), points=ps)
+    sol = solve_nullspace(_assemble_arrays(ps, us), points=ps)
     assert abs(np.linalg.norm(sol.P) - 1.0) < 1e-12
     # P and the last column of V hold the same numbers in vec layout.
     np.testing.assert_array_equal(vec_cm(sol.P), sol.V[:, 11])
@@ -123,7 +116,7 @@ def test_coplanar_points_rank_deficient(rng):
     ps[:, 2] = 5.0  # squash onto a plane, then reproject exactly
     us = oracle_project(Km, R, r, ps)
     with pytest.raises(RankDeficient):
-        solve_nullspace(assemble((ps, us)), points=ps)
+        solve_nullspace(_assemble_arrays(ps, us), points=ps)
 
 
 def test_too_few_rows_rejected(rng):
@@ -136,15 +129,15 @@ def test_too_few_rows_rejected(rng):
 def test_too_few_points(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=MIN_POINTS - 1)
     with pytest.raises(TooFewPoints):
-        assemble((ps, us))
+        _assemble_arrays(ps, us)
 
 
 def test_weight_scale_invariance(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=14)
     us = us + rng.standard_normal(us.shape)
     w = rng.uniform(0.5, 2.0, len(ps))
-    sol_a = solve_nullspace(assemble((ps, us), w), points=ps)
-    sol_b = solve_nullspace(assemble((ps, us), 3.7 * w), points=ps)
+    sol_a = solve_nullspace(_assemble_arrays(ps, us, w), points=ps)
+    sol_b = solve_nullspace(_assemble_arrays(ps, us, 3.7 * w), points=ps)
     np.testing.assert_allclose(sol_a.P, sol_b.P, atol=1e-12)
 
 
@@ -153,16 +146,16 @@ def test_permutation_invariance(rng):
     us = us + rng.standard_normal(us.shape)
     w = rng.uniform(0.5, 2.0, len(ps))
     perm = rng.permutation(len(ps))
-    sol_a = solve_nullspace(assemble((ps, us), w), points=ps)
-    sol_b = solve_nullspace(assemble((ps[perm], us[perm]), w[perm]), points=ps[perm])
+    sol_a = solve_nullspace(_assemble_arrays(ps, us, w), points=ps)
+    sol_b = solve_nullspace(_assemble_arrays(ps[perm], us[perm], w[perm]), points=ps[perm])
     np.testing.assert_allclose(sol_a.P, sol_b.P, atol=1e-9)
 
 
 def test_weights_affect_noisy_solution(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=14)
     us = us + rng.standard_normal(us.shape)
-    uniform = solve_nullspace(assemble((ps, us)), points=ps)
-    skewed = solve_nullspace(assemble((ps, us), rng.uniform(0.1, 5.0, len(ps))), points=ps)
+    uniform = solve_nullspace(_assemble_arrays(ps, us), points=ps)
+    skewed = solve_nullspace(_assemble_arrays(ps, us, rng.uniform(0.1, 5.0, len(ps))), points=ps)
     assert np.abs(uniform.P - skewed.P).max() > 1e-8
 
 
@@ -175,17 +168,17 @@ def test_mixed_depths_flag(rng):
     cam[:8] *= -1.0
     behind = cam @ R + r
     us2 = oracle_project(Km, R, r, behind)
-    sol = solve_nullspace(assemble((behind, us2)), points=behind)
+    sol = solve_nullspace(_assemble_arrays(behind, us2), points=behind)
     assert sol.mixed_depths
-    sol_clean = solve_nullspace(assemble((ps, us)), points=ps)
+    sol_clean = solve_nullspace(_assemble_arrays(ps, us), points=ps)
     assert not sol_clean.mixed_depths
 
 
 def test_information_matrix_recomputed(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=16)
     us = us + 0.5 * rng.standard_normal(us.shape)
-    sol = solve_nullspace(assemble((ps, us)), points=ps)
-    info = information_matrix(sol)
+    sol = solve_nullspace(_assemble_arrays(ps, us), points=ps)
+    info = (sol.V * sol.singular_values**2) @ sol.V.T
     oracle = sol.V @ np.diag(sol.singular_values**2) @ sol.V.T
     np.testing.assert_allclose(info, oracle, atol=1e-9 * sol.singular_values[0] ** 2)
     np.testing.assert_allclose(info, info.T, atol=1e-9)

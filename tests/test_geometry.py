@@ -5,6 +5,7 @@ from odlt.errors import (
     DegenerateInput,
     DepthZero,
     InvalidIntrinsics,
+    InvalidShape,
     NonFiniteInput,
     PnpError,
     SingularProjection,
@@ -257,6 +258,7 @@ class TestSmallPieces:
         cs = [Correspondence(p=p, u=u) for p, u in zip(ps, us)]
         ps1, us1 = correspondence_arrays(cs)
         ps2, us2 = correspondence_arrays((ps, us))
+        np.testing.assert_array_equal(correspondence_arrays((ps, us.tolist()))[1], us)
         np.testing.assert_array_equal(ps1, ps)
         np.testing.assert_array_equal(us1, us)
         np.testing.assert_array_equal(ps2, ps)
@@ -273,6 +275,26 @@ class TestSmallPieces:
         arrays[side][5, 1] = bad
         with pytest.raises(NonFiniteInput):
             correspondence_arrays(tuple(arrays))
+
+    @pytest.mark.parametrize(
+        "ps_shape, us_shape",
+        [
+            ((20, 3), (20,)),
+            ((20, 3), (20, 2, 1)),
+            ((60,), (20, 2)),
+            ((20, 2), (20, 2)),
+            ((20, 3), (19, 2)),
+            ((), (20, 2)),
+        ],
+    )
+    def test_correspondence_arrays_reject_bad_shapes(self, ps_shape, us_shape):
+        # These used to escape as IndexError, a numpy broadcast ValueError or
+        # an AttributeError from the Correspondence-sequence path.
+        pair = (np.ones(ps_shape), np.ones(us_shape))
+        with pytest.raises(InvalidShape) as exc:
+            correspondence_arrays(pair)
+        assert isinstance(exc.value, PnpError) and isinstance(exc.value, ValueError)
+        assert str(ps_shape) in str(exc.value) and str(us_shape) in str(exc.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 """Operation-count guards for the hot paths.
 
 Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
-operating point (n=50), and the Correspondence objects the Monte Carlo
-harness and the COLMAP problem builder create. Unlike a timing, the counts
-are exact and repeatable, so any extra decomposition on the hot path, a
-reintroduced Kronecker product or hidden condition-number SVD, or a return
-to per-point objects on an array path fails here on any host.
+operating point (n=50), the stage functions solve() calls per method, and
+the Correspondence objects the Monte Carlo harness and the COLMAP problem
+builder create. Unlike a timing, the counts are exact and repeatable, so any
+extra decomposition on the hot path, a reintroduced Kronecker product or
+hidden condition-number SVD, a wrong stage-table row, or a return to
+per-point objects on an array path fails here on any host.
 """
 
 from collections import Counter
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import odlt.solvers as solvers_module
 from odlt.colmap import build_problems, parse_model
 from odlt.evaluation import SyntheticScenario, generate_scene, run_monte_carlo
 from odlt.geometry import Correspondence
@@ -61,6 +63,36 @@ def test_linalg_calls_per_solve(method, counts):
     solve(arrays, sc.intrinsics, SolverConfig(method=method))
     observed = {name: counts[name] for name in EXPECTED[method]}
     assert observed == EXPECTED[method]
+
+
+# Calls solve() makes through odlt.solvers' own bindings, per method. The
+# preliminary subset solve reaches solve_nullspace through weighting's binding,
+# so only the final null space counts here. perfbench traces these names.
+STAGE_CALLS = {
+    "_preliminary_normalized": {"dlt": 0, "ndlt": 0, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 0},
+    "solve_nullspace": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
+    "lost_translation": {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 1, "ndlt_gn": 0},
+    "refine_gauss_newton": {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 1},
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_stage_calls_per_solve(method, monkeypatch):
+    tally = Counter()
+    for name in STAGE_CALLS:
+        fn = getattr(solvers_module, name)
+
+        def shim(*args, _fn=fn, _name=name, **kwargs):
+            tally[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solvers_module, name, shim)
+    sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    solve(arrays, sc.intrinsics, SolverConfig(method=method))
+    assert {name: tally[name] for name in STAGE_CALLS} == {
+        name: calls[method] for name, calls in STAGE_CALLS.items()
+    }
 
 
 @pytest.fixture

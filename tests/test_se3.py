@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from odlt.dlt import assemble, solve_nullspace
+from odlt.dlt import _assemble_arrays, solve_nullspace
 from odlt.errors import (
     DegenerateInput,
     RankDeficient,
@@ -59,7 +59,7 @@ def solve_normalized(ps, us):
     """Normalize, solve, and return everything the recovery stage needs."""
     pix = fit_pixel_normalization(us)
     pt = fit_point_normalization(ps)
-    sol = solve_nullspace(assemble((pt.apply(ps), pix.apply(us))), points=pt.apply(ps))
+    sol = solve_nullspace(_assemble_arrays(pt.apply(ps), pix.apply(us)), points=pt.apply(ps))
     return sol, pix, pt
 
 

@@ -21,11 +21,8 @@ from odlt.solvers import (
     estimate_projection,
     refine_gauss_newton,
     solve,
-    solve_ndlt,
-    solve_odlt,
-    solve_odlt_lost,
 )
-from odlt.weighting import depths_under, preliminary_estimate
+from odlt.weighting import _preliminary_normalized, depths_under
 from conftest import (
     make_exact_scene,
     oracle_project,
@@ -118,8 +115,8 @@ class TestInvariances:
         for _ in range(10):
             Km, R, r, ps, us = make_exact_scene(rng, n=18)
             us = us + rng.standard_normal(us.shape)
-            forced = solve_odlt((ps, us), Km, SolverConfig(method="odlt", force_unit_weights=True))
-            plain = solve_ndlt((ps, us), Km, SolverConfig(method="ndlt"))
+            forced = solve((ps, us), Km, SolverConfig(method="odlt", force_unit_weights=True))
+            plain = solve((ps, us), Km, SolverConfig(method="ndlt"))
             np.testing.assert_allclose(forced.pose.R, plain.pose.R, atol=1e-12)
             np.testing.assert_allclose(forced.pose.r, plain.pose.r, atol=1e-12)
 
@@ -214,27 +211,31 @@ class TestGaussNewton:
         np.testing.assert_array_equal(result.pose.r, r)
 
 
+def shift_preliminary(monkeypatch, ps, us, behind):
+    """Make the weighted stage's preliminary estimate put `behind` points
+    behind the camera, by moving the real estimate along the optical axis."""
+    pix = fit_pixel_normalization(us)
+    pt = fit_point_normalization(ps)
+    P0, _ = _preliminary_normalized(pt.apply(ps), pix.apply(us), 12, 0)
+    depths = np.sort(depths_under(P0, pt.apply(ps)))
+    P0_shift = P0.copy()
+    P0_shift[2, 3] -= (depths[behind - 1] + depths[behind]) / 2.0
+    monkeypatch.setattr(solvers_module, "_preliminary_normalized", lambda *_: (P0_shift, False))
+
+
 class TestWeightEdgeCases:
-    def test_small_negative_depth_fraction_is_dropped(self, rng):
+    def test_small_negative_depth_fraction_is_dropped(self, rng, monkeypatch):
         Km, R, r, ps, us = make_exact_scene(rng, n=20)
-        P0 = preliminary_estimate(as_cs(ps, us), subset_size=12, seed=0)
-        pt = fit_point_normalization(ps)
-        depths = np.sort(depths_under(P0, pt.apply(ps)))
-        P0_shift = P0.copy()
-        P0_shift[2, 3] -= (depths[0] + depths[1]) / 2.0  # exactly one behind
-        result = solve_odlt((ps, us), Km, SolverConfig(method="odlt"), preliminary=P0_shift)
+        shift_preliminary(monkeypatch, ps, us, behind=1)
+        result = solve((ps, us), Km, SolverConfig(method="odlt"))
         rot, pos = pose_errors(result, R, r)
         assert rot < 1e-6 and pos < 1e-7
 
-    def test_large_negative_depth_fraction_raises(self, rng):
+    def test_large_negative_depth_fraction_raises(self, rng, monkeypatch):
         Km, R, r, ps, us = make_exact_scene(rng, n=20)
-        P0 = preliminary_estimate(as_cs(ps, us), subset_size=12, seed=0)
-        pt = fit_point_normalization(ps)
-        depths = np.sort(depths_under(P0, pt.apply(ps)))
-        P0_shift = P0.copy()
-        P0_shift[2, 3] -= (depths[2] + depths[3]) / 2.0  # three behind: 15%
+        shift_preliminary(monkeypatch, ps, us, behind=3)  # 15%
         with pytest.raises(NegativeDepth):
-            solve_odlt((ps, us), Km, SolverConfig(method="odlt"), preliminary=P0_shift)
+            solve((ps, us), Km, SolverConfig(method="odlt"))
 
     def test_mixed_depths_flag_surfaces(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=20)
@@ -244,14 +245,6 @@ class TestWeightEdgeCases:
         mixed_us = oracle_project(Km, R, r, mixed_ps)
         result = solve((mixed_ps, mixed_us), Km, SolverConfig(method="dlt"))
         assert FLAG_MIXED_DEPTHS in result.flags
-
-    def test_reweighting_is_stable(self, rng):
-        Km, R, r, ps, us = make_exact_scene(rng, n=40)
-        us = us + rng.standard_normal(us.shape)
-        one = solve_odlt((ps, us), Km, SolverConfig(method="odlt", reweight_iters=1))
-        two = solve_odlt((ps, us), Km, SolverConfig(method="odlt", reweight_iters=2))
-        assert rotation_angle_deg(one.pose.R, two.pose.R) < 0.1
-        assert np.linalg.norm(one.pose.r - two.pose.r) < 0.05
 
 
 class TestApiSurface:
@@ -272,8 +265,6 @@ class TestApiSurface:
         with pytest.raises(ValueError):
             SolverConfig(procrustes_iters=6)
         with pytest.raises(ValueError):
-            SolverConfig(reweight_iters=0)
-        with pytest.raises(ValueError):
             SolverConfig(gn_max_iters=0)
 
     def test_estimate_projection_properties(self, rng):
@@ -289,16 +280,19 @@ class TestApiSurface:
             estimate_projection((ps, us), method="ndlt_gn")
 
     def test_timing_keys(self, rng):
+        # Exactly the stages each method runs, plus the common tail.
         Km, R, r, ps, us = make_exact_scene(rng, n=15)
-        checks = {
-            "dlt": {"normalize", "solve", "recover", "reprojection", "total"},
-            "odlt": {"normalize", "weights", "solve", "recover", "reprojection", "total"},
-            "odlt_lost": {"normalize", "weights", "solve", "recover", "lost", "reprojection", "total"},
-            "ndlt_gn": {"normalize", "solve", "recover", "reprojection", "refine", "total"},
+        stages = {
+            "dlt": {"normalize", "solve", "recover"},
+            "ndlt": {"normalize", "solve", "recover"},
+            "odlt": {"normalize", "weights", "solve", "recover"},
+            "odlt_lost": {"normalize", "weights", "solve", "recover", "lost"},
+            "ndlt_gn": {"normalize", "solve", "recover", "refine"},
         }
-        for method, expected in checks.items():
+        assert tuple(stages) == METHODS
+        for method, expected in stages.items():
             result = solve((ps, us), Km, SolverConfig(method=method))
-            assert expected <= set(result.timings), method
+            assert set(result.timings) == expected | {"reprojection", "total"}, method
             assert all(v >= 0.0 for v in result.timings.values())
 
     @pytest.mark.parametrize("method", METHODS)

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from odlt.errors import NegativeDepth
+from odlt.dlt import MIN_POINTS
 from odlt.geometry import Correspondence, Pose, compose_projection, project_points
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
+from odlt.solvers import SolverConfig, solve
 from odlt.weighting import (
     WeightContext,
     _preliminary_normalized,
     depths_under,
-    preliminary_estimate,
     residual_covariance,
-    weight_factor,
     weight_factors,
 )
 from conftest import make_exact_scene, oracle_project, random_rotation
@@ -18,6 +17,14 @@ from conftest import make_exact_scene, oracle_project, random_rotation
 
 def as_cs(ps, us):
     return [Correspondence(p=p, u=u) for p, u in zip(ps, us)]
+
+
+def preliminary(ps, us, subset_size=12, seed=0):
+    """_preliminary_normalized on data normalized over the full set."""
+    pix = fit_pixel_normalization(us)
+    pt = fit_point_normalization(ps)
+    P0, _ = _preliminary_normalized(pt.apply(ps), pix.apply(us), subset_size, seed)
+    return P0
 
 
 class TestResidualCovariance:
@@ -72,8 +79,7 @@ def test_factorization_identity(rng):
     # B A = -q S A exactly, because [ubar x]^3 = -||ubar||^2 [ubar x].
     Km, R, r, ps, us = make_exact_scene(rng, n=10)
     P0 = compose_projection(Km, Pose(R=R, r=r))
-    ctx = WeightContext(P0=P0, sigma_u=1.0)
-    for c in as_cs(ps, us):
+    for c, q in zip(as_cs(ps, us), weight_factors(P0, ps, 1.0)):
         ubar = np.array([c.u[0], c.u[1], 1.0])
         Ux = np.array(
             [
@@ -83,7 +89,6 @@ def test_factorization_identity(rng):
             ]
         )
         A = np.kron(np.append(c.p, 1.0), Ux)  # full 3x12 block
-        q = weight_factor(ctx, c)
         B = (q / (ubar @ ubar)) * (Ux @ Ux)[:2]
         lhs = B @ A
         rhs = -q * A[:2]
@@ -95,20 +100,9 @@ class TestWeightFactors:
         Km, R, r, ps, us = make_exact_scene(rng, n=9)
         P0 = compose_projection(Km, Pose(R=R, r=r))
         sigma = 2.0
-        ctx = WeightContext(P0=P0, sigma_u=sigma)
-        singles = np.array([weight_factor(ctx, c) for c in as_cs(ps, us)])
-        batch = weight_factors(P0, ps, sigma)
-        np.testing.assert_allclose(batch, singles, rtol=1e-15)
-        depths = depths_under(P0, ps)
-        np.testing.assert_allclose(singles, 1.0 / (sigma * depths), rtol=1e-15)
-
-    def test_negative_depth_raises(self, rng):
-        Km, R, r, ps, us = make_exact_scene(rng, n=6)
-        P0 = compose_projection(Km, Pose(R=R, r=r))
-        ctx = WeightContext(P0=P0, sigma_u=1.0)
-        behind = r - 2.0 * (ps[0] - r)  # reflected through the camera center
-        with pytest.raises(NegativeDepth):
-            weight_factor(ctx, Correspondence(p=behind, u=us[0]))
+        depths = np.array([P0[2, :3] @ p + P0[2, 3] for p in ps])  # k^T P0 pbar, per point
+        np.testing.assert_allclose(depths_under(P0, ps), depths, rtol=1e-15)
+        np.testing.assert_allclose(weight_factors(P0, ps, sigma), 1.0 / (sigma * depths), rtol=1e-15)
 
     def test_context_validation(self):
         with pytest.raises(ValueError):
@@ -119,17 +113,15 @@ class TestPreliminary:
     def test_deterministic_and_seed_sensitivity(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=40)
         us_noisy = us + rng.standard_normal(us.shape)
-        cs = as_cs(ps, us_noisy)
-        P_a = preliminary_estimate(cs, subset_size=12, seed=5)
-        P_b = preliminary_estimate(cs, subset_size=12, seed=5)
+        P_a = preliminary(ps, us_noisy, subset_size=12, seed=5)
+        P_b = preliminary(ps, us_noisy, subset_size=12, seed=5)
         np.testing.assert_array_equal(P_a, P_b)
-        P_c = preliminary_estimate(cs, subset_size=12, seed=6)
+        P_c = preliminary(ps, us_noisy, subset_size=12, seed=6)
         assert np.abs(P_a - P_c).max() > 1e-12
 
     def test_lives_in_full_set_normalized_frame(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=30)
-        cs = as_cs(ps, us)
-        P0 = preliminary_estimate(cs, subset_size=12, seed=0)
+        P0 = preliminary(ps, us, subset_size=12, seed=0)
         pix = fit_pixel_normalization(us)
         pt = fit_point_normalization(ps)
         np.testing.assert_allclose(
@@ -177,6 +169,10 @@ class TestPreliminary:
         np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-6)
 
     def test_subset_size_validation(self, rng):
+        # SolverConfig is the one place subset_size is checked; the smallest
+        # subset it accepts still gives an exact preliminary estimate.
+        with pytest.raises(ValueError, match="subset_size"):
+            SolverConfig(method="odlt", subset_size=MIN_POINTS - 1)
         Km, R, r, ps, us = make_exact_scene(rng, n=10)
-        with pytest.raises(ValueError):
-            preliminary_estimate(as_cs(ps, us), subset_size=5)
+        result = solve((ps, us), Km, SolverConfig(method="odlt", subset_size=MIN_POINTS))
+        assert result.reprojection_rms < 1e-6
