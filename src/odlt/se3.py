@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dlt import DltSolution, _reduced_rows
+from .dlt import DltSolution
 from .errors import (
     DegenerateInput,
     RankDeficient,
@@ -207,9 +207,11 @@ def lost_translation(cs, K, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     Splitting the constraint matrix columns into the rotation block B and
     translation block C, the system C t = -B vec(R) is solved in calibrated,
-    de-normalized coordinates: each point contributes the two reduced rows of
-    q_i [xbar_i x] for C and q_i [xbar_i x] R p_i for the right-hand side,
-    where xbar = K^-1 ubar. The 3x3 normal equations make this O(n).
+    de-normalized coordinates: each point contributes the two reduced rows
+    L_i of q_i [xbar_i x], xbar = K^-1 ubar = (a, b, 1), with L_i (t + R p_i)
+    = 0. Their Gram matrix is q_i^2 S_i, S_i = [[1, 0, -a], [0, 1, -b],
+    [-a, -b, a^2 + b^2]], so the 3x3 normal equations N t = -sum q_i^2 S_i
+    R p_i need only seven q^2-weighted sums of full-length columns: O(n).
 
     Args:
         cs: correspondences (sequence of Correspondence or array pair).
@@ -229,14 +231,14 @@ def lost_translation(cs, K, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if q.shape[0] != ps.shape[0]:
         raise ValueError(f"expected {ps.shape[0]} weights, got {q.shape[0]}")
     Kinv = intrinsic_inverse(K)
-    # Calibrated pixels keep unit third component, so the reduced rows of
-    # [xbar x] have the same layout as the pixel-space constraint rows.
-    xb = us @ Kinv[:2, :2].T + Kinv[:2, 2]
-    L = q[:, None, None] * _reduced_rows(xb)
-    xb3 = np.concatenate([xb, np.ones((xb.shape[0], 1))], axis=1)
-    rhs = -(q[:, None] * np.cross(xb3, ps @ np.asarray(R, dtype=float).T)[:, :2])
-    Nmat = np.einsum("nri,nrj->ij", L, L)
-    t = _solve_psd(Nmat, np.einsum("nri,nr->i", L, rhs), _LOST_COND_LIMIT)
+    a, b = Kinv[:2, :2] @ us.T + Kinv[:2, 2:]
+    m = np.asarray(R, dtype=float) @ ps.T
+    rho = a * a + b * b
+    # h = S_i R p_i, per point
+    h = (m[0] - a * m[2], m[1] - b * m[2], rho * m[2] - a * m[0] - b * m[1])
+    w, sa, sb, srho, *Sm = np.stack([np.ones_like(a), a, b, rho, *h]) @ (q * q)
+    Nmat = np.array([[w, 0.0, -sa], [0.0, w, -sb], [-sa, -sb, srho]])
+    t = _solve_psd(Nmat, -np.array(Sm), _LOST_COND_LIMIT)
     if t is None:
         raise RankDeficient("translation normal matrix is ill conditioned")
     return t

@@ -19,7 +19,7 @@ preliminary estimate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -126,9 +126,10 @@ class PnpResult:
 
 def _reprojection_rms(ps: np.ndarray, us: np.ndarray, K, pose: Pose) -> float:
     P = compose_projection(K, pose)
-    w = ps @ P[:, :3].T + P[:, 3]
-    pred = w[:, :2] / w[:, 2:3]
-    return float(np.sqrt(np.mean(np.sum((us - pred) ** 2, axis=1))))
+    w = P[:, :3] @ ps.T + P[:, 3:]
+    d = w[:2] / w[2]
+    d -= us.T
+    return float(np.sqrt(np.vdot(d, d) / ps.shape[0]))
 
 
 class _LinearOutcome(NamedTuple):
@@ -237,9 +238,11 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
         timings["lost"] = time.perf_counter() - t0
     if refine:
         refined = refine_gauss_newton((ps, us), K, pose, cfg)
-        pose = refined.pose
         flags |= refined.flags
         timings["refine"] = refined.timings["refine"]
+        timings["reprojection"] = refined.timings["reprojection"]
+        timings["total"] = time.perf_counter() - t_start
+        return replace(refined, flags=frozenset(flags), timings=timings)
     return _finish(ps, us, K, pose, flags, timings, t_start)
 
 
@@ -293,44 +296,46 @@ def refine_gauss_newton(cs, K, init: Pose, cfg: Optional[SolverConfig] = None) -
 
 
 def _gn_cost(ps, us, Km, R, r) -> float:
-    x = (ps - r) @ R.T
-    y = x @ Km.T
-    if np.abs(y[:, 2]).min(initial=np.inf) < 1e-12:
+    KR = Km @ R
+    y = KR @ ps.T - (KR @ r)[:, None]
+    if np.abs(y[2]).min(initial=np.inf) < 1e-12:
         return np.inf
-    pred = y[:, :2] / y[:, 2:3]
-    d = us - pred
-    return float(np.sum(d * d))
+    d = y[:2] / y[2]
+    d -= us.T
+    return float(np.vdot(d, d))
 
 
 def _gn_residuals_jacobian(ps, us, Km, R, r):
-    """Stacked residuals (2n,) and Jacobian (2n, 6) for [dphi, dr]."""
+    """Stacked residuals (2n,) and Jacobian (2n, 6) for [dphi, dr], rows
+    interleaved u, v per point.
+
+    With x = R (p - r), normalized coordinates (a, b) = (x1/x3, x2/x3) and
+    (U, V) = K_2x2 (a, b), the predicted pixel less the principal point, the
+    point interaction matrix (Chaumette & Hutchinson 2006) is
+
+        d(a, b)/d(dphi) = [[-a b, 1 + a^2, -b], [-(1 + b^2), a b, a]]
+        d(a, b)/d(r)    = -[R_1 - a R_3; R_2 - b R_3] / x3
+
+    for the rotation increment composed on the left and the camera center.
+    Applying -K_2x2 = -[[fx, s], [0, fy]] gives the rows of J in closed form:
+
+        u: (U b + s, -(U a + fx), fx b - s a, (fx R_1 + s R_2 - U R_3) / x3)
+        v: (V b + fy, -V a, -fy a, (fy R_2 - V R_3) / x3)
+    """
     n = ps.shape[0]
-    x = (ps - r) @ R.T
-    y = x @ Km.T
-    z = y[:, 2]
-    pred = y[:, :2] / z[:, None]
-    e = (us - pred).reshape(2 * n)
-    # d(pred)/dy rows: [[1/z, 0, -y1/z^2], [0, 1/z, -y2/z^2]]
-    Dh = np.zeros((n, 2, 3))
-    inv_z = 1.0 / z
-    Dh[:, 0, 0] = inv_z
-    Dh[:, 1, 1] = inv_z
-    Dh[:, 0, 2] = -y[:, 0] * inv_z * inv_z
-    Dh[:, 1, 2] = -y[:, 1] * inv_z * inv_z
-    Dpi = Dh @ Km  # (n, 2, 3), d(pred)/dx
-    # x(dphi) = (I + [dphi x]) x to first order, so dx/ddphi = -[x x];
-    # residual e = u - pred picks up another minus sign.
-    Xx = np.zeros((n, 3, 3))
-    Xx[:, 0, 1] = -x[:, 2]
-    Xx[:, 0, 2] = x[:, 1]
-    Xx[:, 1, 0] = x[:, 2]
-    Xx[:, 1, 2] = -x[:, 0]
-    Xx[:, 2, 0] = -x[:, 1]
-    Xx[:, 2, 1] = x[:, 0]
-    J = np.empty((n, 2, 6))
-    J[:, :, :3] = Dpi @ Xx
-    J[:, :, 3:] = Dpi @ R
-    return e, J.reshape(2 * n, 6)
+    x = R @ ps.T - (R @ r)[:, None]
+    iz = 1.0 / x[2]
+    ab = x[:2] * iz
+    a, b = ab
+    K2 = Km[:2, :2]
+    UV = K2 @ ab
+    e = us - (UV + Km[:2, 2:]).T
+    G = np.empty((2, 6, n))  # G[p, k, i]: row p (u or v) of point i, column k
+    G[:, 0] = UV * b + K2[:, 1:]
+    G[:, 1] = -UV * a - K2[:, :1]
+    G[:, 2] = K2 @ np.stack([b, -a])
+    G[:, 3:] = ((K2 @ R[:2])[:, :, None] - UV[:, None] * R[2][:, None]) * iz
+    return e.reshape(2 * n), G.transpose(2, 0, 1).reshape(2 * n, 6)
 
 
 def estimate_projection(cs, method: str = "ndlt", cfg: Optional[SolverConfig] = None) -> np.ndarray:

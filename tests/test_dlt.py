@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from odlt.dlt import MIN_POINTS, _assemble_arrays, solve_nullspace
+from odlt.dlt import (
+    _QR_BLOCK,
+    _QR_CHUNK_MIN_ROWS,
+    MIN_POINTS,
+    _assemble_arrays,
+    solve_nullspace,
+)
 from odlt.errors import RankDeficient, TooFewPoints
 from odlt.geometry import Pose, compose_projection
 from conftest import make_exact_scene, oracle_project, random_rotation
@@ -97,7 +103,24 @@ def test_eigensolver_oracle_small_matrix(rng):
     np.testing.assert_allclose(x, x_oracle, atol=1e-8)
 
 
-@pytest.mark.parametrize("rows", [12, 24, 100, 4000, 4120, 10000])
+# Both sides of the single-QR / chunked crossover, an exact multiple of the
+# block size and one row past a multiple (a one-row leftover).
+@pytest.mark.parametrize(
+    "rows",
+    [
+        12,
+        24,
+        100,
+        _QR_CHUNK_MIN_ROWS - 1,
+        _QR_CHUNK_MIN_ROWS,
+        _QR_CHUNK_MIN_ROWS + 1,
+        4 * _QR_BLOCK,
+        5 * _QR_BLOCK + 1,
+        4000,
+        4120,
+        10000,
+    ],
+)
 def test_qr_path_agrees_with_direct_svd(rng, rows):
     A = rng.standard_normal((rows, 12))
     sol = solve_nullspace(A)
@@ -108,6 +131,14 @@ def test_qr_path_agrees_with_direct_svd(rng, rows):
     if np.dot(x, x_oracle) < 0:
         x_oracle = -x_oracle
     np.testing.assert_allclose(x, x_oracle, atol=1e-10)
+
+
+def test_chunked_path_detects_two_dimensional_nullspace(rng):
+    rows = 4 * _QR_BLOCK + 7
+    assert rows >= _QR_CHUNK_MIN_ROWS
+    A = rng.standard_normal((rows, 10)) @ rng.standard_normal((10, 12))
+    with pytest.raises(RankDeficient):
+        solve_nullspace(A)
 
 
 def test_coplanar_points_rank_deficient(rng):

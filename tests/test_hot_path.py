@@ -1,12 +1,14 @@
 """Operation-count guards for the hot paths.
 
 Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
-operating point (n=50), the stage functions solve() calls per method, and
+operating point (n=50), the QR calls on both sides of the chunked-QR
+crossover (n=50 and n=2000), the stage functions solve() calls per method, and
 the Correspondence objects the Monte Carlo harness and the COLMAP problem
 builder create. Unlike a timing, the counts are exact and repeatable, so any
 extra decomposition on the hot path, a reintroduced Kronecker product or
-hidden condition-number SVD, a wrong stage-table row, or a return to
-per-point objects on an array path fails here on any host.
+hidden condition-number SVD, a wrong stage-table row, a return to
+per-point objects on an array path, or a null space that silently stops (or
+starts) chunking fails here on any host.
 """
 
 from collections import Counter
@@ -17,7 +19,7 @@ import pytest
 
 import odlt.solvers as solvers_module
 from odlt.colmap import build_problems, parse_model
-from odlt.evaluation import SyntheticScenario, generate_scene, run_monte_carlo
+from odlt.evaluation import UNCENTERED_BOX, SyntheticScenario, generate_scene, run_monte_carlo
 from odlt.geometry import Correspondence
 from odlt.solvers import METHODS, SolverConfig, solve
 
@@ -49,10 +51,19 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, shim)
 
-    for name in ("svd", "cond", "det", "solve"):
+    for name in ("svd", "cond", "det", "solve", "qr"):
         counted(np.linalg, name)
     counted(np, "kron")
     return tally
+
+
+# QR calls per solve: one per null space below the chunked-QR crossover, two
+# (stacked blocks, then their R factors) for a chunked one. At n=2000 the
+# final 4000-row system is chunked; the 24-row preliminary subset is not.
+QR_EXPECTED = {
+    50: {"dlt": 1, "ndlt": 1, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 1},
+    2000: {"dlt": 2, "ndlt": 2, "odlt": 3, "odlt_lost": 3, "ndlt_gn": 2},
+}
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -65,6 +76,16 @@ def test_linalg_calls_per_solve(method, counts):
     assert observed == EXPECTED[method]
 
 
+@pytest.mark.parametrize("n", sorted(QR_EXPECTED))
+@pytest.mark.parametrize("method", METHODS)
+def test_qr_calls_per_solve(method, n, counts):
+    sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    counts.clear()
+    solve(arrays, sc.intrinsics, SolverConfig(method=method))
+    assert counts["qr"] == QR_EXPECTED[n][method]
+
+
 # Calls solve() makes through odlt.solvers' own bindings, per method. The
 # preliminary subset solve reaches solve_nullspace through weighting's binding,
 # so only the final null space counts here. perfbench traces these names.
@@ -73,6 +94,7 @@ STAGE_CALLS = {
     "solve_nullspace": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
     "lost_translation": {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 1, "ndlt_gn": 0},
     "refine_gauss_newton": {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 1},
+    "_reprojection_rms": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
 }
 
 

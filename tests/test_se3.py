@@ -230,11 +230,13 @@ class TestLostTranslation:
             t = lost_translation((ps, us), Km, R, q)
             np.testing.assert_allclose(t, -R @ r, atol=1e-8 * max(1.0, np.abs(r).max()))
 
-    def test_least_squares_optimality(self, rng):
-        Km = random_intrinsics_matrix(rng)
+    @pytest.mark.parametrize("n", [30, 2000])
+    @pytest.mark.parametrize("skew", [False, True])
+    def test_least_squares_optimality(self, rng, n, skew):
+        Km = random_intrinsics_matrix(rng, skew=skew)
         R = random_rotation(rng)
         r = rng.uniform(-2, 2, 3)
-        _, _, _, ps, us = make_exact_scene(rng, n=30, Km=Km, R=R, r=r)
+        _, _, _, ps, us = make_exact_scene(rng, n=n, Km=Km, R=R, r=r)
         us = us + rng.standard_normal(us.shape)
         P = compose_projection(Km, Pose(R=R, r=r))
         q = weight_factors(P, ps, 1.0)
@@ -253,6 +255,9 @@ class TestLostTranslation:
             rhs.append(-qi * (C @ (R @ p)))
         L = np.vstack(rows)
         b = np.concatenate(rhs)
+
+        t_oracle = np.linalg.lstsq(L, b, rcond=None)[0]
+        np.testing.assert_allclose(t_star, t_oracle, rtol=1e-9, atol=1e-12)
 
         def residual(t):
             return np.linalg.norm(L @ t - b)

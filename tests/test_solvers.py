@@ -134,11 +134,13 @@ class TestInvariances:
 
 
 class TestGaussNewton:
-    def test_jacobian_matches_central_differences(self, rng):
-        Km = random_intrinsics_matrix(rng)
+    @pytest.mark.parametrize("n", [10, 2000])
+    @pytest.mark.parametrize("skew", [False, True])
+    def test_jacobian_matches_central_differences(self, rng, n, skew):
+        Km = random_intrinsics_matrix(rng, skew=skew)
         R = random_rotation(rng)
         r = rng.uniform(-2, 2, 3)
-        _, _, _, ps, us = make_exact_scene(rng, n=12, Km=Km, R=R, r=r)
+        _, _, _, ps, us = make_exact_scene(rng, n=n, Km=Km, R=R, r=r)
         us = us + rng.standard_normal(us.shape)
 
         def residuals(dphi, dr):
