@@ -29,11 +29,11 @@ from .evaluation import (
     CENTERED_BOX,
     UNCENTERED_BOX,
     SyntheticScenario,
-    compute_metrics,
-    default_workers,
     run_monte_carlo,
+    score,
+    summarize,
 )
-from .geometry import CameraIntrinsics, Correspondence
+from .geometry import CameraIntrinsics, correspondence_arrays
 from .solvers import METHODS, SolverConfig, solve
 
 CSV_COLUMNS = (
@@ -54,6 +54,11 @@ _SCENARIO_BOXES = {"centered": CENTERED_BOX, "uncentered": UNCENTERED_BOX}
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _aggregate_cell(x) -> str:
+    """An aggregate cell; empty when summarize() had no success to average."""
+    return "" if math.isnan(x) else _fmt(x)
 
 
 def _manifest_lines(args: argparse.Namespace, config: dict) -> list:
@@ -149,7 +154,6 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
 
 def _cmd_eval_colmap(args: argparse.Namespace) -> int:
     from .colmap import build_problems, parse_model
-    from .geometry import rotation_angle_deg
 
     config = {
         "model_dirs": args.model_dir,
@@ -176,54 +180,34 @@ def _cmd_eval_colmap(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         noisy = []
         for prob in problems:
-            cs = prob.correspondences
+            ps, us = correspondence_arrays(prob.correspondences)
             if args.noise_px > 0.0:
-                us = np.array([c.u for c in cs])
                 us = us + args.noise_px * rng.standard_normal(us.shape)
-                cs = [Correspondence(p=c.p, u=u) for c, u in zip(cs, us)]
-            noisy.append(cs)
+            noisy.append((ps, us))
         for method in args.methods:
             cfg = SolverConfig(method=method, sigma_u=max(args.noise_px, 1.0), seed=args.seed)
-            rot_sq = []
-            pos_sq = []
-            reproj = []
-            failures = 0
-            for prob, cs in zip(problems, noisy):
-                try:
-                    result = solve(cs, prob.intrinsics, cfg)
-                except (PnpError, np.linalg.LinAlgError):
-                    failures += 1
-                    if args.per_image:
-                        detail_rows.append(
-                            (str(model_dir), method, prob.name, "", "", "", "failed")
-                        )
-                    continue
-                metrics = compute_metrics(result, prob.truth, cs, prob.intrinsics)
-                rot_sq.append(metrics.rot_err_deg**2)
-                pos_sq.append(metrics.pos_err**2)
-                reproj.append(metrics.mean_reproj_err)
-                if args.per_image:
-                    detail_rows.append(
-                        (
-                            str(model_dir),
-                            method,
-                            prob.name,
-                            _fmt(metrics.rot_err_deg),
-                            _fmt(metrics.pos_err),
-                            _fmt(metrics.mean_reproj_err),
-                            "ok",
-                        )
-                    )
+            metrics = [
+                score(cfg, arrays, prob.intrinsics, prob.truth)
+                for prob, arrays in zip(problems, noisy)
+            ]
+            if args.per_image:
+                for prob, m in zip(problems, metrics):
+                    if m is None:
+                        cells = ("", "", "", "failed")
+                    else:
+                        cells = (_fmt(m.rot_err_deg), _fmt(m.pos_err), _fmt(m.mean_reproj_err), "ok")
+                    detail_rows.append((str(model_dir), method, prob.name, *cells))
+            agg = summarize(method, metrics)
             rows.append(
                 (
                     str(model_dir),
                     method,
-                    str(len(problems)),
+                    str(agg["trials"]),
                     str(skipped),
-                    _fmt(float(np.sqrt(np.mean(rot_sq)))) if rot_sq else "",
-                    _fmt(float(np.sqrt(np.mean(pos_sq)))) if pos_sq else "",
-                    _fmt(float(np.mean(reproj))) if reproj else "",
-                    str(failures),
+                    _aggregate_cell(agg["rot_rmse_deg"]),
+                    _aggregate_cell(agg["pos_rmse"]),
+                    _aggregate_cell(agg["mean_reproj_px"]),
+                    str(agg["failures"]),
                 )
             )
     _write_csv(args.out, _manifest_lines(args, config), header, rows)
@@ -249,15 +233,16 @@ def _problem_line(path, line_number: int, line: str, what: str, counts: tuple) -
 
 
 def _read_problem(path):
-    """Read a single-problem text file.
+    """Read a single-problem text file into (intrinsics, (ps, us)).
 
     Line 1: fx fy cx cy [skew]; following lines: px py X Y Z. Blank lines
     and '#' comments are ignored but counted, so a MalformedLine names the
-    file's own line number.
+    file's own line number. ps (n, 3) and us (n, 2) are C-contiguous.
     """
     stream = sys.stdin if path == "-" else open(path, "r")
     try:
         lines = []
+        line_number = 0
         for line_number, raw in enumerate(stream, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -267,7 +252,7 @@ def _read_problem(path):
         if stream is not sys.stdin:
             stream.close()
     if not lines:
-        raise ValueError(f"{path}: empty problem file")
+        raise MalformedLine(path, line_number, "empty problem file, no intrinsics line")
     line_number, line = lines[0]
     head = _problem_line(path, line_number, line, "intrinsics line", (4, 5))
     skew = head[4] if len(head) == 5 else 0.0
@@ -275,17 +260,15 @@ def _read_problem(path):
         intr = CameraIntrinsics(fx=head[0], fy=head[1], cx=head[2], cy=head[3], skew=skew)
     except ValueError as exc:
         raise MalformedLine(path, line_number, str(exc)) from None
-    cs = []
-    for line_number, line in lines[1:]:
-        vals = _problem_line(path, line_number, line, "correspondence line", (5,))
-        cs.append(Correspondence(p=np.array(vals[2:]), u=np.array(vals[:2])))
-    return intr, cs
+    rows = [_problem_line(path, i, line, "correspondence line", (5,)) for i, line in lines[1:]]
+    data = np.array(rows, dtype=float).reshape(-1, 5)
+    return intr, (np.ascontiguousarray(data[:, 2:]), np.ascontiguousarray(data[:, :2]))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    intr, cs = _read_problem(args.input)
+    intr, arrays = _read_problem(args.input)
     cfg = SolverConfig(method=args.method, sigma_u=args.sigma_u, seed=args.seed)
-    result = solve(cs, intr, cfg)
+    result = solve(arrays, intr, cfg)
     pose = result.pose
     if args.format == "json-lines":
         payload = {
@@ -344,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="repetitions per trial for timing, median kept (default: 1)",
     )
     p_syn.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes; timing runs force 1 (default: ODLT_THREADS or 1)",
+        "--workers", type=int, default=1,
+        help="worker processes; timing runs force 1 (default: 1)",
     )
     p_syn.set_defaults(func=_cmd_synthetic)
 
@@ -394,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None and args.command == "synthetic":
-        args.workers = default_workers()
     try:
         return args.func(args)
     except (PnpError, ColmapParseError, np.linalg.LinAlgError, ValueError, OSError) as exc:

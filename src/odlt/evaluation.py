@@ -3,18 +3,21 @@
 Scenes place the camera at the world origin with identity attitude looking
 down +z. World points are drawn uniformly from an axis-aligned box, either
 centered on the optical axis or offset to one side; pixels are exact
-projections plus i.i.d. Gaussian noise (truncated at 6 sigma by default).
+projections plus i.i.d. Gaussian noise truncated at 6 sigma.
 Projected points are never clipped to the sensor, so large n and large sigma
 do not bias the geometry.
 
 Trials are paired: every method sees bit-identical scenes, with one RNG
 stream per (seed, trial).
+
+score() and summarize() are the one scoring path: run_monte_carlo and the
+eval-colmap command both solve and score each problem with score() and
+aggregate one method's scores with summarize().
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import os
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -52,9 +55,6 @@ class SyntheticScenario:
     trials: int = 500
     seed: int = 0
     intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
-    width: int = 640
-    height: int = 480
-    truncate_noise: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -95,9 +95,7 @@ def generate_scene(
     truth = Pose(R=np.eye(3), r=np.zeros(3))
     P = compose_projection(sc.intrinsics, truth)
     exact = project_points(P, ps)
-    noise = rng.standard_normal((sc.n, 2))
-    if sc.truncate_noise:
-        noise = np.clip(noise, -_TRUNCATION_SIGMAS, _TRUNCATION_SIGMAS)
+    noise = np.clip(rng.standard_normal((sc.n, 2)), -_TRUNCATION_SIGMAS, _TRUNCATION_SIGMAS)
     us = exact + sc.sigma_u * noise
     return (ps, us), truth
 
@@ -116,6 +114,58 @@ def compute_metrics(result, truth: Pose, cs, K, runtime: float = float("nan")) -
     )
 
 
+def score(
+    cfg: SolverConfig, arrays, K, truth: Pose, timing_reps: int = 0
+) -> Optional[TrialMetrics]:
+    """Solve one problem with cfg and score the result against truth.
+
+    With timing_reps > 0 the solve runs that many times and the median wall
+    time becomes the runtime; otherwise the runtime is NaN. Returns None when
+    solving or scoring raises PnpError or LinAlgError, so that the caller
+    counts the problem as a failure.
+    """
+    try:
+        if timing_reps > 0:
+            reps = []
+            for _ in range(timing_reps):
+                t0 = time.perf_counter()
+                result = solve(arrays, K, cfg)
+                reps.append(time.perf_counter() - t0)
+            runtime = statistics.median(reps)
+        else:
+            result = solve(arrays, K, cfg)
+            runtime = float("nan")
+        return compute_metrics(result, truth, arrays, K, runtime)
+    except (PnpError, np.linalg.LinAlgError):
+        return None
+
+
+def summarize(method: str, metrics: Sequence[Optional[TrialMetrics]]) -> dict:
+    """One aggregate row from one method's scores, None marking a failure.
+
+    Rotation and position errors aggregate as RMSE over the successes;
+    reprojection error and runtime (in ms) aggregate as means. Every
+    aggregate is NaN when nothing succeeded. Failures are counted, not
+    averaged.
+    """
+    ok = [m for m in metrics if m is not None]
+    row = {"method": method, "trials": len(metrics), "failures": len(metrics) - len(ok)}
+    if not ok:
+        nan = float("nan")
+        return dict(row, rot_rmse_deg=nan, pos_rmse=nan, mean_reproj_px=nan, mean_runtime_ms=nan)
+    rot = np.array([m.rot_err_deg for m in ok])
+    pos = np.array([m.pos_err for m in ok])
+    reproj = np.array([m.mean_reproj_err for m in ok])
+    runtime = np.array([m.runtime for m in ok])
+    return {
+        **row,
+        "rot_rmse_deg": float(np.sqrt(np.mean(rot**2))),
+        "pos_rmse": float(np.sqrt(np.mean(pos**2))),
+        "mean_reproj_px": float(np.mean(reproj)),
+        "mean_runtime_ms": float(np.mean(runtime) * 1e3),
+    }
+
+
 def _as_configs(methods) -> list[SolverConfig]:
     configs = []
     for m in methods:
@@ -127,30 +177,13 @@ def _run_trial_range(
     sc: SyntheticScenario,
     configs: Sequence[SolverConfig],
     trials: Sequence[int],
-    collect_timing: bool,
     timing_reps: int,
 ) -> list:
-    """Per-trial metrics (or None on failure) for each config, in trial order."""
+    """Per-trial scores (None on failure) for each config, in trial order."""
     rows = []
     for trial in trials:
         arrays, truth = generate_scene(sc, trial)
-        per_config = []
-        for cfg in configs:
-            try:
-                if collect_timing:
-                    reps = []
-                    for _ in range(max(1, timing_reps)):
-                        t0 = time.perf_counter()
-                        result = solve(arrays, sc.intrinsics, cfg)
-                        reps.append(time.perf_counter() - t0)
-                    runtime = statistics.median(reps)
-                else:
-                    result = solve(arrays, sc.intrinsics, cfg)
-                    runtime = float("nan")
-                per_config.append(compute_metrics(result, truth, arrays, sc.intrinsics, runtime))
-            except (PnpError, np.linalg.LinAlgError):
-                per_config.append(None)
-        rows.append(per_config)
+        rows.append([score(cfg, arrays, sc.intrinsics, truth, timing_reps) for cfg in configs])
     return rows
 
 
@@ -161,27 +194,26 @@ def run_monte_carlo(
     timing_reps: int = 1,
     workers: int = 1,
 ) -> list[dict]:
-    """Paired Monte Carlo over sc.trials scenes; one aggregate row per method.
+    """Paired Monte Carlo over sc.trials scenes; one summarize() row per method.
 
-    Rotation and position errors aggregate as RMSE over successful trials;
-    reprojection error and runtime aggregate as means. Failed trials are
-    counted, not averaged. Timing runs are forced serial so that concurrent
-    workers never pollute the measurements; with collect_timing=False the
-    trials may be distributed over a process pool (bit-identical results
-    either way, since every trial regenerates its scene from (seed, trial)).
+    Timing runs are forced serial so that concurrent workers never pollute
+    the measurements; with collect_timing=False the trials may be
+    distributed over a process pool (bit-identical results either way, since
+    every trial regenerates its scene from (seed, trial)).
     """
     configs = _as_configs(methods)
     if collect_timing:
         workers = 1
+        timing_reps = max(1, timing_reps)
+    else:
+        timing_reps = 0
     trials = list(range(sc.trials))
     if workers > 1:
         chunks = [trials[i::workers] for i in range(workers)]
         by_trial: dict[int, list] = {}
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(
-                    _run_trial_range, sc, configs, chunk, collect_timing, timing_reps
-                ): chunk
+                pool.submit(_run_trial_range, sc, configs, chunk, timing_reps): chunk
                 for chunk in chunks
                 if chunk
             }
@@ -190,47 +222,8 @@ def run_monte_carlo(
                     by_trial[trial] = row
         rows = [by_trial[t] for t in trials]
     else:
-        rows = _run_trial_range(sc, configs, trials, collect_timing, timing_reps)
-
-    out = []
-    for j, cfg in enumerate(configs):
-        metrics = [row[j] for row in rows if row[j] is not None]
-        failures = sc.trials - len(metrics)
-        if metrics:
-            rot = np.array([m.rot_err_deg for m in metrics])
-            pos = np.array([m.pos_err for m in metrics])
-            reproj = np.array([m.mean_reproj_err for m in metrics])
-            runtime = np.array([m.runtime for m in metrics])
-            row = {
-                "method": cfg.method,
-                "trials": sc.trials,
-                "rot_rmse_deg": float(np.sqrt(np.mean(rot**2))),
-                "pos_rmse": float(np.sqrt(np.mean(pos**2))),
-                "mean_reproj_px": float(np.mean(reproj)),
-                "mean_runtime_ms": float(np.mean(runtime) * 1e3) if collect_timing else float("nan"),
-                "failures": failures,
-            }
-        else:
-            row = {
-                "method": cfg.method,
-                "trials": sc.trials,
-                "rot_rmse_deg": float("nan"),
-                "pos_rmse": float("nan"),
-                "mean_reproj_px": float("nan"),
-                "mean_runtime_ms": float("nan"),
-                "failures": failures,
-            }
-        out.append(row)
-    return out
-
-
-def default_workers() -> int:
-    """Worker count from the ODLT_THREADS environment variable (default 1)."""
-    raw = os.environ.get("ODLT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        rows = _run_trial_range(sc, configs, trials, timing_reps)
+    return [summarize(cfg.method, [row[j] for row in rows]) for j, cfg in enumerate(configs)]
 
 
 def intrinsics_rmse_experiment(

@@ -138,7 +138,8 @@ def correspondence_arrays(cs) -> tuple[np.ndarray, np.ndarray]:
 
     Accepts either a sequence of Correspondence or a pre-split pair
     (points (n,3), pixels (n,2)), at least one of them an ndarray. Returns
-    float64 arrays.
+    C-contiguous float64 arrays, so that a solve does not depend on the
+    memory layout of its input; contiguous float64 input is not copied.
 
     Raises:
         InvalidShape: if the arrays do not have shapes (n,3) and (n,2).
@@ -149,8 +150,8 @@ def correspondence_arrays(cs) -> tuple[np.ndarray, np.ndarray]:
         and len(cs) == 2
         and (isinstance(cs[0], np.ndarray) or isinstance(cs[1], np.ndarray))
     ):
-        ps = np.asarray(cs[0], dtype=float)
-        us = np.asarray(cs[1], dtype=float)
+        ps = np.asarray(cs[0], dtype=float, order="C")
+        us = np.asarray(cs[1], dtype=float, order="C")
     else:
         ps = np.array([c.p for c in cs], dtype=float).reshape(-1, 3)
         us = np.array([c.u for c in cs], dtype=float).reshape(-1, 2)

@@ -78,13 +78,16 @@ FLAG_MIXED_DEPTHS = "MixedDepths"
 FLAG_DEGENERATE_WEIGHTS = "DegenerateWeights"
 FLAG_FALLBACK_USED = "FallbackUsed"
 
+_GN_MAX_ITERS = 10
+_GN_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver settings; defaults reproduce the published pipeline.
 
-    method picks the STAGES row that solve() runs; the other fields tune
-    the weighted stage (sigma_u to procrustes_tol) and the refine stage (gn_*).
+    method picks the STAGES row that solve() runs; sigma_u, subset_size and
+    seed tune the weighted stage (and sigma_u the LOST weights).
 
     force_unit_weights is a test hook: it replaces the optimal weights (both
     the row scalars and the Procrustes weight matrix) with ones, which must
@@ -95,10 +98,6 @@ class SolverConfig:
     sigma_u: float = 1.0
     subset_size: int = 12
     seed: int = 0
-    procrustes_iters: int = 1
-    procrustes_tol: float = 1e-12
-    gn_max_iters: int = 10
-    gn_tol: float = 1e-10
     force_unit_weights: bool = False
 
     def __post_init__(self):
@@ -108,10 +107,6 @@ class SolverConfig:
             raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
         if self.subset_size < MIN_POINTS:
             raise ValueError(f"subset_size must be >= {MIN_POINTS}, got {self.subset_size}")
-        if not 1 <= self.procrustes_iters <= 5:
-            raise ValueError(f"procrustes_iters must be in 1..5, got {self.procrustes_iters}")
-        if self.gn_max_iters < 1:
-            raise ValueError(f"gn_max_iters must be >= 1, got {self.gn_max_iters}")
 
 
 @dataclass(frozen=True)
@@ -191,9 +186,7 @@ def _recover_pose(out: _LinearOutcome, K, cfg: SolverConfig, weighted: bool) -> 
     dn = declamp_denormalize(out.sol, K, out.pix, out.pt)
     if weighted:
         W = np.ones((3, 3)) if cfg.force_unit_weights else dn.W
-        R, fallback = weighted_procrustes(
-            dn.R_acute, W, max_iters=cfg.procrustes_iters, tol=cfg.procrustes_tol, det=dn.det
-        )
+        R, fallback = weighted_procrustes(dn.R_acute, W, det=dn.det)
         if fallback:
             out.flags.add(FLAG_DEGENERATE_WEIGHTS)
     else:
@@ -237,7 +230,7 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
         pose = Pose(R=pose.R, r=-pose.R.T @ t)
         timings["lost"] = time.perf_counter() - t0
     if refine:
-        refined = refine_gauss_newton((ps, us), K, pose, cfg)
+        refined = refine_gauss_newton((ps, us), K, pose)
         flags |= refined.flags
         timings["refine"] = refined.timings["refine"]
         timings["reprojection"] = refined.timings["reprojection"]
@@ -246,16 +239,15 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
     return _finish(ps, us, K, pose, flags, timings, t_start)
 
 
-def refine_gauss_newton(cs, K, init: Pose, cfg: Optional[SolverConfig] = None) -> PnpResult:
+def refine_gauss_newton(cs, K, init: Pose) -> PnpResult:
     """Minimize the reprojection error by Gauss-Newton from a given pose.
 
     Parameters are a rotation-vector increment composed on the left and the
     camera center. Steps that increase the cost are halved up to 10 times;
     if no decrease is found the current pose is returned with the
     FallbackUsed flag. Iteration stops when the cost decrease drops below
-    gn_tol or after gn_max_iters accepted steps.
+    _GN_TOL or after _GN_MAX_ITERS accepted steps.
     """
-    cfg = cfg or SolverConfig(method="ndlt_gn")
     t_start = time.perf_counter()
     ps, us = correspondence_arrays(cs)
     Km = intrinsic_matrix(K)
@@ -266,7 +258,7 @@ def refine_gauss_newton(cs, K, init: Pose, cfg: Optional[SolverConfig] = None) -
     r = init.r.copy()
     cost = _gn_cost(ps, us, Km, R, r)
     t0 = time.perf_counter()
-    for _ in range(cfg.gn_max_iters):
+    for _ in range(_GN_MAX_ITERS):
         e, J = _gn_residuals_jacobian(ps, us, Km, R, r)
         JtJ = J.T @ J
         try:
@@ -287,7 +279,7 @@ def refine_gauss_newton(cs, K, init: Pose, cfg: Optional[SolverConfig] = None) -
             break
         decrease = cost - cost_new
         R, r, cost = R_new, r_new, cost_new
-        if decrease < cfg.gn_tol:
+        if decrease < _GN_TOL:
             break
     timings["refine"] = time.perf_counter() - t0
 

@@ -26,7 +26,6 @@ from odlt.evaluation import (
     CENTERED_BOX,
     UNCENTERED_BOX,
     SyntheticScenario,
-    default_workers,
     generate_scene,
     intrinsics_rmse_experiment,
     run_monte_carlo,
@@ -69,17 +68,13 @@ def method_row(summary, name):
 @pytest.fixture(scope="module")
 def centered_summary():
     sc = SyntheticScenario(box=CENTERED_BOX, n=50, sigma_u=1.0, trials=500, seed=0)
-    return run_monte_carlo(
-        sc, list(METHODS), collect_timing=False, workers=default_workers()
-    )
+    return run_monte_carlo(sc, list(METHODS), collect_timing=False)
 
 
 @pytest.fixture(scope="module")
 def uncentered_summary():
     sc = SyntheticScenario(box=UNCENTERED_BOX, n=50, sigma_u=1.0, trials=500, seed=0)
-    return run_monte_carlo(
-        sc, ["ndlt", "odlt"], collect_timing=False, workers=default_workers()
-    )
+    return run_monte_carlo(sc, ["ndlt", "odlt"], collect_timing=False)
 
 
 def test_criterion_01_zero_noise_exactness():

@@ -7,9 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import odlt.evaluation as evaluation_module
 from odlt import __version__
-from odlt.cli import CSV_COLUMNS, main
+from odlt.cli import CSV_COLUMNS, _read_problem, main
 from odlt.colmap import build_problems, parse_model
+from odlt.errors import DepthZero, MalformedLine
+from odlt.evaluation import compute_metrics
+from odlt.geometry import correspondence_arrays
+from odlt.solvers import METHODS, SolverConfig, solve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "colmap_golden"
@@ -168,6 +173,68 @@ class TestEvalColmap:
         names = {r[2] for r in detail_rows}
         assert names == {"view_a.png", "view_b.png"}
 
+    def test_rows_are_solve_and_compute_metrics_on_noised_arrays(self, tmp_path):
+        out = tmp_path / "eval.csv"
+        detail = tmp_path / "detail.csv"
+        argv = ["eval-colmap", "--model-dir", str(SOLVABLE), "--noise-px", "1", "--seed", "3"]
+        assert main(argv + ["--out", str(out), "--per-image", str(detail)]) == 0
+        _, _, rows = read_csv(out)
+        _, _, detail_rows = read_csv(detail)
+
+        problems, _ = build_problems(parse_model(SOLVABLE))
+        rng = np.random.default_rng(3)
+        noisy = []
+        for prob in problems:
+            ps, us = correspondence_arrays(prob.correspondences)
+            noisy.append((ps, us + 1.0 * rng.standard_normal(us.shape)))
+        expected_detail, expected_rows = [], []
+        for method in METHODS:
+            cfg = SolverConfig(method=method, sigma_u=1.0, seed=3)
+            errs = []
+            for prob, arrays in zip(problems, noisy):
+                result = solve(arrays, prob.intrinsics, cfg)
+                m = compute_metrics(result, prob.truth, arrays, prob.intrinsics)
+                errs.append((m.rot_err_deg, m.pos_err, m.mean_reproj_err))
+                cells = [repr(float(v)) for v in errs[-1]]
+                expected_detail.append([str(SOLVABLE), method, prob.name, *cells, "ok"])
+            rot, pos, reproj = np.array(errs).T
+            aggregates = (np.sqrt(np.mean(rot**2)), np.sqrt(np.mean(pos**2)), np.mean(reproj))
+            cells = [repr(float(v)) for v in aggregates]
+            expected_rows.append([str(SOLVABLE), method, "2", "0", *cells, "0"])
+        assert detail_rows == expected_detail
+        assert rows == expected_rows
+
+    def test_scoring_error_counts_as_failure(self, tmp_path, monkeypatch):
+        # A DepthZero raised while scoring one image (compute_metrics projects
+        # the points under the estimated pose) fails that image only, as a
+        # failed Monte Carlo trial does, instead of aborting the run.
+        view_b = next(p for p in build_problems(parse_model(SOLVABLE))[0] if p.name == "view_b.png")
+        project_points = evaluation_module.project_points
+
+        def depth_zero_on_view_b(P, ps):
+            # P's camera center; with exact pixels it is the true one.
+            center = -np.linalg.solve(P[:, :3], P[:, 3])
+            if np.allclose(center, view_b.truth.r, atol=1e-6):
+                raise DepthZero("at least one point has projective depth ~ 0")
+            return project_points(P, ps)
+
+        monkeypatch.setattr(evaluation_module, "project_points", depth_zero_on_view_b)
+        out = tmp_path / "eval.csv"
+        detail = tmp_path / "detail.csv"
+        argv = ["eval-colmap", "--model-dir", str(SOLVABLE), "--methods", "ndlt,odlt"]
+        assert main(argv + ["--out", str(out), "--per-image", str(detail)]) == 0
+        _, _, rows = read_csv(out)
+        _, _, detail_rows = read_csv(detail)
+        assert [row[7] for row in rows] == ["1", "1"]
+        assert all(float(row[4]) < 1e-6 for row in rows)  # view_a alone, exact pixels
+        status = {(r[1], r[2]): r[-1] for r in detail_rows}
+        assert status == {
+            ("ndlt", "view_a.png"): "ok",
+            ("ndlt", "view_b.png"): "failed",
+            ("odlt", "view_a.png"): "ok",
+            ("odlt", "view_b.png"): "failed",
+        }
+
     def test_multiple_model_dirs_and_empty_aggregates(self, tmp_path):
         out = tmp_path / "eval.csv"
         rc = main(
@@ -245,6 +312,14 @@ class TestSolve:
         rc = main(["solve", "--input", str(path)])
         assert rc == 3
         assert "intrinsics line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n"])
+    def test_empty_problem_file_is_a_malformed_line(self, tmp_path, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with pytest.raises(MalformedLine) as exc:
+            _read_problem(str(path))
+        assert str(path) in str(exc.value) and "empty problem file" in str(exc.value)
 
     @pytest.mark.parametrize(
         "bad_line, message",

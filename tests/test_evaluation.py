@@ -9,7 +9,6 @@ from odlt.evaluation import (
     SyntheticScenario,
     TrialMetrics,
     compute_metrics,
-    default_workers,
     generate_scene,
     intrinsics_rmse_experiment,
     run_monte_carlo,
@@ -201,15 +200,3 @@ class TestIntrinsicsExperiment:
         total_ndlt = sum(out["ndlt"][k] for k in ("fx", "fy", "cx", "cy"))
         total_odlt = sum(out["odlt"][k] for k in ("fx", "fy", "cx", "cy"))
         assert total_odlt < total_ndlt
-
-
-class TestWorkerDefaults:
-    def test_env_variable_controls_default(self, monkeypatch):
-        monkeypatch.setenv("ODLT_THREADS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("ODLT_THREADS", "garbage")
-        assert default_workers() == 1
-        monkeypatch.setenv("ODLT_THREADS", "-2")
-        assert default_workers() == 1
-        monkeypatch.delenv("ODLT_THREADS")
-        assert default_workers() == 1

@@ -3,12 +3,13 @@
 Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
 operating point (n=50), the QR calls on both sides of the chunked-QR
 crossover (n=50 and n=2000), the stage functions solve() calls per method, and
-the Correspondence objects the Monte Carlo harness and the COLMAP problem
-builder create. Unlike a timing, the counts are exact and repeatable, so any
-extra decomposition on the hot path, a reintroduced Kronecker product or
-hidden condition-number SVD, a wrong stage-table row, a return to
-per-point objects on an array path, or a null space that silently stops (or
-starts) chunking fails here on any host.
+the Correspondence objects the Monte Carlo harness, the COLMAP problem
+builder and the CLI create. Unlike a timing, the counts are exact and
+repeatable, so any extra decomposition on the hot path, a reintroduced
+Kronecker product or hidden condition-number SVD, a wrong stage-table row, a
+return to per-point objects on an array path (the Monte Carlo harness,
+eval-colmap's noise step, odlt solve's problem file), or a null space that
+silently stops (or starts) chunking fails here on any host.
 """
 
 from collections import Counter
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import odlt.solvers as solvers_module
+from odlt.cli import main
 from odlt.colmap import build_problems, parse_model
 from odlt.evaluation import UNCENTERED_BOX, SyntheticScenario, generate_scene, run_monte_carlo
 from odlt.geometry import Correspondence
@@ -142,3 +144,21 @@ def test_build_problems_builds_one_object_per_usable_observation(constructions):
     _, skipped = build_problems(model)
     assert skipped == 0
     assert constructions["Correspondence"] == usable == 48
+
+
+def test_eval_colmap_noise_builds_no_correspondence_objects(constructions, tmp_path):
+    # The 48 come from build_problems; the noise step works on arrays.
+    argv = ["eval-colmap", "--model-dir", str(SOLVABLE), "--noise-px", "1"]
+    assert main(argv + ["--out", str(tmp_path / "eval.csv")]) == 0
+    assert constructions["Correspondence"] == 48
+
+
+def test_solve_problem_file_builds_no_correspondence_objects(constructions, tmp_path):
+    sc = SyntheticScenario(n=30, trials=1)
+    (ps, us), _ = generate_scene(sc, 0)
+    lines = ["800.0 800.0 320.0 240.0"]
+    lines += [" ".join(repr(float(v)) for v in (*u, *p)) for p, u in zip(ps, us)]
+    path = tmp_path / "problem.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["solve", "--input", str(path)]) == 0
+    assert constructions["Correspondence"] == 0
