@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ColmapParseError, MalformedLine, PnpError
+from .colmap import _data_lines, _numbers, build_problems, parse_model
+from .errors import MalformedLine, PnpError
 from .evaluation import (
     CENTERED_BOX,
     UNCENTERED_BOX,
@@ -128,8 +129,7 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
             summary = run_monte_carlo(
                 scenario,
                 args.methods,
-                collect_timing=not args.no_timing,
-                timing_reps=args.timing_reps,
+                timing_reps=0 if args.no_timing else max(1, args.timing_reps),
                 workers=args.workers,
             )
             for method, agg in zip(args.methods, summary):
@@ -153,8 +153,6 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_colmap(args: argparse.Namespace) -> int:
-    from .colmap import build_problems, parse_model
-
     config = {
         "model_dirs": args.model_dir,
         "methods": args.methods,
@@ -217,21 +215,6 @@ def _cmd_eval_colmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _problem_line(path, line_number: int, line: str, what: str, counts: tuple) -> list:
-    """The numbers on one problem-file line, which must be finite and as many
-    as one of `counts`; MalformedLine otherwise."""
-    try:
-        vals = [float(tok) for tok in line.split()]
-    except ValueError as exc:
-        raise MalformedLine(path, line_number, f"{what}: {exc}") from None
-    if len(vals) not in counts:
-        expected = " or ".join(str(c) for c in counts)
-        raise MalformedLine(path, line_number, f"{what} needs {expected} numbers, got {len(vals)}")
-    if not all(map(math.isfinite, vals)):
-        raise MalformedLine(path, line_number, f"non-finite value in {what}")
-    return vals
-
-
 def _read_problem(path):
     """Read a single-problem text file into (intrinsics, (ps, us)).
 
@@ -241,27 +224,33 @@ def _read_problem(path):
     """
     stream = sys.stdin if path == "-" else open(path, "r")
     try:
-        lines = []
-        line_number = 0
-        for line_number, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            lines.append((line_number, line))
+        lines = list(_data_lines(stream))
     finally:
         if stream is not sys.stdin:
             stream.close()
     if not lines:
-        raise MalformedLine(path, line_number, "empty problem file, no intrinsics line")
+        raise MalformedLine(path, 1, "empty problem file, no intrinsics line")
     line_number, line = lines[0]
-    head = _problem_line(path, line_number, line, "intrinsics line", (4, 5))
+    fields = line.split()
+    if len(fields) not in (4, 5):
+        raise MalformedLine(
+            path, line_number, f"intrinsics line needs 4 or 5 numbers, got {len(fields)}"
+        )
+    head = _numbers(path, line_number, fields, "intrinsics line").tolist()
     skew = head[4] if len(head) == 5 else 0.0
     try:
         intr = CameraIntrinsics(fx=head[0], fy=head[1], cx=head[2], cy=head[3], skew=skew)
     except ValueError as exc:
         raise MalformedLine(path, line_number, str(exc)) from None
-    rows = [_problem_line(path, i, line, "correspondence line", (5,)) for i, line in lines[1:]]
-    data = np.array(rows, dtype=float).reshape(-1, 5)
+    rows = []
+    for line_number, line in lines[1:]:
+        fields = line.split()
+        if len(fields) != 5:
+            raise MalformedLine(
+                path, line_number, f"correspondence line needs 5 numbers, got {len(fields)}"
+            )
+        rows.append(_numbers(path, line_number, fields, "correspondence line"))
+    data = np.array(rows).reshape(-1, 5)
     return intr, (np.ascontiguousarray(data[:, 2:]), np.ascontiguousarray(data[:, :2]))
 
 
@@ -379,7 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PnpError, ColmapParseError, np.linalg.LinAlgError, ValueError, OSError) as exc:
+    except (PnpError, np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

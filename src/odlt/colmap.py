@@ -67,140 +67,141 @@ class ColmapModel:
     points3d: dict
 
 
-def _data_lines(path: Path):
-    """Yield (line_number, stripped_line) skipping comments and blanks."""
-    with open(path, "r") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield i, line
+def _data_lines(stream):
+    """Yield (line_number, stripped_line) for every line of a text stream that
+    is neither blank nor a '#' comment. Line numbers count every physical
+    line from 1, so an error names the file's own line."""
+    for line_number, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_number, line
 
 
-def _floats(path, lineno, fields, what):
+def _numbers(path, line_number: int, fields, what: str, dtype=float) -> np.ndarray:
+    """fields converted by one np.array call; MalformedLine naming the line
+    if a field does not convert to dtype, or a float is NaN or infinite."""
     try:
-        return [float(f) for f in fields]
-    except ValueError as exc:
-        raise MalformedLine(path, lineno, f"non-numeric {what}: {exc}") from exc
+        values = np.array(fields, dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        kind = "non-numeric" if dtype is float else "bad"
+        raise MalformedLine(path, line_number, f"{kind} {what}: {exc}") from None
+    if dtype is float and not np.isfinite(values).all():
+        raise MalformedLine(path, line_number, f"non-finite {what}")
+    return values
 
 
 def _parse_cameras(path: Path) -> dict:
     cameras = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split()
-        if len(fields) < 5:
-            raise MalformedLine(path, lineno, f"camera line needs >= 5 fields, got {len(fields)}")
-        try:
-            camera_id = int(fields[0])
-            width = int(fields[2])
-            height = int(fields[3])
-        except ValueError as exc:
-            raise MalformedLine(path, lineno, f"bad integer field: {exc}") from exc
-        model = fields[1]
-        params = _floats(path, lineno, fields[4:], "camera parameters")
-        if model == "PINHOLE":
-            if len(params) != 4:
-                raise MalformedLine(path, lineno, f"PINHOLE expects 4 params, got {len(params)}")
-            fx, fy, cx, cy = params
-        elif model == "SIMPLE_PINHOLE":
-            if len(params) != 3:
+    with open(path, "r") as fh:
+        for lineno, line in _data_lines(fh):
+            fields = line.split()
+            if len(fields) < 5:
                 raise MalformedLine(
-                    path, lineno, f"SIMPLE_PINHOLE expects 3 params, got {len(params)}"
+                    path, lineno, f"camera line needs >= 5 fields, got {len(fields)}"
                 )
-            fx, cx, cy = params
-            fy = fx
-        else:
-            raise UnsupportedCameraModel(
-                f"{path}:{lineno}: camera model {model!r} not supported "
-                f"(expected one of {SUPPORTED_MODELS})"
+            camera_id, width, height = _numbers(
+                path, lineno, [fields[0], fields[2], fields[3]], "integer field", np.int64
+            ).tolist()
+            if camera_id in cameras:
+                raise MalformedLine(path, lineno, f"duplicate camera id {camera_id}")
+            model = fields[1]
+            params = _numbers(path, lineno, fields[4:], "camera parameters").tolist()
+            if model == "PINHOLE":
+                if len(params) != 4:
+                    raise MalformedLine(
+                        path, lineno, f"PINHOLE expects 4 params, got {len(params)}"
+                    )
+                fx, fy, cx, cy = params
+            elif model == "SIMPLE_PINHOLE":
+                if len(params) != 3:
+                    raise MalformedLine(
+                        path, lineno, f"SIMPLE_PINHOLE expects 3 params, got {len(params)}"
+                    )
+                fx, cx, cy = params
+                fy = fx
+            else:
+                raise UnsupportedCameraModel(
+                    f"{path}:{lineno}: camera model {model!r} not supported "
+                    f"(expected one of {SUPPORTED_MODELS})"
+                )
+            try:
+                intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
+            except ValueError as exc:
+                raise MalformedLine(path, lineno, f"bad camera parameters: {exc}") from exc
+            cameras[camera_id] = ColmapCamera(
+                camera_id=camera_id, model=model, width=width, height=height, intrinsics=intr
             )
-        try:
-            intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
-        except ValueError as exc:
-            raise MalformedLine(path, lineno, f"bad camera parameters: {exc}") from exc
-        cameras[camera_id] = ColmapCamera(
-            camera_id=camera_id, model=model, width=width, height=height, intrinsics=intr
-        )
     return cameras
 
 
-def _parse_images(path: Path) -> dict:
+def _parse_images(path: Path, cameras: dict) -> dict:
     images = {}
-    pending = None  # (lineno, fields) of a pose line awaiting its points line
-    for lineno, line in _data_lines(path):
-        if pending is None:
+    with open(path, "r") as fh:
+        lines = _data_lines(fh)
+        for lineno, line in lines:
             fields = line.split()
             if len(fields) < 10:
                 raise MalformedLine(
                     path, lineno, f"image pose line needs 10 fields, got {len(fields)}"
                 )
-            pending = (lineno, fields)
-            continue
-        pose_lineno, fields = pending
-        pending = None
-        try:
-            image_id = int(fields[0])
-            camera_id = int(fields[8])
-        except ValueError as exc:
-            raise MalformedLine(path, pose_lineno, f"bad integer field: {exc}") from exc
-        qvec = np.array(_floats(path, pose_lineno, fields[1:5], "quaternion"))
-        tvec = np.array(_floats(path, pose_lineno, fields[5:8], "translation"))
-        if not (np.isfinite(qvec).all() and np.isfinite(tvec).all()):
-            raise MalformedLine(path, pose_lineno, "non-finite pose")
-        norm = np.linalg.norm(qvec)
-        if abs(norm - 1.0) > _QUAT_NORM_TOL:
-            raise MalformedLine(
-                path, pose_lineno, f"quaternion norm {norm!r} not within {_QUAT_NORM_TOL} of 1"
+            image_id, camera_id = _numbers(
+                path, lineno, [fields[0], fields[8]], "integer field", np.int64
+            ).tolist()
+            if image_id in images:
+                raise MalformedLine(path, lineno, f"duplicate image id {image_id}")
+            if camera_id not in cameras:
+                raise MalformedLine(
+                    path, lineno, f"image {image_id} references unknown camera {camera_id}"
+                )
+            qt = _numbers(path, lineno, fields[1:8], "pose")
+            norm = np.linalg.norm(qt[:4])
+            if abs(norm - 1.0) > _QUAT_NORM_TOL:
+                raise MalformedLine(
+                    path, lineno, f"quaternion norm {norm!r} not within {_QUAT_NORM_TOL} of 1"
+                )
+            observation = next(lines, None)
+            if observation is None:
+                raise MalformedLine(path, lineno, "image pose line without an observation line")
+            lineno, line = observation
+            obs = line.split()
+            if len(obs) % 3 != 0:
+                raise MalformedLine(
+                    path, lineno, f"observation line length {len(obs)} is not a multiple of 3"
+                )
+            images[image_id] = ColmapImage(
+                image_id=image_id,
+                name=" ".join(fields[9:]),
+                camera_id=camera_id,
+                qvec=qt[:4],
+                tvec=qt[4:],
+                xys=_numbers(path, lineno, [obs[0::3], obs[1::3]], "observation").T,
+                point3d_ids=_numbers(path, lineno, obs[2::3], "point3d id", np.int64),
             )
-        name = " ".join(fields[9:])
-        obs = line.split()
-        if len(obs) % 3 != 0:
-            raise MalformedLine(
-                path, lineno, f"observation line length {len(obs)} is not a multiple of 3"
-            )
-        try:
-            xys = np.array([obs[0::3], obs[1::3]], dtype=float).T
-        except ValueError as exc:
-            raise MalformedLine(path, lineno, f"non-numeric observation: {exc}") from exc
-        try:
-            ids = np.array(obs[2::3], dtype=np.int64)
-        except ValueError as exc:
-            raise MalformedLine(path, lineno, f"bad point3d id: {exc}") from exc
-        if not np.isfinite(xys).all():
-            raise MalformedLine(path, lineno, "non-finite observation")
-        images[image_id] = ColmapImage(
-            image_id=image_id,
-            name=name,
-            camera_id=camera_id,
-            qvec=qvec,
-            tvec=tvec,
-            xys=xys,
-            point3d_ids=ids,
-        )
-    if pending is not None:
-        raise MalformedLine(path, pending[0], "image pose line without an observation line")
     return images
 
 
 def _parse_points3d(path: Path) -> dict:
     points = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split()
-        if len(fields) < 8 or (len(fields) - 8) % 2 != 0:
-            raise MalformedLine(
-                path, lineno, f"point line needs 8 + 2k fields, got {len(fields)}"
+    with open(path, "r") as fh:
+        for lineno, line in _data_lines(fh):
+            fields = line.split()
+            if len(fields) < 8 or (len(fields) - 8) % 2 != 0:
+                raise MalformedLine(
+                    path, lineno, f"point line needs 8 + 2k fields, got {len(fields)}"
+                )
+            ints = _numbers(
+                path, lineno, fields[0:1] + fields[4:7] + fields[8:], "integer field", np.int64
             )
-        try:
-            pid = int(fields[0])
-            rgb = np.array([int(f) for f in fields[4:7]], dtype=np.int64)
-            track = np.array([int(f) for f in fields[8:]], dtype=np.int64).reshape(-1, 2)
-        except ValueError as exc:
-            raise MalformedLine(path, lineno, f"bad integer field: {exc}") from exc
-        xyz = np.array(_floats(path, lineno, fields[1:4], "coordinates"))
-        if not np.isfinite(xyz).all():
-            raise MalformedLine(path, lineno, "non-finite coordinates")
-        error = _floats(path, lineno, fields[7:8], "reprojection error")[0]
-        points[pid] = ColmapPoint3D(point3d_id=pid, xyz=xyz, rgb=rgb, error=error, track=track)
+            pid = int(ints[0])
+            if pid in points:
+                raise MalformedLine(path, lineno, f"duplicate point3d id {pid}")
+            points[pid] = ColmapPoint3D(
+                point3d_id=pid,
+                xyz=_numbers(path, lineno, fields[1:4], "coordinates"),
+                rgb=ints[1:4],
+                error=float(_numbers(path, lineno, fields[7], "reprojection error")),
+                track=ints[4:].reshape(-1, 2),
+            )
     return points
 
 
@@ -209,8 +210,9 @@ def parse_model(model_dir) -> ColmapModel:
 
     Raises:
         MissingFile: if any of the three files is absent.
-        MalformedLine: on any structural violation, reporting the offending
-            file and line number.
+        MalformedLine: on any structural violation, a non-finite or
+            unconvertible value, a repeated id or an image naming an unknown
+            camera, reporting the offending file and line number.
         UnsupportedCameraModel: for camera models other than PINHOLE and
             SIMPLE_PINHOLE.
     """
@@ -220,14 +222,8 @@ def parse_model(model_dir) -> ColmapModel:
         if not path.is_file():
             raise MissingFile(f"{path} not found")
     cameras = _parse_cameras(paths["cameras"])
-    images = _parse_images(paths["images"])
+    images = _parse_images(paths["images"], cameras)
     points3d = _parse_points3d(paths["points3D"])
-    for image in images.values():
-        if image.camera_id not in cameras:
-            raise MalformedLine(
-                paths["images"], 0, f"image {image.image_id} references unknown camera "
-                f"{image.camera_id}"
-            )
     return ColmapModel(cameras=cameras, images=images, points3d=points3d)
 
 

@@ -18,6 +18,7 @@ aggregate one method's scores with summarize().
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -190,39 +191,28 @@ def _run_trial_range(
 def run_monte_carlo(
     sc: SyntheticScenario,
     methods,
-    collect_timing: bool = True,
     timing_reps: int = 1,
     workers: int = 1,
 ) -> list[dict]:
     """Paired Monte Carlo over sc.trials scenes; one summarize() row per method.
 
-    Timing runs are forced serial so that concurrent workers never pollute
-    the measurements; with collect_timing=False the trials may be
-    distributed over a process pool (bit-identical results either way, since
-    every trial regenerates its scene from (seed, trial)).
+    With timing_reps > 0 every solve is timed (median of that many runs) and
+    the trials run serially, so that concurrent workers never pollute the
+    measurements; with timing_reps=0 the runtimes are NaN and contiguous
+    trial ranges may be spread over a process pool (bit-identical results
+    either way, since every trial regenerates its scene from (seed, trial)).
     """
     configs = _as_configs(methods)
-    if collect_timing:
+    if timing_reps > 0:
         workers = 1
-        timing_reps = max(1, timing_reps)
-    else:
-        timing_reps = 0
-    trials = list(range(sc.trials))
     if workers > 1:
-        chunks = [trials[i::workers] for i in range(workers)]
-        by_trial: dict[int, list] = {}
+        step = -(-sc.trials // workers)
+        ranges = [range(lo, min(lo + step, sc.trials)) for lo in range(0, sc.trials, step)]
+        run_range = functools.partial(_run_trial_range, sc, configs, timing_reps=timing_reps)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_trial_range, sc, configs, chunk, timing_reps): chunk
-                for chunk in chunks
-                if chunk
-            }
-            for future, chunk in futures.items():
-                for trial, row in zip(chunk, future.result()):
-                    by_trial[trial] = row
-        rows = [by_trial[t] for t in trials]
+            rows = [row for part in pool.map(run_range, ranges) for row in part]
     else:
-        rows = _run_trial_range(sc, configs, trials, timing_reps)
+        rows = _run_trial_range(sc, configs, range(sc.trials), timing_reps)
     return [summarize(cfg.method, [row[j] for row in rows]) for j, cfg in enumerate(configs)]
 
 

@@ -120,11 +120,7 @@ class PnpResult:
 
 
 def _reprojection_rms(ps: np.ndarray, us: np.ndarray, K, pose: Pose) -> float:
-    P = compose_projection(K, pose)
-    w = P[:, :3] @ ps.T + P[:, 3:]
-    d = w[:2] / w[2]
-    d -= us.T
-    return float(np.sqrt(np.vdot(d, d) / ps.shape[0]))
+    return float(np.sqrt(_gn_cost(ps, us, intrinsic_matrix(K), pose.R, pose.r) / ps.shape[0]))
 
 
 class _LinearOutcome(NamedTuple):

@@ -68,13 +68,13 @@ def method_row(summary, name):
 @pytest.fixture(scope="module")
 def centered_summary():
     sc = SyntheticScenario(box=CENTERED_BOX, n=50, sigma_u=1.0, trials=500, seed=0)
-    return run_monte_carlo(sc, list(METHODS), collect_timing=False)
+    return run_monte_carlo(sc, list(METHODS), timing_reps=0)
 
 
 @pytest.fixture(scope="module")
 def uncentered_summary():
     sc = SyntheticScenario(box=UNCENTERED_BOX, n=50, sigma_u=1.0, trials=500, seed=0)
-    return run_monte_carlo(sc, ["ndlt", "odlt"], collect_timing=False)
+    return run_monte_carlo(sc, ["ndlt", "odlt"], timing_reps=0)
 
 
 def test_criterion_01_zero_noise_exactness():
@@ -133,7 +133,6 @@ def runtime_table():
         summary = run_monte_carlo(
             sc,
             ["ndlt", "odlt", "odlt_lost"],
-            collect_timing=True,
             timing_reps=3,
         )
         table[n] = {row["method"]: row["mean_runtime_ms"] for row in summary}

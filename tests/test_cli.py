@@ -258,6 +258,20 @@ class TestEvalColmap:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_point_id_beyond_int64_exits_3_with_its_line(self, tmp_path, capsys):
+        for name in ("cameras.txt", "points3D.txt"):
+            (tmp_path / name).write_text((SOLVABLE / name).read_text())
+        lines = (SOLVABLE / "images.txt").read_text().splitlines(keepends=True)
+        fields = lines[4].split()  # image 1's observation line
+        fields[2] = "99999999999999999999"
+        lines[4] = " ".join(fields) + "\n"
+        (tmp_path / "images.txt").write_text("".join(lines))
+        rc = main(["eval-colmap", "--model-dir", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'images.txt'}:5: bad point3d id" in err
+        assert "Traceback" not in err
+
 
 class TestSolve:
     def test_text_output(self, tmp_path, capsys):
@@ -324,9 +338,12 @@ class TestSolve:
     @pytest.mark.parametrize(
         "bad_line, message",
         [
-            ("1 2 abc 4 5", "correspondence line: could not convert string to float: 'abc'"),
+            (
+                "1 2 abc 4 5",
+                "non-numeric correspondence line: could not convert string to float: 'abc'",
+            ),
             ("1 2 3 4", "correspondence line needs 5 numbers, got 4"),
-            ("nan 2 3 4 5", "non-finite value in correspondence line"),
+            ("nan 2 3 4 5", "non-finite correspondence line"),
         ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, capsys, bad_line, message):
@@ -339,6 +356,17 @@ class TestSolve:
         rc = main(["solve", "--input", str(path)])
         assert rc == 3
         assert f"error: {path}:7: {message}" in capsys.readouterr().err
+
+    def test_stdin_errors_name_physical_lines(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "problem.txt"
+        write_problem_file(path, solvable_problem())
+        lines = path.read_text().splitlines()
+        lines[0:0] = ["# intrinsics follow", ""]
+        lines[5:5] = ["# a comment", "1 2 3 4"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        rc = main(["solve", "--input", "-"])
+        assert rc == 3
+        assert "error: -:7: correspondence line needs 5 numbers, got 4" in capsys.readouterr().err
 
 
 class TestEntryPoint:

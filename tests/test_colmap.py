@@ -246,11 +246,21 @@ class TestParseErrors:
             parse_model(tmp_path)
         assert exc.value.line_number == 1
 
-    @pytest.mark.parametrize("params", ["nan 800.0 320.0 240.0", "-800.0 800.0 320.0 240.0"])
-    def test_camera_bad_parameters(self, tmp_path, params):
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            pytest.param(
+                "nan 800.0 320.0 240.0", "non-finite camera parameters", id="nan 800.0 320.0 240.0"
+            ),
+            pytest.param(
+                "-800.0 800.0 320.0 240.0", "bad camera parameters", id="-800.0 800.0 320.0 240.0"
+            ),
+        ],
+    )
+    def test_camera_bad_parameters(self, tmp_path, params, message):
         text = f"1 PINHOLE 640 480 {params}\n"
         write_tree(tmp_path, minimal_files(**{"cameras.txt": text}))
-        with pytest.raises(MalformedLine, match="bad camera parameters") as exc:
+        with pytest.raises(MalformedLine, match=message) as exc:
             parse_model(tmp_path)
         assert exc.value.line_number == 1
 
@@ -272,8 +282,56 @@ class TestParseErrors:
             tmp_path,
             minimal_files(**{"images.txt": "1 1.0 0.0 0.0 0.0 0.0 0.0 2.0 9 a.png\n1.0 2.0 -1\n"}),
         )
-        with pytest.raises(MalformedLine, match="unknown camera"):
+        with pytest.raises(MalformedLine, match="image 1 references unknown camera 9") as exc:
             parse_model(tmp_path)
+        assert exc.value.line_number == 1  # the pose line
+
+    @pytest.mark.parametrize(
+        "name, text, line_number, message",
+        [
+            (
+                "cameras.txt",
+                "1 PINHOLE 640 480 800.0 800.0 320.0 240.0\n"
+                "1 SIMPLE_PINHOLE 640 480 900.0 320.0 240.0\n",
+                2,
+                "duplicate camera id 1",
+            ),
+            (
+                "images.txt",
+                "1 1.0 0.0 0.0 0.0 0.0 0.0 2.0 1 a.png\n1.0 2.0 -1\n"
+                "# second image\n1 1.0 0.0 0.0 0.0 0.0 0.0 3.0 1 b.png\n3.0 4.0 5\n",
+                4,
+                "duplicate image id 1",
+            ),
+            (
+                "points3D.txt",
+                "5 0.0 0.0 4.0 0 0 0 0.0\n6 1.0 0.0 4.0 0 0 0 0.0\n5 0.0 1.0 4.0 0 0 0 0.0\n",
+                3,
+                "duplicate point3d id 5",
+            ),
+        ],
+        ids=["cameras.txt", "images.txt", "points3D.txt"],
+    )
+    def test_duplicate_id_is_rejected_at_its_line(self, tmp_path, name, text, line_number, message):
+        write_tree(tmp_path, minimal_files(**{name: text}))
+        with pytest.raises(MalformedLine, match=message) as exc:
+            parse_model(tmp_path)
+        assert exc.value.line_number == line_number
+        assert name in str(exc.value)
+
+    def test_point_id_beyond_int64_is_a_bad_point3d_id(self, tmp_path):
+        text = "1 1.0 0.0 0.0 0.0 0.0 0.0 2.0 1 a.png\n1.0 2.0 99999999999999999999\n"
+        write_tree(tmp_path, minimal_files(**{"images.txt": text}))
+        with pytest.raises(MalformedLine, match="bad point3d id") as exc:
+            parse_model(tmp_path)
+        assert exc.value.line_number == 2
+
+    def test_point_reprojection_error_non_finite(self, tmp_path):
+        text = "5 0.0 0.0 4.0 0 0 0 nan\n"
+        write_tree(tmp_path, minimal_files(**{"points3D.txt": text}))
+        with pytest.raises(MalformedLine, match="non-finite reprojection error") as exc:
+            parse_model(tmp_path)
+        assert exc.value.line_number == 1
 
 
 class TestBuildProblems:

@@ -126,7 +126,7 @@ class TestMetrics:
 class TestMonteCarlo:
     def test_aggregation_matches_manual_loop(self):
         sc = SyntheticScenario(n=20, sigma_u=1.0, trials=6)
-        summary = run_monte_carlo(sc, ["ndlt"], collect_timing=False)
+        summary = run_monte_carlo(sc, ["ndlt"], timing_reps=0)
         agg = summary[0]
         rots, reprojs = [], []
         for trial in range(sc.trials):
@@ -144,23 +144,23 @@ class TestMonteCarlo:
 
     def test_methods_are_paired(self):
         sc = SyntheticScenario(n=30, sigma_u=1.0, trials=8)
-        together = run_monte_carlo(sc, ["ndlt", "odlt"], collect_timing=False)
-        alone = run_monte_carlo(sc, ["odlt"], collect_timing=False)
+        together = run_monte_carlo(sc, ["ndlt", "odlt"], timing_reps=0)
+        alone = run_monte_carlo(sc, ["odlt"], timing_reps=0)
         assert together[1]["rot_rmse_deg"] == alone[0]["rot_rmse_deg"]
         assert together[1]["pos_rmse"] == alone[0]["pos_rmse"]
         assert together[1]["mean_reproj_px"] == alone[0]["mean_reproj_px"]
 
     def test_parallel_equals_serial(self):
         sc = SyntheticScenario(n=25, sigma_u=1.0, trials=7)
-        serial = run_monte_carlo(sc, ["ndlt", "odlt"], collect_timing=False, workers=1)
-        parallel = run_monte_carlo(sc, ["ndlt", "odlt"], collect_timing=False, workers=2)
+        serial = run_monte_carlo(sc, ["ndlt", "odlt"], timing_reps=0, workers=1)
+        parallel = run_monte_carlo(sc, ["ndlt", "odlt"], timing_reps=0, workers=2)
         for a, b in zip(serial, parallel):
             for key in ("method", "trials", "failures", "rot_rmse_deg", "pos_rmse", "mean_reproj_px"):
                 assert a[key] == b[key], key
 
     def test_timing_collection_forces_serial_and_populates_runtime(self):
         sc = SyntheticScenario(n=15, sigma_u=0.5, trials=3)
-        summary = run_monte_carlo(sc, ["ndlt"], collect_timing=True, timing_reps=2, workers=4)
+        summary = run_monte_carlo(sc, ["ndlt"], timing_reps=2, workers=4)
         assert np.isfinite(summary[0]["mean_runtime_ms"])
         assert summary[0]["mean_runtime_ms"] > 0.0
 
@@ -168,12 +168,12 @@ class TestMonteCarlo:
         # The mean 2D noise magnitude is sigma*sqrt(pi/2) ~ 1.2533; a
         # converged refinement absorbs ~6 of the 2n dof, slightly below that.
         sc = SyntheticScenario(n=50, sigma_u=1.0, trials=100)
-        summary = run_monte_carlo(sc, ["ndlt_gn"], collect_timing=False)
+        summary = run_monte_carlo(sc, ["ndlt_gn"], timing_reps=0)
         assert 1.15 < summary[0]["mean_reproj_px"] < 1.28
 
     def test_failures_counted_not_averaged(self):
         sc = SyntheticScenario(n=5, sigma_u=1.0, trials=4)  # below the 6-point minimum
-        summary = run_monte_carlo(sc, ["ndlt"], collect_timing=False)
+        summary = run_monte_carlo(sc, ["ndlt"], timing_reps=0)
         assert summary[0]["failures"] == 4
         assert np.isnan(summary[0]["rot_rmse_deg"])
         assert np.isnan(summary[0]["mean_reproj_px"])
@@ -181,7 +181,7 @@ class TestMonteCarlo:
     def test_accepts_solver_config_entries(self):
         sc = SyntheticScenario(n=20, sigma_u=1.0, trials=3)
         cfg = SolverConfig(method="odlt", sigma_u=2.0)
-        summary = run_monte_carlo(sc, [cfg], collect_timing=False)
+        summary = run_monte_carlo(sc, [cfg], timing_reps=0)
         assert summary[0]["method"] == "odlt"
         assert summary[0]["failures"] == 0
 

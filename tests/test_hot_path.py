@@ -133,7 +133,7 @@ def constructions(monkeypatch):
 
 
 def test_monte_carlo_builds_no_correspondence_objects(constructions):
-    summary = run_monte_carlo(SyntheticScenario(n=50, trials=3), METHODS, collect_timing=False)
+    summary = run_monte_carlo(SyntheticScenario(n=50, trials=3), METHODS, timing_reps=0)
     assert [row["failures"] for row in summary] == [0] * len(METHODS)
     assert constructions["Correspondence"] == 0
 
