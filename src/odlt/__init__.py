@@ -49,7 +49,6 @@ from .solvers import (
     PnpResult,
     SolverConfig,
     estimate_projection,
-    refine_gauss_newton,
     solve,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "nearest_rotation",
     "project_points",
     "quat_to_rotation",
-    "refine_gauss_newton",
     "rodrigues",
     "rotation_angle_deg",
     "rotation_to_quat",

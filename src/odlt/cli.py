@@ -224,7 +224,7 @@ def _read_problem(path):
     """
     stream = sys.stdin if path == "-" else open(path, "r")
     try:
-        lines = list(_data_lines(stream))
+        lines = list(_data_lines(enumerate(stream, start=1)))
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PnpError, np.linalg.LinAlgError, ValueError, OSError) as exc:
+    except (PnpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

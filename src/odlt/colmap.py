@@ -2,9 +2,10 @@
 
 A model directory holds cameras.txt, images.txt and points3D.txt. Lines
 starting with '#' are comments. images.txt carries two lines per image: the
-pose line "IMAGE_ID QW QX QY QZ TX TY TZ CAMERA_ID NAME" followed by the
-observation line of "X Y POINT3D_ID" triples (POINT3D_ID is -1 when the
-feature has no triangulated point). The stored rotation and translation are
+pose line "IMAGE_ID QW QX QY QZ TX TY TZ CAMERA_ID NAME" followed, on the
+very next line, by the observation line of "X Y POINT3D_ID" triples
+(POINT3D_ID is -1 when the feature has no triangulated point), blank for an
+image without observations. The stored rotation and translation are
 world-to-camera, so the camera center is r = -R^T t.
 
 Only PINHOLE (fx fy cx cy) and SIMPLE_PINHOLE (f cx cy) cameras are
@@ -67,11 +68,13 @@ class ColmapModel:
     points3d: dict
 
 
-def _data_lines(stream):
-    """Yield (line_number, stripped_line) for every line of a text stream that
-    is neither blank nor a '#' comment. Line numbers count every physical
-    line from 1, so an error names the file's own line."""
-    for line_number, raw in enumerate(stream, start=1):
+def _data_lines(numbered):
+    """Yield (line_number, stripped_line) for every (line_number, raw_line)
+    pair of enumerate(stream, start=1) whose line is neither blank nor a '#'
+    comment. Line numbers count every physical line from 1, so an error
+    names the file's own line. A caller may take the physical line after a
+    yielded one with next(numbered)."""
+    for line_number, raw in numbered:
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_number, line
@@ -93,7 +96,7 @@ def _numbers(path, line_number: int, fields, what: str, dtype=float) -> np.ndarr
 def _parse_cameras(path: Path) -> dict:
     cameras = {}
     with open(path, "r") as fh:
-        for lineno, line in _data_lines(fh):
+        for lineno, line in _data_lines(enumerate(fh, start=1)):
             fields = line.split()
             if len(fields) < 5:
                 raise MalformedLine(
@@ -137,8 +140,8 @@ def _parse_cameras(path: Path) -> dict:
 def _parse_images(path: Path, cameras: dict) -> dict:
     images = {}
     with open(path, "r") as fh:
-        lines = _data_lines(fh)
-        for lineno, line in lines:
+        numbered = enumerate(fh, start=1)
+        for lineno, line in _data_lines(numbered):
             fields = line.split()
             if len(fields) < 10:
                 raise MalformedLine(
@@ -159,7 +162,9 @@ def _parse_images(path: Path, cameras: dict) -> dict:
                 raise MalformedLine(
                     path, lineno, f"quaternion norm {norm!r} not within {_QUAT_NORM_TOL} of 1"
                 )
-            observation = next(lines, None)
+            # The observation line is the physical next line; it is blank for
+            # an image without observations.
+            observation = next(numbered, None)
             if observation is None:
                 raise MalformedLine(path, lineno, "image pose line without an observation line")
             lineno, line = observation
@@ -183,7 +188,7 @@ def _parse_images(path: Path, cameras: dict) -> dict:
 def _parse_points3d(path: Path) -> dict:
     points = {}
     with open(path, "r") as fh:
-        for lineno, line in _data_lines(fh):
+        for lineno, line in _data_lines(enumerate(fh, start=1)):
             fields = line.split()
             if len(fields) < 8 or (len(fields) - 8) % 2 != 0:
                 raise MalformedLine(

@@ -236,7 +236,7 @@ def intrinsics_rmse_experiment(
     for trial in range(sc.trials):
         arrays, _ = generate_scene(sc, trial)
         for m in methods:
-            P = estimate_projection(arrays, method=m, cfg=replace(base, method=m))
+            P = estimate_projection(arrays, replace(base, method=m))
             K_est, _ = decompose_projection(P)
             errors[m]["fx"].append(K_est.fx - truth.fx)
             errors[m]["fy"].append(K_est.fy - truth.fy)

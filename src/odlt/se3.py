@@ -25,17 +25,12 @@ from .errors import (
     ReflectionDetected,
     SingularCalibration,
 )
-from .geometry import (
-    Pose,
-    correspondence_arrays,
-    cross_matrix,
-    intrinsic_matrix,
-    nearest_rotation,
-)
+from .geometry import Pose, cross_matrix, nearest_rotation
 from .normalization import PixelNormalization, PointNormalization
 
 _WEIGHT_COND_LIMIT = 1e10
 _LOST_COND_LIMIT = 1e12
+_PROCRUSTES_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,8 +44,8 @@ class DenormalizedPose:
     det: float
 
 
-def intrinsic_inverse(K) -> np.ndarray:
-    """Closed-form inverse of an upper-triangular intrinsic matrix.
+def intrinsic_inverse(Km: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of a checked upper-triangular 3x3 intrinsic matrix.
 
     Keeps the third row exactly (0, 0, 1), which matters when calibrated
     homogeneous coordinates are expected to have unit third component.
@@ -58,7 +53,6 @@ def intrinsic_inverse(K) -> np.ndarray:
     Raises:
         SingularCalibration: if a focal length is (numerically) zero.
     """
-    Km = intrinsic_matrix(K)
     fx, skew, cx = Km[0]
     fy, cy = Km[1, 1], Km[1, 2]
     if abs(fx) < 1e-12 or abs(fy) < 1e-12:
@@ -74,21 +68,22 @@ def intrinsic_inverse(K) -> np.ndarray:
 
 def declamp_denormalize(
     sol: DltSolution,
-    K,
+    Km: np.ndarray,
     pixel_norm: PixelNormalization,
     point_norm: PointNormalization,
 ) -> DenormalizedPose:
     """Map the normalized linear solution back to calibrated world coordinates.
 
-    Computes G = K^-1 T_u^-1 P_norm T_p, reads off R_acute = G[:, :3] and
+    Km is the checked 3x3 intrinsic matrix. Computes
+    G = K^-1 T_u^-1 P_norm T_p, reads off R_acute = G[:, :3] and
     r_acute = -R_acute^-1 G[:, 3], and transports the information matrix of
     vec(P_norm) through M^-1, M = T_p^T kron (K^-1 T_u^-1), to fill W from
     the nine leading diagonal entries (column-major).
 
     Raises:
         SingularCalibration: if K cannot be inverted reliably.
+        DegenerateInput: if the left 3x3 block R_acute is singular.
     """
-    Km = intrinsic_matrix(K)
     G = intrinsic_inverse(Km) @ pixel_norm.T_inv @ sol.P @ point_norm.T
     # Sigma'^-1 = M^-T (V D^2 V^T) M^-1; only its R' diagonal is needed. With
     # C = T_u K, column k of M^-T V is vec(C^T X_k T_p^-T), X_k = unvec(V[:, k]),
@@ -98,8 +93,11 @@ def declamp_denormalize(
     Y = C.T @ X @ point_norm.T_inv[:3].T
     W = (sol.singular_values**2 @ (Y * Y).reshape(12, 9)).reshape(3, 3)
     R_acute = G[:, :3]
+    det = float(np.linalg.det(R_acute))
+    if det == 0:
+        raise DegenerateInput("de-clamped rotation block is singular")
     r_acute = -np.linalg.solve(R_acute, G[:, 3])
-    return DenormalizedPose(R_acute, r_acute, W, float(np.linalg.det(R_acute)))
+    return DenormalizedPose(R_acute, r_acute, W, det)
 
 
 def procrustes_cost(R: np.ndarray, target: np.ndarray, W: np.ndarray) -> float:
@@ -121,7 +119,6 @@ def weighted_procrustes(
     R_acute: np.ndarray,
     W: np.ndarray,
     max_iters: int = 1,
-    tol: float = 1e-12,
     det: float | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Project the de-clamped linear rotation block onto SO(3), weighted by W.
@@ -132,7 +129,8 @@ def weighted_procrustes(
     the small-angle model R ~ (I - [dphi x]) R0, solving 3x3 normal
     equations per iteration and re-projecting with nearest_rotation. One
     iteration is the default; up to five are allowed, stopping early when
-    |dphi| < tol. det, when given, is det(R_acute) computed by the caller.
+    |dphi| < _PROCRUSTES_TOL. det, when given, is det(R_acute) computed by
+    the caller.
 
     Returns:
         (R, fallback_used): fallback_used is True when the normal matrix
@@ -172,7 +170,7 @@ def weighted_procrustes(
         if procrustes_cost(candidate, Rs, W) > procrustes_cost(R, Rs, W):
             break
         R = candidate
-        if np.linalg.norm(dphi) < tol:
+        if np.linalg.norm(dphi) < _PROCRUSTES_TOL:
             break
     return R, False
 
@@ -202,7 +200,9 @@ def recover_scale_and_position(
     return Pose(R=R_final, r=np.asarray(r_acute, dtype=float))
 
 
-def lost_translation(cs, K, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def lost_translation(
+    ps: np.ndarray, us: np.ndarray, Km: np.ndarray, R: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
     """Re-triangulate the translation with the rotation held fixed.
 
     Splitting the constraint matrix columns into the rotation block B and
@@ -214,8 +214,9 @@ def lost_translation(cs, K, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
     R p_i need only seven q^2-weighted sums of full-length columns: O(n).
 
     Args:
-        cs: correspondences (sequence of Correspondence or array pair).
-        K: camera intrinsics.
+        ps: checked (n,3) world points.
+        us: checked (n,2) pixels.
+        Km: checked 3x3 intrinsic matrix.
         R: fixed 3x3 rotation.
         weights: positive per-point scalars q_i (from the final estimate).
 
@@ -226,11 +227,10 @@ def lost_translation(cs, K, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Raises:
         RankDeficient: if the normal matrix has condition number > 1e12.
     """
-    ps, us = correspondence_arrays(cs)
     q = np.asarray(weights, dtype=float).reshape(-1)
     if q.shape[0] != ps.shape[0]:
         raise ValueError(f"expected {ps.shape[0]} weights, got {q.shape[0]}")
-    Kinv = intrinsic_inverse(K)
+    Kinv = intrinsic_inverse(Km)
     a, b = Kinv[:2, :2] @ us.T + Kinv[:2, 2:]
     m = np.asarray(R, dtype=float) @ ps.T
     rho = a * a + b * b

@@ -19,7 +19,7 @@ preliminary estimate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -47,12 +47,7 @@ from .se3 import (
     recover_scale_and_position,
     weighted_procrustes,
 )
-from .weighting import (
-    NEGATIVE_DEPTH_LIMIT,
-    _preliminary_normalized,
-    depths_under,
-    weight_factors,
-)
+from .weighting import NEGATIVE_DEPTH_LIMIT, _preliminary_normalized, depths_under
 
 
 class Stages(NamedTuple):
@@ -119,8 +114,8 @@ class PnpResult:
     timings: dict = field(default_factory=dict)
 
 
-def _reprojection_rms(ps: np.ndarray, us: np.ndarray, K, pose: Pose) -> float:
-    return float(np.sqrt(_gn_cost(ps, us, intrinsic_matrix(K), pose.R, pose.r) / ps.shape[0]))
+def _reprojection_rms(ps: np.ndarray, us: np.ndarray, Km: np.ndarray, pose: Pose) -> float:
+    return float(np.sqrt(_gn_cost(ps, us, Km, pose.R, pose.r) / ps.shape[0]))
 
 
 class _LinearOutcome(NamedTuple):
@@ -177,83 +172,77 @@ def _linear_solve(
     return _LinearOutcome(sol, pix, pt, flags, timings)
 
 
-def _recover_pose(out: _LinearOutcome, K, cfg: SolverConfig, weighted: bool) -> Pose:
-    t0 = time.perf_counter()
-    dn = declamp_denormalize(out.sol, K, out.pix, out.pt)
-    if weighted:
-        W = np.ones((3, 3)) if cfg.force_unit_weights else dn.W
-        R, fallback = weighted_procrustes(dn.R_acute, W, det=dn.det)
-        if fallback:
-            out.flags.add(FLAG_DEGENERATE_WEIGHTS)
-    else:
-        R = nearest_rotation(dn.R_acute)
-    pose = recover_scale_and_position(dn.R_acute, dn.r_acute, R, det=dn.det)
-    out.timings["recover"] = time.perf_counter() - t0
-    return pose
-
-
-def _finish(ps, us, K, pose, flags, timings, t_start) -> PnpResult:
-    t0 = time.perf_counter()
-    rms = _reprojection_rms(ps, us, K, pose)
-    timings["reprojection"] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_start
-    return PnpResult(
-        pose=pose, reprojection_rms=rms, flags=frozenset(flags), timings=timings
-    )
-
-
 def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
     """Estimate the camera pose of cs = (points (n,3), pixels (n,2)) or a
     sequence of Correspondence, under intrinsics K, with the stages that
     STAGES lists for cfg.method (default odlt).
 
-    LOST keeps the rotation bit for bit and replaces the camera center,
-    with weights recomputed from the projection of the recovered pose.
+    The inputs are checked once, here; every stage below takes the checked
+    arrays and the 3x3 intrinsic matrix and returns a pose. LOST keeps the
+    rotation bit for bit and replaces the camera center, with weights
+    recomputed from the projection of the recovered pose.
     """
     cfg = cfg or SolverConfig()
     normalize, weighted, lost, refine = STAGES[cfg.method]
     t_start = time.perf_counter()
     ps, us = correspondence_arrays(cs)
+    Km = intrinsic_matrix(K)
     out = _linear_solve(ps, us, cfg, normalize, weighted)
-    pose = _recover_pose(out, K, cfg, weighted)
     flags, timings = out.flags, out.timings
+
+    t0 = time.perf_counter()
+    dn = declamp_denormalize(out.sol, Km, out.pix, out.pt)
+    if weighted:
+        W = np.ones((3, 3)) if cfg.force_unit_weights else dn.W
+        R, fallback = weighted_procrustes(dn.R_acute, W, det=dn.det)
+        if fallback:
+            flags.add(FLAG_DEGENERATE_WEIGHTS)
+    else:
+        R = nearest_rotation(dn.R_acute)
+    pose = recover_scale_and_position(dn.R_acute, dn.r_acute, R, det=dn.det)
+    timings["recover"] = time.perf_counter() - t0
+
     if lost:
         t0 = time.perf_counter()
-        P_final = compose_projection(K, pose)
-        front = depths_under(P_final, ps) > 0
-        q = weight_factors(P_final, ps[front], cfg.sigma_u)
-        t = lost_translation((ps[front], us[front]), K, pose.R, q)
+        depths = depths_under(compose_projection(Km, pose), ps)
+        front = depths > 0
+        q = 1.0 / (cfg.sigma_u * depths[front])
+        t = lost_translation(ps[front], us[front], Km, pose.R, q)
         pose = Pose(R=pose.R, r=-pose.R.T @ t)
         timings["lost"] = time.perf_counter() - t0
     if refine:
-        refined = refine_gauss_newton((ps, us), K, pose)
-        flags |= refined.flags
-        timings["refine"] = refined.timings["refine"]
-        timings["reprojection"] = refined.timings["reprojection"]
-        timings["total"] = time.perf_counter() - t_start
-        return replace(refined, flags=frozenset(flags), timings=timings)
-    return _finish(ps, us, K, pose, flags, timings, t_start)
+        t0 = time.perf_counter()
+        pose, fell_back = refine_gauss_newton(ps, us, Km, pose)
+        if fell_back:
+            flags.add(FLAG_FALLBACK_USED)
+        timings["refine"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    rms = _reprojection_rms(ps, us, Km, pose)
+    timings["reprojection"] = time.perf_counter() - t0
+    timings["total"] = time.perf_counter() - t_start
+    return PnpResult(pose=pose, reprojection_rms=rms, flags=frozenset(flags), timings=timings)
 
 
-def refine_gauss_newton(cs, K, init: Pose) -> PnpResult:
+def refine_gauss_newton(
+    ps: np.ndarray, us: np.ndarray, Km: np.ndarray, init: Pose
+) -> tuple[Pose, bool]:
     """Minimize the reprojection error by Gauss-Newton from a given pose.
 
-    Parameters are a rotation-vector increment composed on the left and the
-    camera center. Steps that increase the cost are halved up to 10 times;
-    if no decrease is found the current pose is returned with the
-    FallbackUsed flag. Iteration stops when the cost decrease drops below
-    _GN_TOL or after _GN_MAX_ITERS accepted steps.
-    """
-    t_start = time.perf_counter()
-    ps, us = correspondence_arrays(cs)
-    Km = intrinsic_matrix(K)
-    flags = set()
-    timings = {}
+    ps (n,3) and us (n,2) are checked float arrays and Km the 3x3 intrinsic
+    matrix, as solve() passes them. Parameters are a rotation-vector
+    increment composed on the left and the camera center. Steps that
+    increase the cost are halved up to 10 times; if no decrease is found the
+    current pose is returned and fell_back is True. Iteration stops when the
+    cost decrease drops below _GN_TOL or after _GN_MAX_ITERS accepted steps.
 
+    Returns:
+        (pose, fell_back).
+    """
     R = init.R.copy()
     r = init.r.copy()
     cost = _gn_cost(ps, us, Km, R, r)
-    t0 = time.perf_counter()
+    fell_back = False
     for _ in range(_GN_MAX_ITERS):
         e, J = _gn_residuals_jacobian(ps, us, Km, R, r)
         JtJ = J.T @ J
@@ -261,26 +250,21 @@ def refine_gauss_newton(cs, K, init: Pose) -> PnpResult:
             delta = -np.linalg.solve(JtJ, J.T @ e)
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("Gauss-Newton normal matrix is singular") from exc
-        accepted = False
         for halving in range(11):
             step = delta / (2.0**halving)
             R_new = rodrigues(step[:3]) @ R
             r_new = r + step[3:]
             cost_new = _gn_cost(ps, us, Km, R_new, r_new)
             if cost_new <= cost:
-                accepted = True
                 break
-        if not accepted:
-            flags.add(FLAG_FALLBACK_USED)
+        else:
+            fell_back = True
             break
         decrease = cost - cost_new
         R, r, cost = R_new, r_new, cost_new
         if decrease < _GN_TOL:
             break
-    timings["refine"] = time.perf_counter() - t0
-
-    pose = Pose(R=nearest_rotation(R), r=r)
-    return _finish(ps, us, K, pose, flags, timings, t_start)
+    return Pose(R=nearest_rotation(R), r=r), fell_back
 
 
 def _gn_cost(ps, us, Km, R, r) -> float:
@@ -326,17 +310,17 @@ def _gn_residuals_jacobian(ps, us, Km, R, r):
     return e.reshape(2 * n), G.transpose(2, 0, 1).reshape(2 * n, 6)
 
 
-def estimate_projection(cs, method: str = "ndlt", cfg: Optional[SolverConfig] = None) -> np.ndarray:
+def estimate_projection(cs, cfg: SolverConfig) -> np.ndarray:
     """Estimate the 3x4 projection matrix only (no calibration required).
 
-    Supports the methods whose STAGES row ends with the linear solve ("dlt",
-    "ndlt", "odlt"). The returned matrix is in the original (de-normalized)
-    coordinates, scaled to unit Frobenius norm with positive mean depth.
+    Runs the stages that STAGES lists for cfg.method, which must end with the
+    linear solve ("dlt", "ndlt", "odlt"). The returned matrix is in the
+    original (de-normalized) coordinates, scaled to unit Frobenius norm with
+    positive mean depth.
     """
-    stages = STAGES.get(method)
-    if stages is None or stages.lost or stages.refine:
-        raise ValueError(f"projection-only estimation needs a linear method, got {method!r}")
-    cfg = cfg or SolverConfig(method=method)
+    stages = STAGES[cfg.method]
+    if stages.lost or stages.refine:
+        raise ValueError(f"projection-only estimation needs a linear method, got {cfg.method!r}")
     ps, us = correspondence_arrays(cs)
     out = _linear_solve(ps, us, cfg, stages.normalize, stages.weighted)
     P = denormalize_projection(out.sol.P, out.pix, out.pt)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,13 @@ from odlt.colmap import (
     parse_model,
     write_model,
 )
-from odlt.errors import MalformedLine, MissingFile, MissingPoint3D, UnsupportedCameraModel
+from odlt.errors import (
+    ColmapParseError,
+    MalformedLine,
+    MissingFile,
+    MissingPoint3D,
+    UnsupportedCameraModel,
+)
 from odlt.geometry import rotation_angle_deg
 from odlt.solvers import SolverConfig, solve
 
@@ -127,6 +134,21 @@ class TestRoundTrip:
         model = parse_model(SOLVABLE)
         write_model(model, tmp_path / "copy")
         assert_models_equal(model, parse_model(tmp_path / "copy"))
+
+    @pytest.mark.parametrize("which", [min, max], ids=["first", "last"])
+    def test_image_without_observations_round_trips(self, tmp_path, which):
+        # write_model, like COLMAP, leaves such an image's observation line empty.
+        model = parse_model(GOLDEN)
+        image_id = which(model.images)
+        model.images[image_id] = replace(
+            model.images[image_id],
+            xys=np.empty((0, 2)),
+            point3d_ids=np.empty(0, dtype=np.int64),
+        )
+        write_model(model, tmp_path)
+        again = parse_model(tmp_path)
+        assert_models_equal(model, again)
+        assert again.images[image_id].xys.shape == (0, 2)
 
 
 class TestParseErrors:
@@ -332,6 +354,52 @@ class TestParseErrors:
         with pytest.raises(MalformedLine, match="non-finite reprojection error") as exc:
             parse_model(tmp_path)
         assert exc.value.line_number == 1
+
+
+def single_line_edits(line):
+    """(kind, edited line): the line blanked, truncated to 1..k-1 of its k
+    fields, and each field in turn replaced with 'x'."""
+    fields = line.split()
+    yield "blank", ""
+    for keep in range(1, len(fields)):
+        yield "truncate", " ".join(fields[:keep])
+    for i in range(len(fields)):
+        yield "replace", " ".join(fields[:i] + ["x"] + fields[i + 1 :])
+
+
+class TestSingleLineEdits:
+    @pytest.mark.parametrize("fixture", [GOLDEN, SOLVABLE], ids=lambda p: p.name)
+    @pytest.mark.parametrize("name", ["cameras.txt", "images.txt", "points3D.txt"])
+    def test_every_edit_parses_or_names_its_line(self, tmp_path, fixture, name):
+        # Every model either parses or raises a ColmapParseError. A truncated or
+        # garbled line is named by its own file and line (or is an unsupported
+        # camera model), and a blanked observation line is an image without
+        # observations.
+        for other in ("cameras.txt", "images.txt", "points3D.txt"):
+            (tmp_path / other).write_bytes((fixture / other).read_bytes())
+        lines = (fixture / name).read_text().splitlines()
+        data = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+        observation_of = {}
+        if name == "images.txt":
+            pairs = zip(data[::2], data[1::2])
+            observation_of = {obs: int(lines[pose].split()[0]) for pose, obs in pairs}
+        for i in data:
+            for kind, edited in single_line_edits(lines[i]):
+                text = "\n".join(lines[:i] + [edited] + lines[i + 1 :]) + "\n"
+                (tmp_path / name).write_text(text)
+                where = f"{name}:{i + 1} {kind} -> {edited!r}"
+                try:
+                    outcome = parse_model(tmp_path)
+                except ColmapParseError as exc:
+                    outcome = exc
+                if kind == "blank" and i in observation_of:
+                    assert isinstance(outcome, ColmapModel), where
+                    image = outcome.images[observation_of[i]]
+                    assert image.xys.shape == (0, 2) and image.point3d_ids.shape == (0,), where
+                elif kind != "blank" and isinstance(outcome, MalformedLine):
+                    assert (Path(outcome.path).name, outcome.line_number) == (name, i + 1), where
+                elif kind != "blank":
+                    assert isinstance(outcome, (ColmapModel, UnsupportedCameraModel)), where
 
 
 class TestBuildProblems:

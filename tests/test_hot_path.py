@@ -2,22 +2,25 @@
 
 Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
 operating point (n=50), the QR calls on both sides of the chunked-QR
-crossover (n=50 and n=2000), the stage functions solve() calls per method, and
-the Correspondence objects the Monte Carlo harness, the COLMAP problem
-builder and the CLI create. Unlike a timing, the counts are exact and
-repeatable, so any extra decomposition on the hot path, a reintroduced
-Kronecker product or hidden condition-number SVD, a wrong stage-table row, a
+crossover (n=50 and n=2000), the stage functions and input checks solve()
+calls per method, and the Correspondence objects the Monte Carlo harness,
+the COLMAP problem builder and the CLI create. Unlike a timing, the counts
+are exact and repeatable, so any extra decomposition on the hot path, a
+reintroduced Kronecker product or hidden condition-number SVD, a wrong
+stage-table row, a stage that re-checks what solve() already checked, a
 return to per-point objects on an array path (the Monte Carlo harness,
 eval-colmap's noise step, odlt solve's problem file), or a null space that
 silently stops (or starts) chunking fails here on any host.
 """
 
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odlt.geometry as geometry_module
 import odlt.solvers as solvers_module
 from odlt.cli import main
 from odlt.colmap import build_problems, parse_model
@@ -116,6 +119,37 @@ def test_stage_calls_per_solve(method, monkeypatch):
     solve(arrays, sc.intrinsics, SolverConfig(method=method))
     assert {name: tally[name] for name in STAGE_CALLS} == {
         name: calls[method] for name, calls in STAGE_CALLS.items()
+    }
+
+
+# Input checks per solve, counted under every odlt module's binding. solve()
+# checks the arrays and K once, at entry, and the stages take what it checked;
+# the second intrinsic_matrix of odlt_lost is compose_projection's own check.
+INPUT_CHECKS = {
+    "correspondence_arrays": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
+    "intrinsic_matrix": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 2, "ndlt_gn": 1},
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_input_checks_per_solve(method, monkeypatch):
+    sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    tally = Counter()
+    modules = [m for key, m in sys.modules.items() if key == "odlt" or key.startswith("odlt.")]
+    for name in INPUT_CHECKS:
+        fn = getattr(geometry_module, name)
+
+        def shim(*args, _fn=fn, _name=name, **kwargs):
+            tally[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, shim)
+    solve(arrays, sc.intrinsics, SolverConfig(method=method))
+    assert {name: tally[name] for name in INPUT_CHECKS} == {
+        name: calls[method] for name, calls in INPUT_CHECKS.items()
     }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from odlt.dlt import _assemble_arrays, solve_nullspace
+from odlt.dlt import DltSolution, _assemble_arrays, solve_nullspace
 from odlt.errors import (
     DegenerateInput,
     RankDeficient,
@@ -14,7 +14,12 @@ from odlt.geometry import (
     nearest_rotation,
     rotation_angle_deg,
 )
-from odlt.normalization import fit_pixel_normalization, fit_point_normalization
+from odlt.normalization import (
+    PixelNormalization,
+    PointNormalization,
+    fit_pixel_normalization,
+    fit_point_normalization,
+)
 from odlt.se3 import (
     declamp_denormalize,
     intrinsic_inverse,
@@ -122,6 +127,16 @@ class TestDeclamp:
         np.testing.assert_allclose(out.W, W_oracle, rtol=1e-6)
         assert out.W.min() > 0
 
+    def test_singular_rotation_block_is_degenerate_input(self):
+        # The left 3x3 block has a zero third row, so det(R_acute) == 0 exactly;
+        # this used to surface as numpy's LinAlgError from solving for r_acute.
+        P = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        sol = DltSolution(P=P, singular_values=np.ones(12), V=np.eye(12))
+        with pytest.raises(DegenerateInput, match="singular"):
+            declamp_denormalize(
+                sol, np.eye(3), PixelNormalization.identity(), PointNormalization.identity()
+            )
+
 
 class TestWeightedProcrustes:
     def test_uniform_weights_reduce_to_plain_projection(self, rng):
@@ -227,7 +242,7 @@ class TestLostTranslation:
             _, _, _, ps, us = make_exact_scene(rng, n=25, Km=Km, R=R, r=r)
             P = compose_projection(Km, Pose(R=R, r=r))
             q = weight_factors(P, ps, 1.0)
-            t = lost_translation((ps, us), Km, R, q)
+            t = lost_translation(ps, us, Km, R, q)
             np.testing.assert_allclose(t, -R @ r, atol=1e-8 * max(1.0, np.abs(r).max()))
 
     @pytest.mark.parametrize("n", [30, 2000])
@@ -240,7 +255,7 @@ class TestLostTranslation:
         us = us + rng.standard_normal(us.shape)
         P = compose_projection(Km, Pose(R=R, r=r))
         q = weight_factors(P, ps, 1.0)
-        t_star = lost_translation((ps, us), Km, R, q)
+        t_star = lost_translation(ps, us, Km, R, q)
 
         Kinv = intrinsic_inverse(Km)
         xb = us @ Kinv[:2, :2].T + Kinv[:2, 2]
@@ -272,9 +287,9 @@ class TestLostTranslation:
         us = np.tile([[320.0, 240.0]], (8, 1))
         ps = np.column_stack([np.zeros(8), np.zeros(8), np.linspace(4, 8, 8)])
         with pytest.raises(RankDeficient):
-            lost_translation((ps, us), Km, np.eye(3), np.ones(8))
+            lost_translation(ps, us, Km, np.eye(3), np.ones(8))
 
     def test_weight_count_validation(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=8)
         with pytest.raises(ValueError):
-            lost_translation((ps, us), Km, R, np.ones(5))
+            lost_translation(ps, us, Km, R, np.ones(5))

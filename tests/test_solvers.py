@@ -211,10 +211,11 @@ class TestGaussNewton:
         us = us + rng.standard_normal(us.shape)
         wobble = solvers_module.rodrigues(np.array([0.02, -0.015, 0.01]))
         init = Pose(R=wobble @ R, r=r + np.array([0.05, -0.04, 0.08]))
-        refined = refine_gauss_newton((ps, us), Km, init)
+        refined, fell_back = refine_gauss_newton(ps, us, Km, init)
         init_rms = solvers_module._reprojection_rms(ps, us, Km, init)
-        assert refined.reprojection_rms < init_rms
-        assert rotation_angle_deg(refined.pose.R, R) < 0.2
+        assert not fell_back
+        assert solvers_module._reprojection_rms(ps, us, Km, refined) < init_rms
+        assert rotation_angle_deg(refined.R, R) < 0.2
 
     def test_fallback_flag_when_no_step_improves(self, rng, monkeypatch):
         Km, R, r, ps, us = make_exact_scene(rng, n=12)
@@ -227,10 +228,13 @@ class TestGaussNewton:
 
         monkeypatch.setattr(solvers_module, "_gn_cost", stuck_cost)
         init = Pose(R=R, r=r)
-        result = refine_gauss_newton((ps, us), Km, init)
+        pose, fell_back = refine_gauss_newton(ps, us, Km, init)
+        assert fell_back
+        np.testing.assert_allclose(pose.R, R, atol=1e-12)
+        np.testing.assert_array_equal(pose.r, r)
+        calls["n"] = 0
+        result = solve((ps, us), Km, SolverConfig(method="ndlt_gn"))
         assert FLAG_FALLBACK_USED in result.flags
-        np.testing.assert_allclose(result.pose.R, R, atol=1e-12)
-        np.testing.assert_array_equal(result.pose.r, r)
 
 
 def shift_preliminary(monkeypatch, ps, us, behind):
@@ -287,13 +291,13 @@ class TestApiSurface:
         Km, R, r, ps, us = make_exact_scene(rng, n=20)
         P_true = compose_projection(Km, Pose(R=R, r=r))
         for method in ("dlt", "ndlt", "odlt"):
-            P = estimate_projection((ps, us), method=method)
+            P = estimate_projection((ps, us), SolverConfig(method=method))
             assert abs(np.linalg.norm(P) - 1.0) < 1e-12
             assert depths_under(P, ps).mean() > 0
             ref = P_true / np.linalg.norm(P_true)
             np.testing.assert_allclose(P, ref, atol=1e-7)
         with pytest.raises(ValueError):
-            estimate_projection((ps, us), method="ndlt_gn")
+            estimate_projection((ps, us), SolverConfig(method="ndlt_gn"))
 
     def test_timing_keys(self, rng):
         # Exactly the stages each method runs, plus the common tail.
