@@ -68,16 +68,18 @@ class ColmapModel:
     points3d: dict
 
 
-def _data_lines(numbered):
+def _data_lines(numbered, blanks=None):
     """Yield (line_number, stripped_line) for every (line_number, raw_line)
     pair of enumerate(stream, start=1) whose line is neither blank nor a '#'
-    comment. Line numbers count every physical line from 1, so an error
-    names the file's own line. A caller may take the physical line after a
-    yielded one with next(numbered)."""
+    comment, and appends skipped blank line numbers to blanks when given. Line
+    numbers count every physical line from 1, so an error names the file's own
+    line. A caller may take the physical line after a yielded one with next()."""
     for line_number, raw in numbered:
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_number, line
+        elif not line and blanks is not None:
+            blanks.append(line_number)
 
 
 def _numbers(path, line_number: int, fields, what: str, dtype=float) -> np.ndarray:
@@ -141,27 +143,36 @@ def _parse_images(path: Path, cameras: dict) -> dict:
     images = {}
     with open(path, "r") as fh:
         numbered = enumerate(fh, start=1)
-        for lineno, line in _data_lines(numbered):
+        blanks = []
+        for lineno, line in _data_lines(numbered, blanks):
             fields = line.split()
-            if len(fields) < 10:
-                raise MalformedLine(
-                    path, lineno, f"image pose line needs 10 fields, got {len(fields)}"
-                )
-            image_id, camera_id = _numbers(
-                path, lineno, [fields[0], fields[8]], "integer field", np.int64
-            ).tolist()
-            if image_id in images:
-                raise MalformedLine(path, lineno, f"duplicate image id {image_id}")
-            if camera_id not in cameras:
-                raise MalformedLine(
-                    path, lineno, f"image {image_id} references unknown camera {camera_id}"
-                )
-            qt = _numbers(path, lineno, fields[1:8], "pose")
-            norm = np.linalg.norm(qt[:4])
-            if abs(norm - 1.0) > _QUAT_NORM_TOL:
-                raise MalformedLine(
-                    path, lineno, f"quaternion norm {norm!r} not within {_QUAT_NORM_TOL} of 1"
-                )
+            try:
+                if len(fields) < 10:
+                    raise MalformedLine(
+                        path, lineno, f"image pose line needs 10 fields, got {len(fields)}"
+                    )
+                image_id, camera_id = _numbers(
+                    path, lineno, [fields[0], fields[8]], "integer field", np.int64
+                ).tolist()
+                if image_id in images:
+                    raise MalformedLine(path, lineno, f"duplicate image id {image_id}")
+                if camera_id not in cameras:
+                    raise MalformedLine(
+                        path, lineno, f"image {image_id} references unknown camera {camera_id}"
+                    )
+                qt = _numbers(path, lineno, fields[1:8], "pose")
+                norm = np.linalg.norm(qt[:4])
+                if abs(norm - 1.0) > _QUAT_NORM_TOL:
+                    raise MalformedLine(
+                        path, lineno, f"quaternion norm {norm!r} not within {_QUAT_NORM_TOL} of 1"
+                    )
+            except MalformedLine:
+                first = lineno  # a blanked pose line: name the blank lines before it
+                while blanks and blanks[-1] == first - 1:
+                    first = blanks.pop()
+                if first == lineno:
+                    raise
+                raise MalformedLine(path, first, "missing image pose line") from None
             # The observation line is the physical next line; it is blank for
             # an image without observations.
             observation = next(numbered, None)

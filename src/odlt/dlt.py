@@ -38,6 +38,7 @@ _RANK_TOL = 1e-10
 # QR work copy.
 _QR_BLOCK = 512
 _QR_CHUNK_MIN_ROWS = 3 * _QR_BLOCK
+_UPPER = np.triu(np.ones((12, 12), dtype=bool))  # mode="r"'s mask, built once
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ def _r_factor(A: np.ndarray) -> np.ndarray:
     """R factor of A = QR, chunked from _QR_CHUNK_MIN_ROWS rows (see above)."""
     m = A.shape[0]
     if m < _QR_CHUNK_MIN_ROWS:
-        return np.linalg.qr(A, mode="r")
+        R = np.linalg.qr(A, mode="raw")[0].T[:12]
+        return np.where(_UPPER[: R.shape[0]], R, 0.0)
     k = m // _QR_BLOCK
     heads = np.linalg.qr(A[: k * _QR_BLOCK].reshape(k, _QR_BLOCK, 12), mode="r")
     return np.linalg.qr(np.concatenate([heads.reshape(12 * k, 12), A[k * _QR_BLOCK :]]), mode="r")
@@ -125,11 +127,11 @@ def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
     if points is not None:
         ps = np.asarray(points, dtype=float).reshape(-1, 3)
         depths = ps @ P[2, :3] + P[2, 3]
-        if depths.mean() < 0:
+        if depths.sum() < 0:
             P = -P
             V = V.copy()
             V[:, 11] = -V[:, 11]
-        npos = int((depths > 0).sum())
+        npos = np.count_nonzero(depths > 0)
         mixed = max(npos, depths.shape[0] - npos) < 0.9 * depths.shape[0]
     return DltSolution(P=P, singular_values=s, V=V, mixed_depths=mixed)
 

@@ -29,8 +29,6 @@ from .errors import (
     ZeroQuaternion,
 )
 
-K_AXIS = np.array([0.0, 0.0, 1.0])
-
 _DEPTH_EPS = 1e-12
 _ORTHO_TOL = 1e-12
 
@@ -110,6 +108,13 @@ class Pose:
             raise ValueError(f"R must have determinant +1, got {det!r}")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "r", r)
+
+    @classmethod
+    def _from_rotation(cls, R: np.ndarray, r: np.ndarray) -> "Pose":
+        """Unchecked pose from nearest_rotation's float R and a float (3,) r."""
+        pose = object.__new__(cls)
+        pose.__dict__.update(R=R, r=r)
+        return pose
 
     @property
     def t(self) -> np.ndarray:
@@ -261,8 +266,11 @@ def nearest_rotation(M: np.ndarray) -> np.ndarray:
     U, s, Vt = np.linalg.svd(M)
     if s[1] < 1e-12 and s[2] < 1e-12:
         raise DegenerateInput("matrix is rank <= 1; nearest rotation undetermined")
-    d = 1.0 if np.linalg.det(U @ Vt) > 0 else -1.0
-    return (U * np.array([1.0, 1.0, d])) @ Vt
+    Q = U @ Vt
+    (a, b, c), (d, e, f), (g, h, i) = Q.tolist()  # det(Q) = +-1: cofactors give its sign
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0:
+        return Q
+    return (U * np.array([1.0, 1.0, -1.0])) @ Vt
 
 
 def rotation_angle_deg(Ra: np.ndarray, Rb: np.ndarray) -> float:

@@ -16,11 +16,12 @@ import numpy as np
 from .errors import DegeneratePoints
 
 _COLLAPSE_EPS = 1e-12
+_EYE = {2: np.eye(3), 3: np.eye(4)}  # read only: _fit scales copies
 
 
 @dataclass(frozen=True)
-class PixelNormalization:
-    """Similarity u' = s (u - c) as a homogeneous 3x3 transform."""
+class _Similarity:
+    """Similarity x' = s (x - c) of DIM-vectors as a homogeneous transform."""
 
     T: np.ndarray
     T_inv: np.ndarray
@@ -28,30 +29,25 @@ class PixelNormalization:
     centroid: np.ndarray
 
     @classmethod
-    def identity(cls) -> "PixelNormalization":
-        return cls(T=np.eye(3), T_inv=np.eye(3), scale=1.0, centroid=np.zeros(2))
+    def identity(cls) -> "_Similarity":
+        eye = np.eye(cls.DIM + 1)
+        return cls(T=eye, T_inv=eye.copy(), scale=1.0, centroid=np.zeros(cls.DIM))
 
-    def apply(self, us: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=float).reshape(-1, 2)
-        return (us - self.centroid) * self.scale
+    def apply(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.DIM)
+        return (xs - self.centroid) * self.scale
 
 
-@dataclass(frozen=True)
-class PointNormalization:
-    """Similarity p' = s (p - c) as a homogeneous 4x4 transform."""
+class PixelNormalization(_Similarity):
+    """Similarity u' = s (u - c) of pixels as a homogeneous 3x3 transform."""
 
-    T: np.ndarray
-    T_inv: np.ndarray
-    scale: float
-    centroid: np.ndarray
+    DIM = 2
 
-    @classmethod
-    def identity(cls) -> "PointNormalization":
-        return cls(T=np.eye(4), T_inv=np.eye(4), scale=1.0, centroid=np.zeros(3))
 
-    def apply(self, ps: np.ndarray) -> np.ndarray:
-        ps = np.asarray(ps, dtype=float).reshape(-1, 3)
-        return (ps - self.centroid) * self.scale
+class PointNormalization(_Similarity):
+    """Similarity p' = s (p - c) of world points as a homogeneous 4x4 transform."""
+
+    DIM = 3
 
 
 def _fit(xs, dim: int, radius: float, what: str) -> dict:
@@ -62,17 +58,18 @@ def _fit(xs, dim: int, radius: float, what: str) -> dict:
     along the long axis cost 10x and 2x as much.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, dim)
-    centroid = np.ones(xs.shape[0]) @ xs / xs.shape[0]
+    n = xs.shape[0]
+    centroid = np.ones(n) @ xs / n
     d = xs - centroid
-    mean_radius = np.sqrt(np.einsum("ij,ij->i", d, d)).mean()
+    mean_radius = np.sqrt(np.einsum("ij,ij->i", d, d)).sum() / n
     if mean_radius < _COLLAPSE_EPS:
         raise DegeneratePoints(f"{what} set collapses to a single location")
     scale = radius / mean_radius
-    T = np.eye(dim + 1)
-    T[:dim, :dim] *= scale
+    T = _EYE[dim] * scale
+    T[dim, dim] = 1.0
     T[:dim, dim] = -scale * centroid
-    T_inv = np.eye(dim + 1)
-    T_inv[:dim, :dim] /= scale
+    T_inv = _EYE[dim] / scale
+    T_inv[dim, dim] = 1.0
     T_inv[:dim, dim] = centroid
     return dict(T=T, T_inv=T_inv, scale=scale, centroid=centroid)
 

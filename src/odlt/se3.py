@@ -25,7 +25,7 @@ from .errors import (
     ReflectionDetected,
     SingularCalibration,
 )
-from .geometry import Pose, cross_matrix, nearest_rotation
+from .geometry import Pose, nearest_rotation
 from .normalization import PixelNormalization, PointNormalization
 
 _WEIGHT_COND_LIMIT = 1e10
@@ -53,8 +53,7 @@ def intrinsic_inverse(Km: np.ndarray) -> np.ndarray:
     Raises:
         SingularCalibration: if a focal length is (numerically) zero.
     """
-    fx, skew, cx = Km[0]
-    fy, cy = Km[1, 1], Km[1, 2]
+    (fx, skew, cx), (_, fy, cy), _ = Km.tolist()
     if abs(fx) < 1e-12 or abs(fy) < 1e-12:
         raise SingularCalibration(f"focal lengths too small to invert: fx={fx}, fy={fy}")
     return np.array(
@@ -103,7 +102,7 @@ def declamp_denormalize(
 def procrustes_cost(R: np.ndarray, target: np.ndarray, W: np.ndarray) -> float:
     """Squared weighted Frobenius distance ||(R - target) * W||_F^2."""
     d = (R - target) * W
-    return float(np.sum(d * d))
+    return float((d * d).sum())
 
 
 def _solve_psd(N: np.ndarray, b: np.ndarray, cond_limit: float) -> np.ndarray | None:
@@ -149,28 +148,31 @@ def weighted_procrustes(
     Q = W * W
     R = nearest_rotation(Rs)
     R0 = R
+    cost = procrustes_cost(R, Rs, W)
     for _ in range(max_iters):
         # e_ij = W_ij (R - Rs)_ij moves by W_ij (e_i x R_col_j) . dphi, so the
         # normal matrix is sum_i [e_i x] M_i [e_i x]^T with M_i = R diag(Q[i]) R^T
         # and the right-hand side is vee(H^T - H) with H = (Q * (Rs - R)) R^T.
-        M = (R[None, :, :] * Q[:, None, :]) @ R.T
+        M = ((R[None, :, :] * Q[:, None, :]) @ R.T).tolist()
         Nmat = np.array(
             [
-                [M[1, 2, 2] + M[2, 1, 1], -M[2, 0, 1], -M[1, 0, 2]],
-                [-M[2, 0, 1], M[0, 2, 2] + M[2, 0, 0], -M[0, 1, 2]],
-                [-M[1, 0, 2], -M[0, 1, 2], M[0, 1, 1] + M[1, 0, 0]],
+                [M[1][2][2] + M[2][1][1], -M[2][0][1], -M[1][0][2]],
+                [-M[2][0][1], M[0][2][2] + M[2][0][0], -M[0][1][2]],
+                [-M[1][0][2], -M[0][1][2], M[0][1][1] + M[1][0][0]],
             ]
         )
-        H = (Q * (Rs - R)) @ R.T
-        g = np.array([H[1, 2] - H[2, 1], H[2, 0] - H[0, 2], H[0, 1] - H[1, 0]])
+        H = ((Q * (Rs - R)) @ R.T).tolist()
+        g = np.array([H[1][2] - H[2][1], H[2][0] - H[0][2], H[0][1] - H[1][0]])
         dphi = _solve_psd(Nmat, g, _WEIGHT_COND_LIMIT)
         if dphi is None:
             return R0, True
-        candidate = nearest_rotation((np.eye(3) - cross_matrix(dphi)) @ R)
-        if procrustes_cost(candidate, Rs, W) > procrustes_cost(R, Rs, W):
+        x, y, z = dphi.tolist()
+        candidate = nearest_rotation(np.array([[1.0, z, -y], [-z, 1.0, x], [y, -x, 1.0]]) @ R)
+        candidate_cost = procrustes_cost(candidate, Rs, W)
+        if candidate_cost > cost:
             break
-        R = candidate
-        if np.linalg.norm(dphi) < _PROCRUSTES_TOL:
+        R, cost = candidate, candidate_cost
+        if np.sqrt(dphi @ dphi) < _PROCRUSTES_TOL:  # np.linalg.norm without its wrapper
             break
     return R, False
 
@@ -184,7 +186,7 @@ def recover_scale_and_position(
     """Assemble the metric pose from the Procrustes rotation and r_acute.
 
     The center of projection is invariant to the global scale of the linear
-    solution, so the pose simply pairs the Procrustes rotation with r_acute.
+    solution, so the pose pairs the rotation R_final, unchecked, with r_acute.
     det, when given, is det(R_acute) as already computed by the caller.
 
     Raises:
@@ -197,7 +199,7 @@ def recover_scale_and_position(
         raise ReflectionDetected(f"linear rotation block has determinant {det!r}")
     if det == 0:
         raise DegenerateInput("linear rotation block is singular")
-    return Pose(R=R_final, r=np.asarray(r_acute, dtype=float))
+    return Pose._from_rotation(R_final, np.asarray(r_acute, dtype=float))
 
 
 def lost_translation(

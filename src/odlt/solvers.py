@@ -156,9 +156,7 @@ def _linear_solve(
             if neg.any():
                 frac = float(neg.mean())
                 if frac >= NEGATIVE_DEPTH_LIMIT:
-                    raise NegativeDepth(
-                        f"{frac:.0%} of points behind the preliminary camera"
-                    )
+                    raise NegativeDepth(f"{frac:.0%} of points behind the preliminary camera")
                 front = ~neg
                 ps, us, depths = ps[front], us[front], depths[front]
             weights = 1.0 / (cfg.sigma_u * depths)
@@ -208,7 +206,7 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
         front = depths > 0
         q = 1.0 / (cfg.sigma_u * depths[front])
         t = lost_translation(ps[front], us[front], Km, pose.R, q)
-        pose = Pose(R=pose.R, r=-pose.R.T @ t)
+        pose = Pose._from_rotation(pose.R, -pose.R.T @ t)
         timings["lost"] = time.perf_counter() - t0
     if refine:
         t0 = time.perf_counter()
@@ -264,7 +262,7 @@ def refine_gauss_newton(
         R, r, cost = R_new, r_new, cost_new
         if decrease < _GN_TOL:
             break
-    return Pose(R=nearest_rotation(R), r=r), fell_back
+    return Pose._from_rotation(nearest_rotation(R), r), fell_back
 
 
 def _gn_cost(ps, us, Km, R, r) -> float:

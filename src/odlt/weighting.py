@@ -79,19 +79,16 @@ def _preliminary_normalized(
     psn and usn are normalized over the full set, so P0 lives in those
     coordinates; only the solve uses the subset of min(n, subset_size) points.
 
-    Returns (P0, used_full_set). Falls back to the full point set when the
-    subset system is rank deficient.
+    Returns (P0, used_full_set). A rank deficient drawn subset falls back to
+    the full set; with n <= subset_size the full set is the subset, solved once.
     """
     n = psn.shape[0]
     if n > subset_size:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(n, size=subset_size, replace=False))
-    else:
-        idx = np.arange(n)
-    try:
-        sol = solve_nullspace(_assemble_arrays(psn[idx], usn[idx]), points=psn[idx])
-        return sol.P, False
-    except RankDeficient:
-        sol = solve_nullspace(_assemble_arrays(psn, usn), points=psn)
-        return sol.P, True
+        idx = np.sort(np.random.default_rng(seed).choice(n, size=subset_size, replace=False))
+        ps = psn[idx]
+        try:
+            return solve_nullspace(_assemble_arrays(ps, usn[idx]), points=ps).P, False
+        except RankDeficient:
+            pass
+    return solve_nullspace(_assemble_arrays(psn, usn), points=psn).P, n > subset_size
 

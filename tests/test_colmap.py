@@ -373,8 +373,8 @@ class TestSingleLineEdits:
     def test_every_edit_parses_or_names_its_line(self, tmp_path, fixture, name):
         # Every model either parses or raises a ColmapParseError. A truncated or
         # garbled line is named by its own file and line (or is an unsupported
-        # camera model), and a blanked observation line is an image without
-        # observations.
+        # camera model), a blanked observation line is an image without
+        # observations, and a blanked pose line is a missing pose line.
         for other in ("cameras.txt", "images.txt", "points3D.txt"):
             (tmp_path / other).write_bytes((fixture / other).read_bytes())
         lines = (fixture / name).read_text().splitlines()
@@ -396,6 +396,10 @@ class TestSingleLineEdits:
                     assert isinstance(outcome, ColmapModel), where
                     image = outcome.images[observation_of[i]]
                     assert image.xys.shape == (0, 2) and image.point3d_ids.shape == (0,), where
+                elif kind == "blank" and name == "images.txt":
+                    assert isinstance(outcome, MalformedLine), where
+                    assert (Path(outcome.path).name, outcome.line_number) == (name, i + 1), where
+                    assert "missing image pose line" in str(outcome), where
                 elif kind != "blank" and isinstance(outcome, MalformedLine):
                     assert (Path(outcome.path).name, outcome.line_number) == (name, i + 1), where
                 elif kind != "blank":

@@ -75,6 +75,21 @@ class TestExactness:
         np.testing.assert_array_equal(a.pose.r, b.pose.r)
 
 
+@pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
+@pytest.mark.parametrize("n", [6, 50, 2000])
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_poses_are_rotations(box, n, sigma):
+    # solve() builds its poses without Pose's checks; the rotation it
+    # returns must still pass them, for every method.
+    sc = SyntheticScenario(box=box, n=n, sigma_u=sigma, trials=3, seed=4)
+    for trial in range(sc.trials):
+        arrays, _ = generate_scene(sc, trial)
+        for method in METHODS:
+            R = solve(arrays, sc.intrinsics, SolverConfig(method=method)).pose.R
+            assert np.abs(R.T @ R - np.eye(3)).max() <= 1e-12, (method, trial)
+            assert abs(np.linalg.det(R) - 1.0) <= 1e-12, (method, trial)
+
+
 class TestInvariances:
     @pytest.mark.parametrize("method", ["ndlt", "odlt"])
     def test_pixel_and_principal_point_shift(self, method, rng):

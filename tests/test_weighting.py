@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import odlt.weighting as weighting_module
 from odlt.dlt import MIN_POINTS
+from odlt.errors import RankDeficient
 from odlt.geometry import Correspondence, Pose, compose_projection, project_points
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
 from odlt.solvers import SolverConfig, solve
@@ -167,6 +169,28 @@ class TestPreliminary:
         P0, used_full = _preliminary_normalized(psn, usn, 12, hit)
         assert used_full
         np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-6)
+
+    def test_rank_deficient_small_set_is_solved_once(self, rng, monkeypatch):
+        # With n <= subset_size the subset already is the full set: its
+        # RankDeficient is raised, not followed by a second solve of the same
+        # rows. Eight coplanar points leave a multi-dimensional null space.
+        Km = np.array([[700.0, 0.0, 300.0], [0.0, 700.0, 200.0], [0.0, 0.0, 1.0]])
+        R = random_rotation(rng)
+        r = np.array([0.2, -0.3, 0.1])
+        cam = np.column_stack([rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 8), np.full(8, 5.0)])
+        ps = cam @ R + r
+        us = oracle_project(Km, R, r, ps)
+        calls = []
+        solve_nullspace = weighting_module.solve_nullspace
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve_nullspace(*args, **kwargs)
+
+        monkeypatch.setattr(weighting_module, "solve_nullspace", counted)
+        with pytest.raises(RankDeficient):
+            solve((ps, us), Km, SolverConfig(method="odlt"))
+        assert calls == [(16, 12)]
 
     def test_subset_size_validation(self, rng):
         # SolverConfig is the one place subset_size is checked; the smallest
