@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--sigma-u", type=float, default=1.0, help="pixel noise scale (default: 1.0)"
     )
-    p_solve.add_argument("--seed", type=int, default=0, help="subset seed (default: 0)")
+    p_solve.add_argument("--seed", type=int, default=0, help="subset seed for n >= 768 (default: 0)")
     p_solve.add_argument(
         "--format", choices=("text", "json-lines"), default="text",
         help="output format (default: text)",

@@ -93,6 +93,18 @@ def _r_factor(A: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate([heads.reshape(12 * k, 12), A[k * _QR_BLOCK :]]), mode="r")
 
 
+def _null_space(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and V^T of A, rank checked; Vt[11] is the null vector."""
+    _, s, Vt = np.linalg.svd(_r_factor(A))
+    if s.shape[0] < 12:
+        raise RankDeficient(f"only {s.shape[0]} rows; null space is not unique")
+    if s[0] <= 0.0 or s[10] / s[0] < _RANK_TOL:
+        raise RankDeficient(
+            f"two-dimensional null space: sigma_11/sigma_1 = {s[10] / max(s[0], 1e-300):.3e}"
+        )
+    return s, Vt
+
+
 def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
     """Extract the null direction of the stacked constraint matrix.
 
@@ -113,16 +125,9 @@ def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != 12:
         raise ValueError(f"expected (m, 12) matrix, got {A.shape}")
-    _, s, Vt = np.linalg.svd(_r_factor(A))
-    if s.shape[0] < 12:
-        raise RankDeficient(f"only {s.shape[0]} rows; null space is not unique")
+    s, Vt = _null_space(A)
     V = Vt.T
-    if s[0] <= 0.0 or s[10] / s[0] < _RANK_TOL:
-        raise RankDeficient(
-            f"two-dimensional null space: sigma_11/sigma_1 = {s[10] / max(s[0], 1e-300):.3e}"
-        )
-    x = V[:, 11]
-    P = x.reshape(4, 3).T
+    P = Vt[11].reshape(4, 3).T
     mixed = False
     if points is not None:
         ps = np.asarray(points, dtype=float).reshape(-1, 3)

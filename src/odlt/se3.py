@@ -36,11 +36,11 @@ _PROCRUSTES_TOL = 1e-12
 @dataclass(frozen=True)
 class DenormalizedPose:
     """De-clamped linear solution: R_acute [I | -r_acute], det(R_acute), and
-    the weight matrix W holding the marginal information of its entries."""
+    the weight matrix W (or None) holding the marginal information of its entries."""
 
     R_acute: np.ndarray
     r_acute: np.ndarray
-    W: np.ndarray
+    W: np.ndarray | None
     det: float
 
 
@@ -70,14 +70,15 @@ def declamp_denormalize(
     Km: np.ndarray,
     pixel_norm: PixelNormalization,
     point_norm: PointNormalization,
+    weights: bool = True,
 ) -> DenormalizedPose:
     """Map the normalized linear solution back to calibrated world coordinates.
 
     Km is the checked 3x3 intrinsic matrix. Computes
     G = K^-1 T_u^-1 P_norm T_p, reads off R_acute = G[:, :3] and
-    r_acute = -R_acute^-1 G[:, 3], and transports the information matrix of
-    vec(P_norm) through M^-1, M = T_p^T kron (K^-1 T_u^-1), to fill W from
-    the nine leading diagonal entries (column-major).
+    r_acute = -R_acute^-1 G[:, 3]. With weights, it transports the information
+    matrix of vec(P_norm) through M^-1, M = T_p^T kron (K^-1 T_u^-1), to fill
+    W from the nine leading diagonal entries (column-major); else W is None.
 
     Raises:
         SingularCalibration: if K cannot be inverted reliably.
@@ -87,10 +88,12 @@ def declamp_denormalize(
     # Sigma'^-1 = M^-T (V D^2 V^T) M^-1; only its R' diagonal is needed. With
     # C = T_u K, column k of M^-T V is vec(C^T X_k T_p^-T), X_k = unvec(V[:, k]),
     # whose first nine entries are the left 3x3 block.
-    C = pixel_norm.T @ Km
-    X = sol.V.T.reshape(12, 4, 3).transpose(0, 2, 1)
-    Y = C.T @ X @ point_norm.T_inv[:3].T
-    W = (sol.singular_values**2 @ (Y * Y).reshape(12, 9)).reshape(3, 3)
+    W = None
+    if weights:
+        C = pixel_norm.T @ Km
+        X = sol.V.T.reshape(12, 4, 3).transpose(0, 2, 1)
+        Y = C.T @ X @ point_norm.T_inv[:3].T
+        W = (sol.singular_values**2 @ (Y * Y).reshape(12, 9)).reshape(3, 3)
     R_acute = G[:, :3]
     det = float(np.linalg.det(R_acute))
     if det == 0:

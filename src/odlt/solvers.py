@@ -6,14 +6,14 @@ it adds:
 
     normalize  similarity-normalize pixels and points before the linear solve.
     weighted   scale the rows by q_i = 1/(sigma_u depth_i) from a preliminary
-               subset estimate, and project the rotation with the
+               unweighted estimate, and project the rotation with the
                information-weighted Procrustes step.
     lost       re-triangulate the translation with the rotation fixed (O(n)).
     refine     Gauss-Newton on the reprojection error from the linear pose.
 
 All solvers are deterministic functions of (correspondences, intrinsics,
-config): the only randomness is the seeded subset choice inside the
-preliminary estimate.
+config); the only randomness is the seeded subset choice that the preliminary
+estimate makes from the chunked-QR crossover (2n >= dlt._QR_CHUNK_MIN_ROWS) up.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dlt import MIN_POINTS, DltSolution, _assemble_arrays, solve_nullspace
+from .dlt import _QR_CHUNK_MIN_ROWS, MIN_POINTS, DltSolution, _assemble_arrays, solve_nullspace
 from .errors import NegativeDepth, RankDeficient
 from .geometry import (
     Pose,
@@ -47,7 +47,7 @@ from .se3 import (
     recover_scale_and_position,
     weighted_procrustes,
 )
-from .weighting import NEGATIVE_DEPTH_LIMIT, _preliminary_normalized, depths_under
+from .weighting import NEGATIVE_DEPTH_LIMIT, _preliminary_normalized, depths_under, weight_factors
 
 
 class Stages(NamedTuple):
@@ -81,8 +81,9 @@ _GN_TOL = 1e-10
 class SolverConfig:
     """Solver settings; defaults reproduce the published pipeline.
 
-    method picks the STAGES row that solve() runs; sigma_u, subset_size and
-    seed tune the weighted stage (and sigma_u the LOST weights).
+    method picks the STAGES row that solve() runs. sigma_u sets the weights of
+    the weighted stage and LOST, but scales them all alike (poses move < 1e-12);
+    subset_size and seed pick its preliminary subset, from n = 768 points up.
 
     force_unit_weights is a test hook: it replaces the optimal weights (both
     the row scalars and the Procrustes weight matrix) with ones, which must
@@ -144,14 +145,15 @@ def _linear_solve(
         pt = PointNormalization.identity()
     timings["normalize"] = time.perf_counter() - t0
 
-    weights = None
+    A = weights = None
     if weighted:
         t0 = time.perf_counter()
-        P0, used_full = _preliminary_normalized(ps, us, cfg.subset_size, cfg.seed)
+        # Below the chunked-QR crossover one A serves the preliminary and the final solve.
+        A = _assemble_arrays(ps, us) if 2 * ps.shape[0] < _QR_CHUNK_MIN_ROWS else None
+        _, depths, used_full = _preliminary_normalized(ps, us, cfg.subset_size, cfg.seed, A)
         if used_full:
             flags.add(FLAG_FALLBACK_USED)
         if not cfg.force_unit_weights:
-            depths = depths_under(P0, ps)
             neg = depths <= 0
             if neg.any():
                 frac = float(neg.mean())
@@ -159,11 +161,15 @@ def _linear_solve(
                     raise NegativeDepth(f"{frac:.0%} of points behind the preliminary camera")
                 front = ~neg
                 ps, us, depths = ps[front], us[front], depths[front]
-            weights = 1.0 / (cfg.sigma_u * depths)
+                A = None if A is None else A.reshape(-1, 24)[front].reshape(-1, 12)
+            weights = weight_factors(depths, cfg.sigma_u)
+            if A is not None:
+                rows = A.reshape(-1, 24)  # a view: one point's two rows per row
+                rows *= weights[:, None]
         timings["weights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sol = solve_nullspace(_assemble_arrays(ps, us, weights), points=ps)
+    sol = solve_nullspace(_assemble_arrays(ps, us, weights) if A is None else A, points=ps)
     timings["solve"] = time.perf_counter() - t0
     if sol.mixed_depths:
         flags.add(FLAG_MIXED_DEPTHS)
@@ -189,7 +195,7 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
     flags, timings = out.flags, out.timings
 
     t0 = time.perf_counter()
-    dn = declamp_denormalize(out.sol, Km, out.pix, out.pt)
+    dn = declamp_denormalize(out.sol, Km, out.pix, out.pt, weights=weighted)
     if weighted:
         W = np.ones((3, 3)) if cfg.force_unit_weights else dn.W
         R, fallback = weighted_procrustes(dn.R_acute, W, det=dn.det)
@@ -204,7 +210,7 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
         t0 = time.perf_counter()
         depths = depths_under(compose_projection(Km, pose), ps)
         front = depths > 0
-        q = 1.0 / (cfg.sigma_u * depths[front])
+        q = weight_factors(depths[front], cfg.sigma_u)
         t = lost_translation(ps[front], us[front], Km, pose.R, q)
         pose = Pose._from_rotation(pose.R, -pose.R.T @ t)
         timings["lost"] = time.perf_counter() - t0

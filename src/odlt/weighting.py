@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dlt import _assemble_arrays, solve_nullspace
+from .dlt import _assemble_arrays, _null_space, solve_nullspace
 from .errors import RankDeficient
 from .geometry import Correspondence, cross_matrix
 
@@ -66,29 +66,35 @@ def residual_covariance(ctx: WeightContext, c: Correspondence) -> np.ndarray:
     return -(d * d * ctx.sigma_u * ctx.sigma_u) * (Ux @ M)
 
 
-def weight_factors(P0: np.ndarray, ps: np.ndarray, sigma_u: float) -> np.ndarray:
-    """Vectorized weights for points with positive depth (caller filters)."""
-    return 1.0 / (sigma_u * depths_under(P0, ps))
+def weight_factors(depths: np.ndarray, sigma_u: float, *legacy) -> np.ndarray:
+    """q = 1 / (sigma_u depths), depths > 0 (caller filters); also (P0, ps, sigma_u)."""
+    if legacy:
+        return weight_factors(depths_under(depths, sigma_u), *legacy)
+    return 1.0 / (sigma_u * depths)
 
 
 def _preliminary_normalized(
-    psn: np.ndarray, usn: np.ndarray, subset_size: int, seed: int
-) -> tuple[np.ndarray, bool]:
-    """Unweighted solve on a seeded subset of pre-normalized data.
+    psn: np.ndarray, usn: np.ndarray, subset_size: int, seed: int, A: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Unweighted preliminary estimate P0 on pre-normalized data.
 
     psn and usn are normalized over the full set, so P0 lives in those
-    coordinates; only the solve uses the subset of min(n, subset_size) points.
+    coordinates. Given A, the full set's constraint matrix, P0 is its null
+    vector; else the solve uses a seeded subset of min(n, subset_size) points,
+    or the full set when the drawn subset is rank deficient.
 
-    Returns (P0, used_full_set). A rank deficient drawn subset falls back to
-    the full set; with n <= subset_size the full set is the subset, solved once.
+    Returns (P0, depths of psn under P0, used_full_set).
     """
     n = psn.shape[0]
-    if n > subset_size:
+    used_full = A is None and n > subset_size
+    if used_full:
         idx = np.sort(np.random.default_rng(seed).choice(n, size=subset_size, replace=False))
         ps = psn[idx]
         try:
-            return solve_nullspace(_assemble_arrays(ps, usn[idx]), points=ps).P, False
+            P0 = solve_nullspace(_assemble_arrays(ps, usn[idx]), points=ps).P
+            return P0, depths_under(P0, psn), False
         except RankDeficient:
             pass
-    return solve_nullspace(_assemble_arrays(psn, usn), points=psn).P, n > subset_size
-
+    P0 = _null_space(_assemble_arrays(psn, usn) if A is None else A)[1][11].reshape(4, 3).T
+    depths = depths_under(P0, psn)  # signed as solve_nullspace signs with points=psn
+    return (-P0, -depths, used_full) if depths.sum() < 0 else (P0, depths, used_full)

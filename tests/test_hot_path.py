@@ -1,9 +1,9 @@
 """Operation-count guards for the hot paths.
 
 Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
-operating point (n=50), the QR calls on both sides of the chunked-QR
-crossover (n=50 and n=2000), the stage functions and input checks solve()
-calls per method, the Pose validations and the Python-level calls made from
+operating point (n=50), the QR calls and constraint-matrix assemblies on both
+sides of the chunked-QR crossover (n=50 and n=2000), the stage functions and
+input checks solve() calls per method, the Pose validations and the Python-level calls made from
 odlt's own frames per solve, and the Correspondence objects the Monte Carlo
 harness, the COLMAP problem builder and the CLI create. Unlike a timing, the
 counts are exact and repeatable, so any extra decomposition on the hot path,
@@ -11,8 +11,9 @@ a reintroduced Kronecker product or hidden condition-number SVD, a wrong
 stage-table row, a stage that re-checks what solve() already checked, a
 re-validated internal pose, added per-call overhead, a return to per-point
 objects on an array path (the Monte Carlo harness, eval-colmap's noise step,
-odlt solve's problem file), or a null space that silently stops (or starts)
-chunking fails here on any host.
+odlt solve's problem file), a null space that silently stops (or starts)
+chunking, or a weighted solve that assembles a second matrix below the
+crossover fails here on any host.
 """
 
 import sys
@@ -24,6 +25,7 @@ import pytest
 
 import odlt.geometry as geometry_module
 import odlt.solvers as solvers_module
+import odlt.weighting as weighting_module
 from odlt.cli import main
 from odlt.colmap import build_problems, parse_model
 from odlt.evaluation import UNCENTERED_BOX, SyntheticScenario, generate_scene, run_monte_carlo
@@ -93,11 +95,43 @@ def test_qr_calls_per_solve(method, n, counts):
     assert counts["qr"] == QR_EXPECTED[n][method]
 
 
-# Calls solve() makes through odlt.solvers' own bindings, per method. The
-# preliminary subset solve reaches solve_nullspace through weighting's binding,
-# so only the final null space counts here. perfbench traces these names.
+# Constraint matrices assembled per solve, under every odlt binding. Below the
+# chunked-QR crossover a weighted solve builds one A for its preliminary and,
+# rows weighted in place, its final null space; at n=2000 it assembles the
+# seeded subset's A and then the weighted one.
+ASSEMBLY_EXPECTED = {
+    50: {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
+    2000: {"dlt": 1, "ndlt": 1, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 1},
+}
+
+
+@pytest.mark.parametrize("n", sorted(ASSEMBLY_EXPECTED))
+@pytest.mark.parametrize("method", METHODS)
+def test_assemblies_per_solve(method, n, monkeypatch):
+    sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    tally = Counter()
+    assemble = solvers_module._assemble_arrays
+
+    def counted(*args, **kwargs):
+        tally["assemble"] += 1
+        return assemble(*args, **kwargs)
+
+    for module in (solvers_module, weighting_module):
+        monkeypatch.setattr(module, "_assemble_arrays", counted)
+    solve(arrays, sc.intrinsics, SolverConfig(method=method))
+    assert tally["assemble"] == ASSEMBLY_EXPECTED[n][method]
+
+
+# Calls solve() makes through odlt.solvers' own bindings, per method. At n=50
+# the weighted stage assembles the one A and its preliminary takes A's null
+# vector inside weighting, so only the final null space counts here; the
+# weights q = 1/(sigma_u depth) are computed once, and once more for LOST.
+# perfbench traces these names.
 STAGE_CALLS = {
+    "_assemble_arrays": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
     "_preliminary_normalized": {"dlt": 0, "ndlt": 0, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 0},
+    "weight_factors": {"dlt": 0, "ndlt": 0, "odlt": 1, "odlt_lost": 2, "ndlt_gn": 0},
     "solve_nullspace": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
     "lost_translation": {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 1, "ndlt_gn": 0},
     "refine_gauss_newton": {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 1},
@@ -178,7 +212,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 90, "ndlt": 114, "odlt": 182, "odlt_lost": 223, "ndlt_gn": 201}
+CALL_BUDGET = {"dlt": 87, "ndlt": 111, "odlt": 160, "odlt_lost": 202, "ndlt_gn": 198}
 
 
 @pytest.mark.parametrize("method", METHODS)

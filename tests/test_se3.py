@@ -241,7 +241,7 @@ class TestLostTranslation:
             r = rng.uniform(-2, 2, 3)
             _, _, _, ps, us = make_exact_scene(rng, n=25, Km=Km, R=R, r=r)
             P = compose_projection(Km, Pose(R=R, r=r))
-            q = weight_factors(P, ps, 1.0)
+            q = weight_factors(depths_under(P, ps), 1.0)
             t = lost_translation(ps, us, Km, R, q)
             np.testing.assert_allclose(t, -R @ r, atol=1e-8 * max(1.0, np.abs(r).max()))
 
@@ -254,7 +254,7 @@ class TestLostTranslation:
         _, _, _, ps, us = make_exact_scene(rng, n=n, Km=Km, R=R, r=r)
         us = us + rng.standard_normal(us.shape)
         P = compose_projection(Km, Pose(R=R, r=r))
-        q = weight_factors(P, ps, 1.0)
+        q = weight_factors(depths_under(P, ps), 1.0)
         t_star = lost_translation(ps, us, Km, R, q)
 
         Kinv = intrinsic_inverse(Km)

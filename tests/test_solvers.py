@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import odlt.solvers as solvers_module
+import odlt.weighting as weighting_module
+from odlt.dlt import _assemble_arrays
 from odlt.errors import InvalidIntrinsics, NegativeDepth, TooFewPoints
 from odlt.evaluation import CENTERED_BOX, UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.geometry import (
@@ -257,11 +261,13 @@ def shift_preliminary(monkeypatch, ps, us, behind):
     behind the camera, by moving the real estimate along the optical axis."""
     pix = fit_pixel_normalization(us)
     pt = fit_point_normalization(ps)
-    P0, _ = _preliminary_normalized(pt.apply(ps), pix.apply(us), 12, 0)
-    depths = np.sort(depths_under(P0, pt.apply(ps)))
+    psn = pt.apply(ps)
+    P0, depths, _ = _preliminary_normalized(psn, pix.apply(us), 12, 0)
+    depths = np.sort(depths)
     P0_shift = P0.copy()
     P0_shift[2, 3] -= (depths[behind - 1] + depths[behind]) / 2.0
-    monkeypatch.setattr(solvers_module, "_preliminary_normalized", lambda *_: (P0_shift, False))
+    shifted = (P0_shift, depths_under(P0_shift, psn), False)
+    monkeypatch.setattr(solvers_module, "_preliminary_normalized", lambda *_: shifted)
 
 
 class TestWeightEdgeCases:
@@ -348,3 +354,78 @@ class TestApiSurface:
         b = solve((ps, us), intr, SolverConfig(method="odlt"))
         np.testing.assert_array_equal(a.pose.R, b.pose.R)
         np.testing.assert_array_equal(a.pose.r, b.pose.r)
+
+
+class TestPreliminaryCrossover:
+    """Below the chunked-QR crossover (2n < _QR_CHUNK_MIN_ROWS, n < 768) the
+    weighted stage solves its preliminary on the full set's one constraint
+    matrix; from n = 768 up it draws the seeded subset and assembles a
+    weighted matrix, as it always did."""
+
+    @pytest.mark.parametrize("n", [50, 767])
+    @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
+    def test_seed_and_subset_size_do_not_matter_below(self, method, n):
+        sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=3)
+        arrays, _ = generate_scene(sc, 0)
+        poses = [
+            solve(arrays, sc.intrinsics, SolverConfig(method, seed=seed, subset_size=size)).pose
+            for seed, size in [(0, 12), (7, 12), (0, 6), (11, 40), (3, 10**9)]
+        ]
+        for pose in poses[1:]:
+            np.testing.assert_array_equal(pose.R, poses[0].R)
+            np.testing.assert_array_equal(pose.r, poses[0].r)
+
+    @pytest.mark.parametrize("n, assemblies, draws", [(767, 1, 0), (768, 2, 1)])
+    @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
+    def test_each_side_takes_its_path(self, method, n, assemblies, draws, monkeypatch):
+        sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=3)
+        arrays, _ = generate_scene(sc, 0)
+        tally = Counter()
+
+        def counted(name, fn):
+            def shim(*args, **kwargs):
+                tally[name] += 1
+                return fn(*args, **kwargs)
+
+            return shim
+
+        assemble = solvers_module._assemble_arrays
+        for module in (solvers_module, weighting_module):
+            monkeypatch.setattr(module, "_assemble_arrays", counted("assemble", assemble))
+        monkeypatch.setattr(np.random, "default_rng", counted("draw", np.random.default_rng))
+        solve(arrays, sc.intrinsics, SolverConfig(method))
+        assert (tally["assemble"], tally["draw"]) == (assemblies, draws)
+
+    def test_rows_weighted_in_place_match_the_weighted_assembly(self, rng, monkeypatch):
+        # One point behind the preliminary camera: its two rows leave the one
+        # A and the others are scaled by q = 1 / (sigma_u depth), as a weighted
+        # assembly of the kept points would give them, up to the order of two
+        # products.
+        Km, R, r, ps, us = make_exact_scene(rng, n=20)
+        us = us + rng.standard_normal(us.shape)
+        shift_preliminary(monkeypatch, ps, us, behind=1)
+        _, depths, _ = solvers_module._preliminary_normalized()
+        seen, assemblies = [], []
+        final = solvers_module.solve_nullspace
+        assemble = solvers_module._assemble_arrays
+
+        def capture(A, points):
+            seen.append((A, points))
+            return final(A, points=points)
+
+        def counted(*args):
+            assemblies.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(solvers_module, "solve_nullspace", capture)
+        monkeypatch.setattr(solvers_module, "_assemble_arrays", counted)
+        solve((ps, us), Km, SolverConfig(method="odlt", sigma_u=2.0))
+        psn = fit_point_normalization(ps).apply(ps)
+        usn = fit_pixel_normalization(us).apply(us)
+        front = depths > 0
+        assert front.sum() == 19
+        expected = _assemble_arrays(psn[front], usn[front], 1.0 / (2.0 * depths[front]))
+        assert len(assemblies) == 1
+        ((A, points),) = seen
+        np.testing.assert_array_equal(points, psn[front])
+        np.testing.assert_allclose(A, expected, rtol=1e-15, atol=0)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import odlt.dlt as dlt_module
 import odlt.weighting as weighting_module
-from odlt.dlt import MIN_POINTS
+from odlt.dlt import MIN_POINTS, _assemble_arrays
 from odlt.errors import RankDeficient
 from odlt.geometry import Correspondence, Pose, compose_projection, project_points
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
-from odlt.solvers import SolverConfig, solve
+from odlt.solvers import FLAG_FALLBACK_USED, SolverConfig, solve
 from odlt.weighting import (
     WeightContext,
     _preliminary_normalized,
@@ -25,7 +26,7 @@ def preliminary(ps, us, subset_size=12, seed=0):
     """_preliminary_normalized on data normalized over the full set."""
     pix = fit_pixel_normalization(us)
     pt = fit_point_normalization(ps)
-    P0, _ = _preliminary_normalized(pt.apply(ps), pix.apply(us), subset_size, seed)
+    P0, _, _ = _preliminary_normalized(pt.apply(ps), pix.apply(us), subset_size, seed)
     return P0
 
 
@@ -81,7 +82,7 @@ def test_factorization_identity(rng):
     # B A = -q S A exactly, because [ubar x]^3 = -||ubar||^2 [ubar x].
     Km, R, r, ps, us = make_exact_scene(rng, n=10)
     P0 = compose_projection(Km, Pose(R=R, r=r))
-    for c, q in zip(as_cs(ps, us), weight_factors(P0, ps, 1.0)):
+    for c, q in zip(as_cs(ps, us), weight_factors(depths_under(P0, ps), 1.0)):
         ubar = np.array([c.u[0], c.u[1], 1.0])
         Ux = np.array(
             [
@@ -104,7 +105,9 @@ class TestWeightFactors:
         sigma = 2.0
         depths = np.array([P0[2, :3] @ p + P0[2, 3] for p in ps])  # k^T P0 pbar, per point
         np.testing.assert_allclose(depths_under(P0, ps), depths, rtol=1e-15)
-        np.testing.assert_allclose(weight_factors(P0, ps, sigma), 1.0 / (sigma * depths), rtol=1e-15)
+        np.testing.assert_allclose(
+            weight_factors(depths_under(P0, ps), sigma), 1.0 / (sigma * depths), rtol=1e-15
+        )
 
     def test_context_validation(self):
         with pytest.raises(ValueError):
@@ -113,13 +116,16 @@ class TestWeightFactors:
 
 class TestPreliminary:
     def test_deterministic_and_seed_sensitivity(self, rng):
-        Km, R, r, ps, us = make_exact_scene(rng, n=40)
+        # solve() draws the seeded subset only from 2n = _QR_CHUNK_MIN_ROWS up.
+        Km, R, r, ps, us = make_exact_scene(rng, n=768)
         us_noisy = us + rng.standard_normal(us.shape)
         P_a = preliminary(ps, us_noisy, subset_size=12, seed=5)
         P_b = preliminary(ps, us_noisy, subset_size=12, seed=5)
         np.testing.assert_array_equal(P_a, P_b)
         P_c = preliminary(ps, us_noisy, subset_size=12, seed=6)
         assert np.abs(P_a - P_c).max() > 1e-12
+        R_a, R_c = (solve((ps, us_noisy), Km, SolverConfig(seed=s)).pose.R for s in (5, 6))
+        assert np.abs(R_a - R_c).max() > 0
 
     def test_lives_in_full_set_normalized_frame(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=30)
@@ -130,26 +136,40 @@ class TestPreliminary:
             project_points(P0, pt.apply(ps)), pix.apply(us), atol=1e-7
         )
 
+    def test_given_matrix_gives_its_null_vector_and_positive_depths(self, rng):
+        # Below the crossover solve() passes the full set's A: no draw, no
+        # fallback, P0 in the same frame and signed so the depths sum positive.
+        Km, R, r, ps, us = make_exact_scene(rng, n=30)
+        psn = fit_point_normalization(ps).apply(ps)
+        usn = fit_pixel_normalization(us).apply(us)
+        A = _assemble_arrays(psn, usn)
+        P0, depths, used_full = _preliminary_normalized(psn, usn, 12, 0, A)
+        assert not used_full
+        np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-7)
+        np.testing.assert_array_equal(depths, depths_under(P0, psn))
+        assert depths.sum() > 0
+
     def test_small_sets_use_all_points(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=8)
         pix = fit_pixel_normalization(us)
         pt = fit_point_normalization(ps)
-        P0, used_full = _preliminary_normalized(pt.apply(ps), pix.apply(us), 12, 0)
+        P0, _, used_full = _preliminary_normalized(pt.apply(ps), pix.apply(us), 12, 0)
         assert not used_full  # all points used directly, no retry involved
         np.testing.assert_allclose(
             project_points(P0, pt.apply(ps)), pix.apply(us), atol=1e-7
         )
 
     def test_rank_deficient_subset_falls_back_to_full_set(self, rng):
-        # Twelve points on a plane plus two off it. A planar-only subset is
-        # rank deficient (one extra null direction per unconstrained pixel
-        # ray); the two off-plane points together restore a unique null
-        # space, so the full-set retry must succeed.
+        # 766 points on a plane plus two off it, so solve() draws a subset. A
+        # planar-only subset is rank deficient (one extra null direction per
+        # unconstrained pixel ray); the two off-plane points together restore
+        # a unique null space, so the full-set retry must succeed.
+        n = 768
         Km = np.array([[700.0, 0.0, 300.0], [0.0, 700.0, 200.0], [0.0, 0.0, 1.0]])
         R = random_rotation(rng)
         r = np.array([0.2, -0.3, 0.1])
         planar = np.column_stack(
-            [rng.uniform(-2, 2, 12), rng.uniform(-2, 2, 12), np.full(12, 5.0)]
+            [rng.uniform(-2, 2, n - 2), rng.uniform(-2, 2, n - 2), np.full(n - 2, 5.0)]
         )
         off = np.array([[0.5, -0.4, 7.0], [-0.8, 0.6, 6.0]])
         cam = np.vstack([planar, off])
@@ -161,14 +181,15 @@ class TestPreliminary:
 
         hit = None
         for seed in range(2000):
-            pick = np.random.default_rng(seed).choice(14, size=12, replace=False)
-            if 12 not in pick and 13 not in pick:
+            pick = np.random.default_rng(seed).choice(n, size=12, replace=False)
+            if n - 2 not in pick and n - 1 not in pick:
                 hit = seed
                 break
         assert hit is not None
-        P0, used_full = _preliminary_normalized(psn, usn, 12, hit)
+        P0, _, used_full = _preliminary_normalized(psn, usn, 12, hit)
         assert used_full
         np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-6)
+        assert FLAG_FALLBACK_USED in solve((ps, us), Km, SolverConfig(seed=hit)).flags
 
     def test_rank_deficient_small_set_is_solved_once(self, rng, monkeypatch):
         # With n <= subset_size the subset already is the full set: its
@@ -181,13 +202,14 @@ class TestPreliminary:
         ps = cam @ R + r
         us = oracle_project(Km, R, r, ps)
         calls = []
-        solve_nullspace = weighting_module.solve_nullspace
+        null_space = dlt_module._null_space
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
-            return solve_nullspace(*args, **kwargs)
+            return null_space(*args, **kwargs)
 
-        monkeypatch.setattr(weighting_module, "solve_nullspace", counted)
+        for module in (dlt_module, weighting_module):
+            monkeypatch.setattr(module, "_null_space", counted)
         with pytest.raises(RankDeficient):
             solve((ps, us), Km, SolverConfig(method="odlt"))
         assert calls == [(16, 12)]
