@@ -338,7 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--noise-px", type=float, default=0.0,
         help="extra Gaussian pixel noise added to observations (default: 0)",
     )
-    p_col.add_argument("--seed", type=int, default=0, help="noise seed (default: 0)")
+    p_col.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the pixel noise, and of the preliminary subset of every image "
+        "with 768 or more observations (default: 0)",
+    )
     p_col.add_argument("--out", default="-", help="output CSV path, - for stdout (default: -)")
     p_col.add_argument("--per-image", default=None, help="also write per-image rows to this CSV")
     p_col.set_defaults(func=_cmd_eval_colmap)

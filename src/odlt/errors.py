@@ -26,7 +26,8 @@ class ZeroQuaternion(PnpError):
 
 
 class InvalidIntrinsics(PnpError, ValueError):
-    """An intrinsic matrix is not 3x3, finite, upper triangular with K[2,2] == 1."""
+    """Intrinsics are not a finite, upper-triangular 3x3 K with K[2,2] == 1 and
+    positive focal lengths."""
 
 
 class NonFiniteInput(PnpError):

@@ -21,7 +21,7 @@ import concurrent.futures
 import functools
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,11 +32,10 @@ from .geometry import (
     Pose,
     compose_projection,
     correspondence_arrays,
-    decompose_projection,
     project_points,
     rotation_angle_deg,
 )
-from .solvers import SolverConfig, estimate_projection, solve
+from .solvers import SolverConfig, solve
 
 CENTERED_BOX = ((-2.0, -2.0, 4.0), (2.0, 2.0, 8.0))
 UNCENTERED_BOX = ((1.0, 1.0, 4.0), (2.0, 2.0, 8.0))
@@ -214,35 +213,3 @@ def run_monte_carlo(
     else:
         rows = _run_trial_range(sc, configs, range(sc.trials), timing_reps)
     return [summarize(cfg.method, [row[j] for row in rows]) for j, cfg in enumerate(configs)]
-
-
-def intrinsics_rmse_experiment(
-    sc: SyntheticScenario,
-    methods: Sequence[str] = ("ndlt", "odlt"),
-    cfg: Optional[SolverConfig] = None,
-) -> dict:
-    """RMSE of the intrinsics recovered by decomposing the linear estimate.
-
-    The projection matrix is estimated without using the calibration, then
-    factored; per-parameter RMSE of (fx, fy, cx, cy) against the scenario's
-    intrinsics is reported per method. This isolates the quality of the
-    linear solve from the SE(3) extraction.
-    """
-    base = cfg or SolverConfig()
-    truth = sc.intrinsics
-    errors: dict[str, dict[str, list]] = {
-        m: {"fx": [], "fy": [], "cx": [], "cy": []} for m in methods
-    }
-    for trial in range(sc.trials):
-        arrays, _ = generate_scene(sc, trial)
-        for m in methods:
-            P = estimate_projection(arrays, replace(base, method=m))
-            K_est, _ = decompose_projection(P)
-            errors[m]["fx"].append(K_est.fx - truth.fx)
-            errors[m]["fy"].append(K_est.fy - truth.fy)
-            errors[m]["cx"].append(K_est.cx - truth.cx)
-            errors[m]["cy"].append(K_est.cy - truth.cy)
-    return {
-        m: {k: float(np.sqrt(np.mean(np.array(v) ** 2))) for k, v in params.items()}
-        for m, params in errors.items()
-    }

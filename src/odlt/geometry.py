@@ -35,7 +35,11 @@ _ORTHO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole intrinsics. Focal lengths in pixels, principal point in pixels."""
+    """Pinhole intrinsics. Focal lengths in pixels, principal point in pixels.
+
+    Checked like a raw matrix: every entry finite and both focal lengths
+    positive, else InvalidIntrinsics.
+    """
 
     fx: float
     fy: float
@@ -45,12 +49,8 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("fx", "fy", "cx", "cy", "skew"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _checked_intrinsic_matrix(self.matrix)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -70,7 +70,8 @@ class CameraIntrinsics:
 
 
 def _checked_intrinsic_matrix(K) -> np.ndarray:
-    """K as a 3x3 float matrix, finite, upper triangular and with K[2,2] == 1.
+    """K as a 3x3 float matrix, finite, upper triangular, with K[2,2] == 1
+    and positive focal lengths K[0,0] and K[1,1].
 
     Raises:
         InvalidIntrinsics: if any of these does not hold.
@@ -83,6 +84,8 @@ def _checked_intrinsic_matrix(K) -> np.ndarray:
     lower = np.array([K[1, 0], K[2, 0], K[2, 1]])
     if np.abs(lower).max() > 1e-9 * max(1.0, np.abs(K).max()) or abs(K[2, 2] - 1.0) > 1e-9:
         raise InvalidIntrinsics("intrinsic matrix must be upper triangular with K[2,2] == 1")
+    if not (K[0, 0] > 0 and K[1, 1] > 0):
+        raise InvalidIntrinsics(f"focal lengths must be positive, got fx={K[0, 0]}, fy={K[1, 1]}")
     return K
 
 
@@ -190,7 +193,7 @@ def intrinsic_matrix(K) -> np.ndarray:
 
     Raises:
         InvalidIntrinsics: if a raw matrix is not 3x3, not finite, not upper
-            triangular or has K[2,2] != 1.
+            triangular, has K[2,2] != 1 or a focal length that is not positive.
     """
     if isinstance(K, CameraIntrinsics):
         return K.matrix

@@ -180,24 +180,18 @@ def weighted_procrustes(
     return R, False
 
 
-def recover_scale_and_position(
-    R_acute: np.ndarray,
-    r_acute: np.ndarray,
-    R_final: np.ndarray,
-    det: float | None = None,
-) -> Pose:
+def recover_scale_and_position(r_acute: np.ndarray, R_final: np.ndarray, det: float) -> Pose:
     """Assemble the metric pose from the Procrustes rotation and r_acute.
 
     The center of projection is invariant to the global scale of the linear
     solution, so the pose pairs the rotation R_final, unchecked, with r_acute.
-    det, when given, is det(R_acute) as already computed by the caller.
+    det is det(R_acute), the determinant declamp_denormalize computed.
 
     Raises:
-        ReflectionDetected: if det(R_acute) < 0 (after the depth sign fix,
-            this indicates a mirrored solution, not a camera pose).
+        ReflectionDetected: if det < 0 (after the depth sign fix, this
+            indicates a mirrored solution, not a camera pose).
+        DegenerateInput: if det == 0.
     """
-    if det is None:
-        det = float(np.linalg.det(np.asarray(R_acute, dtype=float)))
     if det < 0:
         raise ReflectionDetected(f"linear rotation block has determinant {det!r}")
     if det == 0:

@@ -24,11 +24,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dlt import _QR_CHUNK_MIN_ROWS, MIN_POINTS, DltSolution, _assemble_arrays, solve_nullspace
+from .dlt import _QR_CHUNK_MIN_ROWS, DltSolution, _assemble_arrays, solve_nullspace
 from .errors import NegativeDepth, RankDeficient
 from .geometry import (
     Pose,
-    compose_projection,
     correspondence_arrays,
     intrinsic_matrix,
     nearest_rotation,
@@ -82,8 +81,9 @@ class SolverConfig:
     """Solver settings; defaults reproduce the published pipeline.
 
     method picks the STAGES row that solve() runs. sigma_u sets the weights of
-    the weighted stage and LOST, but scales them all alike (poses move < 1e-12);
-    subset_size and seed pick its preliminary subset, from n = 768 points up.
+    the weighted stage and LOST, but scales them all alike (poses move < 1e-12).
+    seed draws the preliminary subset of weighting.SUBSET_SIZE points, from
+    n = 768 points up; below that it has no effect.
 
     force_unit_weights is a test hook: it replaces the optimal weights (both
     the row scalars and the Procrustes weight matrix) with ones, which must
@@ -92,7 +92,6 @@ class SolverConfig:
 
     method: str = "odlt"
     sigma_u: float = 1.0
-    subset_size: int = 12
     seed: int = 0
     force_unit_weights: bool = False
 
@@ -101,8 +100,6 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not self.sigma_u > 0:
             raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
-        if self.subset_size < MIN_POINTS:
-            raise ValueError(f"subset_size must be >= {MIN_POINTS}, got {self.subset_size}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ def _linear_solve(
         t0 = time.perf_counter()
         # Below the chunked-QR crossover one A serves the preliminary and the final solve.
         A = _assemble_arrays(ps, us) if 2 * ps.shape[0] < _QR_CHUNK_MIN_ROWS else None
-        _, depths, used_full = _preliminary_normalized(ps, us, cfg.subset_size, cfg.seed, A)
+        _, depths, used_full = _preliminary_normalized(ps, us, cfg.seed, A)
         if used_full:
             flags.add(FLAG_FALLBACK_USED)
         if not cfg.force_unit_weights:
@@ -203,16 +200,18 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
             flags.add(FLAG_DEGENERATE_WEIGHTS)
     else:
         R = nearest_rotation(dn.R_acute)
-    pose = recover_scale_and_position(dn.R_acute, dn.r_acute, R, det=dn.det)
+    pose = recover_scale_and_position(dn.r_acute, R, dn.det)
     timings["recover"] = time.perf_counter() - t0
 
     if lost:
         t0 = time.perf_counter()
-        depths = depths_under(compose_projection(Km, pose), ps)
+        R = pose.R
+        # Depths under K [R | -R r]: K's third row is (0, 0, 1), so K drops out.
+        depths = ps @ R[2] + (-R @ pose.r)[2]
         front = depths > 0
         q = weight_factors(depths[front], cfg.sigma_u)
-        t = lost_translation(ps[front], us[front], Km, pose.R, q)
-        pose = Pose._from_rotation(pose.R, -pose.R.T @ t)
+        t = lost_translation(ps[front], us[front], Km, R, q)
+        pose = Pose._from_rotation(R, -R.T @ t)
         timings["lost"] = time.perf_counter() - t0
     if refine:
         t0 = time.perf_counter()

@@ -18,31 +18,17 @@ the null direction of the weighted stack is invariant to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dlt import _assemble_arrays, _null_space, solve_nullspace
 from .errors import RankDeficient
-from .geometry import Correspondence, cross_matrix
 
 # Dropping points that fall behind the preliminary camera is tolerated up to
 # this fraction; beyond it the preliminary estimate cannot be trusted.
 NEGATIVE_DEPTH_LIMIT = 0.10
 
-
-@dataclass(frozen=True)
-class WeightContext:
-    """Preliminary projection estimate and the pixel noise level."""
-
-    P0: np.ndarray
-    sigma_u: float = 1.0
-
-    def __post_init__(self):
-        P0 = np.asarray(self.P0, dtype=float).reshape(3, 4)
-        object.__setattr__(self, "P0", P0)
-        if not self.sigma_u > 0:
-            raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
+# Points in the seeded preliminary subset drawn from the chunked-QR crossover up.
+SUBSET_SIZE = 12
 
 
 def depths_under(P0: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -51,44 +37,27 @@ def depths_under(P0: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return ps @ P0[2, :3] + P0[2, 3]
 
 
-def residual_covariance(ctx: WeightContext, c: Correspondence) -> np.ndarray:
-    """Covariance of the algebraic residual [ubar x] P0 pbar under pixel noise.
-
-    Returns the 3x3 matrix
-    -[ubar x] (k^T P0 pbar)^2 sigma_u^2 S^T S [ubar x],
-    positive semidefinite of rank <= 2 with Sigma @ ubar == 0.
-    """
-    ubar = np.array([c.u[0], c.u[1], 1.0])
-    Ux = cross_matrix(ubar)
-    M = Ux.copy()
-    M[2, :] = 0.0  # S^T S [ubar x]
-    d = float(ctx.P0[2, :3] @ c.p + ctx.P0[2, 3])
-    return -(d * d * ctx.sigma_u * ctx.sigma_u) * (Ux @ M)
-
-
-def weight_factors(depths: np.ndarray, sigma_u: float, *legacy) -> np.ndarray:
-    """q = 1 / (sigma_u depths), depths > 0 (caller filters); also (P0, ps, sigma_u)."""
-    if legacy:
-        return weight_factors(depths_under(depths, sigma_u), *legacy)
+def weight_factors(depths: np.ndarray, sigma_u: float) -> np.ndarray:
+    """q = 1 / (sigma_u depths), depths > 0 (caller filters)."""
     return 1.0 / (sigma_u * depths)
 
 
 def _preliminary_normalized(
-    psn: np.ndarray, usn: np.ndarray, subset_size: int, seed: int, A: np.ndarray | None = None
+    psn: np.ndarray, usn: np.ndarray, seed: int, A: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Unweighted preliminary estimate P0 on pre-normalized data.
 
     psn and usn are normalized over the full set, so P0 lives in those
     coordinates. Given A, the full set's constraint matrix, P0 is its null
-    vector; else the solve uses a seeded subset of min(n, subset_size) points,
+    vector; else the solve uses a seeded subset of min(n, SUBSET_SIZE) points,
     or the full set when the drawn subset is rank deficient.
 
     Returns (P0, depths of psn under P0, used_full_set).
     """
     n = psn.shape[0]
-    used_full = A is None and n > subset_size
+    used_full = A is None and n > SUBSET_SIZE
     if used_full:
-        idx = np.sort(np.random.default_rng(seed).choice(n, size=subset_size, replace=False))
+        idx = np.sort(np.random.default_rng(seed).choice(n, size=SUBSET_SIZE, replace=False))
         ps = psn[idx]
         try:
             P0 = solve_nullspace(_assemble_arrays(ps, usn[idx]), points=ps).P

@@ -27,7 +27,6 @@ from odlt.evaluation import (
     UNCENTERED_BOX,
     SyntheticScenario,
     generate_scene,
-    intrinsics_rmse_experiment,
     run_monte_carlo,
 )
 from odlt.geometry import (
@@ -48,8 +47,14 @@ from odlt.solvers import (
     _linear_solve,
     solve,
 )
-from odlt.weighting import WeightContext, residual_covariance, weight_factors
-from conftest import make_exact_scene, oracle_project
+from odlt.weighting import depths_under, weight_factors
+from conftest import (
+    WeightContext,
+    intrinsics_rmse_experiment,
+    make_exact_scene,
+    oracle_project,
+    residual_covariance,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -350,7 +355,7 @@ def test_criterion_09_lost_translation_is_optimal(rng):
         P_final = compose_projection(Km, full.pose)
         depths = ps @ P_final[2, :3] + P_final[2, 3]
         front = depths > 0
-        q = weight_factors(P_final, ps[front], cfg.sigma_u)
+        q = weight_factors(depths_under(P_final, ps[front]), cfg.sigma_u)
         Kinv = intrinsic_inverse(Km)
         xb = np.concatenate(
             [us[front] @ Kinv[:2, :2].T + Kinv[:2, 2], np.ones((front.sum(), 1))],

@@ -10,12 +10,11 @@ from odlt.evaluation import (
     TrialMetrics,
     compute_metrics,
     generate_scene,
-    intrinsics_rmse_experiment,
     run_monte_carlo,
 )
 from odlt.geometry import Pose, intrinsic_matrix
 from odlt.solvers import SolverConfig, solve
-from conftest import oracle_project
+from conftest import intrinsics_rmse_experiment, oracle_project
 
 
 def scene_arrays(sc, trial):

@@ -333,6 +333,27 @@ class TestIntrinsicMatrix:
         with pytest.raises(InvalidIntrinsics):
             CameraIntrinsics.from_matrix(K)
 
+    @pytest.mark.parametrize("fx, fy", [(-800.0, 790.0), (800.0, -790.0), (0.0, 790.0)])
+    def test_one_focal_rule_for_both_forms(self, fx, fy):
+        # A raw K with a negative focal length used to pass and surface as
+        # ReflectionDetected after a full solve, and fx = 0 as
+        # SingularCalibration; CameraIntrinsics raised a plain ValueError.
+        K = self.K.copy()
+        K[0, 0], K[1, 1] = fx, fy
+        with pytest.raises(InvalidIntrinsics, match="positive"):
+            intrinsic_matrix(K)
+        with pytest.raises(InvalidIntrinsics, match="positive"):
+            CameraIntrinsics.from_matrix(K)
+        with pytest.raises(InvalidIntrinsics, match="positive"):
+            CameraIntrinsics(fx=fx, fy=fy, cx=320.0, cy=240.0)
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "skew"])
+    def test_intrinsics_reject_non_finite(self, field):
+        values = dict(fx=800.0, fy=790.0, cx=320.0, cy=240.0, skew=0.0)
+        values[field] = np.nan
+        with pytest.raises(InvalidIntrinsics, match="finite"):
+            CameraIntrinsics(**values)
+
     def test_wrong_shape(self):
         with pytest.raises(InvalidIntrinsics, match="3x3"):
             intrinsic_matrix(np.eye(3, 4))

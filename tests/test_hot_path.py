@@ -159,11 +159,10 @@ def test_stage_calls_per_solve(method, monkeypatch):
 
 
 # Input checks per solve, counted under every odlt module's binding. solve()
-# checks the arrays and K once, at entry, and the stages take what it checked;
-# the second intrinsic_matrix of odlt_lost is compose_projection's own check.
+# checks the arrays and K once, at entry, and the stages take what it checked.
 INPUT_CHECKS = {
     "correspondence_arrays": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
-    "intrinsic_matrix": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 2, "ndlt_gn": 1},
+    "intrinsic_matrix": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
 }
 
 
@@ -212,7 +211,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 87, "ndlt": 111, "odlt": 160, "odlt_lost": 202, "ndlt_gn": 198}
+CALL_BUDGET = {"dlt": 87, "ndlt": 111, "odlt": 160, "odlt_lost": 184, "ndlt_gn": 198}
 
 
 @pytest.mark.parametrize("method", METHODS)

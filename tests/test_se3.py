@@ -221,16 +221,16 @@ class TestRecoverScale:
     def test_scale_and_pose(self, rng):
         R = random_rotation(rng)
         r = rng.uniform(-2, 2, 3)
-        pose = recover_scale_and_position(2.0 * R, r, R)
+        pose = recover_scale_and_position(r, R, np.linalg.det(2.0 * R))
         np.testing.assert_array_equal(pose.R, R)
         np.testing.assert_allclose(pose.r, r, atol=1e-15)
 
     def test_reflection_raises(self, rng):
         R = random_rotation(rng)
         with pytest.raises(ReflectionDetected):
-            recover_scale_and_position(-R, np.zeros(3), R)
+            recover_scale_and_position(np.zeros(3), R, np.linalg.det(-R))
         with pytest.raises(DegenerateInput):
-            recover_scale_and_position(np.zeros((3, 3)), np.zeros(3), R)
+            recover_scale_and_position(np.zeros(3), R, np.linalg.det(np.zeros((3, 3))))
 
 
 class TestLostTranslation:

@@ -262,7 +262,7 @@ def shift_preliminary(monkeypatch, ps, us, behind):
     pix = fit_pixel_normalization(us)
     pt = fit_point_normalization(ps)
     psn = pt.apply(ps)
-    P0, depths, _ = _preliminary_normalized(psn, pix.apply(us), 12, 0)
+    P0, depths, _ = _preliminary_normalized(psn, pix.apply(us), 0)
     depths = np.sort(depths)
     P0_shift = P0.copy()
     P0_shift[2, 3] -= (depths[behind - 1] + depths[behind]) / 2.0
@@ -305,8 +305,6 @@ class TestApiSurface:
             SolverConfig(method="epnp")
         with pytest.raises(ValueError):
             SolverConfig(sigma_u=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(subset_size=4)
 
     def test_estimate_projection_properties(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=20)
@@ -347,6 +345,29 @@ class TestApiSurface:
         with pytest.raises(InvalidIntrinsics, match="upper triangular"):
             solve((ps, us), bad, SolverConfig(method=method))
 
+    @pytest.mark.parametrize("fx, fy", [(-800.0, 800.0), (800.0, -800.0), (0.0, 800.0)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_positive_focal_raises_before_any_linear_algebra(
+        self, method, fx, fy, rng, monkeypatch
+    ):
+        # A negative focal length used to run a full linear solve and end as
+        # ReflectionDetected; fx = 0 ended as SingularCalibration.
+        Km, R, r, ps, us = make_exact_scene(rng, n=30)
+        bad = Km.copy()
+        bad[0, 0], bad[1, 1] = fx, fy
+        called = []
+        for name in ("svd", "qr", "det", "solve", "eigh", "cond", "inv", "norm"):
+            fn = getattr(np.linalg, name)
+
+            def shim(*args, _fn=fn, _name=name, **kwargs):
+                called.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, shim)
+        with pytest.raises(InvalidIntrinsics, match="positive"):
+            solve((ps, us), bad, SolverConfig(method=method))
+        assert called == []
+
     def test_intrinsics_object_and_matrix_agree(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=12)
         intr = CameraIntrinsics(fx=Km[0, 0], fy=Km[1, 1], cx=Km[0, 2], cy=Km[1, 2])
@@ -364,13 +385,13 @@ class TestPreliminaryCrossover:
 
     @pytest.mark.parametrize("n", [50, 767])
     @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
-    def test_seed_and_subset_size_do_not_matter_below(self, method, n):
+    def test_seed_and_subset_size_do_not_matter_below(self, method, n, monkeypatch):
         sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=3)
         arrays, _ = generate_scene(sc, 0)
-        poses = [
-            solve(arrays, sc.intrinsics, SolverConfig(method, seed=seed, subset_size=size)).pose
-            for seed, size in [(0, 12), (7, 12), (0, 6), (11, 40), (3, 10**9)]
-        ]
+        poses = []
+        for seed, size in [(0, 12), (7, 12), (0, 6), (11, 40), (3, 10**9)]:
+            monkeypatch.setattr(weighting_module, "SUBSET_SIZE", size)
+            poses.append(solve(arrays, sc.intrinsics, SolverConfig(method, seed=seed)).pose)
         for pose in poses[1:]:
             np.testing.assert_array_equal(pose.R, poses[0].R)
             np.testing.assert_array_equal(pose.r, poses[0].r)

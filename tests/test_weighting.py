@@ -3,30 +3,30 @@ import pytest
 
 import odlt.dlt as dlt_module
 import odlt.weighting as weighting_module
-from odlt.dlt import MIN_POINTS, _assemble_arrays
+from odlt.dlt import _assemble_arrays
 from odlt.errors import RankDeficient
 from odlt.geometry import Correspondence, Pose, compose_projection, project_points
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
 from odlt.solvers import FLAG_FALLBACK_USED, SolverConfig, solve
-from odlt.weighting import (
+from odlt.weighting import _preliminary_normalized, depths_under, weight_factors
+from conftest import (
     WeightContext,
-    _preliminary_normalized,
-    depths_under,
+    make_exact_scene,
+    oracle_project,
+    random_rotation,
     residual_covariance,
-    weight_factors,
 )
-from conftest import make_exact_scene, oracle_project, random_rotation
 
 
 def as_cs(ps, us):
     return [Correspondence(p=p, u=u) for p, u in zip(ps, us)]
 
 
-def preliminary(ps, us, subset_size=12, seed=0):
+def preliminary(ps, us, seed=0):
     """_preliminary_normalized on data normalized over the full set."""
     pix = fit_pixel_normalization(us)
     pt = fit_point_normalization(ps)
-    P0, _, _ = _preliminary_normalized(pt.apply(ps), pix.apply(us), subset_size, seed)
+    P0, _, _ = _preliminary_normalized(pt.apply(ps), pix.apply(us), seed)
     return P0
 
 
@@ -119,17 +119,17 @@ class TestPreliminary:
         # solve() draws the seeded subset only from 2n = _QR_CHUNK_MIN_ROWS up.
         Km, R, r, ps, us = make_exact_scene(rng, n=768)
         us_noisy = us + rng.standard_normal(us.shape)
-        P_a = preliminary(ps, us_noisy, subset_size=12, seed=5)
-        P_b = preliminary(ps, us_noisy, subset_size=12, seed=5)
+        P_a = preliminary(ps, us_noisy, seed=5)
+        P_b = preliminary(ps, us_noisy, seed=5)
         np.testing.assert_array_equal(P_a, P_b)
-        P_c = preliminary(ps, us_noisy, subset_size=12, seed=6)
+        P_c = preliminary(ps, us_noisy, seed=6)
         assert np.abs(P_a - P_c).max() > 1e-12
         R_a, R_c = (solve((ps, us_noisy), Km, SolverConfig(seed=s)).pose.R for s in (5, 6))
         assert np.abs(R_a - R_c).max() > 0
 
     def test_lives_in_full_set_normalized_frame(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=30)
-        P0 = preliminary(ps, us, subset_size=12, seed=0)
+        P0 = preliminary(ps, us, seed=0)
         pix = fit_pixel_normalization(us)
         pt = fit_point_normalization(ps)
         np.testing.assert_allclose(
@@ -143,7 +143,7 @@ class TestPreliminary:
         psn = fit_point_normalization(ps).apply(ps)
         usn = fit_pixel_normalization(us).apply(us)
         A = _assemble_arrays(psn, usn)
-        P0, depths, used_full = _preliminary_normalized(psn, usn, 12, 0, A)
+        P0, depths, used_full = _preliminary_normalized(psn, usn, 0, A)
         assert not used_full
         np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-7)
         np.testing.assert_array_equal(depths, depths_under(P0, psn))
@@ -153,7 +153,7 @@ class TestPreliminary:
         Km, R, r, ps, us = make_exact_scene(rng, n=8)
         pix = fit_pixel_normalization(us)
         pt = fit_point_normalization(ps)
-        P0, _, used_full = _preliminary_normalized(pt.apply(ps), pix.apply(us), 12, 0)
+        P0, _, used_full = _preliminary_normalized(pt.apply(ps), pix.apply(us), 0)
         assert not used_full  # all points used directly, no retry involved
         np.testing.assert_allclose(
             project_points(P0, pt.apply(ps)), pix.apply(us), atol=1e-7
@@ -186,13 +186,13 @@ class TestPreliminary:
                 hit = seed
                 break
         assert hit is not None
-        P0, _, used_full = _preliminary_normalized(psn, usn, 12, hit)
+        P0, _, used_full = _preliminary_normalized(psn, usn, hit)
         assert used_full
         np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-6)
         assert FLAG_FALLBACK_USED in solve((ps, us), Km, SolverConfig(seed=hit)).flags
 
     def test_rank_deficient_small_set_is_solved_once(self, rng, monkeypatch):
-        # With n <= subset_size the subset already is the full set: its
+        # With n <= SUBSET_SIZE the subset already is the full set: its
         # RankDeficient is raised, not followed by a second solve of the same
         # rows. Eight coplanar points leave a multi-dimensional null space.
         Km = np.array([[700.0, 0.0, 300.0], [0.0, 700.0, 200.0], [0.0, 0.0, 1.0]])
@@ -213,12 +213,3 @@ class TestPreliminary:
         with pytest.raises(RankDeficient):
             solve((ps, us), Km, SolverConfig(method="odlt"))
         assert calls == [(16, 12)]
-
-    def test_subset_size_validation(self, rng):
-        # SolverConfig is the one place subset_size is checked; the smallest
-        # subset it accepts still gives an exact preliminary estimate.
-        with pytest.raises(ValueError, match="subset_size"):
-            SolverConfig(method="odlt", subset_size=MIN_POINTS - 1)
-        Km, R, r, ps, us = make_exact_scene(rng, n=10)
-        result = solve((ps, us), Km, SolverConfig(method="odlt", subset_size=MIN_POINTS))
-        assert result.reprojection_rms < 1e-6
