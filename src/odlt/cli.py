@@ -34,7 +34,7 @@ from .evaluation import (
     score,
     summarize,
 )
-from .geometry import CameraIntrinsics, correspondence_arrays
+from .geometry import CameraIntrinsics
 from .solvers import METHODS, SolverConfig, solve
 
 CSV_COLUMNS = (
@@ -178,10 +178,10 @@ def _cmd_eval_colmap(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         noisy = []
         for prob in problems:
-            ps, us = correspondence_arrays(prob.correspondences)
+            us = prob.us
             if args.noise_px > 0.0:
                 us = us + args.noise_px * rng.standard_normal(us.shape)
-            noisy.append((ps, us))
+            noisy.append((prob.ps, us))
         for method in args.methods:
             cfg = SolverConfig(method=method, sigma_u=max(args.noise_px, 1.0), seed=args.seed)
             metrics = [

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedLine, MissingFile, MissingPoint3D, UnsupportedCameraModel
+from .errors import MalformedLine, MissingFile, MissingPoint3D, NonFiniteInput, UnsupportedCameraModel
 from .geometry import CameraIntrinsics, Correspondence, Pose, quat_to_rotation
 
 SUPPORTED_MODELS = ("PINHOLE", "SIMPLE_PINHOLE")
@@ -293,13 +293,20 @@ def write_model(model: ColmapModel, model_dir) -> None:
 
 @dataclass(frozen=True)
 class ColmapProblem:
-    """One per-image PnP problem with its ground-truth pose."""
+    """One per-image PnP problem with its ground-truth pose: the usable observations in
+    observation order as finite, C-contiguous float64 arrays ps (n,3) and us (n,2)."""
 
     image_id: int
     name: str
     intrinsics: CameraIntrinsics
-    correspondences: list
+    ps: np.ndarray
+    us: np.ndarray
     truth: Pose
+
+    @property
+    def correspondences(self) -> list:
+        """The observations as Correspondence objects over row views of ps and us."""
+        return [Correspondence._from_checked(p, u) for p, u in zip(self.ps, self.us)]
 
 
 def build_problems(model: ColmapModel, min_points: int = 6) -> tuple[list, int]:
@@ -315,7 +322,7 @@ def build_problems(model: ColmapModel, min_points: int = 6) -> tuple[list, int]:
     ids = np.fromiter(model.points3d, dtype=np.int64, count=len(model.points3d))
     order = np.argsort(ids)
     ids = ids[order]
-    xyz = np.array([pt.xyz for pt in model.points3d.values()]).reshape(-1, 3)[order]
+    xyz = np.array([pt.xyz for pt in model.points3d.values()], dtype=float).reshape(-1, 3)[order]
     # -1 past the end never matches a usable id, so a lookup past the last id misses.
     keys = np.append(ids, -1)
     problems = []
@@ -332,14 +339,9 @@ def build_problems(model: ColmapModel, min_points: int = 6) -> tuple[list, int]:
         if pids.size < min_points:
             skipped += 1
             continue
-        cs = [Correspondence(p=p, u=u) for p, u in zip(xyz[rows], img.xys[usable])]
-        problems.append(
-            ColmapProblem(
-                image_id=image_id,
-                name=img.name,
-                intrinsics=model.cameras[img.camera_id].intrinsics,
-                correspondences=cs,
-                truth=img.pose,
-            )
-        )
+        ps, us = xyz[rows], np.ascontiguousarray(img.xys[usable], dtype=float)
+        if not (np.isfinite(ps).all() and np.isfinite(us).all()):
+            raise NonFiniteInput(f"image {image_id} has a non-finite point or pixel coordinate")
+        intrinsics = model.cameras[img.camera_id].intrinsics
+        problems.append(ColmapProblem(image_id, img.name, intrinsics, ps, us, truth=img.pose))
     return problems, skipped

@@ -140,6 +140,14 @@ class Correspondence:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "u", u)
 
+    @classmethod
+    def _from_checked(cls, p: np.ndarray, u: np.ndarray) -> "Correspondence":
+        """Unchecked correspondence from a finite float (3,) p and (2,) u."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "p", p)
+        object.__setattr__(c, "u", u)
+        return c
+
 
 def correspondence_arrays(cs) -> tuple[np.ndarray, np.ndarray]:
     """Split correspondences into point and pixel arrays.
@@ -161,8 +169,9 @@ def correspondence_arrays(cs) -> tuple[np.ndarray, np.ndarray]:
         ps = np.asarray(cs[0], dtype=float, order="C")
         us = np.asarray(cs[1], dtype=float, order="C")
     else:
-        ps = np.array([c.p for c in cs], dtype=float).reshape(-1, 3)
-        us = np.array([c.u for c in cs], dtype=float).reshape(-1, 2)
+        # One concatenate per field; [()] keeps an empty sequence a (0, k) array.
+        ps = np.concatenate([c.p for c in cs] or [()], dtype=float).reshape(-1, 3)
+        us = np.concatenate([c.u for c in cs] or [()], dtype=float).reshape(-1, 2)
     if ps.shape[1:] != (3,) or us.shape[1:] != (2,) or ps.shape[0] != us.shape[0]:
         raise InvalidShape(
             f"expected point and pixel arrays of shapes (n,3) and (n,2), "

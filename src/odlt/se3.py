@@ -118,10 +118,7 @@ def _solve_psd(N: np.ndarray, b: np.ndarray, cond_limit: float) -> np.ndarray | 
 
 
 def weighted_procrustes(
-    R_acute: np.ndarray,
-    W: np.ndarray,
-    max_iters: int = 1,
-    det: float | None = None,
+    R_acute: np.ndarray, W: np.ndarray, det: float, max_iters: int = 1
 ) -> tuple[np.ndarray, bool]:
     """Project the de-clamped linear rotation block onto SO(3), weighted by W.
 
@@ -131,20 +128,16 @@ def weighted_procrustes(
     the small-angle model R ~ (I - [dphi x]) R0, solving 3x3 normal
     equations per iteration and re-projecting with nearest_rotation. One
     iteration is the default; up to five are allowed, stopping early when
-    |dphi| < _PROCRUSTES_TOL. det, when given, is det(R_acute) computed by
-    the caller.
+    |dphi| < _PROCRUSTES_TOL. R_acute and W are float 3x3 arrays and det is
+    det(R_acute), all computed by the caller.
 
     Returns:
         (R, fallback_used): fallback_used is True when the normal matrix
         had condition number > 1e10 and the unweighted projection R0 was
         returned instead.
     """
-    R_acute = np.asarray(R_acute, dtype=float).reshape(3, 3)
-    W = np.asarray(W, dtype=float).reshape(3, 3)
     if not 1 <= max_iters <= 5:
         raise ValueError(f"max_iters must be in 1..5, got {max_iters}")
-    if det is None:
-        det = np.linalg.det(R_acute)
     if det == 0:
         raise DegenerateInput("de-clamped rotation block is singular")
     Rs = (1.0 / np.cbrt(det)) * R_acute

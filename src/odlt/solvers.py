@@ -195,7 +195,7 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
     dn = declamp_denormalize(out.sol, Km, out.pix, out.pt, weights=weighted)
     if weighted:
         W = np.ones((3, 3)) if cfg.force_unit_weights else dn.W
-        R, fallback = weighted_procrustes(dn.R_acute, W, det=dn.det)
+        R, fallback = weighted_procrustes(dn.R_acute, W, dn.det)
         if fallback:
             flags.add(FLAG_DEGENERATE_WEIGHTS)
     else:

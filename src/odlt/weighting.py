@@ -49,21 +49,21 @@ def _preliminary_normalized(
 
     psn and usn are normalized over the full set, so P0 lives in those
     coordinates. Given A, the full set's constraint matrix, P0 is its null
-    vector; else the solve uses a seeded subset of min(n, SUBSET_SIZE) points,
-    or the full set when the drawn subset is rank deficient.
+    vector; else (n >= 768 > SUBSET_SIZE) it solves a seeded subset of
+    SUBSET_SIZE points, or the full set when that subset is rank deficient.
 
     Returns (P0, depths of psn under P0, used_full_set).
     """
-    n = psn.shape[0]
-    used_full = A is None and n > SUBSET_SIZE
+    used_full = A is None
     if used_full:
+        n = psn.shape[0]
         idx = np.sort(np.random.default_rng(seed).choice(n, size=SUBSET_SIZE, replace=False))
         ps = psn[idx]
         try:
             P0 = solve_nullspace(_assemble_arrays(ps, usn[idx]), points=ps).P
             return P0, depths_under(P0, psn), False
         except RankDeficient:
-            pass
-    P0 = _null_space(_assemble_arrays(psn, usn) if A is None else A)[1][11].reshape(4, 3).T
+            A = _assemble_arrays(psn, usn)
+    P0 = _null_space(A)[1][11].reshape(4, 3).T
     depths = depths_under(P0, psn)  # signed as solve_nullspace signs with points=psn
     return (-P0, -depths, used_full) if depths.sum() < 0 else (P0, depths, used_full)

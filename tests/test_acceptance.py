@@ -285,7 +285,7 @@ def test_criterion_08b_procrustes_vs_grid_refine_oracle(rng):
         s = np.linalg.det(dn.R_acute) ** (-1.0 / 3.0)
         Rs = s * dn.R_acute
         W = dn.W / dn.W.max()
-        R_impl, fallback = weighted_procrustes(dn.R_acute, dn.W, max_iters=5)
+        R_impl, fallback = weighted_procrustes(dn.R_acute, dn.W, det=dn.det, max_iters=5)
         assert not fallback
         cost_impl = _procrustes_cost(R_impl, Rs, W)
         cost_oracle = _grid_refine_oracle(Rs, W, rng)

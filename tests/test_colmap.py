@@ -15,9 +15,10 @@ from odlt.errors import (
     MalformedLine,
     MissingFile,
     MissingPoint3D,
+    NonFiniteInput,
     UnsupportedCameraModel,
 )
-from odlt.geometry import rotation_angle_deg
+from odlt.geometry import correspondence_arrays, rotation_angle_deg
 from odlt.solvers import SolverConfig, solve
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -481,6 +482,39 @@ class TestBuildProblems:
             expected = np.array([model.points3d[int(pid)].xyz for pid in img.point3d_ids[usable]])
             np.testing.assert_array_equal(ps, expected)
             np.testing.assert_array_equal(us, img.xys[usable])
+
+    @pytest.mark.parametrize("fixture", [GOLDEN, SOLVABLE])
+    def test_problems_carry_array_pairs(self, fixture):
+        problems, _ = build_problems(parse_model(fixture), min_points=1)
+        assert problems
+        for prob in problems:
+            assert prob.ps.dtype == prob.us.dtype == np.float64
+            assert prob.ps.flags.c_contiguous and prob.us.flags.c_contiguous
+            # The correspondences property splits back to the same bits ...
+            ps, us = correspondence_arrays(prob.correspondences)
+            assert ps.shape == prob.ps.shape and ps.tobytes() == prob.ps.tobytes()
+            assert us.shape == prob.us.shape and us.tobytes() == prob.us.tobytes()
+            # ... and the pair itself passes the input check without a copy.
+            ps, us = correspondence_arrays((prob.ps, prob.us))
+            assert ps is prob.ps and us is prob.us
+
+    def test_non_finite_point_names_the_first_image_that_sees_it(self):
+        model = parse_model(SOLVABLE)
+        point = model.points3d[104]
+        xyz = point.xyz.copy()
+        xyz[1] = np.nan
+        model = replace(model, points3d={**model.points3d, 104: replace(point, xyz=xyz)})
+        with pytest.raises(NonFiniteInput, match="image 1 "):
+            build_problems(model)
+
+    def test_non_finite_pixel_names_its_image(self):
+        model = parse_model(SOLVABLE)
+        image = model.images[2]
+        xys = image.xys.copy()
+        xys[5, 0] = np.inf
+        model = replace(model, images={**model.images, 2: replace(image, xys=xys)})
+        with pytest.raises(NonFiniteInput, match="image 2 "):
+            build_problems(model)
 
 
 class TestSolvableRecovery:

@@ -268,6 +268,19 @@ class TestSmallPieces:
         with pytest.raises(ValueError):
             Correspondence(p=np.array([1.0, np.nan, 0.0]), u=np.zeros(2))
 
+    @pytest.mark.parametrize("n", [0, 1, 6, 190, 3000])
+    def test_correspondence_list_gives_the_bits_of_stacked_rows(self, rng, n):
+        cs = [
+            Correspondence(p=p, u=u)
+            for p, u in zip(rng.standard_normal((n, 3)), rng.uniform(0, 1000, (n, 2)))
+        ]
+        ps, us = correspondence_arrays(cs)
+        expected_ps = np.array([c.p for c in cs], dtype=float).reshape(-1, 3)
+        expected_us = np.array([c.u for c in cs], dtype=float).reshape(-1, 2)
+        assert ps.shape == expected_ps.shape == (n, 3) and ps.tobytes() == expected_ps.tobytes()
+        assert us.shape == expected_us.shape == (n, 2) and us.tobytes() == expected_us.tobytes()
+        assert ps.flags.c_contiguous and us.flags.c_contiguous
+
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_correspondence_arrays_reject_non_finite(self, rng, side, bad):

@@ -10,10 +10,10 @@ counts are exact and repeatable, so any extra decomposition on the hot path,
 a reintroduced Kronecker product or hidden condition-number SVD, a wrong
 stage-table row, a stage that re-checks what solve() already checked, a
 re-validated internal pose, added per-call overhead, a return to per-point
-objects on an array path (the Monte Carlo harness, eval-colmap's noise step,
-odlt solve's problem file), a null space that silently stops (or starts)
-chunking, or a weighted solve that assembles a second matrix below the
-crossover fails here on any host.
+objects on an array path (the Monte Carlo harness, build_problems,
+eval-colmap, odlt solve's problem file), a null space that silently stops
+(or starts) chunking, or a weighted solve that assembles a second matrix
+below the crossover fails here on any host.
 """
 
 import sys
@@ -250,6 +250,13 @@ def constructions(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Correspondence, "__post_init__", counted)
+    from_checked = Correspondence._from_checked.__func__
+
+    def counted_unchecked(cls, p, u):
+        tally["unchecked"] += 1
+        return from_checked(cls, p, u)
+
+    monkeypatch.setattr(Correspondence, "_from_checked", classmethod(counted_unchecked))
     return tally
 
 
@@ -259,19 +266,21 @@ def test_monte_carlo_builds_no_correspondence_objects(constructions):
     assert constructions["Correspondence"] == 0
 
 
-def test_build_problems_builds_one_object_per_usable_observation(constructions):
-    model = parse_model(SOLVABLE)
-    usable = sum(int((img.point3d_ids >= 0).sum()) for img in model.images.values())
-    _, skipped = build_problems(model)
+def test_build_problems_builds_no_correspondence_objects(constructions):
+    # Problems carry the 48 usable observations as (ps, us) arrays; the
+    # correspondences property builds unchecked objects only when read.
+    problems, skipped = build_problems(parse_model(SOLVABLE))
     assert skipped == 0
-    assert constructions["Correspondence"] == usable == 48
+    assert sum(prob.ps.shape[0] for prob in problems) == 48
+    assert constructions == {}
+    assert len(problems[0].correspondences) == 24
+    assert constructions == {"unchecked": 24}
 
 
 def test_eval_colmap_noise_builds_no_correspondence_objects(constructions, tmp_path):
-    # The 48 come from build_problems; the noise step works on arrays.
     argv = ["eval-colmap", "--model-dir", str(SOLVABLE), "--noise-px", "1"]
     assert main(argv + ["--out", str(tmp_path / "eval.csv")]) == 0
-    assert constructions["Correspondence"] == 48
+    assert constructions == {}
 
 
 def test_solve_problem_file_builds_no_correspondence_objects(constructions, tmp_path):

@@ -142,7 +142,9 @@ class TestWeightedProcrustes:
     def test_uniform_weights_reduce_to_plain_projection(self, rng):
         R_acute = 3.0 * random_rotation(rng) + 0.05 * rng.standard_normal((3, 3))
         s = 1.0 / np.cbrt(np.linalg.det(R_acute))
-        R_uniform, fallback = weighted_procrustes(R_acute, 7.5 * np.ones((3, 3)))
+        R_uniform, fallback = weighted_procrustes(
+            R_acute, 7.5 * np.ones((3, 3)), det=np.linalg.det(R_acute)
+        )
         assert not fallback
         np.testing.assert_allclose(R_uniform, nearest_rotation(s * R_acute), atol=1e-12)
 
@@ -153,7 +155,9 @@ class TestWeightedProcrustes:
         s = 1.0 / np.cbrt(np.linalg.det(R_acute))
         Rs = s * R_acute
 
-        R_impl, fallback = weighted_procrustes(R_acute, W, max_iters=5)
+        R_impl, fallback = weighted_procrustes(
+            R_acute, W, det=np.linalg.det(R_acute), max_iters=5
+        )
         assert not fallback
         cost_impl = procrustes_cost(R_impl, Rs, W)
 
@@ -193,7 +197,7 @@ class TestWeightedProcrustes:
         s = 1.0 / np.cbrt(np.linalg.det(R_acute))
         costs = []
         for iters in (1, 2, 3, 4, 5):
-            R, _ = weighted_procrustes(R_acute, W, max_iters=iters)
+            R, _ = weighted_procrustes(R_acute, W, det=np.linalg.det(R_acute), max_iters=iters)
             costs.append(procrustes_cost(R, s * R_acute, W))
         assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
@@ -201,20 +205,20 @@ class TestWeightedProcrustes:
         R_acute = 1.5 * random_rotation(rng)
         W = np.zeros((3, 3))
         s = 1.0 / np.cbrt(np.linalg.det(R_acute))
-        R, fallback = weighted_procrustes(R_acute, W)
+        R, fallback = weighted_procrustes(R_acute, W, det=np.linalg.det(R_acute))
         assert fallback
         np.testing.assert_allclose(R, nearest_rotation(s * R_acute), atol=1e-12)
 
     def test_validation(self, rng):
         R_acute = random_rotation(rng)
         with pytest.raises(ValueError):
-            weighted_procrustes(R_acute, np.ones((3, 3)), max_iters=0)
+            weighted_procrustes(R_acute, np.ones((3, 3)), det=1.0, max_iters=0)
         with pytest.raises(ValueError):
-            weighted_procrustes(R_acute, np.ones((3, 3)), max_iters=6)
+            weighted_procrustes(R_acute, np.ones((3, 3)), det=1.0, max_iters=6)
         singular = np.zeros((3, 3))
         singular[0, 0] = 1.0
         with pytest.raises(DegenerateInput):
-            weighted_procrustes(singular, np.ones((3, 3)))
+            weighted_procrustes(singular, np.ones((3, 3)), det=np.linalg.det(singular))
 
 
 class TestRecoverScale:

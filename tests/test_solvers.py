@@ -300,6 +300,11 @@ class TestApiSurface:
         with pytest.raises(TooFewPoints):
             solve((ps, us), Km, SolverConfig(method="ndlt"))
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_correspondence_sequence_is_too_few_points(self, method):
+        with pytest.raises(TooFewPoints):
+            solve([], np.eye(3), SolverConfig(method=method))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(method="epnp")

@@ -150,14 +150,14 @@ class TestPreliminary:
         assert depths.sum() > 0
 
     def test_small_sets_use_all_points(self, rng):
+        # Fewer points than SUBSET_SIZE: solve() passes the full set's A, whose
+        # null vector is P0 directly, with no draw and no retry involved.
         Km, R, r, ps, us = make_exact_scene(rng, n=8)
-        pix = fit_pixel_normalization(us)
-        pt = fit_point_normalization(ps)
-        P0, _, used_full = _preliminary_normalized(pt.apply(ps), pix.apply(us), 0)
-        assert not used_full  # all points used directly, no retry involved
-        np.testing.assert_allclose(
-            project_points(P0, pt.apply(ps)), pix.apply(us), atol=1e-7
-        )
+        psn = fit_point_normalization(ps).apply(ps)
+        usn = fit_pixel_normalization(us).apply(us)
+        P0, _, used_full = _preliminary_normalized(psn, usn, 0, _assemble_arrays(psn, usn))
+        assert not used_full
+        np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-7)
 
     def test_rank_deficient_subset_falls_back_to_full_set(self, rng):
         # 766 points on a plane plus two off it, so solve() draws a subset. A
