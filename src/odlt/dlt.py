@@ -16,6 +16,19 @@ _QR_BLOCK rows, then one QR of the k stacked 12x12 R factors plus the
 leftover rows. That is A's R up to row signs, with each block's work held in
 cache.
 
+A is mostly structure. Point i's two rows are pbar_i kron (0, -1, v_i) and
+pbar_i kron (1, 0, -u_i): each places two of the 4-column groups of its
+moment row m_i = (pbar_i, u_i pbar_i, v_i pbar_i), negated or not, in fixed
+columns. So the two rows are L(m_i) = (m_i T1, m_i T2) for two fixed
+12 x 12 matrices T1 and T2, and up to row order A = [M T1; M T2] for the
+n x 12 moment matrix M. If M = QR, then A = diag(Q, Q) L(R), where L(R) is
+the 24 x 12 matrix that L makes from R's 12 rows in place of the m_i.
+diag(Q, Q) has orthonormal columns, so L(R) has exactly A's singular values
+and right singular vectors, and no Gram matrix is formed. From the
+chunked-QR crossover up (2n >= _QR_CHUNK_MIN_ROWS, n >= 768)
+_assemble_arrays returns L(R) in place of A: half of A's QR work and
+n-sized memory, and the zero half of A is never built.
+
 vec(P) is column-major: entries 0-8 hold the left 3x3 block of P column by
 column, entries 9-11 hold the fourth column.
 """
@@ -61,29 +74,42 @@ class DltSolution:
 
 
 def _assemble_arrays(ps: np.ndarray, us: np.ndarray, weights=None) -> np.ndarray:
+    """The 2n x 12 constraint matrix A of (optionally row-weighted) points,
+    or from the chunked-QR crossover up the 24 x 12 L(R) that shares A's
+    singular values and right singular vectors (see the module docstring)."""
     n = ps.shape[0]
     if n < MIN_POINTS:
         raise TooFewPoints(n, MIN_POINTS)
-    pbar = np.empty((n, 4))
-    pbar[:, :3] = ps
-    pbar[:, 3] = 1.0
+    # The moment matrix M = (pbar, u pbar, v pbar) is held as its transpose
+    # Mt, so that every write below runs along n, not along a 4-wide group.
+    Mt = np.empty((12, n))
+    pbar = Mt[:4]
+    pbar[:3] = ps.T
+    pbar[3] = 1.0
     if weights is not None:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.shape[0] != n:
             raise ValueError(f"expected {n} weights, got {w.shape[0]}")
-        pbar *= w[:, None]
-    # blocks[m, r, j, i] = pbar[m, j] * su[m, r, i] for the reduced rows
-    # su = ((0, -1, v), (1, 0, -u)): only four column groups are nonzero.
-    blocks = np.zeros((n, 2, 4, 3))
-    blocks[:, 0, :, 1] = -pbar
-    blocks[:, 0, :, 2] = pbar * us[:, 1, None]
-    blocks[:, 1, :, 0] = pbar
-    blocks[:, 1, :, 2] = pbar * -us[:, 0, None]
-    return blocks.reshape(2 * n, 12)
+        pbar *= w
+    np.multiply(pbar, us[:, 0], out=Mt[4:8])
+    np.multiply(pbar, us[:, 1], out=Mt[8:])
+    if 2 * n >= _QR_CHUNK_MIN_ROWS:
+        Mt = _r_factor(Mt.T).T  # 12 moment rows in place of n; same row map below
+    # rows[m, r, j, i] = pbar[m, j] * su[m, r, i] for the reduced rows
+    # su = ((0, -1, v), (1, 0, -u)): only four column groups are nonzero,
+    # each one of M's column groups, negated or not. t[i, j, r] = rows[:, r, j, i].
+    k = Mt.shape[1]
+    rows = np.zeros((k, 2, 4, 3))
+    t = rows.T
+    np.negative(Mt[:4], out=t[1, :, 0])
+    t[2, :, 0] = Mt[8:]
+    t[0, :, 1] = Mt[:4]
+    np.negative(Mt[4:8], out=t[2, :, 1])
+    return rows.reshape(2 * k, 12)
 
 
 def _r_factor(A: np.ndarray) -> np.ndarray:
-    """R factor of A = QR, chunked from _QR_CHUNK_MIN_ROWS rows (see above)."""
+    """R factor of an (m, 12) A = QR, chunked from _QR_CHUNK_MIN_ROWS rows (see above)."""
     m = A.shape[0]
     if m < _QR_CHUNK_MIN_ROWS:
         R = np.linalg.qr(A, mode="raw")[0].T[:12]

@@ -24,8 +24,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dlt import _QR_CHUNK_MIN_ROWS, DltSolution, _assemble_arrays, solve_nullspace
-from .errors import NegativeDepth, RankDeficient
+from .dlt import (
+    _QR_CHUNK_MIN_ROWS,
+    MIN_POINTS,
+    DltSolution,
+    _assemble_arrays,
+    solve_nullspace,
+)
+from .errors import NegativeDepth, RankDeficient, TooFewPoints
 from .geometry import (
     Pose,
     correspondence_arrays,
@@ -129,6 +135,9 @@ class _LinearOutcome(NamedTuple):
 def _linear_solve(
     ps: np.ndarray, us: np.ndarray, cfg: SolverConfig, normalize: bool, weighted: bool
 ) -> _LinearOutcome:
+    # Checked before any stage runs: normalization divides by n.
+    if ps.shape[0] < MIN_POINTS:
+        raise TooFewPoints(ps.shape[0], MIN_POINTS)
     flags = set()
     timings = {}
     t0 = time.perf_counter()
@@ -178,10 +187,12 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
     sequence of Correspondence, under intrinsics K, with the stages that
     STAGES lists for cfg.method (default odlt).
 
-    The inputs are checked once, here; every stage below takes the checked
-    arrays and the 3x3 intrinsic matrix and returns a pose. LOST keeps the
-    rotation bit for bit and replaces the camera center, with weights
-    recomputed from the projection of the recovered pose.
+    The inputs are checked once: the arrays and K here, the point count first
+    thing in the linear stage, which estimate_projection() shares. Every
+    stage below takes the checked arrays and the 3x3 intrinsic matrix and
+    returns a pose. LOST keeps the rotation bit for bit and replaces the
+    camera center, with weights recomputed from the projection of the
+    recovered pose.
     """
     cfg = cfg or SolverConfig()
     normalize, weighted, lost, refine = STAGES[cfg.method]
@@ -236,8 +247,10 @@ def refine_gauss_newton(
     matrix, as solve() passes them. Parameters are a rotation-vector
     increment composed on the left and the camera center. Steps that
     increase the cost are halved up to 10 times; if no decrease is found the
-    current pose is returned and fell_back is True. Iteration stops when the
-    cost decrease drops below _GN_TOL or after _GN_MAX_ITERS accepted steps.
+    current pose is returned, and fell_back is True unless the step's
+    predicted decrease -g^T delta (g = J^T e) is below _GN_TOL, i.e. the
+    pose has already converged. Iteration stops when the cost decrease drops
+    below _GN_TOL or after _GN_MAX_ITERS accepted steps.
 
     Returns:
         (pose, fell_back).
@@ -249,8 +262,9 @@ def refine_gauss_newton(
     for _ in range(_GN_MAX_ITERS):
         e, J = _gn_residuals_jacobian(ps, us, Km, R, r)
         JtJ = J.T @ J
+        g = J.T @ e
         try:
-            delta = -np.linalg.solve(JtJ, J.T @ e)
+            delta = -np.linalg.solve(JtJ, g)
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("Gauss-Newton normal matrix is singular") from exc
         for halving in range(11):
@@ -261,7 +275,9 @@ def refine_gauss_newton(
             if cost_new <= cost:
                 break
         else:
-            fell_back = True
+            # A failure only if the linear model promised a real decrease;
+            # at convergence the cost sits at rounding level.
+            fell_back = bool(-(g @ delta) >= _GN_TOL)
             break
         decrease = cost - cost_new
         R, r, cost = R_new, r_new, cost_new

@@ -9,7 +9,9 @@ from odlt.dlt import (
     solve_nullspace,
 )
 from odlt.errors import RankDeficient, TooFewPoints
+from odlt.evaluation import UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.geometry import Pose, compose_projection
+from odlt.normalization import fit_pixel_normalization, fit_point_normalization
 from conftest import make_exact_scene, oracle_project, random_rotation
 
 
@@ -218,3 +220,66 @@ def test_information_matrix_recomputed(rng):
     # The null direction carries (near) zero information.
     x = vec_cm(sol.P)
     assert np.linalg.norm(info @ x) < 1e-6 * evals.max()
+
+
+def kron_matrix(ps, us, weights=None):
+    """The explicit 2n x 12 stack of kron(w_i pbar_i, S [ubar_i x]) blocks,
+    vectorized: row 2i + k, column 3j + l holds w_i pbar_i[j] (S [ubar_i x])[k, l]."""
+    n = ps.shape[0]
+    pbar = np.column_stack([ps, np.ones(n)])
+    if weights is not None:
+        pbar = pbar * weights[:, None]
+    cross = np.zeros((n, 2, 3))
+    cross[:, 0, 1] = -1.0
+    cross[:, 0, 2] = us[:, 1]
+    cross[:, 1, 0] = 1.0
+    cross[:, 1, 2] = -us[:, 0]
+    return np.einsum("ij,ikl->ikjl", pbar, cross).reshape(2 * n, 12)
+
+
+def test_kron_matrix_matches_kron_blocks(rng):
+    _, _, _, ps, us = make_exact_scene(rng, n=8)
+    w = rng.uniform(0.5, 2.0, 8)
+    blocks = np.vstack([w[i] * kron_block(p, u) for i, (p, u) in enumerate(zip(ps, us))])
+    np.testing.assert_allclose(kron_matrix(ps, us, w), blocks, rtol=1e-15, atol=0)
+
+
+# Above the chunked-QR crossover _assemble_arrays returns L(R), the 24 rows
+# the row map makes from the R factor of the moment matrix, in place of A:
+# at the crossover (n=768, one QR of M), just below and at M's own chunking
+# (1535, 1536 rows), an exact multiple of the block, a one-row leftover and
+# n=10000; in pixels as dlt sees them and normalized, with and without weights.
+@pytest.mark.parametrize("n", [768, 1535, 1536, 2048, 2561, 10000])
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_moment_r_factor_matches_kronecker_matrix(n, normalized, weighted):
+    assert 2 * n >= _QR_CHUNK_MIN_ROWS
+    sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=n)
+    (ps, us), _ = generate_scene(sc, 0)
+    if normalized:
+        ps = fit_point_normalization(ps).apply(ps)
+        us = fit_pixel_normalization(us).apply(us)
+    w = np.random.default_rng(n).uniform(0.5, 2.0, n) if weighted else None
+    LR = _assemble_arrays(ps, us, w)
+    assert LR.shape == (24, 12)
+    _, s_oracle, Vt = np.linalg.svd(kron_matrix(ps, us, w), full_matrices=False)
+    sol = solve_nullspace(LR)
+    np.testing.assert_allclose(sol.singular_values, s_oracle, rtol=0, atol=1e-12 * s_oracle[0])
+    x, x_oracle = sol.V[:, 11], Vt[11]
+    if np.dot(x, x_oracle) < 0:
+        x_oracle = -x_oracle
+    np.testing.assert_allclose(x, x_oracle, rtol=0, atol=1e-10)
+
+
+def test_coplanar_points_rank_deficient_above_crossover(rng):
+    # Points on a plane make the moment matrix M rank deficient (its pbar
+    # columns are dependent), and with it A: the 24-row L(R) must say so.
+    n = _QR_CHUNK_MIN_ROWS
+    Km, R, r, ps, us = make_exact_scene(rng, n=n)
+    ps = ps.copy()
+    ps[:, 2] = 5.0
+    us = oracle_project(Km, R, r, ps)
+    LR = _assemble_arrays(ps, us)
+    assert LR.shape == (24, 12)
+    with pytest.raises(RankDeficient):
+        solve_nullspace(LR, points=ps)

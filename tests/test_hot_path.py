@@ -1,19 +1,21 @@
 """Operation-count guards for the hot paths.
 
 Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
-operating point (n=50), the QR calls and constraint-matrix assemblies on both
-sides of the chunked-QR crossover (n=50 and n=2000), the stage functions and
-input checks solve() calls per method, the Pose validations and the Python-level calls made from
-odlt's own frames per solve, and the Correspondence objects the Monte Carlo
-harness, the COLMAP problem builder and the CLI create. Unlike a timing, the
-counts are exact and repeatable, so any extra decomposition on the hot path,
-a reintroduced Kronecker product or hidden condition-number SVD, a wrong
-stage-table row, a stage that re-checks what solve() already checked, a
-re-validated internal pose, added per-call overhead, a return to per-point
-objects on an array path (the Monte Carlo harness, build_problems,
-eval-colmap, odlt solve's problem file), a null space that silently stops
-(or starts) chunking, or a weighted solve that assembles a second matrix
-below the crossover fails here on any host.
+operating point (n=50), the QR calls, constraint-matrix assemblies and bytes
+handed to the null space on both sides of the chunked-QR crossover (n=50 and
+n=2000), the stage functions and input checks solve() calls per method, the
+Pose validations and the Python-level calls made from odlt's own frames per
+solve, and the Correspondence objects the Monte Carlo harness, the COLMAP
+problem builder and the CLI create. Unlike a timing, the counts are exact
+and repeatable, so any extra decomposition on the hot path, a reintroduced
+Kronecker product or hidden condition-number SVD, a wrong stage-table row,
+a stage that re-checks what solve() already checked, a re-validated
+internal pose, added per-call overhead, a return to per-point objects on an
+array path (the Monte Carlo harness, build_problems, eval-colmap, odlt
+solve's problem file), a null space that silently stops (or starts)
+chunking, a null space handed the 2n x 12 matrix above the crossover, or a
+weighted solve that assembles a second matrix below the crossover fails
+here on any host.
 """
 
 import sys
@@ -66,12 +68,14 @@ def counts(monkeypatch):
     return tally
 
 
-# QR calls per solve: one per null space below the chunked-QR crossover, two
-# (stacked blocks, then their R factors) for a chunked one. At n=2000 the
-# final 4000-row system is chunked; the 24-row preliminary subset is not.
+# QR calls per solve: one per null space of a matrix below the chunked-QR
+# crossover, two (stacked blocks, then their R factors) for a chunked one. At
+# n=2000 the final system is assembled from the chunked R factor of the
+# 2000-row moment matrix (two calls), and its 24-row L(R) and the 24-row
+# preliminary subset each take one more.
 QR_EXPECTED = {
     50: {"dlt": 1, "ndlt": 1, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 1},
-    2000: {"dlt": 2, "ndlt": 2, "odlt": 3, "odlt_lost": 3, "ndlt_gn": 2},
+    2000: {"dlt": 3, "ndlt": 3, "odlt": 4, "odlt_lost": 4, "ndlt_gn": 3},
 }
 
 
@@ -121,6 +125,44 @@ def test_assemblies_per_solve(method, n, monkeypatch):
         monkeypatch.setattr(module, "_assemble_arrays", counted)
     solve(arrays, sc.intrinsics, SolverConfig(method=method))
     assert tally["assemble"] == ASSEMBLY_EXPECTED[n][method]
+
+
+# Bytes of each matrix handed to solve_nullspace per solve, under every odlt
+# binding (what perfbench's dlt.A_bytes_per_solve adds up). Below the
+# crossover that is the 2n x 12 A (100 x 12 floats at n=50); from it up, the
+# 24 x 12 L(R) made from the moment matrix's R factor, so a return to the
+# 2n x 12 matrix at n=2000 fails here without a timing. At n=2000 the
+# weighted methods' preliminary subset of 12 points gives 24 rows too; at
+# n=50 their preliminary takes the shared A's null vector without
+# solve_nullspace.
+NULLSPACE_BYTES = {
+    50: {"dlt": [9600], "ndlt": [9600], "odlt": [9600], "odlt_lost": [9600], "ndlt_gn": [9600]},
+    2000: {
+        "dlt": [2304],
+        "ndlt": [2304],
+        "odlt": [2304, 2304],
+        "odlt_lost": [2304, 2304],
+        "ndlt_gn": [2304],
+    },
+}
+
+
+@pytest.mark.parametrize("n", sorted(NULLSPACE_BYTES))
+@pytest.mark.parametrize("method", METHODS)
+def test_nullspace_input_bytes_per_solve(method, n, monkeypatch):
+    sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    nbytes = []
+    solve_nullspace = solvers_module.solve_nullspace
+
+    def recorded(A, *args, **kwargs):
+        nbytes.append(A.nbytes)
+        return solve_nullspace(A, *args, **kwargs)
+
+    for module in (solvers_module, weighting_module):
+        monkeypatch.setattr(module, "solve_nullspace", recorded)
+    solve(arrays, sc.intrinsics, SolverConfig(method=method))
+    assert nbytes == NULLSPACE_BYTES[n][method]
 
 
 # Calls solve() makes through odlt.solvers' own bindings, per method. At n=50

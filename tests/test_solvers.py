@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -255,6 +256,20 @@ class TestGaussNewton:
         result = solve((ps, us), Km, SolverConfig(method="ndlt_gn"))
         assert FLAG_FALLBACK_USED in result.flags
 
+    # Seeded scenes (paper point, and uncentered at n=2000) where Gauss-Newton
+    # converges, the cost then sits at rounding level and all 11 halvings of
+    # the last step fail. The step's predicted decrease is below _GN_TOL, so
+    # that is convergence, not a fallback.
+    @pytest.mark.parametrize(
+        "box, n, trial",
+        [(CENTERED_BOX, 50, 12), (UNCENTERED_BOX, 50, 20), (UNCENTERED_BOX, 2000, 16)],
+    )
+    def test_no_fallback_flag_once_converged(self, box, n, trial):
+        sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=1, seed=0)
+        (ps, us), _ = generate_scene(sc, trial)
+        result = solve((ps, us), sc.intrinsics, SolverConfig(method="ndlt_gn"))
+        assert FLAG_FALLBACK_USED not in result.flags
+
 
 def shift_preliminary(monkeypatch, ps, us, behind):
     """Make the weighted stage's preliminary estimate put `behind` points
@@ -304,6 +319,20 @@ class TestApiSurface:
     def test_empty_correspondence_sequence_is_too_few_points(self, method):
         with pytest.raises(TooFewPoints):
             solve([], np.eye(3), SolverConfig(method=method))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fewer_than_six_points_is_too_few_points_without_warnings(self, rng, method):
+        # Checked before any stage runs: no DegeneratePoints for a single
+        # point and no numpy RuntimeWarning from a division by n = 0.
+        Km, R, r, ps, us = make_exact_scene(rng, n=5)
+        for n in range(6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TooFewPoints):
+                    solve((ps[:n], us[:n]), Km, SolverConfig(method=method))
+                if method in ("dlt", "ndlt", "odlt"):
+                    with pytest.raises(TooFewPoints):
+                        estimate_projection((ps[:n], us[:n]), SolverConfig(method=method))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
