@@ -94,6 +94,12 @@ def _float_list(text: str) -> list:
     return [float(tok) for tok in text.split(",") if tok]
 
 
+def _noise_level(text: str) -> float:
+    if not 0 <= float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return float(text)
+
+
 def _method_list(text: str) -> list:
     methods = [tok.strip() for tok in text.split(",") if tok.strip()]
     for m in methods:
@@ -335,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip images with fewer usable observations (default: 6)",
     )
     p_col.add_argument(
-        "--noise-px", type=float, default=0.0,
+        "--noise-px", type=_noise_level, default=0.0,
         help="extra Gaussian pixel noise added to observations (default: 0)",
     )
     p_col.add_argument(
@@ -356,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=METHODS, default="odlt", help="solver (default: odlt)"
     )
     p_solve.add_argument(
-        "--sigma-u", type=float, default=1.0, help="pixel noise scale (default: 1.0)"
+        "--sigma-u", type=float, default=1.0,
+        help="stated pixel noise; the pose does not depend on it (default: 1.0)",
     )
     p_solve.add_argument("--seed", type=int, default=0, help="subset seed for n >= 768 (default: 0)")
     p_solve.add_argument(

@@ -59,8 +59,8 @@ class SyntheticScenario:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        if self.sigma_u < 0:
-            raise ValueError(f"sigma_u must be >= 0, got {self.sigma_u}")
+        if not 0 <= self.sigma_u < np.inf:
+            raise ValueError(f"sigma_u must be finite and >= 0, got {self.sigma_u}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         lo, hi = np.asarray(self.box[0], dtype=float), np.asarray(self.box[1], dtype=float)

@@ -5,7 +5,7 @@ pose recovery and a final reprojection; STAGES says which optional stages
 it adds:
 
     normalize  similarity-normalize pixels and points before the linear solve.
-    weighted   scale the rows by q_i = 1/(sigma_u depth_i) from a preliminary
+    weighted   scale the rows by the inverse depths under a preliminary
                unweighted estimate, and project the rotation with the
                information-weighted Procrustes step.
     lost       re-triangulate the translation with the rotation fixed (O(n)).
@@ -52,7 +52,7 @@ from .se3 import (
     recover_scale_and_position,
     weighted_procrustes,
 )
-from .weighting import NEGATIVE_DEPTH_LIMIT, _preliminary_normalized, depths_under, weight_factors
+from .weighting import NEGATIVE_DEPTH_LIMIT, _preliminary_normalized, depths_under
 
 
 class Stages(NamedTuple):
@@ -86,8 +86,9 @@ _GN_TOL = 1e-10
 class SolverConfig:
     """Solver settings; defaults reproduce the published pipeline.
 
-    method picks the STAGES row that solve() runs. sigma_u sets the weights of
-    the weighted stage and LOST, but scales them all alike (poses move < 1e-12).
+    method picks the STAGES row that solve() runs. sigma_u is the stated pixel
+    noise, finite and positive; the pose does not depend on it, because the
+    row weights are inverse depths (weighting says why sigma_u drops out).
     seed draws the preliminary subset of weighting.SUBSET_SIZE points, from
     n = 768 points up; below that it has no effect.
 
@@ -104,8 +105,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not self.sigma_u > 0:
-            raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
+        if not 0 < self.sigma_u < np.inf:
+            raise ValueError(f"sigma_u must be finite and positive, got {self.sigma_u}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def _linear_solve(
                 front = ~neg
                 ps, us, depths = ps[front], us[front], depths[front]
                 A = None if A is None else A.reshape(-1, 24)[front].reshape(-1, 12)
-            weights = weight_factors(depths, cfg.sigma_u)
+            weights = 1.0 / depths
             if A is not None:
                 rows = A.reshape(-1, 24)  # a view: one point's two rows per row
                 rows *= weights[:, None]
@@ -220,8 +221,7 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
         # Depths under K [R | -R r]: K's third row is (0, 0, 1), so K drops out.
         depths = ps @ R[2] + (-R @ pose.r)[2]
         front = depths > 0
-        q = weight_factors(depths[front], cfg.sigma_u)
-        t = lost_translation(ps[front], us[front], Km, R, q)
+        t = lost_translation(ps[front], us[front], Km, R, 1.0 / depths[front])
         pose = Pose._from_rotation(R, -R.T @ t)
         timings["lost"] = time.perf_counter() - t0
     if refine:
@@ -245,28 +245,27 @@ def refine_gauss_newton(
 
     ps (n,3) and us (n,2) are checked float arrays and Km the 3x3 intrinsic
     matrix, as solve() passes them. Parameters are a rotation-vector
-    increment composed on the left and the camera center. Steps that
-    increase the cost are halved up to 10 times; if no decrease is found the
-    current pose is returned, and fell_back is True unless the step's
-    predicted decrease -g^T delta (g = J^T e) is below _GN_TOL, i.e. the
-    pose has already converged. Iteration stops when the cost decrease drops
-    below _GN_TOL or after _GN_MAX_ITERS accepted steps.
+    increment composed on the left and the camera center. Iteration stops
+    when the step's predicted decrease -g^T delta (g = J^T e) is below
+    _GN_TOL (converged) or after _GN_MAX_ITERS accepted steps. A step that
+    raises the cost is halved up to 10 times; if none lowers it, the current
+    pose is returned with fell_back True. With no step taken it is init itself.
 
     Returns:
         (pose, fell_back).
     """
-    R = init.R.copy()
-    r = init.r.copy()
+    R, r = init.R, init.r
     cost = _gn_cost(ps, us, Km, R, r)
     fell_back = False
     for _ in range(_GN_MAX_ITERS):
         e, J = _gn_residuals_jacobian(ps, us, Km, R, r)
-        JtJ = J.T @ J
         g = J.T @ e
         try:
-            delta = -np.linalg.solve(JtJ, g)
+            delta = -np.linalg.solve(J.T @ J, g)
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("Gauss-Newton normal matrix is singular") from exc
+        if -(g @ delta) < _GN_TOL:
+            break
         for halving in range(11):
             step = delta / (2.0**halving)
             R_new = rodrigues(step[:3]) @ R
@@ -275,14 +274,11 @@ def refine_gauss_newton(
             if cost_new <= cost:
                 break
         else:
-            # A failure only if the linear model promised a real decrease;
-            # at convergence the cost sits at rounding level.
-            fell_back = bool(-(g @ delta) >= _GN_TOL)
+            fell_back = True
             break
-        decrease = cost - cost_new
         R, r, cost = R_new, r_new, cost_new
-        if decrease < _GN_TOL:
-            break
+    if R is init.R:  # no step taken: hand back the caller's pose bit for bit
+        return init, fell_back
     return Pose._from_rotation(nearest_rotation(R), r), fell_back
 
 

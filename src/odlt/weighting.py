@@ -7,13 +7,13 @@ the constraint block for point i has covariance
 
 which is rank 2 with null direction ubar_i. Whitening the row-reduced block
 by (a factor of) the pseudo-inverse square root collapses, after exact
-cancellation, to a single scalar per point:
-
-    q_i = 1 / (sigma_u * k^T P pbar_i),
-
-i.e. rows are divided by the (noise-scaled) depth of the point under a
-preliminary estimate P0. The constant 1/sigma_u is kept for completeness;
-the null direction of the weighted stack is invariant to it.
+cancellation, to a single scalar per point, 1 / (sigma_u k^T P pbar_i).
+Every consumer ignores a factor c shared by all the weights, here 1/sigma_u:
+the weighted null vector (c A has the right singular vectors of A), the
+Procrustes weight matrix W (made from the squared singular values, it turns
+into c^2 W, scaling the weighted cost and its normal matrix alike) and LOST's
+normal equations (both sides scale by c^2). So a row weight is the inverse
+depth q_i = 1 / (k^T P0 pbar_i) under a preliminary unweighted estimate P0.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ def depths_under(P0: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Projective depths k^T P0 pbar for an (n,3) array of points."""
     ps = np.asarray(ps, dtype=float).reshape(-1, 3)
     return ps @ P0[2, :3] + P0[2, 3]
-
-
-def weight_factors(depths: np.ndarray, sigma_u: float) -> np.ndarray:
-    """q = 1 / (sigma_u depths), depths > 0 (caller filters)."""
-    return 1.0 / (sigma_u * depths)
 
 
 def _preliminary_normalized(

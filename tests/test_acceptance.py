@@ -47,7 +47,7 @@ from odlt.solvers import (
     _linear_solve,
     solve,
 )
-from odlt.weighting import depths_under, weight_factors
+from odlt.weighting import depths_under
 from conftest import (
     WeightContext,
     intrinsics_rmse_experiment,
@@ -355,7 +355,7 @@ def test_criterion_09_lost_translation_is_optimal(rng):
         P_final = compose_projection(Km, full.pose)
         depths = ps @ P_final[2, :3] + P_final[2, 3]
         front = depths > 0
-        q = weight_factors(depths_under(P_final, ps[front]), cfg.sigma_u)
+        q = 1.0 / depths_under(P_final, ps[front])
         Kinv = intrinsic_inverse(Km)
         xb = np.concatenate(
             [us[front] @ Kinv[:2, :2].T + Kinv[:2, 2], np.ones((front.sum(), 1))],

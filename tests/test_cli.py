@@ -124,6 +124,11 @@ class TestSynthetic:
         _, _, rows = read_csv(out)
         assert float(rows[0][7]) > 0.0
 
+    def test_infinite_noise_level_exits_3(self, capsys):
+        rc = main(["synthetic", "--sigma-list", "inf", "--trials", "2"])
+        assert rc == 3
+        assert "error: sigma_u must be finite and >= 0, got inf" in capsys.readouterr().err
+
     def test_unknown_method_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["synthetic", "--methods", "p3p"])
@@ -252,6 +257,13 @@ class TestEvalColmap:
         golden_row = next(r for r in rows if "colmap_golden" in r[0])
         assert golden_row[2] == "0" and golden_row[3] == "2"
         assert golden_row[4] == ""  # no solvable image, empty aggregate
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_noise_is_an_argparse_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-colmap", "--model-dir", str(SOLVABLE), "--noise-px", value])
+        assert exc.value.code == 2
+        assert "argument --noise-px: must be finite and >= 0" in capsys.readouterr().err
 
     def test_missing_model_dir_exits_3(self, tmp_path, capsys):
         rc = main(["eval-colmap", "--model-dir", str(tmp_path / "nope")])

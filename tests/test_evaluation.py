@@ -86,8 +86,9 @@ class TestSceneGeneration:
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             SyntheticScenario(n=0)
-        with pytest.raises(ValueError):
-            SyntheticScenario(sigma_u=-1.0)
+        for sigma_u in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma_u must be finite and >= 0"):
+                SyntheticScenario(sigma_u=sigma_u)
         with pytest.raises(ValueError):
             SyntheticScenario(trials=0)
         with pytest.raises(ValueError):

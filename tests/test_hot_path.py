@@ -4,17 +4,19 @@ Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
 operating point (n=50), the QR calls, constraint-matrix assemblies and bytes
 handed to the null space on both sides of the chunked-QR crossover (n=50 and
 n=2000), the stage functions and input checks solve() calls per method, the
-Pose validations and the Python-level calls made from odlt's own frames per
-solve, and the Correspondence objects the Monte Carlo harness, the COLMAP
-problem builder and the CLI create. Unlike a timing, the counts are exact
+reprojection costs one ndlt_gn solve evaluates, the Pose validations and the
+Python-level calls made from odlt's own frames per solve, and the
+Correspondence objects the Monte Carlo harness, the COLMAP problem builder
+and the CLI create. Unlike a timing, the counts are exact
 and repeatable, so any extra decomposition on the hot path, a reintroduced
 Kronecker product or hidden condition-number SVD, a wrong stage-table row,
 a stage that re-checks what solve() already checked, a re-validated
 internal pose, added per-call overhead, a return to per-point objects on an
 array path (the Monte Carlo harness, build_problems, eval-colmap, odlt
 solve's problem file), a null space that silently stops (or starts)
-chunking, a null space handed the 2n x 12 matrix above the crossover, or a
-weighted solve that assembles a second matrix below the crossover fails
+chunking, a null space handed the 2n x 12 matrix above the crossover, a
+weighted solve that assembles a second matrix below the crossover, or a
+Gauss-Newton that keeps evaluating the cost once it has converged fails
 here on any host.
 """
 
@@ -167,13 +169,11 @@ def test_nullspace_input_bytes_per_solve(method, n, monkeypatch):
 
 # Calls solve() makes through odlt.solvers' own bindings, per method. At n=50
 # the weighted stage assembles the one A and its preliminary takes A's null
-# vector inside weighting, so only the final null space counts here; the
-# weights q = 1/(sigma_u depth) are computed once, and once more for LOST.
+# vector inside weighting, so only the final null space counts here.
 # perfbench traces these names.
 STAGE_CALLS = {
     "_assemble_arrays": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
     "_preliminary_normalized": {"dlt": 0, "ndlt": 0, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 0},
-    "weight_factors": {"dlt": 0, "ndlt": 0, "odlt": 1, "odlt_lost": 2, "ndlt_gn": 0},
     "solve_nullspace": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
     "lost_translation": {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 1, "ndlt_gn": 0},
     "refine_gauss_newton": {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 1},
@@ -198,6 +198,28 @@ def test_stage_calls_per_solve(method, monkeypatch):
     assert {name: tally[name] for name in STAGE_CALLS} == {
         name: calls[method] for name, calls in STAGE_CALLS.items()
     }
+
+
+# Reprojection costs evaluated in one ndlt_gn solve at n=50: Gauss-Newton's
+# starting cost, one per accepted step (no halving is needed on this scene),
+# none once the predicted decrease shows convergence, and the final
+# reprojection RMS.
+GN_COSTS_PER_SOLVE = 4
+
+
+def test_gn_costs_per_solve(monkeypatch):
+    tally = Counter()
+    cost = solvers_module._gn_cost
+
+    def counted(*args):
+        tally["cost"] += 1
+        return cost(*args)
+
+    monkeypatch.setattr(solvers_module, "_gn_cost", counted)
+    sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    solve(arrays, sc.intrinsics, SolverConfig(method="ndlt_gn"))
+    assert tally["cost"] == GN_COSTS_PER_SOLVE
 
 
 # Input checks per solve, counted under every odlt module's binding. solve()
@@ -253,7 +275,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 87, "ndlt": 111, "odlt": 160, "odlt_lost": 184, "ndlt_gn": 198}
+CALL_BUDGET = {"dlt": 87, "ndlt": 111, "odlt": 155, "odlt_lost": 178, "ndlt_gn": 182}
 
 
 @pytest.mark.parametrize("method", METHODS)

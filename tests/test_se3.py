@@ -28,7 +28,7 @@ from odlt.se3 import (
     recover_scale_and_position,
     weighted_procrustes,
 )
-from odlt.weighting import depths_under, weight_factors
+from odlt.weighting import depths_under
 from conftest import (
     make_exact_scene,
     oracle_project,
@@ -245,7 +245,7 @@ class TestLostTranslation:
             r = rng.uniform(-2, 2, 3)
             _, _, _, ps, us = make_exact_scene(rng, n=25, Km=Km, R=R, r=r)
             P = compose_projection(Km, Pose(R=R, r=r))
-            q = weight_factors(depths_under(P, ps), 1.0)
+            q = 1.0 / depths_under(P, ps)
             t = lost_translation(ps, us, Km, R, q)
             np.testing.assert_allclose(t, -R @ r, atol=1e-8 * max(1.0, np.abs(r).max()))
 
@@ -258,7 +258,7 @@ class TestLostTranslation:
         _, _, _, ps, us = make_exact_scene(rng, n=n, Km=Km, R=R, r=r)
         us = us + rng.standard_normal(us.shape)
         P = compose_projection(Km, Pose(R=R, r=r))
-        q = weight_factors(depths_under(P, ps), 1.0)
+        q = 1.0 / depths_under(P, ps)
         t_star = lost_translation(ps, us, Km, R, q)
 
         Kinv = intrinsic_inverse(Km)

@@ -15,6 +15,7 @@ from odlt.geometry import (
     Pose,
     compose_projection,
     correspondence_arrays,
+    intrinsic_matrix,
     rotation_angle_deg,
 )
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
@@ -110,16 +111,20 @@ class TestInvariances:
         assert rotation_angle_deg(a.pose.R, b.pose.R) < 1e-9
         np.testing.assert_allclose(b.pose.r, a.pose.r, atol=1e-9)
 
-    def test_sigma_scale_invariance(self, rng):
-        # Scaling sigma_u rescales all rows together; the null direction,
-        # the Procrustes weights' relative pattern, so the pose, must stay.
-        Km, R, r, ps, us = make_exact_scene(rng, n=25)
-        us = us + rng.standard_normal(us.shape)
-        for method in METHODS:
-            a = solve((ps, us), Km, SolverConfig(method=method, sigma_u=1.0))
-            b = solve((ps, us), Km, SolverConfig(method=method, sigma_u=10.0))
-            assert rotation_angle_deg(a.pose.R, b.pose.R) < 1e-8
-            np.testing.assert_allclose(b.pose.r, a.pose.r, atol=1e-8)
+    def test_sigma_scale_invariance(self):
+        # The row weights are inverse depths, so sigma_u, however extreme, leaves
+        # every pose and flag bit for bit as at sigma_u = 1.
+        for box, n in ((CENTERED_BOX, 50), (UNCENTERED_BOX, 2000)):
+            sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=1, seed=5)
+            arrays, _ = generate_scene(sc, 0)
+            for method in METHODS:
+                base = solve(arrays, sc.intrinsics, SolverConfig(method=method))
+                for sigma_u in (1e-300, 0.25, 3.7, 10.0, 1e300):
+                    cfg = SolverConfig(method=method, sigma_u=sigma_u)
+                    other = solve(arrays, sc.intrinsics, cfg)
+                    np.testing.assert_array_equal(other.pose.R, base.pose.R)
+                    np.testing.assert_array_equal(other.pose.r, base.pose.r)
+                    assert other.flags == base.flags, (method, n, sigma_u)
 
     def test_odlt_lost_shares_rotation(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=25)
@@ -256,10 +261,30 @@ class TestGaussNewton:
         result = solve((ps, us), Km, SolverConfig(method="ndlt_gn"))
         assert FLAG_FALLBACK_USED in result.flags
 
+    def test_restart_from_own_output_stops_at_once(self, monkeypatch):
+        # At its own optimum the predicted decrease is below _GN_TOL, so a
+        # restart evaluates the starting cost only and hands the pose back.
+        sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
+        (ps, us), _ = generate_scene(sc, 0)
+        pose = solve((ps, us), sc.intrinsics, SolverConfig(method="ndlt_gn")).pose
+        calls = Counter()
+        cost = solvers_module._gn_cost
+
+        def counted(*args):
+            calls["cost"] += 1
+            return cost(*args)
+
+        monkeypatch.setattr(solvers_module, "_gn_cost", counted)
+        again, fell_back = refine_gauss_newton(ps, us, intrinsic_matrix(sc.intrinsics), pose)
+        assert calls["cost"] == 1
+        assert not fell_back
+        np.testing.assert_array_equal(again.R, pose.R)
+        np.testing.assert_array_equal(again.r, pose.r)
+
     # Seeded scenes (paper point, and uncentered at n=2000) where Gauss-Newton
-    # converges, the cost then sits at rounding level and all 11 halvings of
-    # the last step fail. The step's predicted decrease is below _GN_TOL, so
-    # that is convergence, not a fallback.
+    # converges with the cost at rounding level, where no halving of a further
+    # step could lower it. That step's predicted decrease is below _GN_TOL, so
+    # the iteration stops before the line search: convergence, not a fallback.
     @pytest.mark.parametrize(
         "box, n, trial",
         [(CENTERED_BOX, 50, 12), (UNCENTERED_BOX, 50, 20), (UNCENTERED_BOX, 2000, 16)],
@@ -337,8 +362,9 @@ class TestApiSurface:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(method="epnp")
-        with pytest.raises(ValueError):
-            SolverConfig(sigma_u=0.0)
+        for sigma_u in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma_u must be finite and positive"):
+                SolverConfig(sigma_u=sigma_u)
 
     def test_estimate_projection_properties(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=20)
@@ -453,9 +479,9 @@ class TestPreliminaryCrossover:
 
     def test_rows_weighted_in_place_match_the_weighted_assembly(self, rng, monkeypatch):
         # One point behind the preliminary camera: its two rows leave the one
-        # A and the others are scaled by q = 1 / (sigma_u depth), as a weighted
-        # assembly of the kept points would give them, up to the order of two
-        # products.
+        # A and the others are scaled by q = 1 / depth whatever sigma_u is, as a
+        # weighted assembly of the kept points would give them, up to the order
+        # of two products.
         Km, R, r, ps, us = make_exact_scene(rng, n=20)
         us = us + rng.standard_normal(us.shape)
         shift_preliminary(monkeypatch, ps, us, behind=1)
@@ -479,7 +505,7 @@ class TestPreliminaryCrossover:
         usn = fit_pixel_normalization(us).apply(us)
         front = depths > 0
         assert front.sum() == 19
-        expected = _assemble_arrays(psn[front], usn[front], 1.0 / (2.0 * depths[front]))
+        expected = _assemble_arrays(psn[front], usn[front], 1.0 / depths[front])
         assert len(assemblies) == 1
         ((A, points),) = seen
         np.testing.assert_array_equal(points, psn[front])

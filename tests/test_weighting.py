@@ -8,7 +8,7 @@ from odlt.errors import RankDeficient
 from odlt.geometry import Correspondence, Pose, compose_projection, project_points
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
 from odlt.solvers import FLAG_FALLBACK_USED, SolverConfig, solve
-from odlt.weighting import _preliminary_normalized, depths_under, weight_factors
+from odlt.weighting import _preliminary_normalized, depths_under
 from conftest import (
     WeightContext,
     make_exact_scene,
@@ -82,7 +82,7 @@ def test_factorization_identity(rng):
     # B A = -q S A exactly, because [ubar x]^3 = -||ubar||^2 [ubar x].
     Km, R, r, ps, us = make_exact_scene(rng, n=10)
     P0 = compose_projection(Km, Pose(R=R, r=r))
-    for c, q in zip(as_cs(ps, us), weight_factors(depths_under(P0, ps), 1.0)):
+    for c, q in zip(as_cs(ps, us), 1.0 / depths_under(P0, ps)):
         ubar = np.array([c.u[0], c.u[1], 1.0])
         Ux = np.array(
             [
@@ -102,12 +102,8 @@ class TestWeightFactors:
     def test_values_and_vectorized(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=9)
         P0 = compose_projection(Km, Pose(R=R, r=r))
-        sigma = 2.0
         depths = np.array([P0[2, :3] @ p + P0[2, 3] for p in ps])  # k^T P0 pbar, per point
         np.testing.assert_allclose(depths_under(P0, ps), depths, rtol=1e-15)
-        np.testing.assert_allclose(
-            weight_factors(depths_under(P0, ps), sigma), 1.0 / (sigma * depths), rtol=1e-15
-        )
 
     def test_context_validation(self):
         with pytest.raises(ValueError):
