@@ -90,14 +90,23 @@ def _int_list(text: str) -> list:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _float_list(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok]
+def _noise_level(text: str, rule: str = ">= 0") -> float:
+    """A finite pixel noise, >= 0 or > 0 as rule says; argparse names the option."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (0 < x < math.inf or x == 0 and rule == ">= 0"):
+        raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text!r}")
+    return x
 
 
-def _noise_level(text: str) -> float:
-    if not 0 <= float(text) < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return float(text)
+def _stated_noise(text: str) -> float:
+    return _noise_level(text, "> 0")
+
+
+def _sigma_list(text: str) -> list:
+    return [_noise_level(tok) for tok in text.split(",") if tok]
 
 
 def _method_list(text: str) -> list:
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma separated point counts (default: 50)",
     )
     p_syn.add_argument(
-        "--sigma-list", type=_float_list, default=[1.0],
+        "--sigma-list", type=_sigma_list, default=[1.0],
         help="comma separated pixel noise levels (default: 1.0)",
     )
     p_syn.add_argument("--trials", type=int, default=500, help="trials per cell (default: 500)")
@@ -362,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=METHODS, default="odlt", help="solver (default: odlt)"
     )
     p_solve.add_argument(
-        "--sigma-u", type=float, default=1.0,
+        "--sigma-u", type=_stated_noise, default=1.0,
         help="stated pixel noise; the pose does not depend on it (default: 1.0)",
     )
     p_solve.add_argument("--seed", type=int, default=0, help="subset seed for n >= 768 (default: 0)")

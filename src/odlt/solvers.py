@@ -120,7 +120,12 @@ class PnpResult:
 
 
 def _reprojection_rms(ps: np.ndarray, us: np.ndarray, Km: np.ndarray, pose: Pose) -> float:
-    return float(np.sqrt(_gn_cost(ps, us, Km, pose.R, pose.r) / ps.shape[0]))
+    KR = Km @ pose.R
+    y = KR @ ps.T - (KR @ pose.r)[:, None]
+    if np.abs(y[2]).min(initial=np.inf) < 1e-12:
+        return np.inf
+    d = y[:2] / y[2] - us.T
+    return float(np.sqrt(np.vdot(d, d) / ps.shape[0]))
 
 
 class _LinearOutcome(NamedTuple):
@@ -245,23 +250,27 @@ def refine_gauss_newton(
 
     ps (n,3) and us (n,2) are checked float arrays and Km the 3x3 intrinsic
     matrix, as solve() passes them. Parameters are a rotation-vector
-    increment composed on the left and the camera center. Iteration stops
-    when the step's predicted decrease -g^T delta (g = J^T e) is below
-    _GN_TOL (converged) or after _GN_MAX_ITERS accepted steps. A step that
-    raises the cost is halved up to 10 times; if none lowers it, the current
-    pose is returned with fell_back True. With no step taken it is init itself.
+    increment composed on the left and the camera center. Each pose tried is
+    projected once (_gn_project); an accepted one's projection gives the next
+    normal equations (_gn_rows). Iteration stops when the predicted decrease
+    -g^T delta (g = J^T e) is below _GN_TOL or after _GN_MAX_ITERS accepted
+    steps. A step that raises the cost is halved up to 10 times; if none
+    lowers it, or init puts a point on its camera plane, the current pose is
+    returned with fell_back True. With no step taken it is init itself.
 
     Returns:
         (pose, fell_back).
     """
     R, r = init.R, init.r
-    cost = _gn_cost(ps, us, Km, R, r)
+    cost, proj = _gn_project(ps, us, Km, R, r)
+    if proj is None:  # nothing to linearize about
+        return init, True
     fell_back = False
     for _ in range(_GN_MAX_ITERS):
-        e, J = _gn_residuals_jacobian(ps, us, Km, R, r)
-        g = J.T @ e
+        e, G = _gn_rows(Km, R, proj)
+        g = G @ e
         try:
-            delta = -np.linalg.solve(J.T @ J, g)
+            delta = -np.linalg.solve(G @ G.T, g)
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("Gauss-Newton normal matrix is singular") from exc
         if -(g @ delta) < _GN_TOL:
@@ -270,59 +279,51 @@ def refine_gauss_newton(
             step = delta / (2.0**halving)
             R_new = rodrigues(step[:3]) @ R
             r_new = r + step[3:]
-            cost_new = _gn_cost(ps, us, Km, R_new, r_new)
+            cost_new, proj_new = _gn_project(ps, us, Km, R_new, r_new)
             if cost_new <= cost:
                 break
         else:
             fell_back = True
             break
-        R, r, cost = R_new, r_new, cost_new
+        R, r, cost, proj = R_new, r_new, cost_new, proj_new
     if R is init.R:  # no step taken: hand back the caller's pose bit for bit
         return init, fell_back
     return Pose._from_rotation(nearest_rotation(R), r), fell_back
 
 
-def _gn_cost(ps, us, Km, R, r) -> float:
-    KR = Km @ R
-    y = KR @ ps.T - (KR @ r)[:, None]
-    if np.abs(y[2]).min(initial=np.inf) < 1e-12:
-        return np.inf
-    d = y[:2] / y[2]
-    d -= us.T
-    return float(np.vdot(d, d))
+def _gn_project(ps, us, Km, R, r):
+    """(e . e, proj = (e, ab, UV, 1/x3)) at the pose (R, r): x = R (p - r), ab = x[:2] / x3,
+    UV = K_2x2 ab, e = us^T - UV - (cx, cy), all (2, n); (inf, None) if any |x3| < 1e-12."""
+    x = R @ ps.T - (R @ r)[:, None]
+    if np.abs(x[2]).min(initial=np.inf) < 1e-12:
+        return np.inf, None
+    iz = 1.0 / x[2]
+    ab = x[:2] * iz
+    UV = Km[:2, :2] @ ab
+    e = us.T - UV - Km[:2, 2:]
+    return float(np.vdot(e, e)), (e, ab, UV, iz)
 
 
-def _gn_residuals_jacobian(ps, us, Km, R, r):
-    """Stacked residuals (2n,) and Jacobian (2n, 6) for [dphi, dr], rows
-    interleaved u, v per point.
+def _gn_rows(Km, R, proj):
+    """Residuals e (2n,) and Jacobian J = G^T for [dphi, dr] as C-ordered rows G (6, 2n):
+    the u rows of points 0..n-1, then their v rows, so J^T J = G G^T and J^T e = G e.
 
-    With x = R (p - r), normalized coordinates (a, b) = (x1/x3, x2/x3) and
-    (U, V) = K_2x2 (a, b), the predicted pixel less the principal point, the
-    point interaction matrix (Chaumette & Hutchinson 2006) is
-
-        d(a, b)/d(dphi) = [[-a b, 1 + a^2, -b], [-(1 + b^2), a b, a]]
-        d(a, b)/d(r)    = -[R_1 - a R_3; R_2 - b R_3] / x3
-
-    for the rotation increment composed on the left and the camera center.
-    Applying -K_2x2 = -[[fx, s], [0, fy]] gives the rows of J in closed form:
+    The point interaction matrix (Chaumette & Hutchinson 2006) of (a, b) =
+    (x1, x2) / x3 is d(a, b)/d(dphi) = [[-a b, 1 + a^2, -b], [-(1 + b^2), a b, a]]
+    and d(a, b)/d(r) = -[R_1 - a R_3; R_2 - b R_3] / x3. With (U, V) = K_2x2 (a, b),
+    the predicted pixel less the principal point, -K_2x2 times it gives J's rows:
 
         u: (U b + s, -(U a + fx), fx b - s a, (fx R_1 + s R_2 - U R_3) / x3)
         v: (V b + fy, -V a, -fy a, (fy R_2 - V R_3) / x3)
     """
-    n = ps.shape[0]
-    x = R @ ps.T - (R @ r)[:, None]
-    iz = 1.0 / x[2]
-    ab = x[:2] * iz
-    a, b = ab
+    e, (a, b), UV, iz = proj
     K2 = Km[:2, :2]
-    UV = K2 @ ab
-    e = us - (UV + Km[:2, 2:]).T
-    G = np.empty((2, 6, n))  # G[p, k, i]: row p (u or v) of point i, column k
-    G[:, 0] = UV * b + K2[:, 1:]
-    G[:, 1] = -UV * a - K2[:, :1]
-    G[:, 2] = K2 @ np.stack([b, -a])
-    G[:, 3:] = ((K2 @ R[:2])[:, :, None] - UV[:, None] * R[2][:, None]) * iz
-    return e.reshape(2 * n), G.transpose(2, 0, 1).reshape(2 * n, 6)
+    G = np.empty((6, 2, a.shape[0]))  # G[k, p, i]: column k of row p (u or v) of point i
+    G[0] = UV * b + K2[:, 1:]
+    G[1] = -UV * a - K2[:, :1]
+    G[2] = K2 @ np.stack([b, -a])
+    G[3:] = ((K2 @ R[:2]).T[:, :, None] - R[2][:, None, None] * UV) * iz
+    return e.reshape(-1), G.reshape(6, -1)
 
 
 def estimate_projection(cs, cfg: SolverConfig) -> np.ndarray:

@@ -76,6 +76,31 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def oracle_gn_jacobian(Km, R, r, ps, us):
+    """Residuals e = u - pred (2n,) and their Jacobian J (2n, 6) for a rotation
+    increment dphi composed on the left and the camera center r, with rows
+    interleaved u, v per point, by the chain rule one point at a time.
+
+    x = R (p - r) moves by dx = dphi x x = -[x]_x dphi and dx = -R dr; the
+    normalized point (a, b) = (x1, x2) / x3 moves by [[1, 0, -a], [0, 1, -b]] dx
+    / x3; the pixel by K_2x2 d(a, b); the residual by minus that.
+    """
+    Km = np.asarray(Km, dtype=float)
+    K2 = Km[:2, :2]
+    n = ps.shape[0]
+    e = np.empty(2 * n)
+    J = np.empty((2 * n, 6))
+    for i in range(n):
+        x = R @ (ps[i] - r)
+        a, b = x[0] / x[2], x[1] / x[2]
+        x_cross = np.array([[0.0, -x[2], x[1]], [x[2], 0.0, -x[0]], [-x[1], x[0], 0.0]])
+        dx = np.hstack([-x_cross, -R])
+        dab = np.array([[1.0, 0.0, -a], [0.0, 1.0, -b]]) / x[2]
+        e[2 * i : 2 * i + 2] = us[i] - (K2 @ np.array([a, b]) + Km[:2, 2])
+        J[2 * i : 2 * i + 2] = -K2 @ dab @ dx
+    return e, J
+
+
 # -- Derivation oracles --------------------------------------------------------
 
 

@@ -124,10 +124,21 @@ class TestSynthetic:
         _, _, rows = read_csv(out)
         assert float(rows[0][7]) > 0.0
 
-    def test_infinite_noise_level_exits_3(self, capsys):
-        rc = main(["synthetic", "--sigma-list", "inf", "--trials", "2"])
-        assert rc == 3
-        assert "error: sigma_u must be finite and >= 0, got inf" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("inf", "must be finite and >= 0, got 'inf'"),
+            ("nan", "must be finite and >= 0, got 'nan'"),
+            ("1,-1", "must be finite and >= 0, got '-1'"),
+            ("1,abc", "expected a number, got 'abc'"),
+        ],
+        ids=["inf", "nan", "negative", "non-number"],
+    )
+    def test_bad_sigma_list_is_an_argparse_error(self, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synthetic", "--sigma-list", value, "--trials", "2"])
+        assert exc.value.code == 2
+        assert f"argument --sigma-list: {message}" in capsys.readouterr().err
 
     def test_unknown_method_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -265,6 +276,14 @@ class TestEvalColmap:
         assert exc.value.code == 2
         assert "argument --noise-px: must be finite and >= 0" in capsys.readouterr().err
 
+    def test_non_numeric_noise_names_the_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-colmap", "--model-dir", str(SOLVABLE), "--noise-px", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --noise-px: expected a number, got 'abc'" in err
+        assert "_noise_level" not in err
+
     def test_missing_model_dir_exits_3(self, tmp_path, capsys):
         rc = main(["eval-colmap", "--model-dir", str(tmp_path / "nope")])
         assert rc == 3
@@ -320,6 +339,15 @@ class TestSolve:
         rc = main(["solve", "--input", "-", "--format", "json-lines"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["reprojection_rms"] < 1e-6
+
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan", "abc"])
+    def test_bad_sigma_u_is_an_argparse_error(self, value, tmp_path, capsys):
+        path = tmp_path / "problem.txt"
+        write_problem_file(path, solvable_problem())
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", str(path), "--sigma-u", value])
+        assert exc.value.code == 2
+        assert "argument --sigma-u: " in capsys.readouterr().err
 
     def test_too_few_points_exits_3(self, tmp_path, capsys):
         path = tmp_path / "tiny.txt"

@@ -4,7 +4,8 @@ Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
 operating point (n=50), the QR calls, constraint-matrix assemblies and bytes
 handed to the null space on both sides of the chunked-QR crossover (n=50 and
 n=2000), the stage functions and input checks solve() calls per method, the
-reprojection costs one ndlt_gn solve evaluates, the Pose validations and the
+step attempts, projections and normal-equation builds of one ndlt_gn solve
+(n=50 and n=2000), the Pose validations and the
 Python-level calls made from odlt's own frames per solve, and the
 Correspondence objects the Monte Carlo harness, the COLMAP problem builder
 and the CLI create. Unlike a timing, the counts are exact
@@ -16,8 +17,9 @@ array path (the Monte Carlo harness, build_problems, eval-colmap, odlt
 solve's problem file), a null space that silently stops (or starts)
 chunking, a null space handed the 2n x 12 matrix above the crossover, a
 weighted solve that assembles a second matrix below the crossover, or a
-Gauss-Newton that keeps evaluating the cost once it has converged fails
-here on any host.
+Gauss-Newton that keeps evaluating the cost once it has converged, projects
+a pose twice or builds the interleaved (2n, 6) Jacobian fails here on any
+host.
 """
 
 import sys
@@ -200,26 +202,50 @@ def test_stage_calls_per_solve(method, monkeypatch):
     }
 
 
-# Reprojection costs evaluated in one ndlt_gn solve at n=50: Gauss-Newton's
-# starting cost, one per accepted step (no halving is needed on this scene),
-# none once the predicted decrease shows convergence, and the final
-# reprojection RMS.
-GN_COSTS_PER_SOLVE = 4
+# Gauss-Newton's work in one ndlt_gn solve on the uncentered box: step
+# attempts (one rodrigues each), projections (the start plus one per attempt;
+# the accepted pose's projection also serves the next normal equations) and
+# normal-equation builds (one _gn_rows each, as (6, 2n) C-ordered rows).
+# Neither scene needs a halving. A second projection per step, a cost
+# evaluated after convergence or a return to the interleaved (2n, 6) Jacobian
+# fails here without a timing.
+GN_EXPECTED = {
+    50: {"attempts": 3, "projections": 4, "rows": 4},
+    2000: {"attempts": 2, "projections": 3, "rows": 3},
+}
 
 
-def test_gn_costs_per_solve(monkeypatch):
+@pytest.mark.parametrize("n", sorted(GN_EXPECTED))
+def test_gn_projections_per_solve(n, monkeypatch):
     tally = Counter()
-    cost = solvers_module._gn_cost
+    shapes = set()
+    rodrigues, project, rows = (
+        solvers_module.rodrigues, solvers_module._gn_project, solvers_module._gn_rows
+    )
 
-    def counted(*args):
-        tally["cost"] += 1
-        return cost(*args)
+    def counted_rodrigues(*args):
+        tally["attempts"] += 1
+        return rodrigues(*args)
 
-    monkeypatch.setattr(solvers_module, "_gn_cost", counted)
-    sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
+    def counted_project(*args):
+        tally["projections"] += 1
+        return project(*args)
+
+    def counted_rows(*args):
+        tally["rows"] += 1
+        e, G = rows(*args)
+        shapes.add((G.shape, G.flags.c_contiguous))
+        return e, G
+
+    monkeypatch.setattr(solvers_module, "rodrigues", counted_rodrigues)
+    monkeypatch.setattr(solvers_module, "_gn_project", counted_project)
+    monkeypatch.setattr(solvers_module, "_gn_rows", counted_rows)
+    sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
     arrays, _ = generate_scene(sc, 0)
     solve(arrays, sc.intrinsics, SolverConfig(method="ndlt_gn"))
-    assert tally["cost"] == GN_COSTS_PER_SOLVE
+    assert tally["projections"] == 1 + tally["attempts"]
+    assert dict(tally) == GN_EXPECTED[n]
+    assert shapes == {((6, 2 * n), True)}
 
 
 # Input checks per solve, counted under every odlt module's binding. solve()
@@ -275,7 +301,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 87, "ndlt": 111, "odlt": 155, "odlt_lost": 178, "ndlt_gn": 182}
+CALL_BUDGET = {"dlt": 86, "ndlt": 110, "odlt": 154, "odlt_lost": 177, "ndlt_gn": 178}
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -31,6 +31,7 @@ from odlt.solvers import (
 from odlt.weighting import _preliminary_normalized, depths_under
 from conftest import (
     make_exact_scene,
+    oracle_gn_jacobian,
     oracle_project,
     random_intrinsics_matrix,
     random_rotation,
@@ -39,6 +40,12 @@ from conftest import (
 
 def as_cs(ps, us):
     return [Correspondence(p=p, u=u) for p, u in zip(ps, us)]
+
+
+def gn_rows_at(ps, us, Km, R, r):
+    """Gauss-Newton's residuals and (6, 2n) Jacobian rows at the pose (R, r)."""
+    _, proj = solvers_module._gn_project(ps, us, Km, R, r)
+    return solvers_module._gn_rows(Km, R, proj)
 
 
 def pose_errors(result, R, r):
@@ -206,9 +213,10 @@ class TestGaussNewton:
                 Rp = np.eye(3) + np.sin(c) * Kx + (1 - np.cos(c)) * (Kx @ Kx)
                 Rp = Rp @ R
             pred = oracle_project(Km, Rp, r + dr, ps)
-            return (us - pred).reshape(-1)
+            return (us - pred).T.reshape(-1)  # all u rows, then all v rows
 
-        e_impl, J_impl = solvers_module._gn_residuals_jacobian(ps, us, Km, R, r)
+        e_impl, G = gn_rows_at(ps, us, Km, R, r)
+        J_impl = G.T
         np.testing.assert_allclose(e_impl, residuals(np.zeros(3), np.zeros(3)), atol=1e-9)
         h = 1e-6
         J_fd = np.empty_like(J_impl)
@@ -225,10 +233,8 @@ class TestGaussNewton:
         Km, R, r, ps, us = make_exact_scene(rng, n=30)
         us = us + rng.standard_normal(us.shape)
         result = solve((ps, us), Km, SolverConfig(method="ndlt_gn"))
-        e, J = solvers_module._gn_residuals_jacobian(
-            ps, us, Km, result.pose.R, result.pose.r
-        )
-        step = np.linalg.solve(J.T @ J, J.T @ e)
+        e, G = gn_rows_at(ps, us, Km, result.pose.R, result.pose.r)
+        step = np.linalg.solve(G @ G.T, G @ e)
         assert np.linalg.norm(step) < 1e-6
 
     def test_improves_perturbed_initialization(self, rng):
@@ -246,12 +252,14 @@ class TestGaussNewton:
         Km, R, r, ps, us = make_exact_scene(rng, n=12)
         us = us + rng.standard_normal(us.shape)
         calls = {"n": 0}
+        project = solvers_module._gn_project
 
-        def stuck_cost(*args):
+        def stuck_project(*args):
             calls["n"] += 1
-            return 1.0 if calls["n"] == 1 else 2.0
+            _, proj = project(*args)
+            return (1.0 if calls["n"] == 1 else 2.0), proj
 
-        monkeypatch.setattr(solvers_module, "_gn_cost", stuck_cost)
+        monkeypatch.setattr(solvers_module, "_gn_project", stuck_project)
         init = Pose(R=R, r=r)
         pose, fell_back = refine_gauss_newton(ps, us, Km, init)
         assert fell_back
@@ -263,20 +271,20 @@ class TestGaussNewton:
 
     def test_restart_from_own_output_stops_at_once(self, monkeypatch):
         # At its own optimum the predicted decrease is below _GN_TOL, so a
-        # restart evaluates the starting cost only and hands the pose back.
+        # restart projects the starting pose only and hands the pose back.
         sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
         (ps, us), _ = generate_scene(sc, 0)
         pose = solve((ps, us), sc.intrinsics, SolverConfig(method="ndlt_gn")).pose
         calls = Counter()
-        cost = solvers_module._gn_cost
+        project = solvers_module._gn_project
 
         def counted(*args):
-            calls["cost"] += 1
-            return cost(*args)
+            calls["project"] += 1
+            return project(*args)
 
-        monkeypatch.setattr(solvers_module, "_gn_cost", counted)
+        monkeypatch.setattr(solvers_module, "_gn_project", counted)
         again, fell_back = refine_gauss_newton(ps, us, intrinsic_matrix(sc.intrinsics), pose)
-        assert calls["cost"] == 1
+        assert calls["project"] == 1
         assert not fell_back
         np.testing.assert_array_equal(again.R, pose.R)
         np.testing.assert_array_equal(again.r, pose.r)
@@ -294,6 +302,48 @@ class TestGaussNewton:
         (ps, us), _ = generate_scene(sc, trial)
         result = solve((ps, us), sc.intrinsics, SolverConfig(method="ndlt_gn"))
         assert FLAG_FALLBACK_USED not in result.flags
+
+    # The (6, 2n) rows give J^T J = G G^T and J^T e = G e, as refine_gauss_newton
+    # forms them, equal to the products of the interleaved (2n, 6) J that the
+    # oracle builds point by point by the chain rule.
+    @pytest.mark.parametrize("n", [6, 2000])
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX])
+    def test_normal_equations_match_interleaved_oracle(self, box, n):
+        sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=1, seed=0)
+        (ps, us), _ = generate_scene(sc, 0)
+        Km = intrinsic_matrix(sc.intrinsics)
+        pose = solve((ps, us), Km, SolverConfig(method="ndlt")).pose
+        e, G = gn_rows_at(ps, us, Km, pose.R, pose.r)
+        e_oracle, J = oracle_gn_jacobian(Km, pose.R, pose.r, ps, us)
+        np.testing.assert_allclose(e, e_oracle.reshape(-1, 2).T.reshape(-1), rtol=0, atol=1e-9)
+        for got, want in ((G @ G.T, J.T @ J), (G @ e, J.T @ e_oracle)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    # Without noise the linear pose predicts less than _GN_TOL of decrease, so
+    # Gauss-Newton takes no step: the pose is ndlt's bit for bit, unflagged and
+    # exact to criterion 01's bounds.
+    @pytest.mark.parametrize("n", [6, 12, 50, 2000])
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX])
+    def test_exact_data_returns_the_linear_pose(self, box, n):
+        sc = SyntheticScenario(box=box, n=n, sigma_u=0.0, trials=10, seed=0)
+        for trial in range(sc.trials):
+            arrays, truth = generate_scene(sc, trial)
+            gn = solve(arrays, sc.intrinsics, SolverConfig(method="ndlt_gn"))
+            linear = solve(arrays, sc.intrinsics, SolverConfig(method="ndlt"))
+            assert FLAG_FALLBACK_USED not in gn.flags
+            np.testing.assert_array_equal(gn.pose.R, linear.pose.R)
+            np.testing.assert_array_equal(gn.pose.r, linear.pose.r)
+            assert rotation_angle_deg(gn.pose.R, truth.R) < 1e-6, trial
+            assert np.linalg.norm(gn.pose.r - truth.r) < 1e-8, trial
+
+    def test_start_with_a_point_on_the_camera_plane_is_returned_flagged(self, rng):
+        Km, R, r, ps, us = make_exact_scene(rng, n=12)
+        ps = ps.copy()
+        ps[0] = r + R[0]  # x = R (p - r) = (1, 0, 0): depth 0
+        init = Pose(R=R, r=r)
+        pose, fell_back = refine_gauss_newton(ps, us, Km, init)
+        assert fell_back
+        assert pose is init
 
 
 def shift_preliminary(monkeypatch, ps, us, behind):
