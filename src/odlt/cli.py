@@ -86,8 +86,15 @@ def _write_csv(path, manifest, header, rows) -> None:
             out.close()
 
 
-def _int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok]
+def _count(text: str) -> int:
+    """A positive integer; argparse names the option."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _count_list(text: str) -> list:
+    return [_count(tok) for tok in text.split(",") if tok]
 
 
 def _noise_level(text: str, rule: str = ">= 0") -> float:
@@ -308,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="point cloud placement (default: centered)",
     )
     p_syn.add_argument(
-        "--n-list", type=_int_list, default=[50],
+        "--n-list", type=_count_list, default=[50],
         help="comma separated point counts (default: 50)",
     )
     p_syn.add_argument(
         "--sigma-list", type=_sigma_list, default=[1.0],
         help="comma separated pixel noise levels (default: 1.0)",
     )
-    p_syn.add_argument("--trials", type=int, default=500, help="trials per cell (default: 500)")
+    p_syn.add_argument("--trials", type=_count, default=500, help="trials per cell (default: 500)")
     p_syn.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
     p_syn.add_argument(
         "--methods", type=_method_list, default=list(METHODS),

@@ -126,7 +126,7 @@ def weighted_procrustes(
     rescaled by s = det(R_acute)^(-1/3). Starting from the unweighted
     projection R0 = nearest_rotation(R_s), the rotation is updated through
     the small-angle model R ~ (I - [dphi x]) R0, solving 3x3 normal
-    equations per iteration and re-projecting with nearest_rotation. One
+    equations per iteration and re-projecting onto SO(3) in closed form. One
     iteration is the default; up to five are allowed, stopping early when
     |dphi| < _PROCRUSTES_TOL. R_acute and W are float 3x3 arrays and det is
     det(R_acute), all computed by the caller.
@@ -162,8 +162,12 @@ def weighted_procrustes(
         dphi = _solve_psd(Nmat, g, _WEIGHT_COND_LIMIT)
         if dphi is None:
             return R0, True
+        # nearest_rotation((I - [dphi x]) R) in closed form: I - [dphi x] fixes
+        # dphi, so its polar factor is (I - [dphi x] + dphi dphi^T / (1 + c)) / c.
         x, y, z = dphi.tolist()
-        candidate = nearest_rotation(np.array([[1.0, z, -y], [-z, 1.0, x], [y, -x, 1.0]]) @ R)
+        c = np.sqrt(1.0 + x * x + y * y + z * z)
+        U = np.array([[1.0, z, -y], [-z, 1.0, x], [y, -x, 1.0]]) + np.outer(dphi, dphi / (1.0 + c))
+        candidate = (U / c) @ R
         candidate_cost = procrustes_cost(candidate, Rs, W)
         if candidate_cost > cost:
             break
@@ -206,8 +210,9 @@ def lost_translation(
     R p_i need only seven q^2-weighted sums of full-length columns: O(n).
 
     Args:
-        ps: checked (n,3) world points.
-        us: checked (n,2) pixels.
+        ps: checked (n,3) world points; solve() passes views of its own
+            arrays, masked copies only when some point is behind the camera.
+        us: checked (n,2) pixels, as ps.
         Km: checked 3x3 intrinsic matrix.
         R: fixed 3x3 rotation.
         weights: positive per-point scalars q_i (from the final estimate).

@@ -147,22 +147,21 @@ def _linear_solve(
     flags = set()
     timings = {}
     t0 = time.perf_counter()
+    Mt = np.empty((12, ps.shape[0]))  # _assemble_arrays' moment rows: points 0-2, pixels 7, 11
     if normalize:
-        pix = fit_pixel_normalization(us)
-        pt = fit_point_normalization(ps)
-        us = pix.apply(us)
-        ps = pt.apply(ps)
+        pix = fit_pixel_normalization(us, out=Mt[7::4])
+        pt = fit_point_normalization(ps, out=Mt[:3])
     else:
-        pix = PixelNormalization.identity()
-        pt = PointNormalization.identity()
+        Mt[:3], Mt[7::4] = ps.T, us.T
+        pix, pt = PixelNormalization.identity(), PointNormalization.identity()
     timings["normalize"] = time.perf_counter() - t0
 
     A = weights = None
     if weighted:
         t0 = time.perf_counter()
         # Below the chunked-QR crossover one A serves the preliminary and the final solve.
-        A = _assemble_arrays(ps, us) if 2 * ps.shape[0] < _QR_CHUNK_MIN_ROWS else None
-        _, depths, used_full = _preliminary_normalized(ps, us, cfg.seed, A)
+        A = _assemble_arrays(Mt) if 2 * Mt.shape[1] < _QR_CHUNK_MIN_ROWS else None
+        _, depths, used_full = _preliminary_normalized(Mt, cfg.seed, A)
         if used_full:
             flags.add(FLAG_FALLBACK_USED)
         if not cfg.force_unit_weights:
@@ -172,7 +171,7 @@ def _linear_solve(
                 if frac >= NEGATIVE_DEPTH_LIMIT:
                     raise NegativeDepth(f"{frac:.0%} of points behind the preliminary camera")
                 front = ~neg
-                ps, us, depths = ps[front], us[front], depths[front]
+                Mt, depths = Mt[:, front], depths[front]
                 A = None if A is None else A.reshape(-1, 24)[front].reshape(-1, 12)
             weights = 1.0 / depths
             if A is not None:
@@ -181,7 +180,10 @@ def _linear_solve(
         timings["weights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sol = solve_nullspace(_assemble_arrays(ps, us, weights) if A is None else A, points=ps)
+    ps = Mt[:3].T  # the normalized points, for the cheirality sign
+    if A is None and weights is not None:
+        ps = ps.copy()  # the weighted assembly scales Mt in place, with no second n-sized array
+    sol = solve_nullspace(_assemble_arrays(Mt, weights) if A is None else A, points=ps)
     timings["solve"] = time.perf_counter() - t0
     if sol.mixed_depths:
         flags.add(FLAG_MIXED_DEPTHS)
@@ -225,7 +227,7 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
         R = pose.R
         # Depths under K [R | -R r]: K's third row is (0, 0, 1), so K drops out.
         depths = ps @ R[2] + (-R @ pose.r)[2]
-        front = depths > 0
+        front = slice(None) if (depths > 0).all() else depths > 0  # no copies when all kept
         t = lost_translation(ps[front], us[front], Km, R, 1.0 / depths[front])
         pose = Pose._from_rotation(R, -R.T @ t)
         timings["lost"] = time.perf_counter() - t0
@@ -251,7 +253,9 @@ def refine_gauss_newton(
     ps (n,3) and us (n,2) are checked float arrays and Km the 3x3 intrinsic
     matrix, as solve() passes them. Parameters are a rotation-vector
     increment composed on the left and the camera center. Each pose tried is
-    projected once (_gn_project); an accepted one's projection gives the next
+    projected once (_gn_project) from the points and the pixels less the
+    principal point, copied once into (3, n) and (2, n) rows; an accepted
+    one's projection gives the next
     normal equations (_gn_rows). Iteration stops when the predicted decrease
     -g^T delta (g = J^T e) is below _GN_TOL or after _GN_MAX_ITERS accepted
     steps. A step that raises the cost is halved up to 10 times; if none
@@ -262,7 +266,8 @@ def refine_gauss_newton(
         (pose, fell_back).
     """
     R, r = init.R, init.r
-    cost, proj = _gn_project(ps, us, Km, R, r)
+    pts, uv = np.ascontiguousarray(ps.T), np.subtract(us.T, Km[:2, 2:], order="C")
+    cost, proj = _gn_project(pts, uv, Km, R, r)
     if proj is None:  # nothing to linearize about
         return init, True
     fell_back = False
@@ -279,7 +284,7 @@ def refine_gauss_newton(
             step = delta / (2.0**halving)
             R_new = rodrigues(step[:3]) @ R
             r_new = r + step[3:]
-            cost_new, proj_new = _gn_project(ps, us, Km, R_new, r_new)
+            cost_new, proj_new = _gn_project(pts, uv, Km, R_new, r_new)
             if cost_new <= cost:
                 break
         else:
@@ -291,16 +296,17 @@ def refine_gauss_newton(
     return Pose._from_rotation(nearest_rotation(R), r), fell_back
 
 
-def _gn_project(ps, us, Km, R, r):
-    """(e . e, proj = (e, ab, UV, 1/x3)) at the pose (R, r): x = R (p - r), ab = x[:2] / x3,
-    UV = K_2x2 ab, e = us^T - UV - (cx, cy), all (2, n); (inf, None) if any |x3| < 1e-12."""
-    x = R @ ps.T - (R @ r)[:, None]
+def _gn_project(pts, uv, Km, R, r):
+    """(e . e, proj = (e, ab, UV, 1/x3)) at the pose (R, r) for points pts (3, n) and
+    pixels less the principal point uv (2, n): x = R (p - r), ab = x[:2] / x3,
+    UV = K_2x2 ab, e = uv - UV, all (2, n); (inf, None) if any |x3| < 1e-12."""
+    x = R @ pts - (R @ r)[:, None]
     if np.abs(x[2]).min(initial=np.inf) < 1e-12:
         return np.inf, None
     iz = 1.0 / x[2]
     ab = x[:2] * iz
     UV = Km[:2, :2] @ ab
-    e = us.T - UV - Km[:2, 2:]
+    e = uv - UV
     return float(np.vdot(e, e)), (e, ab, UV, iz)
 
 
@@ -319,10 +325,12 @@ def _gn_rows(Km, R, proj):
     e, (a, b), UV, iz = proj
     K2 = Km[:2, :2]
     G = np.empty((6, 2, a.shape[0]))  # G[k, p, i]: column k of row p (u or v) of point i
-    G[0] = UV * b + K2[:, 1:]
-    G[1] = -UV * a - K2[:, :1]
-    G[2] = K2 @ np.stack([b, -a])
-    G[3:] = ((K2 @ R[:2]).T[:, :, None] - R[2][:, None, None] * UV) * iz
+    np.add(np.multiply(UV, b, out=G[0]), K2[:, 1:], out=G[0])
+    np.negative(np.add(np.multiply(UV, a, out=G[1]), K2[:, :1], out=G[1]), out=G[1])
+    np.matmul(K2, np.stack([b, -a]), out=G[2])
+    np.multiply(R[2][:, None, None], UV, out=G[3:])
+    np.subtract((K2 @ R[:2]).T[:, :, None], G[3:], out=G[3:])
+    G[3:] *= iz
     return e.reshape(-1), G.reshape(6, -1)
 
 

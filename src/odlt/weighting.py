@@ -38,27 +38,28 @@ def depths_under(P0: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 
 def _preliminary_normalized(
-    psn: np.ndarray, usn: np.ndarray, seed: int, A: np.ndarray | None = None
+    Mt: np.ndarray, seed: int, A: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Unweighted preliminary estimate P0 on pre-normalized data.
 
-    psn and usn are normalized over the full set, so P0 lives in those
-    coordinates. Given A, the full set's constraint matrix, P0 is its null
-    vector; else (n >= 768 > SUBSET_SIZE) it solves a seeded subset of
-    SUBSET_SIZE points, or the full set when that subset is rank deficient.
+    Mt holds the points and pixels, normalized over the full set, as the
+    moment rows of dlt._assemble_arrays, so P0 lives in those coordinates.
+    Given A, the full set's constraint matrix, P0 is its null vector; else
+    (n >= 768 > SUBSET_SIZE) it solves a seeded subset of SUBSET_SIZE points,
+    or the full set when that subset is rank deficient.
 
-    Returns (P0, depths of psn under P0, used_full_set).
+    Returns (P0, depths of the points under P0, used_full_set).
     """
+    ps = Mt[:3].T
     used_full = A is None
     if used_full:
-        n = psn.shape[0]
-        idx = np.sort(np.random.default_rng(seed).choice(n, size=SUBSET_SIZE, replace=False))
-        ps = psn[idx]
+        idx = np.random.default_rng(seed).choice(ps.shape[0], size=SUBSET_SIZE, replace=False)
+        sub = Mt[:, np.sort(idx)]
         try:
-            P0 = solve_nullspace(_assemble_arrays(ps, usn[idx]), points=ps).P
-            return P0, depths_under(P0, psn), False
+            P0 = solve_nullspace(_assemble_arrays(sub), points=sub[:3].T).P
+            return P0, depths_under(P0, ps), False
         except RankDeficient:
-            A = _assemble_arrays(psn, usn)
+            A = _assemble_arrays(Mt)
     P0 = _null_space(A)[1][11].reshape(4, 3).T
-    depths = depths_under(P0, psn)  # signed as solve_nullspace signs with points=psn
+    depths = depths_under(P0, ps)  # signed as solve_nullspace signs with points=ps
     return (-P0, -depths, used_full) if depths.sum() < 0 else (P0, depths, used_full)

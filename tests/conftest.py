@@ -41,6 +41,14 @@ def oracle_project(Km, R, r, ps):
     return hom[:, :2] / hom[:, 2:3]
 
 
+def moment_rows(ps, us):
+    """The (12, n) input of dlt._assemble_arrays and weighting._preliminary_normalized:
+    points (n, 3) as rows 0-2 and pixels (n, 2) as rows 7 and 11, the rest unset."""
+    Mt = np.empty((12, len(ps)))
+    Mt[:3], Mt[7::4] = np.asarray(ps, dtype=float).T, np.asarray(us, dtype=float).T
+    return Mt
+
+
 def random_intrinsics_matrix(rng, skew=False):
     fx = rng.uniform(300.0, 1500.0)
     fy = rng.uniform(300.0, 1500.0)

@@ -53,6 +53,7 @@ from conftest import (
     WeightContext,
     intrinsics_rmse_experiment,
     make_exact_scene,
+    moment_rows,
     oracle_project,
     residual_covariance,
 )
@@ -204,7 +205,7 @@ def test_criterion_08a_nullspace_vs_dense_eigensolver(rng):
         us = us + 0.5 * rng.standard_normal(us.shape)
         psn = fit_point_normalization(ps).apply(ps)
         usn = fit_pixel_normalization(us).apply(us)
-        A = _assemble_arrays(psn, usn)
+        A = _assemble_arrays(moment_rows(psn, usn))
         sol = solve_nullspace(A, points=psn)
         evals, evecs = np.linalg.eigh(A.T @ A)
         x = evecs[:, 0]
@@ -297,7 +298,7 @@ def test_criterion_08c_gn_jacobian_vs_central_differences(rng):
     for _ in range(10):
         Km, R, r, ps, us = make_exact_scene(rng, n=10)
         us = us + rng.standard_normal(us.shape)
-        _, proj = _gn_project(ps, us, Km, R, r)
+        _, proj = _gn_project(ps.T, us.T - Km[:2, 2:], Km, R, r)
         e, G = _gn_rows(Km, R, proj)
         J = G.T
 

@@ -140,6 +140,23 @@ class TestSynthetic:
         assert exc.value.code == 2
         assert f"argument --sigma-list: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--n-list", "abc"), ("--n-list", "0"), ("--n-list", "50,-3"), ("--trials", "0"),
+         ("--trials", "-1"), ("--trials", "2.5")],
+        ids=["n-non-number", "n-zero", "n-negative", "trials-zero", "trials-negative",
+             "trials-fraction"],
+    )
+    def test_bad_count_is_an_argparse_error(self, option, value, capsys):
+        argv = {"--n-list": "6", "--trials": "2"} | {option: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["synthetic", *(token for pair in argv.items() for token in pair)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        token = value.split(",")[-1]
+        assert f"argument {option}: expected a positive integer, got {token!r}" in err
+        assert "_int_list" not in err and "_count" not in err
+
     def test_unknown_method_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["synthetic", "--methods", "p3p"])

@@ -12,7 +12,7 @@ from odlt.errors import RankDeficient, TooFewPoints
 from odlt.evaluation import UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.geometry import Pose, compose_projection
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
-from conftest import make_exact_scene, oracle_project, random_rotation
+from conftest import make_exact_scene, moment_rows, oracle_project, random_rotation
 
 
 def vec_cm(P):
@@ -39,16 +39,16 @@ def test_constraint_block_matches_kron_oracle(rng):
     ps[2] = [0.3, -1.2, 4.0]
     us[2] = [17.0, -5.5]
     oracle = kron_block(ps[2], us[2])
-    np.testing.assert_array_equal(_assemble_arrays(ps, us)[4:6], oracle)
+    np.testing.assert_array_equal(_assemble_arrays(moment_rows(ps, us))[4:6], oracle)
     w = rng.uniform(0.5, 2.0, 6)
     np.testing.assert_allclose(
-        _assemble_arrays(ps, us, w)[4:6], w[2] * oracle, rtol=1e-15, atol=0
+        _assemble_arrays(moment_rows(ps, us), w)[4:6], w[2] * oracle, rtol=1e-15, atol=0
     )
 
 
 def test_assemble_stacks_blocks(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=8)
-    A = _assemble_arrays(ps, us)
+    A = _assemble_arrays(moment_rows(ps, us))
     assert A.shape == (16, 12)
     for i, (p, u) in enumerate(zip(ps, us)):
         np.testing.assert_array_equal(A[2 * i : 2 * i + 2], kron_block(p, u))
@@ -58,7 +58,7 @@ def test_exact_data_annihilates_true_projection(rng):
     for _ in range(10):
         Km, R, r, ps, us = make_exact_scene(rng, n=12)
         P = compose_projection(Km, Pose(R=R, r=r))
-        A = _assemble_arrays(ps, us)
+        A = _assemble_arrays(moment_rows(ps, us))
         residual = A @ vec_cm(P)
         assert np.abs(residual).max() < 1e-6 * np.abs(P).max()
 
@@ -67,7 +67,7 @@ def test_nullspace_recovers_projection(rng):
     for _ in range(10):
         Km, R, r, ps, us = make_exact_scene(rng, n=15)
         P = compose_projection(Km, Pose(R=R, r=r))
-        sol = solve_nullspace(_assemble_arrays(ps, us), points=ps)
+        sol = solve_nullspace(_assemble_arrays(moment_rows(ps, us)), points=ps)
         P_ref = P / np.linalg.norm(P)
         np.testing.assert_allclose(sol.P, P_ref, atol=1e-9 * np.abs(P_ref).max())
         assert sol.singular_values[11] < 1e-9 * sol.singular_values[0]
@@ -76,7 +76,7 @@ def test_nullspace_recovers_projection(rng):
 
 def test_cheirality_sign_is_fixed_by_points(rng):
     Km, R, r, ps, us = make_exact_scene(rng, n=10)
-    A = _assemble_arrays(ps, us)
+    A = _assemble_arrays(moment_rows(ps, us))
     sol_pos = solve_nullspace(A, points=ps)
     sol_neg = solve_nullspace(-A, points=ps)
     depths = ps @ sol_pos.P[2, :3] + sol_pos.P[2, 3]
@@ -86,7 +86,7 @@ def test_cheirality_sign_is_fixed_by_points(rng):
 
 def test_unit_norm_and_layout(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=9)
-    sol = solve_nullspace(_assemble_arrays(ps, us), points=ps)
+    sol = solve_nullspace(_assemble_arrays(moment_rows(ps, us)), points=ps)
     assert abs(np.linalg.norm(sol.P) - 1.0) < 1e-12
     # P and the last column of V hold the same numbers in vec layout.
     np.testing.assert_array_equal(vec_cm(sol.P), sol.V[:, 11])
@@ -149,7 +149,7 @@ def test_coplanar_points_rank_deficient(rng):
     ps[:, 2] = 5.0  # squash onto a plane, then reproject exactly
     us = oracle_project(Km, R, r, ps)
     with pytest.raises(RankDeficient):
-        solve_nullspace(_assemble_arrays(ps, us), points=ps)
+        solve_nullspace(_assemble_arrays(moment_rows(ps, us)), points=ps)
 
 
 def test_too_few_rows_rejected(rng):
@@ -162,15 +162,15 @@ def test_too_few_rows_rejected(rng):
 def test_too_few_points(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=MIN_POINTS - 1)
     with pytest.raises(TooFewPoints):
-        _assemble_arrays(ps, us)
+        _assemble_arrays(moment_rows(ps, us))
 
 
 def test_weight_scale_invariance(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=14)
     us = us + rng.standard_normal(us.shape)
     w = rng.uniform(0.5, 2.0, len(ps))
-    sol_a = solve_nullspace(_assemble_arrays(ps, us, w), points=ps)
-    sol_b = solve_nullspace(_assemble_arrays(ps, us, 3.7 * w), points=ps)
+    sol_a = solve_nullspace(_assemble_arrays(moment_rows(ps, us), w), points=ps)
+    sol_b = solve_nullspace(_assemble_arrays(moment_rows(ps, us), 3.7 * w), points=ps)
     np.testing.assert_allclose(sol_a.P, sol_b.P, atol=1e-12)
 
 
@@ -179,16 +179,18 @@ def test_permutation_invariance(rng):
     us = us + rng.standard_normal(us.shape)
     w = rng.uniform(0.5, 2.0, len(ps))
     perm = rng.permutation(len(ps))
-    sol_a = solve_nullspace(_assemble_arrays(ps, us, w), points=ps)
-    sol_b = solve_nullspace(_assemble_arrays(ps[perm], us[perm], w[perm]), points=ps[perm])
+    sol_a = solve_nullspace(_assemble_arrays(moment_rows(ps, us), w), points=ps)
+    A_perm = _assemble_arrays(moment_rows(ps[perm], us[perm]), w[perm])
+    sol_b = solve_nullspace(A_perm, points=ps[perm])
     np.testing.assert_allclose(sol_a.P, sol_b.P, atol=1e-9)
 
 
 def test_weights_affect_noisy_solution(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=14)
     us = us + rng.standard_normal(us.shape)
-    uniform = solve_nullspace(_assemble_arrays(ps, us), points=ps)
-    skewed = solve_nullspace(_assemble_arrays(ps, us, rng.uniform(0.1, 5.0, len(ps))), points=ps)
+    uniform = solve_nullspace(_assemble_arrays(moment_rows(ps, us)), points=ps)
+    w = rng.uniform(0.1, 5.0, len(ps))
+    skewed = solve_nullspace(_assemble_arrays(moment_rows(ps, us), w), points=ps)
     assert np.abs(uniform.P - skewed.P).max() > 1e-8
 
 
@@ -201,16 +203,16 @@ def test_mixed_depths_flag(rng):
     cam[:8] *= -1.0
     behind = cam @ R + r
     us2 = oracle_project(Km, R, r, behind)
-    sol = solve_nullspace(_assemble_arrays(behind, us2), points=behind)
+    sol = solve_nullspace(_assemble_arrays(moment_rows(behind, us2)), points=behind)
     assert sol.mixed_depths
-    sol_clean = solve_nullspace(_assemble_arrays(ps, us), points=ps)
+    sol_clean = solve_nullspace(_assemble_arrays(moment_rows(ps, us)), points=ps)
     assert not sol_clean.mixed_depths
 
 
 def test_information_matrix_recomputed(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=16)
     us = us + 0.5 * rng.standard_normal(us.shape)
-    sol = solve_nullspace(_assemble_arrays(ps, us), points=ps)
+    sol = solve_nullspace(_assemble_arrays(moment_rows(ps, us)), points=ps)
     info = (sol.V * sol.singular_values**2) @ sol.V.T
     oracle = sol.V @ np.diag(sol.singular_values**2) @ sol.V.T
     np.testing.assert_allclose(info, oracle, atol=1e-9 * sol.singular_values[0] ** 2)
@@ -260,7 +262,7 @@ def test_moment_r_factor_matches_kronecker_matrix(n, normalized, weighted):
         ps = fit_point_normalization(ps).apply(ps)
         us = fit_pixel_normalization(us).apply(us)
     w = np.random.default_rng(n).uniform(0.5, 2.0, n) if weighted else None
-    LR = _assemble_arrays(ps, us, w)
+    LR = _assemble_arrays(moment_rows(ps, us), w)
     assert LR.shape == (24, 12)
     _, s_oracle, Vt = np.linalg.svd(kron_matrix(ps, us, w), full_matrices=False)
     sol = solve_nullspace(LR)
@@ -279,7 +281,7 @@ def test_coplanar_points_rank_deficient_above_crossover(rng):
     ps = ps.copy()
     ps[:, 2] = 5.0
     us = oracle_project(Km, R, r, ps)
-    LR = _assemble_arrays(ps, us)
+    LR = _assemble_arrays(moment_rows(ps, us))
     assert LR.shape == (24, 12)
     with pytest.raises(RankDeficient):
         solve_nullspace(LR, points=ps)

@@ -16,10 +16,12 @@ internal pose, added per-call overhead, a return to per-point objects on an
 array path (the Monte Carlo harness, build_problems, eval-colmap, odlt
 solve's problem file), a null space that silently stops (or starts)
 chunking, a null space handed the 2n x 12 matrix above the crossover, a
-weighted solve that assembles a second matrix below the crossover, or a
-Gauss-Newton that keeps evaluating the cost once it has converged, projects
-a pose twice or builds the interleaved (2n, 6) Jacobian fails here on any
-host.
+weighted solve that assembles a second matrix below the crossover, a
+normalized copy of the points or pixels outside the moment rows, a LOST
+handed mask copies when no point is dropped, or a Gauss-Newton that keeps
+evaluating the cost once it has converged, projects a pose twice, re-copies
+its point and pixel rows or builds the interleaved (2n, 6) Jacobian fails
+here on any host.
 """
 
 import sys
@@ -30,25 +32,28 @@ import numpy as np
 import pytest
 
 import odlt.geometry as geometry_module
+import odlt.normalization as normalization_module
 import odlt.solvers as solvers_module
 import odlt.weighting as weighting_module
 from odlt.cli import main
 from odlt.colmap import build_problems, parse_model
 from odlt.evaluation import UNCENTERED_BOX, SyntheticScenario, generate_scene, run_monte_carlo
 from odlt.geometry import Correspondence
-from odlt.solvers import METHODS, SolverConfig, solve
+from odlt.solvers import METHODS, STAGES, SolverConfig, solve
 
 SOLVABLE = Path(__file__).parent / "fixtures" / "colmap_solvable"
 
 # Per method: null spaces (preliminary + final for the weighted methods) each
 # take one SVD of the 12x12 R factor; every nearest_rotation takes one SVD and
-# reads the sign of det(U V^T) from a cofactor expansion; declamping takes the
-# one determinant, shared with the Procrustes scale and the reflection check.
+# reads the sign of det(U V^T) from a cofactor expansion, and the weighted
+# Procrustes step takes one (its start) and projects its update in closed
+# form; declamping takes the one determinant, shared with the Procrustes
+# scale and the reflection check.
 EXPECTED = {
     "dlt": {"svd": 2, "det": 1, "solve": 1, "cond": 0, "kron": 0},
     "ndlt": {"svd": 2, "det": 1, "solve": 1, "cond": 0, "kron": 0},
-    "odlt": {"svd": 4, "det": 1, "solve": 1, "cond": 0, "kron": 0},
-    "odlt_lost": {"svd": 4, "det": 1, "solve": 1, "cond": 0, "kron": 0},
+    "odlt": {"svd": 3, "det": 1, "solve": 1, "cond": 0, "kron": 0},
+    "odlt_lost": {"svd": 3, "det": 1, "solve": 1, "cond": 0, "kron": 0},
     "ndlt_gn": {"svd": 3, "det": 1, "solve": 4, "cond": 0, "kron": 0},
 }
 
@@ -219,6 +224,7 @@ GN_EXPECTED = {
 def test_gn_projections_per_solve(n, monkeypatch):
     tally = Counter()
     shapes = set()
+    rows_in = set()
     rodrigues, project, rows = (
         solvers_module.rodrigues, solvers_module._gn_project, solvers_module._gn_rows
     )
@@ -227,9 +233,12 @@ def test_gn_projections_per_solve(n, monkeypatch):
         tally["attempts"] += 1
         return rodrigues(*args)
 
-    def counted_project(*args):
+    def counted_project(pts, uv, *args):
         tally["projections"] += 1
-        return project(*args)
+        rows_in.add(
+            (id(pts), id(uv), pts.shape, uv.shape, pts.flags.c_contiguous, uv.flags.c_contiguous)
+        )
+        return project(pts, uv, *args)
 
     def counted_rows(*args):
         tally["rows"] += 1
@@ -246,6 +255,10 @@ def test_gn_projections_per_solve(n, monkeypatch):
     assert tally["projections"] == 1 + tally["attempts"]
     assert dict(tally) == GN_EXPECTED[n]
     assert shapes == {((6, 2 * n), True)}
+    # One contiguous (3, n) point array and one (2, n) pixel array, built once
+    # per refine, serve every projection.
+    ((_, _, *layout),) = rows_in
+    assert layout == [(3, n), (2, n), True, True]
 
 
 # Input checks per solve, counted under every odlt module's binding. solve()
@@ -279,6 +292,63 @@ def test_input_checks_per_solve(method, monkeypatch):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_normalization_writes_into_the_moment_rows(method, monkeypatch):
+    # The fits leave the normalized points and pixels in the moment rows that
+    # _assemble_arrays takes; solve() builds no normalized (n, 3) or (n, 2)
+    # copy and never calls apply.
+    tally = Counter()
+    outs, moments = [], []
+    for cls in (normalization_module.PixelNormalization, normalization_module.PointNormalization):
+        def counted(self, xs, _apply=cls.apply):
+            tally["apply"] += 1
+            return _apply(self, xs)
+
+        monkeypatch.setattr(cls, "apply", counted)
+    for name in ("fit_pixel_normalization", "fit_point_normalization"):
+        def fit(xs, out=None, _fit=getattr(solvers_module, name)):
+            outs.append(out)
+            return _fit(xs, out=out)
+
+        monkeypatch.setattr(solvers_module, name, fit)
+    assemble = solvers_module._assemble_arrays
+
+    def recorded(Mt, *args):
+        moments.append(Mt)
+        return assemble(Mt, *args)
+
+    monkeypatch.setattr(solvers_module, "_assemble_arrays", recorded)
+    sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    solve(arrays, sc.intrinsics, SolverConfig(method=method))
+    assert tally["apply"] == 0
+    assert len(outs) == (2 if STAGES[method].normalize else 0)
+    assert all(np.shares_memory(out, moments[0]) for out in outs)
+
+
+def test_lost_takes_the_solve_arrays_when_every_depth_is_positive(monkeypatch):
+    checked, seen = [], []
+    split, lost = solvers_module.correspondence_arrays, solvers_module.lost_translation
+
+    def recorded_split(cs):
+        checked.append(split(cs))
+        return checked[-1]
+
+    def recorded_lost(ps, us, *args):
+        seen.append((ps, us))
+        return lost(ps, us, *args)
+
+    monkeypatch.setattr(solvers_module, "correspondence_arrays", recorded_split)
+    monkeypatch.setattr(solvers_module, "lost_translation", recorded_lost)
+    sc = SyntheticScenario(box=UNCENTERED_BOX, n=2000, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    solve(arrays, sc.intrinsics, SolverConfig(method="odlt_lost"))
+    (((ps, us),), ((lost_ps, lost_us),)) = checked, seen
+    # Views of the checked arrays, not mask copies.
+    assert np.shares_memory(lost_ps, ps) and lost_ps.shape == ps.shape
+    assert np.shares_memory(lost_us, us) and lost_us.shape == us.shape
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_no_pose_validation_per_solve(method, monkeypatch):
     # Every pose solve() builds comes from nearest_rotation; none goes
     # through Pose's checks, which are for outside input.
@@ -301,7 +371,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 86, "ndlt": 110, "odlt": 154, "odlt_lost": 177, "ndlt_gn": 178}
+CALL_BUDGET = {"dlt": 86, "ndlt": 106, "odlt": 146, "odlt_lost": 171, "ndlt_gn": 175}
 
 
 @pytest.mark.parametrize("method", METHODS)

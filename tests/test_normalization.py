@@ -43,6 +43,21 @@ def test_matrix_agrees_with_apply(rng):
     np.testing.assert_allclose(hom4[:, :3] / hom4[:, 3:4], pnorm.apply(ps), atol=1e-12)
 
 
+def test_out_receives_the_normalized_rows(rng):
+    # solve() passes its moment rows as out: they must hold exactly what
+    # apply gives, transposed, and the fit must not depend on out.
+    for fit, xs in (
+        (fit_pixel_normalization, rng.uniform(0, 640, (40, 2))),
+        (fit_point_normalization, rng.uniform(-3, 3, (25, 3))),
+    ):
+        out = np.empty(xs.shape[::-1])
+        norm = fit(xs, out=out)
+        np.testing.assert_array_equal(out, norm.apply(xs).T)
+        plain = fit(xs)
+        assert plain.scale == norm.scale
+        np.testing.assert_array_equal(plain.T, norm.T)
+
+
 def test_inverse_matrices(rng):
     us = rng.uniform(0, 480, (9, 2))
     norm = fit_pixel_normalization(us)

@@ -31,6 +31,7 @@ from odlt.se3 import (
 from odlt.weighting import depths_under
 from conftest import (
     make_exact_scene,
+    moment_rows,
     oracle_project,
     random_intrinsics_matrix,
     random_rotation,
@@ -64,7 +65,8 @@ def solve_normalized(ps, us):
     """Normalize, solve, and return everything the recovery stage needs."""
     pix = fit_pixel_normalization(us)
     pt = fit_point_normalization(ps)
-    sol = solve_nullspace(_assemble_arrays(pt.apply(ps), pix.apply(us)), points=pt.apply(ps))
+    psn = pt.apply(ps)
+    sol = solve_nullspace(_assemble_arrays(moment_rows(psn, pix.apply(us))), points=psn)
     return sol, pix, pt
 
 

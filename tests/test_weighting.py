@@ -12,6 +12,7 @@ from odlt.weighting import _preliminary_normalized, depths_under
 from conftest import (
     WeightContext,
     make_exact_scene,
+    moment_rows,
     oracle_project,
     random_rotation,
     residual_covariance,
@@ -26,7 +27,7 @@ def preliminary(ps, us, seed=0):
     """_preliminary_normalized on data normalized over the full set."""
     pix = fit_pixel_normalization(us)
     pt = fit_point_normalization(ps)
-    P0, _, _ = _preliminary_normalized(pt.apply(ps), pix.apply(us), seed)
+    P0, _, _ = _preliminary_normalized(moment_rows(pt.apply(ps), pix.apply(us)), seed)
     return P0
 
 
@@ -138,11 +139,13 @@ class TestPreliminary:
         Km, R, r, ps, us = make_exact_scene(rng, n=30)
         psn = fit_point_normalization(ps).apply(ps)
         usn = fit_pixel_normalization(us).apply(us)
-        A = _assemble_arrays(psn, usn)
-        P0, depths, used_full = _preliminary_normalized(psn, usn, 0, A)
+        Mt = moment_rows(psn, usn)
+        A = _assemble_arrays(Mt)
+        P0, depths, used_full = _preliminary_normalized(Mt, 0, A)
         assert not used_full
         np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-7)
-        np.testing.assert_array_equal(depths, depths_under(P0, psn))
+        # The depths of the points as the moment rows hold them, (3, n).
+        np.testing.assert_array_equal(depths, depths_under(P0, Mt[:3].T))
         assert depths.sum() > 0
 
     def test_small_sets_use_all_points(self, rng):
@@ -151,7 +154,8 @@ class TestPreliminary:
         Km, R, r, ps, us = make_exact_scene(rng, n=8)
         psn = fit_point_normalization(ps).apply(ps)
         usn = fit_pixel_normalization(us).apply(us)
-        P0, _, used_full = _preliminary_normalized(psn, usn, 0, _assemble_arrays(psn, usn))
+        Mt = moment_rows(psn, usn)
+        P0, _, used_full = _preliminary_normalized(Mt, 0, _assemble_arrays(Mt))
         assert not used_full
         np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-7)
 
@@ -182,7 +186,7 @@ class TestPreliminary:
                 hit = seed
                 break
         assert hit is not None
-        P0, _, used_full = _preliminary_normalized(psn, usn, hit)
+        P0, _, used_full = _preliminary_normalized(moment_rows(psn, usn), hit)
         assert used_full
         np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-6)
         assert FLAG_FALLBACK_USED in solve((ps, us), Km, SolverConfig(seed=hit)).flags
