@@ -130,7 +130,9 @@ def _null_space(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RankDeficient(f"only {s.shape[0]} rows; null space is not unique")
     if s[0] <= 0.0 or s[10] / s[0] < _RANK_TOL:
         raise RankDeficient(
-            f"two-dimensional null space: sigma_11/sigma_1 = {s[10] / max(s[0], 1e-300):.3e}"
+            "null space not unique at working precision (degenerate points, or unnormalized"
+            " coordinates far from the origin): sigma_11/sigma_1 ="
+            f" {s[10] / max(s[0], 1e-300):.3e}"
         )
     return s, Vt
 
@@ -150,7 +152,8 @@ def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
 
     Raises:
         RankDeficient: if the 11th singular value is below 1e-10 of the
-            largest, i.e. the null space is (at least) two-dimensional.
+            largest, i.e. the null space is not unique at working precision:
+            degenerate points, or unnormalized coordinates far from the origin.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != 12:

@@ -114,7 +114,8 @@ class Pose:
 
     @classmethod
     def _from_rotation(cls, R: np.ndarray, r: np.ndarray) -> "Pose":
-        """Unchecked pose from nearest_rotation's float R and a float (3,) r."""
+        """Unchecked pose from a rotation R that odlt built (orthonormal to rounding)
+        and a float (3,) r."""
         pose = object.__new__(cls)
         pose.__dict__.update(R=R, r=r)
         return pose
@@ -344,12 +345,25 @@ def rotation_to_quat(R: np.ndarray) -> np.ndarray:
 
 
 def rodrigues(phi: np.ndarray) -> np.ndarray:
-    """Exponential map: rotation vector (3,) to rotation matrix."""
-    phi = np.asarray(phi, dtype=float).reshape(3)
-    theta = np.linalg.norm(phi)
-    S = cross_matrix(phi)
-    if theta < 1e-12:
-        return np.eye(3) + S + 0.5 * (S @ S)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * S + b * (S @ S)
+    """Exponential map: rotation vector (3,) to rotation matrix.
+
+    I + (sin t / t) [phi x] + ((1 - cos t) / t^2) [phi x]^2 with t = |phi|,
+    written out on Python floats with [phi x]^2 = phi phi^T - t^2 I; below
+    t = 1e-12 the coefficients are their limits 1 and 1/2.
+    """
+    x, y, z = np.asarray(phi, dtype=float).reshape(3).tolist()
+    xx, yy, zz = x * x, y * y, z * z
+    tt = xx + yy + zz
+    if tt < 1e-24:
+        a, b = 1.0, 0.5
+    else:
+        t = math.sqrt(tt)
+        a, b = math.sin(t) / t, (1.0 - math.cos(t)) / tt
+    bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
+    return np.array(
+        [
+            [1.0 - b * (yy + zz), bxy - a * z, bxz + a * y],
+            [bxy + a * z, 1.0 - b * (xx + zz), byz - a * x],
+            [bxz - a * y, byz + a * x, 1.0 - b * (xx + yy)],
+        ]
+    )

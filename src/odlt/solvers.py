@@ -9,7 +9,8 @@ it adds:
                unweighted estimate, and project the rotation with the
                information-weighted Procrustes step.
     lost       re-triangulate the translation with the rotation fixed (O(n)).
-    refine     Gauss-Newton on the reprojection error from the linear pose.
+    refine     Gauss-Newton on the reprojection error from the linear pose,
+               stopped relative to the noise level its residual shows.
 
 All solvers are deterministic functions of (correspondences, intrinsics,
 config); the only randomness is the seeded subset choice that the preliminary
@@ -80,6 +81,7 @@ FLAG_FALLBACK_USED = "FallbackUsed"
 
 _GN_MAX_ITERS = 10
 _GN_TOL = 1e-10
+_GN_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -255,12 +257,19 @@ def refine_gauss_newton(
     increment composed on the left and the camera center. Each pose tried is
     projected once (_gn_project) from the points and the pixels less the
     principal point, copied once into (3, n) and (2, n) rows; an accepted
-    one's projection gives the next
-    normal equations (_gn_rows). Iteration stops when the predicted decrease
-    -g^T delta (g = J^T e) is below _GN_TOL or after _GN_MAX_ITERS accepted
-    steps. A step that raises the cost is halved up to 10 times; if none
-    lowers it, or init puts a point on its camera plane, the current pose is
-    returned with fell_back True. With no step taken it is init itself.
+    one's projection gives the next normal equations (_gn_rows), written into
+    one (6, 2n) buffer per refine.
+
+    Iteration stops when the predicted decrease -g^T delta (g = J^T e) is
+    below _GN_TOL, after a full step that predicted less than
+    _GN_REL_TOL * cost / (2n - 6) (the noise variance estimated from the
+    residual, so the pose does not depend on a stated sigma_u; the step is
+    taken, the next normal equations are not built), or after _GN_MAX_ITERS
+    accepted steps. A step that raises the cost is halved up to 10 times; if
+    none lowers it, or init puts a point on its camera plane, the current pose
+    is returned with fell_back True. With no step taken it is init itself;
+    otherwise one Newton-Schulz step 1.5 R - 0.5 R R^T R re-orthonormalizes
+    the product of step rotations.
 
     Returns:
         (pose, fell_back).
@@ -270,15 +279,18 @@ def refine_gauss_newton(
     cost, proj = _gn_project(pts, uv, Km, R, r)
     if proj is None:  # nothing to linearize about
         return init, True
+    rel_tol = _GN_REL_TOL / (2 * pts.shape[1] - 6)  # rel_tol * cost = _GN_REL_TOL * sigma_hat^2
+    rows = np.empty((6, 2, pts.shape[1]))
     fell_back = False
     for _ in range(_GN_MAX_ITERS):
-        e, G = _gn_rows(Km, R, proj)
+        e, G = _gn_rows(Km, R, proj, rows)
         g = G @ e
         try:
             delta = -np.linalg.solve(G @ G.T, g)
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("Gauss-Newton normal matrix is singular") from exc
-        if -(g @ delta) < _GN_TOL:
+        pred = -(g @ delta)
+        if pred < _GN_TOL:
             break
         for halving in range(11):
             step = delta / (2.0**halving)
@@ -291,9 +303,11 @@ def refine_gauss_newton(
             fell_back = True
             break
         R, r, cost, proj = R_new, r_new, cost_new, proj_new
+        if halving == 0 and pred < rel_tol * cost:
+            break
     if R is init.R:  # no step taken: hand back the caller's pose bit for bit
         return init, fell_back
-    return Pose._from_rotation(nearest_rotation(R), r), fell_back
+    return Pose._from_rotation(1.5 * R - 0.5 * R @ (R.T @ R), r), fell_back
 
 
 def _gn_project(pts, uv, Km, R, r):
@@ -310,9 +324,10 @@ def _gn_project(pts, uv, Km, R, r):
     return float(np.vdot(e, e)), (e, ab, UV, iz)
 
 
-def _gn_rows(Km, R, proj):
+def _gn_rows(Km, R, proj, out=None):
     """Residuals e (2n,) and Jacobian J = G^T for [dphi, dr] as C-ordered rows G (6, 2n):
     the u rows of points 0..n-1, then their v rows, so J^T J = G G^T and J^T e = G e.
+    G is a view of out, a (6, 2, n) buffer, when one is given.
 
     The point interaction matrix (Chaumette & Hutchinson 2006) of (a, b) =
     (x1, x2) / x3 is d(a, b)/d(dphi) = [[-a b, 1 + a^2, -b], [-(1 + b^2), a b, a]]
@@ -324,7 +339,8 @@ def _gn_rows(Km, R, proj):
     """
     e, (a, b), UV, iz = proj
     K2 = Km[:2, :2]
-    G = np.empty((6, 2, a.shape[0]))  # G[k, p, i]: column k of row p (u or v) of point i
+    G = np.empty((6, 2, a.shape[0])) if out is None else out
+    # G[k, p, i]: column k of row p (u or v) of point i
     np.add(np.multiply(UV, b, out=G[0]), K2[:, 1:], out=G[0])
     np.negative(np.add(np.multiply(UV, a, out=G[1]), K2[:, :1], out=G[1]), out=G[1])
     np.matmul(K2, np.stack([b, -a]), out=G[2])

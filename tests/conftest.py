@@ -33,6 +33,19 @@ def random_rotation(rng):
     return oracle_rotation_from_quat(rng.standard_normal(4))
 
 
+def oracle_rodrigues(phi):
+    """Exponential map I + (sin t / t) S + ((1 - cos t) / t^2) S^2 with S = [phi x]
+    and t = |phi|, built from the matrices; coefficients 1 and 1/2 below 1e-12."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.linalg.norm(phi)
+    S = cross_matrix(phi)
+    if theta < 1e-12:
+        return np.eye(3) + S + 0.5 * (S @ S)
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / (theta * theta)
+    return np.eye(3) + a * S + b * (S @ S)
+
+
 def oracle_project(Km, R, r, ps):
     """Pixels of world points under u ~ K R (p - r), computed longhand."""
     ps = np.atleast_2d(ps)

@@ -30,6 +30,7 @@ from odlt.geometry import (
 
 from conftest import (
     oracle_project,
+    oracle_rodrigues,
     random_intrinsics_matrix,
     random_rotation,
 )
@@ -224,6 +225,22 @@ class TestRotationRepresentations:
         assert np.abs(R - np.eye(3)).max() < 1e-13
         np.testing.assert_array_equal(rodrigues(np.zeros(3)), np.eye(3))
 
+
+    def test_rodrigues_is_a_rotation_and_matches_the_matrix_formula(self):
+        # 1000 seeded rotation vectors with angles from 0 to pi (both ends
+        # included), plus angles on both sides of the 1e-12 small-angle branch.
+        rng = np.random.default_rng(20261019)
+        axes = rng.standard_normal((1000, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        thetas = np.r_[0.0, np.pi, rng.uniform(0.0, np.pi, 998)]
+        phis = list(thetas[:, None] * axes)
+        for theta in (1e-13, 0.5e-12, np.nextafter(1e-12, 0), 1e-12, np.nextafter(1e-12, 1), 2e-12):
+            phis += [theta * axes[0], theta * axes[1]]
+        for phi in phis:
+            R = rodrigues(phi)
+            assert np.abs(R.T @ R - np.eye(3)).max() <= 1e-15
+            assert abs(np.linalg.det(R) - 1.0) <= 1e-15
+            assert np.abs(R - oracle_rodrigues(phi)).max() <= 1e-15
 
 class TestSmallPieces:
     def test_cross_matrix_matches_cross(self, rng):

@@ -19,9 +19,10 @@ chunking, a null space handed the 2n x 12 matrix above the crossover, a
 weighted solve that assembles a second matrix below the crossover, a
 normalized copy of the points or pixels outside the moment rows, a LOST
 handed mask copies when no point is dropped, or a Gauss-Newton that keeps
-evaluating the cost once it has converged, projects a pose twice, re-copies
-its point and pixel rows or builds the interleaved (2n, 6) Jacobian fails
-here on any host.
+evaluating the cost once it has converged, builds normal equations after its
+last small step, projects a pose twice, re-copies its point and pixel rows,
+allocates its Jacobian rows per build or builds the interleaved (2n, 6)
+Jacobian fails here on any host.
 """
 
 import sys
@@ -54,7 +55,7 @@ EXPECTED = {
     "ndlt": {"svd": 2, "det": 1, "solve": 1, "cond": 0, "kron": 0},
     "odlt": {"svd": 3, "det": 1, "solve": 1, "cond": 0, "kron": 0},
     "odlt_lost": {"svd": 3, "det": 1, "solve": 1, "cond": 0, "kron": 0},
-    "ndlt_gn": {"svd": 3, "det": 1, "solve": 4, "cond": 0, "kron": 0},
+    "ndlt_gn": {"svd": 2, "det": 1, "solve": 4, "cond": 0, "kron": 0},
 }
 
 
@@ -210,12 +211,14 @@ def test_stage_calls_per_solve(method, monkeypatch):
 # Gauss-Newton's work in one ndlt_gn solve on the uncentered box: step
 # attempts (one rodrigues each), projections (the start plus one per attempt;
 # the accepted pose's projection also serves the next normal equations) and
-# normal-equation builds (one _gn_rows each, as (6, 2n) C-ordered rows).
-# Neither scene needs a halving. A second projection per step, a cost
-# evaluated after convergence or a return to the interleaved (2n, 6) Jacobian
+# normal-equation builds (one _gn_rows each, as (6, 2n) C-ordered rows). At
+# n=50 the last step predicts less than _GN_REL_TOL of the residual variance,
+# so no rows are built after it. Neither scene needs a halving. A second
+# projection per step, a cost evaluated after convergence, a confirming build
+# after the last small step or a return to the interleaved (2n, 6) Jacobian
 # fails here without a timing.
 GN_EXPECTED = {
-    50: {"attempts": 3, "projections": 4, "rows": 4},
+    50: {"attempts": 3, "projections": 4, "rows": 3},
     2000: {"attempts": 2, "projections": 3, "rows": 3},
 }
 
@@ -259,6 +262,26 @@ def test_gn_projections_per_solve(n, monkeypatch):
     # per refine, serve every projection.
     ((_, _, *layout),) = rows_in
     assert layout == [(3, n), (2, n), True, True]
+
+
+@pytest.mark.parametrize("n", sorted(GN_EXPECTED))
+def test_gn_rows_share_one_buffer_per_refine(n, monkeypatch):
+    # Every normal-equation build in one refine writes the same (6, 2, n)
+    # buffer, allocated once per refine, not a fresh 12n floats per build.
+    built = []
+    rows = solvers_module._gn_rows
+
+    def recorded(*args):
+        e, G = rows(*args)
+        built.append(G)  # held, so a freed and reused block cannot pass
+        return e, G
+
+    monkeypatch.setattr(solvers_module, "_gn_rows", recorded)
+    sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    solve(arrays, sc.intrinsics, SolverConfig(method="ndlt_gn"))
+    assert len(built) == GN_EXPECTED[n]["rows"] > 1
+    assert {G.ctypes.data for G in built} == {built[0].ctypes.data}
 
 
 # Input checks per solve, counted under every odlt module's binding. solve()
@@ -371,7 +394,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 86, "ndlt": 106, "odlt": 146, "odlt_lost": 171, "ndlt_gn": 175}
+CALL_BUDGET = {"dlt": 86, "ndlt": 106, "odlt": 146, "odlt_lost": 171, "ndlt_gn": 164}
 
 
 @pytest.mark.parametrize("method", METHODS)
