@@ -151,7 +151,7 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
             summary = run_monte_carlo(
                 scenario,
                 args.methods,
-                timing_reps=0 if args.no_timing else max(1, args.timing_reps),
+                timing_reps=0 if args.no_timing else args.timing_reps,
                 workers=args.workers,
             )
             for method, agg in zip(args.methods, summary):
@@ -205,7 +205,7 @@ def _cmd_eval_colmap(args: argparse.Namespace) -> int:
                 us = us + args.noise_px * rng.standard_normal(us.shape)
             noisy.append((prob.ps, us))
         for method in args.methods:
-            cfg = SolverConfig(method=method, sigma_u=max(args.noise_px, 1.0), seed=args.seed)
+            cfg = SolverConfig(method=method, sigma_u=max(args.noise_px, 1.0))
             metrics = [
                 score(cfg, arrays, prob.intrinsics, prob.truth)
                 for prob, arrays in zip(problems, noisy)
@@ -278,7 +278,7 @@ def _read_problem(path):
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     intr, arrays = _read_problem(args.input)
-    cfg = SolverConfig(method=args.method, sigma_u=args.sigma_u, seed=args.seed)
+    cfg = SolverConfig(method=args.method, sigma_u=args.sigma_u)
     result = solve(arrays, intr, cfg)
     pose = result.pose
     if args.format == "json-lines":
@@ -334,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip runtime measurement so rows are byte-identical across hosts",
     )
     p_syn.add_argument(
-        "--timing-reps", type=int, default=1,
+        "--timing-reps", type=_count, default=1,
         help="repetitions per trial for timing, median kept (default: 1)",
     )
     p_syn.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_count, default=1,
         help="worker processes; timing runs force 1 (default: 1)",
     )
     p_syn.set_defaults(func=_cmd_synthetic)
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma separated methods (default: all)",
     )
     p_col.add_argument(
-        "--min-points", type=int, default=6,
+        "--min-points", type=_count, default=6,
         help="skip images with fewer usable observations (default: 6)",
     )
     p_col.add_argument(
@@ -362,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_col.add_argument(
         "--seed", type=int, default=0,
-        help="seed of the pixel noise, and of the preliminary subset of every image "
-        "with 768 or more observations (default: 0)",
+        help="seed of the added pixel noise; the solvers draw no random numbers (default: 0)",
     )
     p_col.add_argument("--out", default="-", help="output CSV path, - for stdout (default: -)")
     p_col.add_argument("--per-image", default=None, help="also write per-image rows to this CSV")
@@ -381,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sigma-u", type=_stated_noise, default=1.0,
         help="stated pixel noise; the pose does not depend on it (default: 1.0)",
     )
-    p_solve.add_argument("--seed", type=int, default=0, help="subset seed for n >= 768 (default: 0)")
     p_solve.add_argument(
         "--format", choices=("text", "json-lines"), default="text",
         help="output format (default: text)",

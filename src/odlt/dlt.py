@@ -81,22 +81,21 @@ def _assemble_arrays(Mt: np.ndarray, weights=None) -> np.ndarray:
     Mt (12, n) is M = (pbar, u pbar, v pbar) transposed, so every write runs
     along n. The caller fills the points into rows 0-2 and the pixels u, v into
     rows 7 and 11 (M's entries for pbar_4 = 1); the rest is filled in place.
-    Unweighted, those five rows keep their values; weights scale all twelve.
+    Unweighted, those five rows keep their values; weights scale all twelve
+    after the products p u and p v are formed, so a weighted row is exactly
+    the unweighted one times its weight.
     """
     n = Mt.shape[1]
     if n < MIN_POINTS:
         raise TooFewPoints(n, MIN_POINTS)
-    pbar = Mt[:4]
-    pbar[3] = 1.0
+    Mt[3] = 1.0
+    np.multiply(Mt[:3], Mt[7], out=Mt[4:7])
+    np.multiply(Mt[:3], Mt[11], out=Mt[8:11])
     if weights is not None:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.shape[0] != n:
             raise ValueError(f"expected {n} weights, got {w.shape[0]}")
-        pbar *= w
-    np.multiply(pbar[:3], Mt[7], out=Mt[4:7])
-    np.multiply(pbar[:3], Mt[11], out=Mt[8:11])
-    if weights is not None:
-        Mt[7::4] *= pbar[3]  # u and v themselves are pbar_4 u and pbar_4 v
+        Mt *= w
     if 2 * n >= _QR_CHUNK_MIN_ROWS:
         Mt = _r_factor(Mt.T).T  # 12 moment rows in place of n; same row map below
     # rows[m, r, j, i] = pbar[m, j] * su[m, r, i] for the reduced rows

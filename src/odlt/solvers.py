@@ -12,9 +12,9 @@ it adds:
     refine     Gauss-Newton on the reprojection error from the linear pose,
                stopped relative to the noise level its residual shows.
 
-All solvers are deterministic functions of (correspondences, intrinsics,
-config); the only randomness is the seeded subset choice that the preliminary
-estimate makes from the chunked-QR crossover (2n >= dlt._QR_CHUNK_MIN_ROWS) up.
+A solve is a deterministic function of (points, pixels, intrinsics, method):
+no step draws random numbers, and the preliminary estimate of the weighted
+methods is the full set's unweighted null vector at every n.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dlt import (
-    _QR_CHUNK_MIN_ROWS,
-    MIN_POINTS,
-    DltSolution,
-    _assemble_arrays,
-    solve_nullspace,
-)
+from .dlt import MIN_POINTS, DltSolution, _assemble_arrays, solve_nullspace
 from .errors import NegativeDepth, RankDeficient, TooFewPoints
 from .geometry import (
     Pose,
@@ -91,8 +85,8 @@ class SolverConfig:
     method picks the STAGES row that solve() runs. sigma_u is the stated pixel
     noise, finite and positive; the pose does not depend on it, because the
     row weights are inverse depths (weighting says why sigma_u drops out).
-    seed draws the preliminary subset of weighting.SUBSET_SIZE points, from
-    n = 768 points up; below that it has no effect.
+    seed is accepted and has no effect: no stage draws random numbers. It
+    stays a field so that callers which pass it keep working.
 
     force_unit_weights is a test hook: it replaces the optimal weights (both
     the row scalars and the Procrustes weight matrix) with ones, which must
@@ -158,34 +152,25 @@ def _linear_solve(
         pix, pt = PixelNormalization.identity(), PointNormalization.identity()
     timings["normalize"] = time.perf_counter() - t0
 
-    A = weights = None
+    weights = None
     if weighted:
         t0 = time.perf_counter()
-        # Below the chunked-QR crossover one A serves the preliminary and the final solve.
-        A = _assemble_arrays(Mt) if 2 * Mt.shape[1] < _QR_CHUNK_MIN_ROWS else None
-        _, depths, used_full = _preliminary_normalized(Mt, cfg.seed, A)
-        if used_full:
-            flags.add(FLAG_FALLBACK_USED)
+        _, depths = _preliminary_normalized(Mt)
         if not cfg.force_unit_weights:
             neg = depths <= 0
             if neg.any():
                 frac = float(neg.mean())
                 if frac >= NEGATIVE_DEPTH_LIMIT:
                     raise NegativeDepth(f"{frac:.0%} of points behind the preliminary camera")
-                front = ~neg
-                Mt, depths = Mt[:, front], depths[front]
-                A = None if A is None else A.reshape(-1, 24)[front].reshape(-1, 12)
+                Mt, depths = Mt[:, ~neg], depths[~neg]
             weights = 1.0 / depths
-            if A is not None:
-                rows = A.reshape(-1, 24)  # a view: one point's two rows per row
-                rows *= weights[:, None]
         timings["weights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     ps = Mt[:3].T  # the normalized points, for the cheirality sign
-    if A is None and weights is not None:
+    if weights is not None:
         ps = ps.copy()  # the weighted assembly scales Mt in place, with no second n-sized array
-    sol = solve_nullspace(_assemble_arrays(Mt, weights) if A is None else A, points=ps)
+    sol = solve_nullspace(_assemble_arrays(Mt, weights), points=ps)
     timings["solve"] = time.perf_counter() - t0
     if sol.mixed_depths:
         flags.add(FLAG_MIXED_DEPTHS)

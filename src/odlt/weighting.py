@@ -20,15 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dlt import _assemble_arrays, _null_space, solve_nullspace
-from .errors import RankDeficient
+from .dlt import _assemble_arrays, _null_space
 
 # Dropping points that fall behind the preliminary camera is tolerated up to
 # this fraction; beyond it the preliminary estimate cannot be trusted.
 NEGATIVE_DEPTH_LIMIT = 0.10
-
-# Points in the seeded preliminary subset drawn from the chunked-QR crossover up.
-SUBSET_SIZE = 12
 
 
 def depths_under(P0: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -37,29 +33,18 @@ def depths_under(P0: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return ps @ P0[2, :3] + P0[2, 3]
 
 
-def _preliminary_normalized(
-    Mt: np.ndarray, seed: int, A: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _preliminary_normalized(Mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unweighted preliminary estimate P0 on pre-normalized data.
 
     Mt holds the points and pixels, normalized over the full set, as the
-    moment rows of dlt._assemble_arrays, so P0 lives in those coordinates.
-    Given A, the full set's constraint matrix, P0 is its null vector; else
-    (n >= 768 > SUBSET_SIZE) it solves a seeded subset of SUBSET_SIZE points,
-    or the full set when that subset is rank deficient.
+    moment rows of dlt._assemble_arrays, which fills the rest of Mt in place.
+    P0 is the null vector of the full set's unweighted system, in those
+    coordinates, at every n (Hartley's normalization argument is about the
+    full normalized set), signed as solve_nullspace signs it given the points.
 
-    Returns (P0, depths of the points under P0, used_full_set).
+    Returns (P0, depths of the points under P0).
     """
     ps = Mt[:3].T
-    used_full = A is None
-    if used_full:
-        idx = np.random.default_rng(seed).choice(ps.shape[0], size=SUBSET_SIZE, replace=False)
-        sub = Mt[:, np.sort(idx)]
-        try:
-            P0 = solve_nullspace(_assemble_arrays(sub), points=sub[:3].T).P
-            return P0, depths_under(P0, ps), False
-        except RankDeficient:
-            A = _assemble_arrays(Mt)
-    P0 = _null_space(A)[1][11].reshape(4, 3).T
-    depths = depths_under(P0, ps)  # signed as solve_nullspace signs with points=ps
-    return (-P0, -depths, used_full) if depths.sum() < 0 else (P0, depths, used_full)
+    P0 = _null_space(_assemble_arrays(Mt))[1][11].reshape(4, 3).T
+    depths = depths_under(P0, ps)
+    return (-P0, -depths) if depths.sum() < 0 else (P0, depths)

@@ -157,6 +157,16 @@ class TestSynthetic:
         assert f"argument {option}: expected a positive integer, got {token!r}" in err
         assert "_int_list" not in err and "_count" not in err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    @pytest.mark.parametrize("option", ["--timing-reps", "--workers"])
+    def test_bad_run_setting_is_an_argparse_error(self, option, value, capsys):
+        # Parse-time errors: no trial runs, so no worker process is started.
+        with pytest.raises(SystemExit) as exc:
+            main(["synthetic", "--n-list", "6", "--trials", "2", option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected a positive integer, got {value!r}" in err
+
     def test_unknown_method_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["synthetic", "--methods", "p3p"])
@@ -222,7 +232,7 @@ class TestEvalColmap:
             noisy.append((ps, us + 1.0 * rng.standard_normal(us.shape)))
         expected_detail, expected_rows = [], []
         for method in METHODS:
-            cfg = SolverConfig(method=method, sigma_u=1.0, seed=3)
+            cfg = SolverConfig(method=method, sigma_u=1.0)
             errs = []
             for prob, arrays in zip(problems, noisy):
                 result = solve(arrays, prob.intrinsics, cfg)
@@ -292,6 +302,14 @@ class TestEvalColmap:
             main(["eval-colmap", "--model-dir", str(SOLVABLE), "--noise-px", value])
         assert exc.value.code == 2
         assert "argument --noise-px: must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_bad_min_points_is_an_argparse_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-colmap", "--model-dir", str(SOLVABLE), "--min-points", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --min-points: expected a positive integer, got {value!r}" in err
 
     def test_non_numeric_noise_names_the_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -365,6 +383,15 @@ class TestSolve:
             main(["solve", "--input", str(path), "--sigma-u", value])
         assert exc.value.code == 2
         assert "argument --sigma-u: " in capsys.readouterr().err
+
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        # A solve draws no random numbers, so there is nothing to seed.
+        path = tmp_path / "problem.txt"
+        write_problem_file(path, solvable_problem())
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", str(path), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_too_few_points_exits_3(self, tmp_path, capsys):
         path = tmp_path / "tiny.txt"

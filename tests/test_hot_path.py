@@ -16,7 +16,7 @@ internal pose, added per-call overhead, a return to per-point objects on an
 array path (the Monte Carlo harness, build_problems, eval-colmap, odlt
 solve's problem file), a null space that silently stops (or starts)
 chunking, a null space handed the 2n x 12 matrix above the crossover, a
-weighted solve that assembles a second matrix below the crossover, a
+weighted solve that assembles a third matrix, a
 normalized copy of the points or pixels outside the moment rows, a LOST
 handed mask copies when no point is dropped, or a Gauss-Newton that keeps
 evaluating the cost once it has converged, builds normal equations after its
@@ -43,6 +43,10 @@ from odlt.geometry import Correspondence
 from odlt.solvers import METHODS, STAGES, SolverConfig, solve
 
 SOLVABLE = Path(__file__).parent / "fixtures" / "colmap_solvable"
+
+
+def odlt_modules():
+    return [m for key, m in sys.modules.items() if key == "odlt" or key.startswith("odlt.")]
 
 # Per method: null spaces (preliminary + final for the weighted methods) each
 # take one SVD of the 12x12 R factor; every nearest_rotation takes one SVD and
@@ -80,12 +84,12 @@ def counts(monkeypatch):
 
 # QR calls per solve: one per null space of a matrix below the chunked-QR
 # crossover, two (stacked blocks, then their R factors) for a chunked one. At
-# n=2000 the final system is assembled from the chunked R factor of the
-# 2000-row moment matrix (two calls), and its 24-row L(R) and the 24-row
-# preliminary subset each take one more.
+# n=2000 each system is assembled from the chunked R factor of the 2000-row
+# moment matrix (two calls), and its 24-row L(R) takes one more; the weighted
+# methods assemble two such systems, the preliminary and the weighted one.
 QR_EXPECTED = {
     50: {"dlt": 1, "ndlt": 1, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 1},
-    2000: {"dlt": 3, "ndlt": 3, "odlt": 4, "odlt_lost": 4, "ndlt_gn": 3},
+    2000: {"dlt": 3, "ndlt": 3, "odlt": 6, "odlt_lost": 6, "ndlt_gn": 3},
 }
 
 
@@ -109,12 +113,11 @@ def test_qr_calls_per_solve(method, n, counts):
     assert counts["qr"] == QR_EXPECTED[n][method]
 
 
-# Constraint matrices assembled per solve, under every odlt binding. Below the
-# chunked-QR crossover a weighted solve builds one A for its preliminary and,
-# rows weighted in place, its final null space; at n=2000 it assembles the
-# seeded subset's A and then the weighted one.
+# Constraint matrices assembled per solve, under every odlt binding. At every n
+# a weighted solve assembles the full set's unweighted system for its
+# preliminary and then the weighted one.
 ASSEMBLY_EXPECTED = {
-    50: {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
+    50: {"dlt": 1, "ndlt": 1, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 1},
     2000: {"dlt": 1, "ndlt": 1, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 1},
 }
 
@@ -141,19 +144,11 @@ def test_assemblies_per_solve(method, n, monkeypatch):
 # binding (what perfbench's dlt.A_bytes_per_solve adds up). Below the
 # crossover that is the 2n x 12 A (100 x 12 floats at n=50); from it up, the
 # 24 x 12 L(R) made from the moment matrix's R factor, so a return to the
-# 2n x 12 matrix at n=2000 fails here without a timing. At n=2000 the
-# weighted methods' preliminary subset of 12 points gives 24 rows too; at
-# n=50 their preliminary takes the shared A's null vector without
-# solve_nullspace.
+# 2n x 12 matrix at n=2000 fails here without a timing. The weighted
+# methods' preliminary takes its null vector without solve_nullspace.
 NULLSPACE_BYTES = {
     50: {"dlt": [9600], "ndlt": [9600], "odlt": [9600], "odlt_lost": [9600], "ndlt_gn": [9600]},
-    2000: {
-        "dlt": [2304],
-        "ndlt": [2304],
-        "odlt": [2304, 2304],
-        "odlt_lost": [2304, 2304],
-        "ndlt_gn": [2304],
-    },
+    2000: {"dlt": [2304], "ndlt": [2304], "odlt": [2304], "odlt_lost": [2304], "ndlt_gn": [2304]},
 }
 
 
@@ -169,15 +164,16 @@ def test_nullspace_input_bytes_per_solve(method, n, monkeypatch):
         nbytes.append(A.nbytes)
         return solve_nullspace(A, *args, **kwargs)
 
-    for module in (solvers_module, weighting_module):
-        monkeypatch.setattr(module, "solve_nullspace", recorded)
+    for module in odlt_modules():
+        if vars(module).get("solve_nullspace") is solve_nullspace:
+            monkeypatch.setattr(module, "solve_nullspace", recorded)
     solve(arrays, sc.intrinsics, SolverConfig(method=method))
     assert nbytes == NULLSPACE_BYTES[n][method]
 
 
-# Calls solve() makes through odlt.solvers' own bindings, per method. At n=50
-# the weighted stage assembles the one A and its preliminary takes A's null
-# vector inside weighting, so only the final null space counts here.
+# Calls solve() makes through odlt.solvers' own bindings, per method. The
+# weighted stage's preliminary assembles its system and takes its null vector
+# inside weighting, so only the final assembly and null space count here.
 # perfbench traces these names.
 STAGE_CALLS = {
     "_assemble_arrays": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
@@ -297,7 +293,7 @@ def test_input_checks_per_solve(method, monkeypatch):
     sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
     arrays, _ = generate_scene(sc, 0)
     tally = Counter()
-    modules = [m for key, m in sys.modules.items() if key == "odlt" or key.startswith("odlt.")]
+    modules = odlt_modules()
     for name in INPUT_CHECKS:
         fn = getattr(geometry_module, name)
 
@@ -394,7 +390,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 86, "ndlt": 106, "odlt": 146, "odlt_lost": 171, "ndlt_gn": 164}
+CALL_BUDGET = {"dlt": 86, "ndlt": 106, "odlt": 151, "odlt_lost": 176, "ndlt_gn": 164}
 
 
 @pytest.mark.parametrize("method", METHODS)

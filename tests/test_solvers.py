@@ -460,11 +460,11 @@ def shift_preliminary(monkeypatch, ps, us, behind):
     pix = fit_pixel_normalization(us)
     pt = fit_point_normalization(ps)
     psn = pt.apply(ps)
-    P0, depths, _ = _preliminary_normalized(moment_rows(psn, pix.apply(us)), 0)
+    P0, depths = _preliminary_normalized(moment_rows(psn, pix.apply(us)))
     depths = np.sort(depths)
     P0_shift = P0.copy()
     P0_shift[2, 3] -= (depths[behind - 1] + depths[behind]) / 2.0
-    shifted = (P0_shift, depths_under(P0_shift, psn), False)
+    shifted = (P0_shift, depths_under(P0_shift, psn))
     monkeypatch.setattr(solvers_module, "_preliminary_normalized", lambda *_: shifted)
 
 
@@ -596,27 +596,25 @@ class TestApiSurface:
 
 
 class TestPreliminaryCrossover:
-    """Below the chunked-QR crossover (2n < _QR_CHUNK_MIN_ROWS, n < 768) the
-    weighted stage solves its preliminary on the full set's one constraint
-    matrix; from n = 768 up it draws the seeded subset and assembles a
-    weighted matrix, as it always did."""
+    """On both sides of the chunked-QR crossover (2n >= _QR_CHUNK_MIN_ROWS from
+    n = 768) the weighted stage takes one path: the full set's unweighted null
+    vector, then the weighted assembly of the points in front of it."""
 
-    @pytest.mark.parametrize("n", [50, 767])
+    @pytest.mark.parametrize("n", [50, 767, 768, 2000])
     @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
-    def test_seed_and_subset_size_do_not_matter_below(self, method, n, monkeypatch):
+    def test_seed_has_no_effect(self, method, n):
         sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=3)
         arrays, _ = generate_scene(sc, 0)
-        poses = []
-        for seed, size in [(0, 12), (7, 12), (0, 6), (11, 40), (3, 10**9)]:
-            monkeypatch.setattr(weighting_module, "SUBSET_SIZE", size)
-            poses.append(solve(arrays, sc.intrinsics, SolverConfig(method, seed=seed)).pose)
-        for pose in poses[1:]:
-            np.testing.assert_array_equal(pose.R, poses[0].R)
-            np.testing.assert_array_equal(pose.r, poses[0].r)
+        base, *others = (
+            solve(arrays, sc.intrinsics, SolverConfig(method, seed=seed)).pose for seed in (0, 5, 6)
+        )
+        for pose in others:
+            np.testing.assert_array_equal(pose.R, base.R)
+            np.testing.assert_array_equal(pose.r, base.r)
 
-    @pytest.mark.parametrize("n, assemblies, draws", [(767, 1, 0), (768, 2, 1)])
+    @pytest.mark.parametrize("n", [767, 768])
     @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
-    def test_each_side_takes_its_path(self, method, n, assemblies, draws, monkeypatch):
+    def test_assembles_twice_and_draws_nothing(self, method, n, monkeypatch):
         sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=3)
         arrays, _ = generate_scene(sc, 0)
         tally = Counter()
@@ -633,17 +631,31 @@ class TestPreliminaryCrossover:
             monkeypatch.setattr(module, "_assemble_arrays", counted("assemble", assemble))
         monkeypatch.setattr(np.random, "default_rng", counted("draw", np.random.default_rng))
         solve(arrays, sc.intrinsics, SolverConfig(method))
-        assert (tally["assemble"], tally["draw"]) == (assemblies, draws)
+        assert (tally["assemble"], tally["draw"]) == (2, 0)
+
+    @pytest.mark.parametrize("n", [6, 50, 767])
+    def test_weighted_assembly_scales_the_unweighted_rows(self, rng, n):
+        # Below the crossover the weighted A is the unweighted A with each
+        # point's two rows scaled by its weight, bit for bit: the products
+        # p u and p v are formed before the weights scale the moment rows.
+        Km, R, r, ps, us = make_exact_scene(rng, n=n)
+        us = us + rng.standard_normal(us.shape)
+        psn = fit_point_normalization(ps).apply(ps)
+        usn = fit_pixel_normalization(us).apply(us)
+        w = rng.uniform(0.1, 10.0, n)
+        A = _assemble_arrays(moment_rows(psn, usn))
+        A.reshape(-1, 24)[:] *= w[:, None]
+        np.testing.assert_array_equal(_assemble_arrays(moment_rows(psn, usn), w), A)
 
     def test_rows_weighted_in_place_match_the_weighted_assembly(self, rng, monkeypatch):
-        # One point behind the preliminary camera: its two rows leave the one
-        # A and the others are scaled by q = 1 / depth whatever sigma_u is, as a
-        # weighted assembly of the kept points would give them, up to the order
-        # of two products.
+        # One point behind the preliminary camera: it leaves the moment rows,
+        # and the final null space gets the weighted assembly of the others,
+        # scaled by q = 1 / depth whatever sigma_u is, with the normalized
+        # points of the kept rows for its sign.
         Km, R, r, ps, us = make_exact_scene(rng, n=20)
         us = us + rng.standard_normal(us.shape)
         shift_preliminary(monkeypatch, ps, us, behind=1)
-        _, depths, _ = solvers_module._preliminary_normalized()
+        _, depths = solvers_module._preliminary_normalized()
         seen, assemblies = [], []
         final = solvers_module.solve_nullspace
         assemble = solvers_module._assemble_arrays
@@ -667,4 +679,4 @@ class TestPreliminaryCrossover:
         assert len(assemblies) == 1
         ((A, points),) = seen
         np.testing.assert_array_equal(points, psn[front])
-        np.testing.assert_allclose(A, expected, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(A, expected)

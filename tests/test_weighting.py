@@ -3,11 +3,12 @@ import pytest
 
 import odlt.dlt as dlt_module
 import odlt.weighting as weighting_module
-from odlt.dlt import _assemble_arrays
+from odlt.dlt import _assemble_arrays, solve_nullspace
 from odlt.errors import RankDeficient
+from odlt.evaluation import CENTERED_BOX, UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.geometry import Correspondence, Pose, compose_projection, project_points
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
-from odlt.solvers import FLAG_FALLBACK_USED, SolverConfig, solve
+from odlt.solvers import SolverConfig, solve
 from odlt.weighting import _preliminary_normalized, depths_under
 from conftest import (
     WeightContext,
@@ -23,11 +24,11 @@ def as_cs(ps, us):
     return [Correspondence(p=p, u=u) for p, u in zip(ps, us)]
 
 
-def preliminary(ps, us, seed=0):
+def preliminary(ps, us):
     """_preliminary_normalized on data normalized over the full set."""
     pix = fit_pixel_normalization(us)
     pt = fit_point_normalization(ps)
-    P0, _, _ = _preliminary_normalized(moment_rows(pt.apply(ps), pix.apply(us)), seed)
+    P0, _ = _preliminary_normalized(moment_rows(pt.apply(ps), pix.apply(us)))
     return P0
 
 
@@ -112,89 +113,51 @@ class TestWeightFactors:
 
 
 class TestPreliminary:
-    def test_deterministic_and_seed_sensitivity(self, rng):
-        # solve() draws the seeded subset only from 2n = _QR_CHUNK_MIN_ROWS up.
-        Km, R, r, ps, us = make_exact_scene(rng, n=768)
-        us_noisy = us + rng.standard_normal(us.shape)
-        P_a = preliminary(ps, us_noisy, seed=5)
-        P_b = preliminary(ps, us_noisy, seed=5)
-        np.testing.assert_array_equal(P_a, P_b)
-        P_c = preliminary(ps, us_noisy, seed=6)
-        assert np.abs(P_a - P_c).max() > 1e-12
-        R_a, R_c = (solve((ps, us_noisy), Km, SolverConfig(seed=s)).pose.R for s in (5, 6))
-        assert np.abs(R_a - R_c).max() > 0
+    @pytest.mark.parametrize("n", [6, 50, 767, 768, 2000])
+    @pytest.mark.parametrize("box", ["centered", "uncentered"])
+    def test_depths_are_the_full_set_null_vectors(self, box, n):
+        # At every n, on both sides of the chunked-QR crossover, the
+        # preliminary is the full set's unweighted null vector, signed as
+        # solve_nullspace signs it given the points: no subset, no draw.
+        box = CENTERED_BOX if box == "centered" else UNCENTERED_BOX
+        sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=1, seed=2)
+        (ps, us), _ = generate_scene(sc, 0)
+        psn = fit_point_normalization(ps).apply(ps)
+        usn = fit_pixel_normalization(us).apply(us)
+        Mt = moment_rows(psn, usn)
+        P0, depths = _preliminary_normalized(Mt)
+        P = solve_nullspace(_assemble_arrays(moment_rows(psn, usn)), points=psn).P
+        np.testing.assert_array_equal(P0, P)
+        # The depths of the points as the moment rows hold them, (3, n).
+        np.testing.assert_array_equal(depths, depths_under(P, Mt[:3].T))
+        assert depths.sum() > 0
 
     def test_lives_in_full_set_normalized_frame(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=30)
-        P0 = preliminary(ps, us, seed=0)
+        P0 = preliminary(ps, us)
         pix = fit_pixel_normalization(us)
         pt = fit_point_normalization(ps)
         np.testing.assert_allclose(
             project_points(P0, pt.apply(ps)), pix.apply(us), atol=1e-7
         )
 
-    def test_given_matrix_gives_its_null_vector_and_positive_depths(self, rng):
-        # Below the crossover solve() passes the full set's A: no draw, no
-        # fallback, P0 in the same frame and signed so the depths sum positive.
-        Km, R, r, ps, us = make_exact_scene(rng, n=30)
+    def test_small_sets_use_all_points(self, rng):
+        # Eight points, fewer than the twelve unknowns: the preliminary is the
+        # full set's null vector, exact on exact data.
+        Km, R, r, ps, us = make_exact_scene(rng, n=8)
         psn = fit_point_normalization(ps).apply(ps)
         usn = fit_pixel_normalization(us).apply(us)
         Mt = moment_rows(psn, usn)
-        A = _assemble_arrays(Mt)
-        P0, depths, used_full = _preliminary_normalized(Mt, 0, A)
-        assert not used_full
+        P0, depths = _preliminary_normalized(Mt)
         np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-7)
         # The depths of the points as the moment rows hold them, (3, n).
         np.testing.assert_array_equal(depths, depths_under(P0, Mt[:3].T))
         assert depths.sum() > 0
 
-    def test_small_sets_use_all_points(self, rng):
-        # Fewer points than SUBSET_SIZE: solve() passes the full set's A, whose
-        # null vector is P0 directly, with no draw and no retry involved.
-        Km, R, r, ps, us = make_exact_scene(rng, n=8)
-        psn = fit_point_normalization(ps).apply(ps)
-        usn = fit_pixel_normalization(us).apply(us)
-        Mt = moment_rows(psn, usn)
-        P0, _, used_full = _preliminary_normalized(Mt, 0, _assemble_arrays(Mt))
-        assert not used_full
-        np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-7)
-
-    def test_rank_deficient_subset_falls_back_to_full_set(self, rng):
-        # 766 points on a plane plus two off it, so solve() draws a subset. A
-        # planar-only subset is rank deficient (one extra null direction per
-        # unconstrained pixel ray); the two off-plane points together restore
-        # a unique null space, so the full-set retry must succeed.
-        n = 768
-        Km = np.array([[700.0, 0.0, 300.0], [0.0, 700.0, 200.0], [0.0, 0.0, 1.0]])
-        R = random_rotation(rng)
-        r = np.array([0.2, -0.3, 0.1])
-        planar = np.column_stack(
-            [rng.uniform(-2, 2, n - 2), rng.uniform(-2, 2, n - 2), np.full(n - 2, 5.0)]
-        )
-        off = np.array([[0.5, -0.4, 7.0], [-0.8, 0.6, 6.0]])
-        cam = np.vstack([planar, off])
-        ps = cam @ R + r  # camera-frame coordinates mapped to world
-        us = oracle_project(Km, R, r, ps)
-        pix = fit_pixel_normalization(us)
-        pt = fit_point_normalization(ps)
-        psn, usn = pt.apply(ps), pix.apply(us)
-
-        hit = None
-        for seed in range(2000):
-            pick = np.random.default_rng(seed).choice(n, size=12, replace=False)
-            if n - 2 not in pick and n - 1 not in pick:
-                hit = seed
-                break
-        assert hit is not None
-        P0, _, used_full = _preliminary_normalized(moment_rows(psn, usn), hit)
-        assert used_full
-        np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-6)
-        assert FLAG_FALLBACK_USED in solve((ps, us), Km, SolverConfig(seed=hit)).flags
-
     def test_rank_deficient_small_set_is_solved_once(self, rng, monkeypatch):
-        # With n <= SUBSET_SIZE the subset already is the full set: its
-        # RankDeficient is raised, not followed by a second solve of the same
-        # rows. Eight coplanar points leave a multi-dimensional null space.
+        # The preliminary's RankDeficient is raised, not followed by a second
+        # solve of the same rows. Eight coplanar points leave a
+        # multi-dimensional null space.
         Km = np.array([[700.0, 0.0, 300.0], [0.0, 700.0, 200.0], [0.0, 0.0, 1.0]])
         R = random_rotation(rng)
         r = np.array([0.2, -0.3, 0.1])
