@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .colmap import _data_lines, _numbers, build_problems, parse_model
+from .colmap import _data_lines, _numbered_lines, _numbers, build_problems, parse_model
 from .errors import MalformedLine, PnpError
 from .evaluation import (
     CENTERED_BOX,
@@ -246,7 +246,7 @@ def _read_problem(path):
     """
     stream = sys.stdin if path == "-" else open(path, "r")
     try:
-        lines = list(_data_lines(enumerate(stream, start=1)))
+        lines = list(_data_lines(_numbered_lines(path, stream)))
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -393,7 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PnpError, ValueError, OSError) as exc:
+    except (PnpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

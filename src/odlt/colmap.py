@@ -68,9 +68,21 @@ class ColmapModel:
     points3d: dict
 
 
+def _numbered_lines(path, stream):
+    """enumerate(stream, start=1); a byte that is not UTF-8 raises MalformedLine on its line."""
+    line_number = 0
+    try:
+        for line_number, line in enumerate(stream, start=1):
+            yield line_number, line
+    except UnicodeDecodeError as exc:
+        # A chunk is decoded once no line end is left before it: it continues the next line.
+        ahead = len((exc.object[: exc.start] + b".").splitlines())
+        raise MalformedLine(path, line_number + ahead, f"not UTF-8 text ({exc.reason})") from None
+
+
 def _data_lines(numbered, blanks=None):
     """Yield (line_number, stripped_line) for every (line_number, raw_line)
-    pair of enumerate(stream, start=1) whose line is neither blank nor a '#'
+    pair of _numbered_lines(path, stream) whose line is neither blank nor a '#'
     comment, and appends skipped blank line numbers to blanks when given. Line
     numbers count every physical line from 1, so an error names the file's own
     line. A caller may take the physical line after a yielded one with next()."""
@@ -98,7 +110,7 @@ def _numbers(path, line_number: int, fields, what: str, dtype=float) -> np.ndarr
 def _parse_cameras(path: Path) -> dict:
     cameras = {}
     with open(path, "r") as fh:
-        for lineno, line in _data_lines(enumerate(fh, start=1)):
+        for lineno, line in _data_lines(_numbered_lines(path, fh)):
             fields = line.split()
             if len(fields) < 5:
                 raise MalformedLine(
@@ -142,7 +154,7 @@ def _parse_cameras(path: Path) -> dict:
 def _parse_images(path: Path, cameras: dict) -> dict:
     images = {}
     with open(path, "r") as fh:
-        numbered = enumerate(fh, start=1)
+        numbered = _numbered_lines(path, fh)
         blanks = []
         for lineno, line in _data_lines(numbered, blanks):
             fields = line.split()
@@ -199,7 +211,7 @@ def _parse_images(path: Path, cameras: dict) -> dict:
 def _parse_points3d(path: Path) -> dict:
     points = {}
     with open(path, "r") as fh:
-        for lineno, line in _data_lines(enumerate(fh, start=1)):
+        for lineno, line in _data_lines(_numbered_lines(path, fh)):
             fields = line.split()
             if len(fields) < 8 or (len(fields) - 8) % 2 != 0:
                 raise MalformedLine(
@@ -226,9 +238,9 @@ def parse_model(model_dir) -> ColmapModel:
 
     Raises:
         MissingFile: if any of the three files is absent.
-        MalformedLine: on any structural violation, a non-finite or
-            unconvertible value, a repeated id or an image naming an unknown
-            camera, reporting the offending file and line number.
+        MalformedLine: on any structural violation, a byte that is not UTF-8, a
+            non-finite or unconvertible value, a repeated id or an image naming an
+            unknown camera, reporting the offending file and line number.
         UnsupportedCameraModel: for camera models other than PINHOLE and
             SIMPLE_PINHOLE.
     """

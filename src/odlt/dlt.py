@@ -114,17 +114,23 @@ def _assemble_arrays(Mt: np.ndarray, weights=None) -> np.ndarray:
 def _r_factor(A: np.ndarray) -> np.ndarray:
     """R factor of an (m, 12) A = QR, chunked from _QR_CHUNK_MIN_ROWS rows (see above)."""
     m = A.shape[0]
-    if m < _QR_CHUNK_MIN_ROWS:
-        R = np.linalg.qr(A, mode="raw")[0].T[:12]
-        return np.where(_UPPER[: R.shape[0]], R, 0.0)
-    k = m // _QR_BLOCK
-    heads = np.linalg.qr(A[: k * _QR_BLOCK].reshape(k, _QR_BLOCK, 12), mode="r")
-    return np.linalg.qr(np.concatenate([heads.reshape(12 * k, 12), A[k * _QR_BLOCK :]]), mode="r")
+    try:
+        if m < _QR_CHUNK_MIN_ROWS:
+            R = np.linalg.qr(A, mode="raw")[0].T[:12]
+            return np.where(_UPPER[: R.shape[0]], R, 0.0)
+        k = m // _QR_BLOCK
+        heads = np.linalg.qr(A[: k * _QR_BLOCK].reshape(k, _QR_BLOCK, 12), mode="r")
+        return np.linalg.qr(np.concatenate([heads.reshape(12 * k, 12), A[k * _QR_BLOCK :]]), mode="r")
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"QR of the constraint rows failed: {exc}") from exc
 
 
 def _null_space(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and V^T of A, rank checked; Vt[11] is the null vector."""
-    _, s, Vt = np.linalg.svd(_r_factor(A))
+    try:
+        _, s, Vt = np.linalg.svd(_r_factor(A))
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"SVD of the constraint rows failed: {exc}") from exc
     if s.shape[0] < 12:
         raise RankDeficient(f"only {s.shape[0]} rows; null space is not unique")
     if s[0] <= 0.0 or s[10] / s[0] < _RANK_TOL:
@@ -150,9 +156,9 @@ def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
         points: optional (n,3) array of the world points behind A's rows.
 
     Raises:
-        RankDeficient: if the 11th singular value is below 1e-10 of the
-            largest, i.e. the null space is not unique at working precision:
-            degenerate points, or unnormalized coordinates far from the origin.
+        RankDeficient: if its QR or SVD raises LinAlgError (chained), or if the 11th
+            singular value is below 1e-10 of the largest: no unique null space at working
+            precision (degenerate points, or unnormalized coordinates far from the origin).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != 12:

@@ -272,11 +272,14 @@ def nearest_rotation(M: np.ndarray) -> np.ndarray:
     the Frobenius distance over rotations.
 
     Raises:
-        DegenerateInput: if the two smallest singular values are both < 1e-12,
-            in which case the projection is not meaningfully determined.
+        DegenerateInput: if the SVD raises LinAlgError (chained) or the two smallest
+            singular values are both < 1e-12: the projection is then undetermined.
     """
     M = np.asarray(M, dtype=float).reshape(3, 3)
-    U, s, Vt = np.linalg.svd(M)
+    try:
+        U, s, Vt = np.linalg.svd(M)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInput(f"SVD of the matrix failed: {exc}") from exc
     if s[1] < 1e-12 and s[2] < 1e-12:
         raise DegenerateInput("matrix is rank <= 1; nearest rotation undetermined")
     Q = U @ Vt

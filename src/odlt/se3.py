@@ -9,12 +9,14 @@ entries (column-major, the R' block) form the 3x3 weight matrix W of the
 weighted Procrustes projection of R' onto SO(3). M is never formed: by
 (A kron B) vec(X) = vec(B X A^T) both steps are 3x3, 3x4 and 4x4 products.
 Translation is read off r' or re-triangulated with the rotation fixed (LOST),
-which is O(n) and reuses the optimal weights.
+which is O(n) and reuses the optimal weights. After G, the 3x3 algebra runs in
+closed form on floats: only nearest_rotation's SVD calls numpy.linalg.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import acos, cos, inf
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .normalization import PixelNormalization, PointNormalization
 _WEIGHT_COND_LIMIT = 1e10
 _LOST_COND_LIMIT = 1e12
 _PROCRUSTES_TOL = 1e-12
+_TINY = 2.2250738585072014e-308  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -74,15 +77,15 @@ def declamp_denormalize(
 ) -> DenormalizedPose:
     """Map the normalized linear solution back to calibrated world coordinates.
 
-    Km is the checked 3x3 intrinsic matrix. Computes
-    G = K^-1 T_u^-1 P_norm T_p, reads off R_acute = G[:, :3] and
-    r_acute = -R_acute^-1 G[:, 3]. With weights, it transports the information
-    matrix of vec(P_norm) through M^-1, M = T_p^T kron (K^-1 T_u^-1), to fill
-    W from the nine leading diagonal entries (column-major); else W is None.
+    Km is the checked 3x3 intrinsic matrix. Computes G = K^-1 T_u^-1 P_norm T_p,
+    reads off R_acute = G[:, :3], det(R_acute) by cofactors and r_acute =
+    -R_acute^-1 G[:, 3] = -adj(R_acute) G[:, 3] / det. With weights, it transports
+    the information matrix of vec(P_norm) through M^-1, M = T_p^T kron (K^-1 T_u^-1),
+    to fill W from the nine leading diagonal entries (column-major); else W is None.
 
     Raises:
         SingularCalibration: if K cannot be inverted reliably.
-        DegenerateInput: if the left 3x3 block R_acute is singular.
+        DegenerateInput: if det(R_acute) is zero or subnormal or r_acute not finite.
     """
     G = intrinsic_inverse(Km) @ pixel_norm.T_inv @ sol.P @ point_norm.T
     # Sigma'^-1 = M^-T (V D^2 V^T) M^-1; only its R' diagonal is needed. With
@@ -94,27 +97,49 @@ def declamp_denormalize(
         X = sol.V.T.reshape(12, 4, 3).transpose(0, 2, 1)
         Y = C.T @ X @ point_norm.T_inv[:3].T
         W = (sol.singular_values**2 @ (Y * Y).reshape(12, 9)).reshape(3, 3)
-    R_acute = G[:, :3]
-    det = float(np.linalg.det(R_acute))
-    if det == 0:
+    (a, b, c, x), (d, e, f, y), (g, h, i, z) = G.tolist()
+    A, B, C = e * i - f * h, f * g - d * i, d * h - e * g  # the first column of adj(R_acute)
+    det = a * A + b * B + c * C
+    if not (det >= _TINY or det <= -_TINY):
         raise DegenerateInput("de-clamped rotation block is singular")
-    r_acute = -np.linalg.solve(R_acute, G[:, 3])
-    return DenormalizedPose(R_acute, r_acute, W, det)
+    r0 = -(A * x + (c * h - b * i) * y + (b * f - c * e) * z) / det
+    r1 = -(B * x + (a * i - c * g) * y + (c * d - a * f) * z) / det
+    r2 = -(C * x + (b * g - a * h) * y + (a * e - b * d) * z) / det
+    if not (-inf < r0 < inf and -inf < r1 < inf and -inf < r2 < inf):
+        raise DegenerateInput("de-clamped camera center is not finite")
+    return DenormalizedPose(G[:, :3], np.array([r0, r1, r2]), W, det)
 
 
-def procrustes_cost(R: np.ndarray, target: np.ndarray, W: np.ndarray) -> float:
-    """Squared weighted Frobenius distance ||(R - target) * W||_F^2."""
-    d = (R - target) * W
-    return float((d * d).sum())
+def _largest_eigenvalue(a: float, b: float, c: float, d: float, e: float, f: float) -> float:
+    """Largest eigenvalue of the symmetric N = [[a, b, c], [b, d, e], [c, e, f]], trigonometric:
+    q + 2 p cos(acos(r) / 3), q = tr(N) / 3, 6 p^2 = tr((N - q I)^2), r = det((N - q I) / p) / 2."""
+    q = (a + d + f) / 3.0
+    a, d, f = a - q, d - q, f - q
+    p = ((a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)) / 6.0) ** 0.5
+    if p == 0.0:
+        return q
+    r = (a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)) / p / p / p / 2.0
+    return q + 2.0 * p * cos(acos(-1.0 if r < -1.0 else 1.0 if r > 1.0 else r) / 3.0)
 
 
-def _solve_psd(N: np.ndarray, b: np.ndarray, cond_limit: float) -> np.ndarray | None:
-    """Solve N x = b for symmetric PSD N by one eigh; None when N is singular
-    or lambda_max / lambda_min (its 2-norm condition number) > cond_limit."""
-    lam, E = np.linalg.eigh(N)
-    if not lam[0] > 0 or lam[2] > cond_limit * lam[0]:
+def _solve_psd(N: tuple, rhs: tuple, cond_limit: float) -> tuple | None:
+    """Solve N x = rhs on floats for the symmetric N = (N00, N01, N02, N11, N12, N22);
+    None unless N = L D L^T has every pivot > 0 and lambda_max / lambda_min <= cond_limit.
+    lambda_min = 1 / lambda_max(N^-1) keeps an error ~eps lambda_max, which the
+    cubic's smallest root loses when the second eigenvalue is close to it."""
+    a, b, c, d, e, f = N
+    if not (a > 0.0 and (d2 := d - b * b / a) > 0.0):
         return None
-    return E @ ((E.T @ b) / lam)
+    l1, l2, l3 = b / a, c / a, (e - c * b / a) / d2
+    if not (d3 := f - l2 * c - l3 * (e - l2 * b)) > 0.0:
+        return None
+    m, i2, i3 = l1 * l3 - l2, 1.0 / d2, 1.0 / d3  # L^-1 rows: (1, 0, 0), (-l1, 1, 0), (m, -l3, 1)
+    v00, v01, v02 = 1.0 / a + l1 * l1 * i2 + m * m * i3, -l1 * i2 - l3 * m * i3, m * i3
+    v11, v12 = i2 + l3 * l3 * i3, -l3 * i3
+    if not _largest_eigenvalue(*N) * _largest_eigenvalue(v00, v01, v02, v11, v12, i3) <= cond_limit:
+        return None
+    x, y, z = rhs
+    return (v00 * x + v01 * y + v02 * z, v01 * x + v11 * y + v12 * z, v02 * x + v12 * y + i3 * z)
 
 
 def weighted_procrustes(
@@ -125,11 +150,11 @@ def weighted_procrustes(
     Minimizes ||(R - R_s) * W||_F over rotations, where R_s is R_acute
     rescaled by s = det(R_acute)^(-1/3). Starting from the unweighted
     projection R0 = nearest_rotation(R_s), the rotation is updated through
-    the small-angle model R ~ (I - [dphi x]) R0, solving 3x3 normal
-    equations per iteration and re-projecting onto SO(3) in closed form. One
-    iteration is the default; up to five are allowed, stopping early when
-    |dphi| < _PROCRUSTES_TOL. R_acute and W are float 3x3 arrays and det is
-    det(R_acute), all computed by the caller.
+    the small-angle model R ~ (I - [dphi x]) R0, solving 3x3 normal equations
+    per iteration and re-projecting onto SO(3) in closed form, on floats. One
+    iteration is the default; up to five are allowed, stopping early when a
+    step would raise the cost or |dphi| < _PROCRUSTES_TOL. R_acute and W are
+    float 3x3 arrays and det is det(R_acute), all computed by the caller.
 
     Returns:
         (R, fallback_used): fallback_used is True when the normal matrix
@@ -141,40 +166,40 @@ def weighted_procrustes(
     if det == 0:
         raise DegenerateInput("de-clamped rotation block is singular")
     Rs = (1.0 / np.cbrt(det)) * R_acute
-    Q = W * W
-    R = nearest_rotation(Rs)
-    R0 = R
-    cost = procrustes_cost(R, Rs, W)
-    for _ in range(max_iters):
-        # e_ij = W_ij (R - Rs)_ij moves by W_ij (e_i x R_col_j) . dphi, so the
-        # normal matrix is sum_i [e_i x] M_i [e_i x]^T with M_i = R diag(Q[i]) R^T
-        # and the right-hand side is vee(H^T - H) with H = (Q * (Rs - R)) R^T.
-        M = ((R[None, :, :] * Q[:, None, :]) @ R.T).tolist()
-        Nmat = np.array(
-            [
-                [M[1][2][2] + M[2][1][1], -M[2][0][1], -M[1][0][2]],
-                [-M[2][0][1], M[0][2][2] + M[2][0][0], -M[0][1][2]],
-                [-M[1][0][2], -M[0][1][2], M[0][1][1] + M[1][0][0]],
-            ]
-        )
-        H = ((Q * (Rs - R)) @ R.T).tolist()
-        g = np.array([H[1][2] - H[2][1], H[2][0] - H[0][2], H[0][1] - H[1][0]])
-        dphi = _solve_psd(Nmat, g, _WEIGHT_COND_LIMIT)
+    R0 = nearest_rotation(Rs)
+    S, Q = Rs.T.tolist(), (W * W).T.tolist()  # columns, as R's below
+    R, previous, cost, nn = R0.T.tolist(), None, inf, inf
+    for step in range(max_iters + 1):
+        # Over columns j of R, S = Rs, Q = W * W, E = S - R and D = Q * E: the cost sum(D * E),
+        # normal matrix sum_ij Q_ij (e_i x R_j)(e_i x R_j)^T and right-hand side sum_j D_j x R_j.
+        new_cost = g0 = g1 = g2 = n00 = n01 = n02 = n11 = n12 = n22 = 0.0
+        for (r0, r1, r2), (s0, s1, s2), (q0, q1, q2) in zip(R, S, Q):
+            e0, e1, e2 = s0 - r0, s1 - r1, s2 - r2
+            d0, d1, d2 = q0 * e0, q1 * e1, q2 * e2
+            new_cost += d0 * e0 + d1 * e1 + d2 * e2
+            g0, g1, g2 = g0 + d1 * r2 - d2 * r1, g1 + d2 * r0 - d0 * r2, g2 + d0 * r1 - d1 * r0
+            n00, n11 = n00 + q1 * r2 * r2 + q2 * r1 * r1, n11 + q0 * r2 * r2 + q2 * r0 * r0
+            n22, n01 = n22 + q0 * r1 * r1 + q1 * r0 * r0, n01 - q2 * r0 * r1
+            n02, n12 = n02 - q1 * r0 * r2, n12 - q0 * r1 * r2
+        if new_cost > cost:  # the last step raised the cost: undo it
+            return np.array(previous).T, False
+        cost = new_cost
+        if step == max_iters or nn < _PROCRUSTES_TOL * _PROCRUSTES_TOL:
+            break
+        dphi = _solve_psd((n00, n01, n02, n11, n12, n22), (g0, g1, g2), _WEIGHT_COND_LIMIT)
         if dphi is None:
             return R0, True
-        # nearest_rotation((I - [dphi x]) R) in closed form: I - [dphi x] fixes
-        # dphi, so its polar factor is (I - [dphi x] + dphi dphi^T / (1 + c)) / c.
-        x, y, z = dphi.tolist()
-        c = np.sqrt(1.0 + x * x + y * y + z * z)
-        U = np.array([[1.0, z, -y], [-z, 1.0, x], [y, -x, 1.0]]) + np.outer(dphi, dphi / (1.0 + c))
-        candidate = (U / c) @ R
-        candidate_cost = procrustes_cost(candidate, Rs, W)
-        if candidate_cost > cost:
-            break
-        R, cost = candidate, candidate_cost
-        if np.sqrt(dphi @ dphi) < _PROCRUSTES_TOL:  # np.linalg.norm without its wrapper
-            break
-    return R, False
+        # nearest_rotation((I - [dphi x]) R): I - [dphi x] fixes dphi, so its polar factor
+        # (I - [dphi x] + dphi dphi^T / (1 + c)) / c maps R_j to the candidate's column j.
+        x, y, z = dphi
+        nn = x * x + y * y + z * z
+        c = (1.0 + nn) ** 0.5
+        previous, R = R, []
+        for r0, r1, r2 in previous:
+            t = (x * r0 + y * r1 + z * r2) / (1.0 + c)
+            R.append(((r0 - y * r2 + z * r1 + t * x) / c, (r1 - z * r0 + x * r2 + t * y) / c,
+                      (r2 - x * r1 + y * r0 + t * z) / c))
+    return np.array(R).T, False
 
 
 def recover_scale_and_position(r_acute: np.ndarray, R_final: np.ndarray, det: float) -> Pose:
@@ -233,9 +258,8 @@ def lost_translation(
     rho = a * a + b * b
     # h = S_i R p_i, per point
     h = (m[0] - a * m[2], m[1] - b * m[2], rho * m[2] - a * m[0] - b * m[1])
-    w, sa, sb, srho, *Sm = np.stack([np.ones_like(a), a, b, rho, *h]) @ (q * q)
-    Nmat = np.array([[w, 0.0, -sa], [0.0, w, -sb], [-sa, -sb, srho]])
-    t = _solve_psd(Nmat, -np.array(Sm), _LOST_COND_LIMIT)
+    w, sa, sb, srho, s0, s1, s2 = (np.stack([np.ones_like(a), a, b, rho, *h]) @ (q * q)).tolist()
+    t = _solve_psd((w, 0.0, -sa, w, -sb, srho), (-s0, -s1, -s2), _LOST_COND_LIMIT)
     if t is None:
         raise RankDeficient("translation normal matrix is ill conditioned")
-    return t
+    return np.array(t)

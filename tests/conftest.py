@@ -2,8 +2,10 @@
 
 The oracle functions here are written straight from the defining formulas,
 on purpose not calling into the package, so that agreement between the two
-is evidence rather than tautology. The last section holds the derivation
-oracles that acceptance criteria 04 and 08d check, which no solve runs.
+is evidence rather than tautology. The numpy recovery oracles keep the
+matrix-level code that the closed forms in odlt.se3 replaced. The last section
+holds the derivation oracles that acceptance criteria 04 and 08d check, which
+no solve runs.
 """
 
 from dataclasses import dataclass, replace
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from odlt.evaluation import SyntheticScenario, generate_scene
-from odlt.geometry import Correspondence, cross_matrix, decompose_projection
+from odlt.errors import DegenerateInput
+from odlt.geometry import Correspondence, cross_matrix, decompose_projection, nearest_rotation
 from odlt.solvers import SolverConfig, estimate_projection
 
 
@@ -120,6 +123,69 @@ def oracle_gn_jacobian(Km, R, r, ps, us):
         e[2 * i : 2 * i + 2] = us[i] - (K2 @ np.array([a, b]) + Km[:2, 2])
         J[2 * i : 2 * i + 2] = -K2 @ dab @ dx
     return e, J
+
+
+# -- numpy recovery oracles ----------------------------------------------------
+
+
+def procrustes_cost(R, target, W):
+    """Squared weighted Frobenius distance ||(R - target) * W||_F^2."""
+    d = (R - target) * W
+    return float((d * d).sum())
+
+
+def oracle_declamp_det_solve(R_acute, g):
+    """det(R_acute) and r_acute = -R_acute^-1 g by numpy.linalg (LU)."""
+    return float(np.linalg.det(R_acute)), -np.linalg.solve(R_acute, g)
+
+
+def oracle_solve_psd(N, b, cond_limit):
+    """Solve N x = b for symmetric PSD N by one eigh; None when N is singular
+    or lambda_max / lambda_min (its 2-norm condition number) > cond_limit."""
+    lam, E = np.linalg.eigh(N)
+    if not lam[0] > 0 or lam[2] > cond_limit * lam[0]:
+        return None
+    return E @ ((E.T @ b) / lam)
+
+
+def oracle_weighted_procrustes(R_acute, W, det, max_iters=1):
+    """The matrix-level weighted Procrustes step: normal matrix from stacked
+    R diag(Q[i]) R^T, eigh solve (condition limit 1e10), polar update by
+    np.outer, costs by procrustes_cost; same contract as se3.weighted_procrustes."""
+    if not 1 <= max_iters <= 5:
+        raise ValueError(f"max_iters must be in 1..5, got {max_iters}")
+    if det == 0:
+        raise DegenerateInput("de-clamped rotation block is singular")
+    Rs = (1.0 / np.cbrt(det)) * R_acute
+    Q = W * W
+    R = nearest_rotation(Rs)
+    R0 = R
+    cost = procrustes_cost(R, Rs, W)
+    for _ in range(max_iters):
+        M = ((R[None, :, :] * Q[:, None, :]) @ R.T).tolist()
+        Nmat = np.array(
+            [
+                [M[1][2][2] + M[2][1][1], -M[2][0][1], -M[1][0][2]],
+                [-M[2][0][1], M[0][2][2] + M[2][0][0], -M[0][1][2]],
+                [-M[1][0][2], -M[0][1][2], M[0][1][1] + M[1][0][0]],
+            ]
+        )
+        H = ((Q * (Rs - R)) @ R.T).tolist()
+        g = np.array([H[1][2] - H[2][1], H[2][0] - H[0][2], H[0][1] - H[1][0]])
+        dphi = oracle_solve_psd(Nmat, g, 1e10)
+        if dphi is None:
+            return R0, True
+        x, y, z = dphi.tolist()
+        c = np.sqrt(1.0 + x * x + y * y + z * z)
+        U = np.array([[1.0, z, -y], [-z, 1.0, x], [y, -x, 1.0]]) + np.outer(dphi, dphi / (1.0 + c))
+        candidate = (U / c) @ R
+        candidate_cost = procrustes_cost(candidate, Rs, W)
+        if candidate_cost > cost:
+            break
+        R, cost = candidate, candidate_cost
+        if np.sqrt(dphi @ dphi) < 1e-12:
+            break
+    return R, False
 
 
 # -- Derivation oracles --------------------------------------------------------

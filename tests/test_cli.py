@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import odlt.cli as cli_module
 import odlt.evaluation as evaluation_module
 from odlt import __version__
 from odlt.cli import CSV_COLUMNS, _read_problem, main
@@ -451,6 +452,63 @@ class TestSolve:
         rc = main(["solve", "--input", "-"])
         assert rc == 3
         assert "error: -:7: correspondence line needs 5 numbers, got 4" in capsys.readouterr().err
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("name", ["svd", "qr"])
+    def test_linalg_failure_exits_3_with_its_named_error(self, name, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "problem.txt"
+        write_problem_file(path, solvable_problem())
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, name, failing)
+        assert main(["solve", "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {name.upper()} of the constraint rows failed: did not converge" in err
+        assert "Traceback" not in err
+
+    def test_value_error_from_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "problem.txt"
+        write_problem_file(path, solvable_problem())
+
+        def buggy(*args, **kwargs):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(cli_module, "solve", buggy)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["solve", "--input", str(path)])
+
+    def test_binary_problem_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "problem.bin"
+        path.write_bytes(bytes(range(256)) * 4)
+        assert main(["solve", "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {path}:" in err and "not UTF-8 text" in err
+
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("bad_line", [1, 2, 700, 1500])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, capsys, line_end, bad_line):
+        # 1600 lines (~40 kB), so the bad byte can lie several text chunks in.
+        path = tmp_path / "problem.txt"
+        lines = [b"# padding comment line, long enough to span text chunks"] * 1600
+        lines[bad_line - 1] = b"# caf\xe9"
+        path.write_bytes(line_end.join(lines) + line_end)
+        assert main(["solve", "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {path}:{bad_line}: not UTF-8 text (invalid continuation byte)" in err
+
+    def test_non_utf8_model_file_exits_3_naming_its_line(self, tmp_path, capsys):
+        for name in ("cameras.txt", "points3D.txt"):
+            (tmp_path / name).write_text((SOLVABLE / name).read_text())
+        lines = (SOLVABLE / "images.txt").read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].rstrip() + b"\xff\n"  # image 1's pose line: its name
+        (tmp_path / "images.txt").write_bytes(b"".join(lines))
+        with pytest.raises(MalformedLine, match="images.txt:4: not UTF-8 text"):
+            parse_model(tmp_path)
+        assert main(["eval-colmap", "--model-dir", str(tmp_path)]) == 3
+        assert f"error: {tmp_path / 'images.txt'}:4: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -4,6 +4,7 @@ import pytest
 from odlt.dlt import DltSolution, _assemble_arrays, solve_nullspace
 from odlt.errors import (
     DegenerateInput,
+    PnpError,
     RankDeficient,
     ReflectionDetected,
     SingularCalibration,
@@ -20,19 +21,25 @@ from odlt.normalization import (
     fit_pixel_normalization,
     fit_point_normalization,
 )
+from odlt.evaluation import CENTERED_BOX, UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.se3 import (
+    _solve_psd,
     declamp_denormalize,
     intrinsic_inverse,
     lost_translation,
-    procrustes_cost,
     recover_scale_and_position,
     weighted_procrustes,
 )
+from odlt.solvers import METHODS, SolverConfig, _linear_solve, solve
 from odlt.weighting import depths_under
 from conftest import (
     make_exact_scene,
     moment_rows,
+    oracle_declamp_det_solve,
     oracle_project,
+    oracle_solve_psd,
+    oracle_weighted_procrustes,
+    procrustes_cost,
     random_intrinsics_matrix,
     random_rotation,
 )
@@ -299,3 +306,163 @@ class TestLostTranslation:
         Km, R, r, ps, us = make_exact_scene(rng, n=8)
         with pytest.raises(ValueError):
             lost_translation(ps, us, Km, R, np.ones(5))
+
+
+# -- closed forms against the numpy code they replaced --------------------------
+
+EPS = np.finfo(float).eps
+
+
+def spd_batch(rng, conds):
+    """Symmetric positive definite 3x3 matrices Q diag(1/cond, mid, 1) Q^T times a
+    random scale: mid log-uniform in [1/cond, 1] for four in five, else next
+    to 1/cond or to 1, so both close-pair cases of the eigenvalue formulas occur."""
+    k = conds.shape[0]
+    Q = np.linalg.qr(rng.standard_normal((k, 3, 3)))[0]
+    mid = conds ** -rng.uniform(0.0, 1.0, k)
+    pick = rng.uniform(size=k)
+    mid = np.where(pick < 0.1, (1.0 + 1e-6) / conds, np.where(pick < 0.2, 1.0 - 1e-9, mid))
+    lam = np.stack([1.0 / conds, mid, np.ones(k)], axis=1) * 10.0 ** rng.uniform(-6, 6, (k, 1))
+    N = (Q * lam[:, None, :]) @ Q.transpose(0, 2, 1)
+    return (N + N.transpose(0, 2, 1)) / 2
+
+
+def upper(N):
+    return (N[0, 0], N[0, 1], N[0, 2], N[1, 1], N[1, 2], N[2, 2])
+
+
+def recovery_inputs(box, n, trials=6):
+    """(linear outcome, Km) of seeded odlt solves: the real inputs of declamping."""
+    sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=trials, seed=17)
+    cfg = SolverConfig(method="odlt")
+    out = []
+    for trial in range(trials):
+        (ps, us), _ = generate_scene(sc, trial)
+        try:
+            out.append(_linear_solve(ps, us, cfg, normalize=True, weighted=True))
+        except PnpError:  # a scene the linear stage rejects has no recovery inputs
+            continue
+    assert len(out) >= trials - 1
+    return out, sc.intrinsics.matrix
+
+
+class TestClosedFormsMatchNumpy:
+    @pytest.mark.parametrize("limit", [1e10, 1e12])
+    def test_solve_psd_matches_eigh(self, rng, limit):
+        # 10 000 matrices, cond 1..1e13, 2000 of them within 1e-3 of a limit.
+        conds = np.concatenate(
+            [
+                10.0 ** rng.uniform(0, 13, 8000),
+                1e10 * (1.0 + rng.uniform(-1e-3, 1e-3, 1000)),
+                1e12 * (1.0 + rng.uniform(-1e-3, 1e-3, 1000)),
+            ]
+        )
+        # eigh's own smallest eigenvalue is off by up to ~2 eps * cond relative (up to
+        # 2.1 eps * cond against 50-digit eigenvalues; the closed form stays within 0.3),
+        # so no implementation can follow its decisions closer than that to a limit.
+        band = 1e-6 + 4 * EPS * limit
+        decided = {True: 0, False: 0}
+        for N in spd_batch(rng, conds):
+            b = rng.standard_normal(3)
+            got, ref = _solve_psd(upper(N), tuple(b), limit), oracle_solve_psd(N, b, limit)
+            lam = np.linalg.eigh(N)[0]
+            cond = lam[2] / lam[0]
+            if abs(cond / limit - 1.0) > band:
+                assert (got is None) == (ref is None), cond
+                decided[ref is None] += 1
+            if got is not None and ref is not None:
+                assert np.linalg.norm(np.subtract(got, ref)) <= cond * 1e-15 * np.linalg.norm(ref)
+        assert min(decided.values()) > 500
+
+    def test_solve_psd_rejects_singular_and_indefinite(self, rng):
+        v = rng.standard_normal(3)
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        cases = [
+            np.zeros((3, 3)),
+            np.outer(v, v),
+            (Q * [0.0, 1.0, 2.0]) @ Q.T,
+            (Q * [-1.0, 1.0, 2.0]) @ Q.T,
+            (Q * [-3.0, -1.0, -2.0]) @ Q.T,
+        ]
+        for N in cases:
+            N = (N + N.T) / 2
+            for limit in (1e10, 1e12):
+                assert oracle_solve_psd(N, v, limit) is None
+                assert _solve_psd(upper(N), tuple(v), limit) is None
+
+    @staticmethod
+    def assert_procrustes_matches_numpy(R_acute, W, det, tol=1e-13, fallback_expected=False):
+        costs = []
+        for max_iters in range(1, 6):
+            R, fallback = weighted_procrustes(R_acute, W, det, max_iters)
+            R_ref, fallback_ref = oracle_weighted_procrustes(R_acute, W, det, max_iters)
+            assert fallback == fallback_ref == fallback_expected
+            Rs = R_acute / np.cbrt(det)
+            costs.append(procrustes_cost(R, Rs, W))
+            diff = np.abs(R - R_ref).max()
+            if diff > tol:
+                # A last step (|dphi| ~ 1e-10) that the cost, rounded to about
+                # eps * sum(Q * |Rs - R|), cannot resolve: one side took it.
+                resolution = 8 * EPS * np.sum(W * W * np.abs(Rs - R_ref))
+                assert diff < 1e-9
+                assert abs(costs[-1] - procrustes_cost(R_ref, Rs, W)) <= resolution
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("n", [6, 12, 50, 2000])
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
+    def test_weighted_procrustes_matches_numpy(self, box, n):
+        outcomes, Km = recovery_inputs(box, n)
+        for out in outcomes:
+            dn = declamp_denormalize(out.sol, Km, out.pix, out.pt)
+            self.assert_procrustes_matches_numpy(dn.R_acute, dn.W, dn.det)
+            self.assert_procrustes_matches_numpy(dn.R_acute, np.zeros((3, 3)), dn.det, 0.0, True)
+
+    def test_weighted_procrustes_matches_numpy_far_from_a_rotation(self, rng):
+        # Solver pairs sit near the identity with W's first two rows alike; here
+        # rotations are random, the block far from one and W spans 1e-2..1e2,
+        # so that some steps would raise the cost and the guard must undo them.
+        # The normal matrix's condition number reaches ~1e8, and with it the
+        # two solves' differences (worst 1.1e-10 over 8000 cases).
+        for _ in range(300):
+            R_acute = random_rotation(rng) + 0.6 * rng.standard_normal((3, 3))
+            det = np.linalg.det(R_acute)
+            W = 10 ** rng.uniform(-2, 2, (3, 3))
+            if det > 0:
+                self.assert_procrustes_matches_numpy(R_acute, W, det, tol=1e-9)
+
+    @pytest.mark.parametrize("n", [6, 12, 50, 2000])
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
+    def test_declamp_matches_numpy_det_and_solve(self, box, n):
+        outcomes, Km = recovery_inputs(box, n)
+        for out in outcomes:
+            G = intrinsic_inverse(Km) @ out.pix.T_inv @ out.sol.P @ out.pt.T
+            det_ref, r_ref = oracle_declamp_det_solve(G[:, :3], G[:, 3])
+            dn = declamp_denormalize(out.sol, Km, out.pix, out.pt)
+            np.testing.assert_array_equal(dn.R_acute, G[:, :3])
+            assert abs(dn.det - det_ref) <= 1e-14 * abs(det_ref)
+            assert np.linalg.norm(dn.r_acute - r_ref) <= 1e-14 * np.linalg.norm(r_ref)
+
+    @pytest.mark.parametrize(
+        "diag, center",
+        [
+            ((1e-110, 1e-100, 1e-100), (1.0, 1.0, 1.0)),  # subnormal det, finite r_acute
+            ((1e-200, 1e-200, 1e-200), (1.0, 1.0, 1.0)),  # det underflows to 0
+            ((1e-160, 1e-70, 1e-70), (1e200, 1.0, 1.0)),  # normal det, r_acute overflows
+        ],
+    )
+    def test_declamp_tiny_det_or_unbounded_center_is_degenerate(self, diag, center):
+        P = np.column_stack([np.diag(diag), center])
+        sol = DltSolution(P=P, singular_values=np.ones(12), V=np.eye(12))
+        with pytest.raises(DegenerateInput):
+            declamp_denormalize(
+                sol, np.eye(3), PixelNormalization.identity(), PointNormalization.identity()
+            )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_mirrored_camera_is_a_reflection_from_solve(self, rng, method):
+        # Pixels mirrored about the principal point are seen by K diag(-1, 1, 1) R:
+        # every depth stays positive, and the de-clamped block has det < 0.
+        Km, _, _, ps, us = make_exact_scene(rng, n=40)
+        us = np.column_stack([2.0 * Km[0, 2] - us[:, 0], us[:, 1]])
+        with pytest.raises(ReflectionDetected):
+            solve((ps, us), Km, SolverConfig(method=method))

@@ -7,7 +7,13 @@ import pytest
 import odlt.solvers as solvers_module
 import odlt.weighting as weighting_module
 from odlt.dlt import _assemble_arrays
-from odlt.errors import InvalidIntrinsics, NegativeDepth, RankDeficient, TooFewPoints
+from odlt.errors import (
+    DegenerateInput,
+    InvalidIntrinsics,
+    NegativeDepth,
+    RankDeficient,
+    TooFewPoints,
+)
 from odlt.evaluation import CENTERED_BOX, UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.geometry import (
     CameraIntrinsics,
@@ -680,3 +686,41 @@ class TestPreliminaryCrossover:
         ((A, points),) = seen
         np.testing.assert_array_equal(points, psn[front])
         np.testing.assert_array_equal(A, expected)
+
+
+def failing(fn, when=lambda *args: True):
+    """fn, except that it raises numpy's LinAlgError when called on arguments
+    that satisfy when."""
+
+    def shim(*args, **kwargs):
+        if when(*args):
+            raise np.linalg.LinAlgError("did not converge")
+        return fn(*args, **kwargs)
+
+    return shim
+
+
+class TestLinAlgErrorsAreNamed:
+    # After the null space only nearest_rotation's SVD (and ndlt_gn's normal
+    # equations) call numpy.linalg; each failure surfaces as a PnpError,
+    # chained from the LinAlgError.
+    @pytest.mark.parametrize("name", ["svd", "qr"])
+    @pytest.mark.parametrize("n", [50, 2000])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_null_space_failure_is_rank_deficient(self, method, n, name, monkeypatch):
+        sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
+        arrays, _ = generate_scene(sc, 0)
+        monkeypatch.setattr(np.linalg, name, failing(getattr(np.linalg, name)))
+        with pytest.raises(RankDeficient) as exc:
+            solve(arrays, sc.intrinsics, SolverConfig(method=method))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rotation_projection_failure_is_degenerate_input(self, method, monkeypatch):
+        sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
+        arrays, _ = generate_scene(sc, 0)
+        svd = failing(np.linalg.svd, when=lambda M, *rest: np.shape(M) == (3, 3))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        with pytest.raises(DegenerateInput) as exc:
+            solve(arrays, sc.intrinsics, SolverConfig(method=method))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
