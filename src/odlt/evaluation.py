@@ -166,13 +166,6 @@ def summarize(method: str, metrics: Sequence[Optional[TrialMetrics]]) -> dict:
     }
 
 
-def _as_configs(methods) -> list[SolverConfig]:
-    configs = []
-    for m in methods:
-        configs.append(m if isinstance(m, SolverConfig) else SolverConfig(method=m))
-    return configs
-
-
 def _run_trial_range(
     sc: SyntheticScenario,
     configs: Sequence[SolverConfig],
@@ -189,11 +182,11 @@ def _run_trial_range(
 
 def run_monte_carlo(
     sc: SyntheticScenario,
-    methods,
+    methods: Sequence[str],
     timing_reps: int = 1,
     workers: int = 1,
 ) -> list[dict]:
-    """Paired Monte Carlo over sc.trials scenes; one summarize() row per method.
+    """Paired Monte Carlo over sc.trials scenes; one summarize() row per method name.
 
     With timing_reps > 0 every solve is timed (median of that many runs) and
     the trials run serially, so that concurrent workers never pollute the
@@ -201,7 +194,7 @@ def run_monte_carlo(
     trial ranges may be spread over a process pool (bit-identical results
     either way, since every trial regenerates its scene from (seed, trial)).
     """
-    configs = _as_configs(methods)
+    configs = [SolverConfig(method=m) for m in methods]
     if timing_reps > 0:
         workers = 1
     if workers > 1:

@@ -273,14 +273,14 @@ def nearest_rotation(M: np.ndarray) -> np.ndarray:
 
     Raises:
         DegenerateInput: if the SVD raises LinAlgError (chained) or the two smallest
-            singular values are both < 1e-12: the projection is then undetermined.
+            singular values are <= 1e-12 times the largest: the projection is undetermined.
     """
     M = np.asarray(M, dtype=float).reshape(3, 3)
     try:
         U, s, Vt = np.linalg.svd(M)
     except np.linalg.LinAlgError as exc:
         raise DegenerateInput(f"SVD of the matrix failed: {exc}") from exc
-    if s[1] < 1e-12 and s[2] < 1e-12:
+    if s[1] <= 1e-12 * s[0]:
         raise DegenerateInput("matrix is rank <= 1; nearest rotation undetermined")
     Q = U @ Vt
     (a, b, c), (d, e, f), (g, h, i) = Q.tolist()  # det(Q) = +-1: cofactors give its sign

@@ -47,7 +47,7 @@ from .se3 import (
     recover_scale_and_position,
     weighted_procrustes,
 )
-from .weighting import NEGATIVE_DEPTH_LIMIT, _preliminary_normalized, depths_under
+from .weighting import NEGATIVE_DEPTH_LIMIT, _preliminary_normalized
 
 
 class Stages(NamedTuple):
@@ -87,16 +87,11 @@ class SolverConfig:
     row weights are inverse depths (weighting says why sigma_u drops out).
     seed is accepted and has no effect: no stage draws random numbers. It
     stays a field so that callers which pass it keep working.
-
-    force_unit_weights is a test hook: it replaces the optimal weights (both
-    the row scalars and the Procrustes weight matrix) with ones, which must
-    reduce odlt to ndlt.
     """
 
     method: str = "odlt"
     sigma_u: float = 1.0
     seed: int = 0
-    force_unit_weights: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -125,22 +120,18 @@ def _reprojection_rms(ps: np.ndarray, us: np.ndarray, Km: np.ndarray, pose: Pose
 
 
 class _LinearOutcome(NamedTuple):
-    """Null-space solution, the normalizations it lives in, flags, timings."""
+    """Null-space solution, the normalizations it lives in, timings."""
 
     sol: DltSolution
     pix: PixelNormalization
     pt: PointNormalization
-    flags: set
     timings: dict
 
 
-def _linear_solve(
-    ps: np.ndarray, us: np.ndarray, cfg: SolverConfig, normalize: bool, weighted: bool
-) -> _LinearOutcome:
+def _linear_solve(ps: np.ndarray, us: np.ndarray, normalize: bool, weighted: bool) -> _LinearOutcome:
     # Checked before any stage runs: normalization divides by n.
     if ps.shape[0] < MIN_POINTS:
         raise TooFewPoints(ps.shape[0], MIN_POINTS)
-    flags = set()
     timings = {}
     t0 = time.perf_counter()
     Mt = np.empty((12, ps.shape[0]))  # _assemble_arrays' moment rows: points 0-2, pixels 7, 11
@@ -156,14 +147,13 @@ def _linear_solve(
     if weighted:
         t0 = time.perf_counter()
         _, depths = _preliminary_normalized(Mt)
-        if not cfg.force_unit_weights:
-            neg = depths <= 0
-            if neg.any():
-                frac = float(neg.mean())
-                if frac >= NEGATIVE_DEPTH_LIMIT:
-                    raise NegativeDepth(f"{frac:.0%} of points behind the preliminary camera")
-                Mt, depths = Mt[:, ~neg], depths[~neg]
-            weights = 1.0 / depths
+        neg = depths <= 0
+        if neg.any():
+            frac = float(neg.mean())
+            if frac >= NEGATIVE_DEPTH_LIMIT:
+                raise NegativeDepth(f"{frac:.0%} of points behind the preliminary camera")
+            Mt, depths = Mt[:, ~neg], depths[~neg]
+        weights = 1.0 / depths
         timings["weights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -172,9 +162,7 @@ def _linear_solve(
         ps = ps.copy()  # the weighted assembly scales Mt in place, with no second n-sized array
     sol = solve_nullspace(_assemble_arrays(Mt, weights), points=ps)
     timings["solve"] = time.perf_counter() - t0
-    if sol.mixed_depths:
-        flags.add(FLAG_MIXED_DEPTHS)
-    return _LinearOutcome(sol, pix, pt, flags, timings)
+    return _LinearOutcome(sol, pix, pt, timings)
 
 
 def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
@@ -194,14 +182,14 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
     t_start = time.perf_counter()
     ps, us = correspondence_arrays(cs)
     Km = intrinsic_matrix(K)
-    out = _linear_solve(ps, us, cfg, normalize, weighted)
-    flags, timings = out.flags, out.timings
+    out = _linear_solve(ps, us, normalize, weighted)
+    flags = {FLAG_MIXED_DEPTHS} if out.sol.mixed_depths else set()
+    timings = out.timings
 
     t0 = time.perf_counter()
     dn = declamp_denormalize(out.sol, Km, out.pix, out.pt, weights=weighted)
     if weighted:
-        W = np.ones((3, 3)) if cfg.force_unit_weights else dn.W
-        R, fallback = weighted_procrustes(dn.R_acute, W, dn.det)
+        R, fallback = weighted_procrustes(dn.R_acute, dn.W, dn.det)
         if fallback:
             flags.add(FLAG_DEGENERATE_WEIGHTS)
     else:
@@ -340,16 +328,14 @@ def estimate_projection(cs, cfg: SolverConfig) -> np.ndarray:
 
     Runs the stages that STAGES lists for cfg.method, which must end with the
     linear solve ("dlt", "ndlt", "odlt"). The returned matrix is in the
-    original (de-normalized) coordinates, scaled to unit Frobenius norm with
-    positive mean depth.
+    original (de-normalized) coordinates, scaled to unit Frobenius norm, signed
+    by solve_nullspace: T_u^-1 has third row (0, 0, 1), so de-normalizing
+    keeps every depth.
     """
     stages = STAGES[cfg.method]
     if stages.lost or stages.refine:
         raise ValueError(f"projection-only estimation needs a linear method, got {cfg.method!r}")
     ps, us = correspondence_arrays(cs)
-    out = _linear_solve(ps, us, cfg, stages.normalize, stages.weighted)
+    out = _linear_solve(ps, us, stages.normalize, stages.weighted)
     P = denormalize_projection(out.sol.P, out.pix, out.pt)
-    P = P / np.linalg.norm(P)
-    if depths_under(P, ps).mean() < 0:
-        P = -P
-    return P
+    return P / np.linalg.norm(P)

@@ -39,7 +39,12 @@ from odlt.geometry import (
     rotation_angle_deg,
 )
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
-from odlt.se3 import declamp_denormalize, intrinsic_inverse, weighted_procrustes
+from odlt.se3 import (
+    declamp_denormalize,
+    intrinsic_inverse,
+    recover_scale_and_position,
+    weighted_procrustes,
+)
 from odlt.solvers import (
     METHODS,
     SolverConfig,
@@ -172,15 +177,26 @@ def test_criterion_05b_runtime_loglog_slope(runtime_table):
 
 
 def test_criterion_06_unit_weight_reduction(rng):
+    # odlt with every weight one is ndlt, stage by stage: unit row weights
+    # assemble the unweighted rows bit for bit, and the weighted Procrustes
+    # step with W = ones on ndlt's declamped solution gives ndlt's pose.
     for _ in range(100):
         Km, R, r, ps, us = make_exact_scene(rng, n=15)
         us = us + rng.standard_normal(us.shape)
-        forced = solve(
-            (ps, us), Km, SolverConfig(method="odlt", force_unit_weights=True)
+        psn = fit_point_normalization(ps).apply(ps)
+        usn = fit_pixel_normalization(us).apply(us)
+        np.testing.assert_array_equal(
+            _assemble_arrays(moment_rows(psn, usn), np.ones(15)),
+            _assemble_arrays(moment_rows(psn, usn)),
         )
+        out = _linear_solve(ps, us, normalize=True, weighted=False)
+        dn = declamp_denormalize(out.sol, Km, out.pix, out.pt, weights=False)
+        R_unit, fallback = weighted_procrustes(dn.R_acute, np.ones((3, 3)), dn.det)
+        assert not fallback
+        unit = recover_scale_and_position(dn.r_acute, R_unit, dn.det)
         plain = solve((ps, us), Km, SolverConfig(method="ndlt"))
-        np.testing.assert_allclose(forced.pose.R, plain.pose.R, atol=1e-12)
-        np.testing.assert_allclose(forced.pose.r, plain.pose.r, atol=1e-12)
+        np.testing.assert_allclose(unit.R, plain.pose.R, atol=1e-12)
+        np.testing.assert_allclose(unit.r, plain.pose.r, atol=1e-12)
 
 
 def test_criterion_07_weight_scale_invariance(rng):
@@ -278,11 +294,10 @@ def test_criterion_08b_procrustes_vs_grid_refine_oracle(rng):
     # class the projection is built for. The implementation minimizes
     # ||W o (R - s R_acute)||^2 with s = det(R_acute)^(-1/3), so the oracle
     # searches the same objective.
-    cfg = SolverConfig(method="odlt")
     for _ in range(50):
         Km, _, _, ps, us = make_exact_scene(rng, n=20)
         us = us + rng.standard_normal(us.shape)
-        out = _linear_solve(ps, us, cfg, normalize=True, weighted=True)
+        out = _linear_solve(ps, us, normalize=True, weighted=True)
         dn = declamp_denormalize(out.sol, Km, out.pix, out.pt)
         s = np.linalg.det(dn.R_acute) ** (-1.0 / 3.0)
         Rs = s * dn.R_acute

@@ -178,13 +178,6 @@ class TestMonteCarlo:
         assert np.isnan(summary[0]["rot_rmse_deg"])
         assert np.isnan(summary[0]["mean_reproj_px"])
 
-    def test_accepts_solver_config_entries(self):
-        sc = SyntheticScenario(n=20, sigma_u=1.0, trials=3)
-        cfg = SolverConfig(method="odlt", sigma_u=2.0)
-        summary = run_monte_carlo(sc, [cfg], timing_reps=0)
-        assert summary[0]["method"] == "odlt"
-        assert summary[0]["failures"] == 0
-
 
 class TestIntrinsicsExperiment:
     def test_zero_noise_recovers_calibration(self):

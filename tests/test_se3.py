@@ -334,12 +334,11 @@ def upper(N):
 def recovery_inputs(box, n, trials=6):
     """(linear outcome, Km) of seeded odlt solves: the real inputs of declamping."""
     sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=trials, seed=17)
-    cfg = SolverConfig(method="odlt")
     out = []
     for trial in range(trials):
         (ps, us), _ = generate_scene(sc, trial)
         try:
-            out.append(_linear_solve(ps, us, cfg, normalize=True, weighted=True))
+            out.append(_linear_solve(ps, us, normalize=True, weighted=True))
         except PnpError:  # a scene the linear stage rejects has no recovery inputs
             continue
     assert len(out) >= trials - 1

@@ -24,11 +24,17 @@ from odlt.geometry import (
     intrinsic_matrix,
     rotation_angle_deg,
 )
-from odlt.normalization import fit_pixel_normalization, fit_point_normalization
+from odlt.normalization import (
+    denormalize_projection,
+    fit_pixel_normalization,
+    fit_point_normalization,
+)
+from odlt.se3 import declamp_denormalize, recover_scale_and_position, weighted_procrustes
 from odlt.solvers import (
     FLAG_FALLBACK_USED,
     FLAG_MIXED_DEPTHS,
     METHODS,
+    STAGES,
     SolverConfig,
     estimate_projection,
     refine_gauss_newton,
@@ -118,6 +124,30 @@ class TestExactness:
                 with pytest.raises(RankDeficient, match="far from the origin"):
                     solve((ps + shift, us), Km, SolverConfig(method="dlt"))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e9, 1e12])
+    @pytest.mark.parametrize("method", ["ndlt", "odlt", "odlt_lost", "ndlt_gn"])
+    def test_zero_noise_recovery_at_any_world_scale(self, method, scale):
+        # Metamorphic: scaling the world and the camera center by s leaves the
+        # pixels alone, and the normalizing methods keep criterion 01's rotation
+        # bound and its position bound relative to s. The de-clamped rotation
+        # block scales as 1/s, so this guards every threshold after the null
+        # space against being absolute.
+        for seed in range(20):
+            Km, R, r, ps, us = make_exact_scene(np.random.default_rng(seed))
+            result = solve((scale * ps, us), Km, SolverConfig(method=method))
+            rot, pos = pose_errors(result, R, scale * r)
+            assert rot < 1e-6, f"{method} s={scale} seed={seed}: rotation error {rot}"
+            assert pos < 1e-8 * scale, f"{method} s={scale} seed={seed}: position error {pos}"
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e9, 1e12])
+    def test_unnormalized_dlt_off_unit_world_scale_names_the_scaling(self, scale):
+        # The same scenes: unnormalized dlt carries the scale in A's point
+        # columns, and its RankDeficient names the coordinates, not the points.
+        for seed in range(20):
+            Km, R, r, ps, us = make_exact_scene(np.random.default_rng(seed))
+            with pytest.raises(RankDeficient, match="unnormalized coordinates"):
+                solve((scale * ps, us), Km, SolverConfig(method="dlt"))
+
     def test_accepts_correspondence_sequences(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=10)
         a = solve(as_cs(ps, us), Km, SolverConfig(method="ndlt"))
@@ -181,14 +211,29 @@ class TestInvariances:
         np.testing.assert_array_equal(a.pose.R, b.pose.R)
         assert np.linalg.norm(a.pose.r - b.pose.r) > 0  # translation did move
 
-    def test_unit_weights_reduce_to_ndlt(self, rng):
+    @pytest.mark.parametrize("n", [18, 2000])
+    def test_unit_weights_reduce_to_ndlt(self, rng, n):
+        # Criterion 06's stage-level identity on both sides of the chunked-QR
+        # crossover (n = 768): unit row weights assemble the unweighted rows bit
+        # for bit, and the weighted Procrustes step with W = ones on ndlt's
+        # declamped solution gives ndlt's pose.
         for _ in range(10):
-            Km, R, r, ps, us = make_exact_scene(rng, n=18)
+            Km, R, r, ps, us = make_exact_scene(rng, n=n)
             us = us + rng.standard_normal(us.shape)
-            forced = solve((ps, us), Km, SolverConfig(method="odlt", force_unit_weights=True))
+            psn = fit_point_normalization(ps).apply(ps)
+            usn = fit_pixel_normalization(us).apply(us)
+            np.testing.assert_array_equal(
+                _assemble_arrays(moment_rows(psn, usn), np.ones(n)),
+                _assemble_arrays(moment_rows(psn, usn)),
+            )
+            out = solvers_module._linear_solve(ps, us, normalize=True, weighted=False)
+            dn = declamp_denormalize(out.sol, Km, out.pix, out.pt, weights=False)
+            R_unit, fallback = weighted_procrustes(dn.R_acute, np.ones((3, 3)), dn.det)
+            assert not fallback
+            unit = recover_scale_and_position(dn.r_acute, R_unit, dn.det)
             plain = solve((ps, us), Km, SolverConfig(method="ndlt"))
-            np.testing.assert_allclose(forced.pose.R, plain.pose.R, atol=1e-12)
-            np.testing.assert_allclose(forced.pose.r, plain.pose.r, atol=1e-12)
+            np.testing.assert_allclose(unit.R, plain.pose.R, atol=1e-12)
+            np.testing.assert_allclose(unit.r, plain.pose.r, atol=1e-12)
 
     def test_determinism(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=30)
@@ -532,15 +577,42 @@ class TestApiSurface:
 
     def test_estimate_projection_properties(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=20)
-        P_true = compose_projection(Km, Pose(R=R, r=r))
-        for method in ("dlt", "ndlt", "odlt"):
-            P = estimate_projection((ps, us), SolverConfig(method=method))
-            assert abs(np.linalg.norm(P) - 1.0) < 1e-12
-            assert depths_under(P, ps).mean() > 0
-            ref = P_true / np.linalg.norm(P_true)
-            np.testing.assert_allclose(P, ref, atol=1e-7)
+        scenes = [((ps, us), compose_projection(Km, Pose(R=R, r=r)))]
+        sc = SyntheticScenario(box=UNCENTERED_BOX, n=20, sigma_u=0.0, trials=1, seed=0)
+        arrays, truth = generate_scene(sc, 0)
+        scenes.append((arrays, compose_projection(sc.intrinsics, truth)))
+        for (ps, us), P_true in scenes:
+            for method in ("dlt", "ndlt", "odlt"):
+                P = estimate_projection((ps, us), SolverConfig(method=method))
+                assert abs(np.linalg.norm(P) - 1.0) < 1e-12
+                assert depths_under(P, ps).mean() > 0
+                ref = P_true / np.linalg.norm(P_true)
+                np.testing.assert_allclose(P, ref, atol=1e-7)
         with pytest.raises(ValueError):
             estimate_projection((ps, us), SolverConfig(method="ndlt_gn"))
+
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
+    def test_estimate_projection_keeps_the_null_space_sign(self, box, monkeypatch):
+        # The de-normalized P has the depths of the normalized estimate, which
+        # the null-space solve signed, so P needs no sign rule of its own. With
+        # one point dropped by the preliminary the sign comes from the other 19,
+        # and P is still, bit for bit, the matrix re-signed by the mean depth
+        # over all 20 points, as a second rule would give it.
+        sc = SyntheticScenario(box=box, n=20, sigma_u=1.0, trials=1, seed=4)
+        (ps, us), _ = generate_scene(sc, 0)
+        shift_preliminary(monkeypatch, ps, us, behind=1)
+        _, depths = solvers_module._preliminary_normalized()
+        assert np.count_nonzero(depths <= 0) == 1
+        for method in ("dlt", "ndlt", "odlt"):
+            P = estimate_projection((ps, us), SolverConfig(method=method))
+            assert depths_under(P, ps).mean() > 0, method
+            stages = STAGES[method]
+            out = solvers_module._linear_solve(ps, us, stages.normalize, stages.weighted)
+            ref = denormalize_projection(out.sol.P, out.pix, out.pt)
+            ref = ref / np.linalg.norm(ref)
+            if depths_under(ref, ps).mean() < 0:
+                ref = -ref
+            np.testing.assert_array_equal(P, ref)
 
     def test_timing_keys(self, rng):
         # Exactly the stages each method runs, plus the common tail.

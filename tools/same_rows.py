@@ -1,0 +1,123 @@
+"""Check that two source trees of odlt write the same output rows.
+
+Usage:
+
+    python tools/same_rows.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are directories that hold the odlt package, such as
+the src/ of two checkouts. Each tree runs one fixed grid of CLI commands with
+PYTHONPATH set to it:
+
+    synthetic --no-timing, centered and uncentered, n 6, 12, 50, 767, 768, 2000,
+        sigma 0, 1, 3, 20 trials;
+    eval-colmap on tests/fixtures/colmap_golden and tests/fixtures/colmap_solvable,
+        --noise-px 0 and 1, with --per-image.
+
+The CSV rows are compared with their comment manifests left out, since those
+hold a start time. Prints "identical" and exits 0 when every row matches byte
+for byte. Otherwise, for each output that differs, prints the first differing
+rows and the largest relative change over the numeric cells of all its
+differing rows, and exits 1. Both trees run with one BLAS thread, so that
+they use the same kernels.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+
+SYNTHETIC = ["--n-list", "6,12,50,767,768,2000", "--sigma-list", "0,1,3", "--trials", "20"]
+
+
+def grid():
+    """(name, CLI arguments, whether it writes a per-image CSV) of every run."""
+    for scenario in ("centered", "uncentered"):
+        args = ["synthetic", "--no-timing", "--scenario", scenario, *SYNTHETIC]
+        yield f"synthetic {scenario}", args, False
+    for fixture in ("colmap_golden", "colmap_solvable"):
+        for noise in ("0", "1"):
+            args = ["eval-colmap", "--model-dir", str(FIXTURES / fixture), "--noise-px", noise]
+            yield f"eval-colmap {fixture} noise {noise}", args, True
+
+
+def data_rows(path: Path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def run(src: Path, args: list[str], per_image: bool, workdir: Path) -> dict[str, list[str]]:
+    """The data rows of one CLI run on the tree src, by output name."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out, detail = workdir / "rows.csv", workdir / "per_image.csv"
+    extra = ["--per-image", str(detail)] if per_image else []
+    cmd = [sys.executable, "-m", "odlt.cli", *args, "--out", str(out), *extra]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{src}: {' '.join(args)} exited {done.returncode}\n{done.stderr}")
+    rows = {"rows": data_rows(out)}
+    if per_image:
+        rows["per-image rows"] = data_rows(detail)
+    return rows
+
+
+def relative_change(a: str, b: str) -> float:
+    """Largest relative change between two CSV rows' numeric cells; inf when any
+    other cell differs."""
+    worst = 0.0
+    for x, y in zip(a.split(","), b.split(",")):
+        if x == y:
+            continue
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            return math.inf
+        if math.isnan(fx) or math.isnan(fy):
+            return math.inf
+        worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return worst
+
+
+def compare(name: str, parent: list[str], change: list[str], shown: int = 3) -> bool:
+    """Print how change's rows differ from parent's; True when they are identical."""
+    if parent == change:
+        return True
+    print(f"{name}: {len(parent)} lines in the parent, {len(change)} in the change")
+    pairs = [(a, b) for a, b in zip(parent, change) if a != b]
+    for a, b in pairs[:shown]:
+        print(f"  parent: {a}\n  change: {b}")
+    if pairs:
+        worst = max(relative_change(a, b) for a, b in pairs)
+        print(f"  {len(pairs)} rows differ; largest relative change {worst:.3g}")
+    return False
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/same_rows.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    parent_src, change_src = (Path(a).resolve() for a in argv)
+    for src in (parent_src, change_src):
+        if not (src / "odlt" / "cli.py").is_file():
+            print(f"{src} holds no odlt package", file=sys.stderr)
+            return 2
+    same = True
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, args, per_image in grid():
+            parent = run(parent_src, args, per_image, workdir)
+            change = run(change_src, args, per_image, workdir)
+            for output in parent:
+                same &= compare(f"{name} {output}", parent[output], change[output])
+    if same:
+        print("identical")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
