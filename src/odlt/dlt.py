@@ -7,27 +7,27 @@ the cross-product matrix has rank 2. Stacking n such 2x12 blocks gives the
 homogeneous system A vec(P) = 0 whose null direction is the projection
 matrix estimate.
 
-The null direction comes from the R factor of A = QR: A and the 12x12 R
-share singular values and right singular vectors, so an O(n) QR and the SVD
-of R give A's exact spectrum at any n, with no 2n x 12 left factor and no
-squared Gram matrix. Tall A is factored in chunks (TSQR; Demmel, Grigori,
-Hoemmen & Langou, SIAM J. Sci. Comput. 2012): one stacked QR of k blocks of
-_QR_BLOCK rows, then one QR of the k stacked 12x12 R factors plus the
-leftover rows. That is A's R up to row signs, with each block's work held in
-cache.
+The null direction comes from the R factor of A = QR: A and the 12x12 R share
+singular values and right singular vectors, so an O(n) QR and the SVD of R
+give A's exact spectrum at any n, with no 2n x 12 left factor and no squared
+Gram matrix (weighting's preliminary uses one). Tall A is factored in chunks
+(TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012): one
+stacked QR of k blocks of _QR_BLOCK rows, then one QR of the k stacked 12x12 R
+factors plus the leftover rows. That is A's R up to row signs, with each
+block's work held in cache.
 
 A is mostly structure. Point i's two rows are pbar_i kron (0, -1, v_i) and
 pbar_i kron (1, 0, -u_i): each places two of the 4-column groups of its
 moment row m_i = (pbar_i, u_i pbar_i, v_i pbar_i), negated or not, in fixed
-columns. So the two rows are L(m_i) = (m_i T1, m_i T2) for two fixed
-12 x 12 matrices T1 and T2, and up to row order A = [M T1; M T2] for the
-n x 12 moment matrix M. If M = QR, then A = diag(Q, Q) L(R), where L(R) is
-the 24 x 12 matrix that L makes from R's 12 rows in place of the m_i.
-diag(Q, Q) has orthonormal columns, so L(R) has exactly A's singular values
-and right singular vectors, and no Gram matrix is formed. From the
-chunked-QR crossover up (2n >= _QR_CHUNK_MIN_ROWS, n >= 768)
-_assemble_arrays returns L(R) in place of A: half of A's QR work and
-n-sized memory, and the zero half of A is never built.
+columns. So the two rows are L(m_i) = (m_i T1, m_i T2) for two fixed 12 x 12
+matrices T1 and T2, and up to row order A = [M T1; M T2] for the n x 12
+moment matrix M: A^T A = T1^T S T1 + T2^T S T2 for S = M^T M. If M = QR, then
+A = diag(Q, Q) L(R), where L(R) is the 24 x 12 matrix that L makes from R's
+12 rows in place of the m_i. diag(Q, Q) has orthonormal columns, so L(R) has
+exactly A's singular values and right singular vectors, and no Gram matrix is
+formed. From the chunked-QR crossover up (2n >= _QR_CHUNK_MIN_ROWS, n >= 768)
+_assemble_arrays returns L(R) in place of A: half of A's QR work and n-sized
+memory, and the zero half of A is never built.
 
 vec(P) is column-major: entries 0-8 hold the left 3x3 block of P column by
 column, entries 9-11 hold the fourth column.
@@ -52,6 +52,9 @@ _RANK_TOL = 1e-10
 _QR_BLOCK = 512
 _QR_CHUNK_MIN_ROWS = 3 * _QR_BLOCK
 _UPPER = np.triu(np.ones((12, 12), dtype=bool))  # mode="r"'s mask, built once
+_T1, _T2 = np.zeros((2, 12, 12))  # the row map's T1 and T2 (see above), in vec(P) order
+_T1[range(4), range(1, 12, 3)], _T1[range(8, 12), range(2, 12, 3)] = -1.0, 1.0
+_T2[range(4), range(0, 12, 3)], _T2[range(4, 8), range(2, 12, 3)] = 1.0, -1.0
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,14 @@ class DltSolution:
     mixed_depths: bool = False
 
 
+def _fill_moments(Mt: np.ndarray) -> np.ndarray:
+    """Mt, its rows 3-6 and 8-10 filled in place from its points (0-2) and pixels (7, 11)."""
+    Mt[3] = 1.0
+    np.multiply(Mt[:3], Mt[7], out=Mt[4:7])
+    np.multiply(Mt[:3], Mt[11], out=Mt[8:11])
+    return Mt
+
+
 def _assemble_arrays(Mt: np.ndarray, weights=None) -> np.ndarray:
     """The 2n x 12 constraint matrix A of (optionally row-weighted) points,
     or from the chunked-QR crossover up the 24 x 12 L(R) that shares A's
@@ -88,9 +99,7 @@ def _assemble_arrays(Mt: np.ndarray, weights=None) -> np.ndarray:
     n = Mt.shape[1]
     if n < MIN_POINTS:
         raise TooFewPoints(n, MIN_POINTS)
-    Mt[3] = 1.0
-    np.multiply(Mt[:3], Mt[7], out=Mt[4:7])
-    np.multiply(Mt[:3], Mt[11], out=Mt[8:11])
+    _fill_moments(Mt)
     if weights is not None:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.shape[0] != n:

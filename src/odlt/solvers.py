@@ -13,8 +13,9 @@ it adds:
                stopped relative to the noise level its residual shows.
 
 A solve is a deterministic function of (points, pixels, intrinsics, method):
-no step draws random numbers, and the preliminary estimate of the weighted
-methods is the full set's unweighted null vector at every n.
+no step draws random numbers. The weighted methods' preliminary is the full
+set's unweighted null vector, from the 12x12 Gram (weighting); odlt costs 1.49
+ndlt solves at n=50, 1.42 at n=2000 (odlt_over_ndlt, BENCH_gram.json).
 """
 
 from __future__ import annotations

@@ -13,14 +13,17 @@ the weighted null vector (c A has the right singular vectors of A), the
 Procrustes weight matrix W (made from the squared singular values, it turns
 into c^2 W, scaling the weighted cost and its normal matrix alike) and LOST's
 normal equations (both sides scale by c^2). So a row weight is the inverse
-depth q_i = 1 / (k^T P0 pbar_i) under a preliminary unweighted estimate P0.
+depth q_i = 1 / (k^T P0 pbar_i) under a preliminary unweighted estimate P0
+from the 12 x 12 Gram of the moment rows. Only the weights see its squared
+condition number (Golub & Van Loan 5.3): the final null space keeps its QR.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dlt import _assemble_arrays, _null_space
+from .dlt import _T1, _T2, _fill_moments
+from .errors import RankDeficient
 
 # Dropping points that fall behind the preliminary camera is tolerated up to
 # this fraction; beyond it the preliminary estimate cannot be trusted.
@@ -36,15 +39,17 @@ def depths_under(P0: np.ndarray, ps: np.ndarray) -> np.ndarray:
 def _preliminary_normalized(Mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unweighted preliminary estimate P0 on pre-normalized data.
 
-    Mt holds the points and pixels, normalized over the full set, as the
-    moment rows of dlt._assemble_arrays, which fills the rest of Mt in place.
-    P0 is the null vector of the full set's unweighted system, in those
-    coordinates, at every n (Hartley's normalization argument is about the
-    full normalized set), signed as solve_nullspace signs it given the points.
+    Mt holds the points and pixels, normalized over the full set, as
+    dlt._assemble_arrays' moment rows; the rest is filled in place. P0 is the
+    full set's unweighted null vector at every n (Hartley's argument is about
+    the full normalized set), signed as solve_nullspace signs it given points.
 
     Returns (P0, depths of the points under P0).
     """
-    ps = Mt[:3].T
-    P0 = _null_space(_assemble_arrays(Mt))[1][11].reshape(4, 3).T
-    depths = depths_under(P0, ps)
+    S = _fill_moments(Mt) @ Mt.T
+    try:
+        P0 = np.linalg.eigh(_T1.T @ S @ _T1 + _T2.T @ S @ _T2)[1][:, 0].reshape(4, 3).T
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"eigh of the preliminary Gram failed: {exc}") from exc
+    depths = depths_under(P0, Mt[:3].T)
     return (-P0, -depths) if depths.sum() < 0 else (P0, depths)

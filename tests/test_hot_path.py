@@ -1,15 +1,15 @@
 """Operation-count guards for the hot paths.
 
 Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
-operating point (n=50), none of them a det, solve or eigh outside ndlt_gn's
-Gauss-Newton normal equations, the QR calls, constraint-matrix assemblies and bytes
-handed to the null space on both sides of the chunked-QR crossover (n=50 and
-n=2000), the stage functions and input checks solve() calls per method, the
-step attempts, projections and normal-equation builds of one ndlt_gn solve
-(n=50 and n=2000), the Pose validations and the
-Python-level calls made from odlt's own frames per solve, and the
-Correspondence objects the Monte Carlo harness, the COLMAP problem builder
-and the CLI create. Unlike a timing, the counts are exact
+operating point (n=50), none of them a det or solve outside ndlt_gn's
+Gauss-Newton normal equations and no eigh but the weighted preliminary's, the
+QR calls, constraint-matrix assemblies and bytes handed to the null space on
+both sides of the chunked-QR crossover (n=50 and n=2000), the stage functions
+and input checks solve() calls per method, the step attempts, projections and
+normal-equation builds of one ndlt_gn solve (n=50 and n=2000), the Pose
+validations and the Python-level calls made from odlt's own frames per solve,
+and the Correspondence objects the Monte Carlo harness, the COLMAP problem
+builder and the CLI create. Unlike a timing, the counts are exact
 and repeatable, so any extra decomposition on the hot path, a reintroduced
 Kronecker product or hidden condition-number SVD, a wrong stage-table row,
 a numpy determinant, solve or eigenvalue call back in the 3x3 recovery
@@ -18,7 +18,7 @@ internal pose, added per-call overhead, a return to per-point objects on an
 array path (the Monte Carlo harness, build_problems, eval-colmap, odlt
 solve's problem file), a null space that silently stops (or starts)
 chunking, a null space handed the 2n x 12 matrix above the crossover, a
-weighted solve that assembles a third matrix, a
+weighted solve that assembles or factors a second matrix, a
 normalized copy of the points or pixels outside the moment rows, a LOST
 handed mask copies when no point is dropped, or a Gauss-Newton that keeps
 evaluating the cost once it has converged, builds normal equations after its
@@ -37,7 +37,6 @@ import pytest
 import odlt.geometry as geometry_module
 import odlt.normalization as normalization_module
 import odlt.solvers as solvers_module
-import odlt.weighting as weighting_module
 from odlt.cli import main
 from odlt.colmap import build_problems, parse_model
 from odlt.evaluation import UNCENTERED_BOX, SyntheticScenario, generate_scene, run_monte_carlo
@@ -50,19 +49,19 @@ SOLVABLE = Path(__file__).parent / "fixtures" / "colmap_solvable"
 def odlt_modules():
     return [m for key, m in sys.modules.items() if key == "odlt" or key.startswith("odlt.")]
 
-# Per method: null spaces (preliminary + final for the weighted methods) each
-# take one SVD of the 12x12 R factor; every nearest_rotation takes one SVD and
-# reads the sign of det(U V^T) from a cofactor expansion, and the weighted
-# Procrustes step takes one (its start). Everything else after the null space
-# is closed-form 3x3 algebra on floats: declamping's determinant and adjugate
-# solve, the Procrustes and LOST normal equations (no eigh) and the polar
-# update. The only solves left are ndlt_gn's Gauss-Newton normal equations,
-# one per build (GN_EXPECTED's rows).
+# Per method: the null space takes one SVD of the 12x12 R factor, and the
+# weighted methods' preliminary one eigh of the 12x12 Gram A^T A; every
+# nearest_rotation takes one SVD and reads the sign of det(U V^T) from a
+# cofactor expansion, and the weighted Procrustes step takes one (its start).
+# Everything else after the null space is closed-form 3x3 algebra on floats:
+# declamping's determinant and adjugate solve, the Procrustes and LOST normal
+# equations (no eigh) and the polar update. The only solves left are ndlt_gn's
+# Gauss-Newton normal equations, one per build (GN_EXPECTED's rows).
 EXPECTED = {
     "dlt": {"svd": 2, "det": 0, "solve": 0, "eigh": 0, "cond": 0, "kron": 0},
     "ndlt": {"svd": 2, "det": 0, "solve": 0, "eigh": 0, "cond": 0, "kron": 0},
-    "odlt": {"svd": 3, "det": 0, "solve": 0, "eigh": 0, "cond": 0, "kron": 0},
-    "odlt_lost": {"svd": 3, "det": 0, "solve": 0, "eigh": 0, "cond": 0, "kron": 0},
+    "odlt": {"svd": 2, "det": 0, "solve": 0, "eigh": 1, "cond": 0, "kron": 0},
+    "odlt_lost": {"svd": 2, "det": 0, "solve": 0, "eigh": 1, "cond": 0, "kron": 0},
     "ndlt_gn": {"svd": 2, "det": 0, "solve": 3, "eigh": 0, "cond": 0, "kron": 0},
 }
 
@@ -89,11 +88,11 @@ def counts(monkeypatch):
 # QR calls per solve: one per null space of a matrix below the chunked-QR
 # crossover, two (stacked blocks, then their R factors) for a chunked one. At
 # n=2000 each system is assembled from the chunked R factor of the 2000-row
-# moment matrix (two calls), and its 24-row L(R) takes one more; the weighted
-# methods assemble two such systems, the preliminary and the weighted one.
+# moment matrix (two calls), and its 24-row L(R) takes one more. The weighted
+# methods' preliminary takes no QR: its null vector comes from the Gram.
 QR_EXPECTED = {
-    50: {"dlt": 1, "ndlt": 1, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 1},
-    2000: {"dlt": 3, "ndlt": 3, "odlt": 6, "odlt_lost": 6, "ndlt_gn": 3},
+    50: {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
+    2000: {"dlt": 3, "ndlt": 3, "odlt": 3, "odlt_lost": 3, "ndlt_gn": 3},
 }
 
 
@@ -118,11 +117,11 @@ def test_qr_calls_per_solve(method, n, counts):
 
 
 # Constraint matrices assembled per solve, under every odlt binding. At every n
-# a weighted solve assembles the full set's unweighted system for its
-# preliminary and then the weighted one.
+# a weighted solve assembles only the weighted system: its preliminary comes
+# from the Gram of the moment rows, with no A.
 ASSEMBLY_EXPECTED = {
-    50: {"dlt": 1, "ndlt": 1, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 1},
-    2000: {"dlt": 1, "ndlt": 1, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 1},
+    50: {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
+    2000: {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
 }
 
 
@@ -138,8 +137,9 @@ def test_assemblies_per_solve(method, n, monkeypatch):
         tally["assemble"] += 1
         return assemble(*args, **kwargs)
 
-    for module in (solvers_module, weighting_module):
-        monkeypatch.setattr(module, "_assemble_arrays", counted)
+    for module in odlt_modules():
+        if vars(module).get("_assemble_arrays") is assemble:
+            monkeypatch.setattr(module, "_assemble_arrays", counted)
     solve(arrays, sc.intrinsics, SolverConfig(method=method))
     assert tally["assemble"] == ASSEMBLY_EXPECTED[n][method]
 
@@ -149,7 +149,7 @@ def test_assemblies_per_solve(method, n, monkeypatch):
 # crossover that is the 2n x 12 A (100 x 12 floats at n=50); from it up, the
 # 24 x 12 L(R) made from the moment matrix's R factor, so a return to the
 # 2n x 12 matrix at n=2000 fails here without a timing. The weighted
-# methods' preliminary takes its null vector without solve_nullspace.
+# methods' preliminary takes its null vector from the Gram's eigh.
 NULLSPACE_BYTES = {
     50: {"dlt": [9600], "ndlt": [9600], "odlt": [9600], "odlt_lost": [9600], "ndlt_gn": [9600]},
     2000: {"dlt": [2304], "ndlt": [2304], "odlt": [2304], "odlt_lost": [2304], "ndlt_gn": [2304]},
@@ -176,7 +176,7 @@ def test_nullspace_input_bytes_per_solve(method, n, monkeypatch):
 
 
 # Calls solve() makes through odlt.solvers' own bindings, per method. The
-# weighted stage's preliminary assembles its system and takes its null vector
+# weighted stage's preliminary forms its Gram and takes its null vector
 # inside weighting, so only the final assembly and null space count here.
 # perfbench traces these names.
 STAGE_CALLS = {
@@ -394,7 +394,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 84, "ndlt": 104, "odlt": 146, "odlt_lost": 175, "ndlt_gn": 161}
+CALL_BUDGET = {"dlt": 85, "ndlt": 105, "odlt": 140, "odlt_lost": 169, "ndlt_gn": 162}
 
 
 @pytest.mark.parametrize("method", METHODS)

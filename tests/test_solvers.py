@@ -148,6 +148,28 @@ class TestExactness:
             with pytest.raises(RankDeficient, match="unnormalized coordinates"):
                 solve((scale * ps, us), Km, SolverConfig(method="dlt"))
 
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
+    @pytest.mark.parametrize("n", [6, 20, 100, 2000])
+    def test_zero_noise_recovery_under_world_similarity(self, box, n):
+        # Metamorphic: mapping the world by p -> s Q p + t, with a seeded
+        # random rotation Q, scale s in [0.1, 10] and shift t, leaves the
+        # pixels alone and maps the truth pose (R, r) to (R Q^T, s Q r + t).
+        # Every generate_scene truth is the identity, so this is what puts a
+        # random truth rotation in front of the weighted methods, whose
+        # preliminary squares the condition number in its Gram. Criterion
+        # 01's bounds, the position bound relative to s.
+        sc = SyntheticScenario(box=box, n=n, sigma_u=0.0, trials=10, seed=7)
+        rng = np.random.default_rng([7, n])
+        for trial in range(sc.trials):
+            (ps, us), truth = generate_scene(sc, trial)
+            Q, s, t = random_rotation(rng), 10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(-10, 10, 3)
+            world = s * ps @ Q.T + t
+            for method in ("odlt", "odlt_lost"):
+                result = solve((world, us), sc.intrinsics, SolverConfig(method=method))
+                rot, pos = pose_errors(result, truth.R @ Q.T, s * Q @ truth.r + t)
+                assert rot < 1e-6, f"{method} trial={trial}: rotation error {rot}"
+                assert pos < 1e-8 * s, f"{method} trial={trial}: position error {pos}"
+
     def test_accepts_correspondence_sequences(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=10)
         a = solve(as_cs(ps, us), Km, SolverConfig(method="ndlt"))
@@ -692,7 +714,10 @@ class TestPreliminaryCrossover:
 
     @pytest.mark.parametrize("n", [767, 768])
     @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
-    def test_assembles_twice_and_draws_nothing(self, method, n, monkeypatch):
+    def test_assembles_once_and_draws_nothing(self, method, n, monkeypatch):
+        # The preliminary comes from the Gram of the moment rows, so the
+        # weighted system is the one matrix assembled, and one eigh the only
+        # extra decomposition.
         sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=3)
         arrays, _ = generate_scene(sc, 0)
         tally = Counter()
@@ -705,11 +730,12 @@ class TestPreliminaryCrossover:
             return shim
 
         assemble = solvers_module._assemble_arrays
-        for module in (solvers_module, weighting_module):
-            monkeypatch.setattr(module, "_assemble_arrays", counted("assemble", assemble))
+        monkeypatch.setattr(solvers_module, "_assemble_arrays", counted("assemble", assemble))
         monkeypatch.setattr(np.random, "default_rng", counted("draw", np.random.default_rng))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         solve(arrays, sc.intrinsics, SolverConfig(method))
-        assert (tally["assemble"], tally["draw"]) == (2, 0)
+        assert not hasattr(weighting_module, "_assemble_arrays")
+        assert (tally["assemble"], tally["draw"], tally["eigh"]) == (1, 0, 1)
 
     @pytest.mark.parametrize("n", [6, 50, 767])
     def test_weighted_assembly_scales_the_unweighted_rows(self, rng, n):
@@ -760,6 +786,35 @@ class TestPreliminaryCrossover:
         np.testing.assert_array_equal(A, expected)
 
 
+def tilted_plane(rng, n):
+    """n exact points on a plane tilted 10-50 degrees from fronto-parallel, 6
+    units in front of a randomly rotated and placed camera: (Km, ps, us)."""
+    Km = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]])
+    tilt, axis = np.radians(rng.uniform(10.0, 50.0)), rng.uniform(0.0, 2.0 * np.pi)
+    e1 = np.array([np.cos(axis), np.sin(axis), 0.0])
+    e2 = np.cross([0.0, 0.0, 1.0], e1) * np.cos(tilt) + np.array([0.0, 0.0, np.sin(tilt)])
+    a, b = rng.uniform(-2.0, 2.0, (2, n))
+    cam = np.array([0.0, 0.0, 6.0]) + np.outer(a, e1) + np.outer(b, e2)
+    R, r = random_rotation(rng), rng.uniform(-3.0, 3.0, 3)
+    ps = cam @ R + r
+    return Km, ps, oracle_project(Km, R, r, ps)
+
+
+@pytest.mark.parametrize("n", [6, 12, 50, 768, 2000])
+def test_exact_planes_are_rank_deficient(n):
+    # A plane leaves a multi-dimensional null space. The weighted
+    # preliminary's Gram has no rank test, but any of its null vectors puts
+    # the plane's points at one depth sign, so no point is dropped and the
+    # final null space's rank test names the set: RankDeficient, never
+    # NegativeDepth.
+    rng = np.random.default_rng([11, n])
+    for scene in range(20):
+        Km, ps, us = tilted_plane(rng, n)
+        for method in ("odlt", "odlt_lost"):
+            with pytest.raises(RankDeficient, match="null space not unique"):
+                solve((ps, us), Km, SolverConfig(method=method))
+
+
 def failing(fn, when=lambda *args: True):
     """fn, except that it raises numpy's LinAlgError when called on arguments
     that satisfy when."""
@@ -773,9 +828,10 @@ def failing(fn, when=lambda *args: True):
 
 
 class TestLinAlgErrorsAreNamed:
-    # After the null space only nearest_rotation's SVD (and ndlt_gn's normal
-    # equations) call numpy.linalg; each failure surfaces as a PnpError,
-    # chained from the LinAlgError.
+    # Before the null space only the weighted preliminary's eigh, and after it
+    # only nearest_rotation's SVD (and ndlt_gn's normal equations), call
+    # numpy.linalg; each failure surfaces as a PnpError, chained from the
+    # LinAlgError.
     @pytest.mark.parametrize("name", ["svd", "qr"])
     @pytest.mark.parametrize("n", [50, 2000])
     @pytest.mark.parametrize("method", METHODS)
@@ -784,6 +840,17 @@ class TestLinAlgErrorsAreNamed:
         arrays, _ = generate_scene(sc, 0)
         monkeypatch.setattr(np.linalg, name, failing(getattr(np.linalg, name)))
         with pytest.raises(RankDeficient) as exc:
+            solve(arrays, sc.intrinsics, SolverConfig(method=method))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("n", [50, 2000])
+    @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
+    def test_preliminary_failure_is_rank_deficient(self, method, n, monkeypatch):
+        # The weighted preliminary's eigh of the 12x12 Gram.
+        sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
+        arrays, _ = generate_scene(sc, 0)
+        monkeypatch.setattr(np.linalg, "eigh", failing(np.linalg.eigh))
+        with pytest.raises(RankDeficient, match="preliminary") as exc:
             solve(arrays, sc.intrinsics, SolverConfig(method=method))
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 

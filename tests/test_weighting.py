@@ -113,24 +113,44 @@ class TestWeightFactors:
 
 
 class TestPreliminary:
-    @pytest.mark.parametrize("n", [6, 50, 767, 768, 2000])
+    @pytest.mark.parametrize("n", [6, 12, 50, 767, 768, 2000])
     @pytest.mark.parametrize("box", ["centered", "uncentered"])
     def test_depths_are_the_full_set_null_vectors(self, box, n):
         # At every n, on both sides of the chunked-QR crossover, the
         # preliminary is the full set's unweighted null vector, signed as
-        # solve_nullspace signs it given the points: no subset, no draw.
+        # solve_nullspace signs it given the points: no subset, no draw. It
+        # comes from the Gram, which squares A's condition number, so it
+        # agrees with the QR and SVD route to rounding relative to the gap
+        # between A's two smallest singular values. That gap is widest from
+        # n = 12 up; at n = 6, A is square and the largest difference over
+        # 200 seeds was 4.6e-10 (uncentered).
         box = CENTERED_BOX if box == "centered" else UNCENTERED_BOX
-        sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=1, seed=2)
-        (ps, us), _ = generate_scene(sc, 0)
-        psn = fit_point_normalization(ps).apply(ps)
-        usn = fit_pixel_normalization(us).apply(us)
-        Mt = moment_rows(psn, usn)
-        P0, depths = _preliminary_normalized(Mt)
-        P = solve_nullspace(_assemble_arrays(moment_rows(psn, usn)), points=psn).P
-        np.testing.assert_array_equal(P0, P)
-        # The depths of the points as the moment rows hold them, (3, n).
-        np.testing.assert_array_equal(depths, depths_under(P, Mt[:3].T))
-        assert depths.sum() > 0
+        sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=3, seed=2)
+        for trial in range(sc.trials):
+            (ps, us), _ = generate_scene(sc, trial)
+            psn = fit_point_normalization(ps).apply(ps)
+            usn = fit_pixel_normalization(us).apply(us)
+            Mt = moment_rows(psn, usn)
+            P0, depths = _preliminary_normalized(Mt)
+            P = solve_nullspace(_assemble_arrays(moment_rows(psn, usn)), points=psn).P
+            assert np.linalg.norm(P0 - P) <= (1e-9 if n == 6 else 1e-12), trial
+            # The depths of the points as the moment rows hold them, (3, n).
+            np.testing.assert_array_equal(depths, depths_under(P0, Mt[:3].T))
+            assert depths.sum() > 0
+
+    @pytest.mark.parametrize("n", [6, 50, 767, 768, 2000])
+    def test_row_map_gram_is_the_constraint_gram(self, rng, n):
+        # T1^T S T1 + T2^T S T2 for the Gram S of the moment rows is A^T A for
+        # the A that _assemble_arrays builds (its L(R) from n = 768 up, which
+        # has the same Gram), so the row map has one source: dlt's.
+        ps, us = rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
+        A = _assemble_arrays(moment_rows(ps, us))
+        Mt = moment_rows(ps, us)
+        dlt_module._fill_moments(Mt)
+        S = Mt @ Mt.T
+        T1, T2 = dlt_module._T1, dlt_module._T2
+        G = T1.T @ S @ T1 + T2.T @ S @ T2
+        np.testing.assert_allclose(G, A.T @ A, rtol=0, atol=1e-14 * np.abs(G).max())
 
     def test_lives_in_full_set_normalized_frame(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=30)
@@ -155,9 +175,10 @@ class TestPreliminary:
         assert depths.sum() > 0
 
     def test_rank_deficient_small_set_is_solved_once(self, rng, monkeypatch):
-        # The preliminary's RankDeficient is raised, not followed by a second
-        # solve of the same rows. Eight coplanar points leave a
-        # multi-dimensional null space.
+        # Eight coplanar points leave a multi-dimensional null space. The
+        # preliminary's Gram has no rank test; its null vector still puts
+        # every point of the plane in front, so the final null space alone
+        # raises RankDeficient, on its one call.
         Km = np.array([[700.0, 0.0, 300.0], [0.0, 700.0, 200.0], [0.0, 0.0, 1.0]])
         R = random_rotation(rng)
         r = np.array([0.2, -0.3, 0.1])
@@ -171,8 +192,8 @@ class TestPreliminary:
             calls.append(args[0].shape)
             return null_space(*args, **kwargs)
 
-        for module in (dlt_module, weighting_module):
-            monkeypatch.setattr(module, "_null_space", counted)
-        with pytest.raises(RankDeficient):
+        monkeypatch.setattr(dlt_module, "_null_space", counted)
+        with pytest.raises(RankDeficient, match="null space not unique"):
             solve((ps, us), Km, SolverConfig(method="odlt"))
         assert calls == [(16, 12)]
+        assert not hasattr(weighting_module, "_null_space")
