@@ -37,17 +37,8 @@ from .evaluation import (
 from .geometry import CameraIntrinsics
 from .solvers import METHODS, SolverConfig, solve
 
-CSV_COLUMNS = (
-    "scenario",
-    "n",
-    "sigma",
-    "method",
-    "rot_rmse_deg",
-    "pos_rmse",
-    "mean_reproj_px",
-    "mean_runtime_ms",
-    "failures",
-    "trials",
+CSV_COLUMNS = tuple(
+    "scenario n sigma method rot_rmse_deg pos_rmse mean_reproj_px mean_runtime_ms failures trials".split()
 )
 
 _SCENARIO_BOXES = {"centered": CENTERED_BOX, "uncentered": UNCENTERED_BOX}
@@ -127,17 +118,11 @@ def _method_list(text: str) -> list:
 
 
 def _cmd_synthetic(args: argparse.Namespace) -> int:
-    config = {
-        "scenario": args.scenario,
-        "n_list": args.n_list,
-        "sigma_list": args.sigma_list,
-        "trials": args.trials,
-        "seed": args.seed,
-        "methods": args.methods,
-        "timing": not args.no_timing,
-        "timing_reps": args.timing_reps,
-        "workers": args.workers,
-    }
+    config = dict(
+        scenario=args.scenario, n_list=args.n_list, sigma_list=args.sigma_list, trials=args.trials,
+        seed=args.seed, methods=args.methods, timing=not args.no_timing,
+        timing_reps=args.timing_reps, workers=args.workers,
+    )
     rows = []
     for n in args.n_list:
         for sigma in args.sigma_list:
@@ -156,42 +141,17 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
             )
             for method, agg in zip(args.methods, summary):
                 runtime = "" if args.no_timing else _fmt(agg["mean_runtime_ms"])
-                rows.append(
-                    (
-                        args.scenario,
-                        str(n),
-                        _fmt(sigma),
-                        method,
-                        _fmt(agg["rot_rmse_deg"]),
-                        _fmt(agg["pos_rmse"]),
-                        _fmt(agg["mean_reproj_px"]),
-                        runtime,
-                        str(agg["failures"]),
-                        str(agg["trials"]),
-                    )
-                )
+                errors = (_fmt(agg[key]) for key in ("rot_rmse_deg", "pos_rmse", "mean_reproj_px"))
+                rows.append((args.scenario, str(n), _fmt(sigma), method, *errors, runtime,
+                             str(agg["failures"]), str(agg["trials"])))
     _write_csv(args.out, _manifest_lines(args, config), CSV_COLUMNS, rows)
     return 0
 
 
 def _cmd_eval_colmap(args: argparse.Namespace) -> int:
-    config = {
-        "model_dirs": args.model_dir,
-        "methods": args.methods,
-        "min_points": args.min_points,
-        "noise_px": args.noise_px,
-        "seed": args.seed,
-    }
-    header = (
-        "model",
-        "method",
-        "images",
-        "skipped",
-        "rot_rmse_deg",
-        "pos_rmse",
-        "mean_reproj_px",
-        "failures",
-    )
+    config = dict(model_dirs=args.model_dir, methods=args.methods, min_points=args.min_points,
+                  noise_px=args.noise_px, seed=args.seed)
+    header = tuple("model method images skipped rot_rmse_deg pos_rmse mean_reproj_px failures".split())
     detail_rows = []
     rows = []
     for model_dir in args.model_dir:
@@ -218,18 +178,9 @@ def _cmd_eval_colmap(args: argparse.Namespace) -> int:
                         cells = (_fmt(m.rot_err_deg), _fmt(m.pos_err), _fmt(m.mean_reproj_err), "ok")
                     detail_rows.append((str(model_dir), method, prob.name, *cells))
             agg = summarize(method, metrics)
-            rows.append(
-                (
-                    str(model_dir),
-                    method,
-                    str(agg["trials"]),
-                    str(skipped),
-                    _aggregate_cell(agg["rot_rmse_deg"]),
-                    _aggregate_cell(agg["pos_rmse"]),
-                    _aggregate_cell(agg["mean_reproj_px"]),
-                    str(agg["failures"]),
-                )
-            )
+            errors = (_aggregate_cell(agg[k]) for k in ("rot_rmse_deg", "pos_rmse", "mean_reproj_px"))
+            rows.append((str(model_dir), method, str(agg["trials"]), str(skipped), *errors,
+                         str(agg["failures"])))
     _write_csv(args.out, _manifest_lines(args, config), header, rows)
     if args.per_image:
         detail_header = ("model", "method", "image", "rot_err_deg", "pos_err", "mean_reproj_px", "status")

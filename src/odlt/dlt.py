@@ -25,9 +25,10 @@ moment matrix M: A^T A = T1^T S T1 + T2^T S T2 for S = M^T M. If M = QR, then
 A = diag(Q, Q) L(R), where L(R) is the 24 x 12 matrix that L makes from R's
 12 rows in place of the m_i. diag(Q, Q) has orthonormal columns, so L(R) has
 exactly A's singular values and right singular vectors, and no Gram matrix is
-formed. From the chunked-QR crossover up (2n >= _QR_CHUNK_MIN_ROWS, n >= 768)
-_assemble_arrays returns L(R) in place of A: half of A's QR work and n-sized
-memory, and the zero half of A is never built.
+formed. From _LR_MIN_POINTS = 256 points up _assemble_arrays returns L(R) in
+place of A: half of A's QR work and n-sized memory, and the zero half of A is
+never built. A normalized system is that of the rows m B for normalization's
+12 x 12 B: A is built from B^T Mt, and L(R) from R B, as M B = Q (R B).
 
 vec(P) is column-major: entries 0-8 hold the left 3x3 block of P column by
 column, entries 9-11 hold the fourth column.
@@ -45,6 +46,9 @@ MIN_POINTS = 6
 
 _RANK_TOL = 1e-10
 
+# In solve() on one BLAS thread, L(R) from 256 rather than 768 points took
+# 0.95-0.98 of the time at n=300 and 0.79-0.87 at 767; from 128, 1.02-1.05 at 128.
+_LR_MIN_POINTS = 256
 # Chunked R factor: blocks of _QR_BLOCK rows from _QR_CHUNK_MIN_ROWS rows up.
 # In solve() on one BLAS thread, blocks lose up to 40 us at 1024 rows and win
 # 70-140 us from 1536 rows on, mostly the page faults of numpy's full-size
@@ -84,29 +88,29 @@ def _fill_moments(Mt: np.ndarray) -> np.ndarray:
     return Mt
 
 
-def _assemble_arrays(Mt: np.ndarray, weights=None) -> np.ndarray:
+def _assemble_arrays(Mt: np.ndarray, weights=None, basis=None) -> np.ndarray:
     """The 2n x 12 constraint matrix A of (optionally row-weighted) points,
-    or from the chunked-QR crossover up the 24 x 12 L(R) that shares A's
-    singular values and right singular vectors (see the module docstring).
+    or from _LR_MIN_POINTS points up the 24 x 12 L(R) that shares A's singular
+    values and right singular vectors (see the module docstring).
 
-    Mt (12, n) is M = (pbar, u pbar, v pbar) transposed, so every write runs
-    along n. The caller fills the points into rows 0-2 and the pixels u, v into
-    rows 7 and 11 (M's entries for pbar_4 = 1); the rest is filled in place.
-    Unweighted, those five rows keep their values; weights scale all twelve
-    after the products p u and p v are formed, so a weighted row is exactly
-    the unweighted one times its weight.
+    Mt (12, n) is M = (pbar, u pbar, v pbar) transposed, filled by
+    _fill_moments, so every write runs along n. Weights scale all twelve rows
+    in place, after the products p u and p v were formed, so a weighted row is
+    exactly the unweighted one times its weight, with no second n-sized array.
+    With basis, normalization's 12 x 12 B, the system is that of the rows m B.
     """
     n = Mt.shape[1]
     if n < MIN_POINTS:
         raise TooFewPoints(n, MIN_POINTS)
-    _fill_moments(Mt)
     if weights is not None:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.shape[0] != n:
             raise ValueError(f"expected {n} weights, got {w.shape[0]}")
         Mt *= w
-    if 2 * n >= _QR_CHUNK_MIN_ROWS:
+    if n >= _LR_MIN_POINTS:
         Mt = _r_factor(Mt.T).T  # 12 moment rows in place of n; same row map below
+    if basis is not None:
+        Mt = basis.T @ Mt
     # rows[m, r, j, i] = pbar[m, j] * su[m, r, i] for the reduced rows
     # su = ((0, -1, v), (1, 0, -u)): only four column groups are nonzero,
     # each one of M's column groups, negated or not. t[i, j, r] = rows[:, r, j, i].
@@ -151,7 +155,7 @@ def _null_space(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, Vt
 
 
-def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
+def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
     """Extract the null direction of the stacked constraint matrix.
 
     The smallest right singular vector of A is reshaped (column-major) into
@@ -163,6 +167,7 @@ def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
     Args:
         A: 2n x 12 stacked constraint matrix.
         points: optional (n,3) array of the world points behind A's rows.
+        T_p: optional 4x4 point normalization: A's points are then T_p pbar.
 
     Raises:
         RankDeficient: if its QR or SVD raises LinAlgError (chained), or if the 11th
@@ -178,7 +183,8 @@ def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
     mixed = False
     if points is not None:
         ps = np.asarray(points, dtype=float).reshape(-1, 3)
-        depths = ps @ P[2, :3] + P[2, 3]
+        k = P[2] if T_p is None else P[2] @ T_p
+        depths = ps @ k[:3] + k[3]
         if depths.sum() < 0:
             P = -P
             V = V.copy()
@@ -186,4 +192,3 @@ def solve_nullspace(A: np.ndarray, points=None) -> DltSolution:
         npos = np.count_nonzero(depths > 0)
         mixed = max(npos, depths.shape[0] - npos) < 0.9 * depths.shape[0]
     return DltSolution(P=P, singular_values=s, V=V, mixed_depths=mixed)
-

@@ -2,10 +2,14 @@
 
 Normalizing both sides of the correspondence data before solving the linear
 system dramatically improves its conditioning: pixels are translated to zero
-centroid and scaled to mean radius sqrt(2), world points to zero centroid and
-mean radius sqrt(3). A solution obtained in normalized coordinates is mapped
-back with denormalize_projection. The fits leave the normalized points as rows
-in `out`; solve() passes dlt's moment rows there, so it never calls apply.
+centroid and scaled to RMS radius sqrt(2), world points to zero centroid and
+RMS radius sqrt(3) (Hartley, TPAMI 1997). A solution obtained in normalized
+coordinates is mapped back with denormalize_projection.
+
+Centroid and RMS radius are moment sums, so solve() makes no fit pass:
+moment_normalization reads them off the 12x12 Gram of dlt's moment rows
+m = (pbar, u pbar, v pbar) of the points less one point and the pixels less
+one pixel, and returns the block-upper-triangular 12x12 B with m_norm = m B.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .errors import DegeneratePoints
 
 _COLLAPSE_EPS = 1e-12
-_EYE = {2: np.eye(3), 3: np.eye(4)}  # read only: _fit scales copies
+_EYE = {2: np.eye(3), 3: np.eye(4)}  # read only: _from_moments scales copies
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,35 @@ class _Similarity:
         eye = np.eye(cls.DIM + 1)
         return cls(T=eye, T_inv=eye.copy(), scale=1.0, centroid=np.zeros(cls.DIM))
 
+    @classmethod
+    def _from_moments(cls, count: float, total, squares: float, origin) -> tuple:
+        """The similarity to zero centroid and RMS radius sqrt(DIM) of count points
+        whose offsets from origin sum to total and their squared norms to squares,
+        and the shift -s (c - origin) of the offsets' map x - origin -> s (x - c).
+
+        Raises:
+            DegeneratePoints: if the RMS distance to the centroid is < 1e-12.
+        """
+        mean = [t / count for t in total]
+        var = squares / count - sum(m * m for m in mean)
+        if not var >= _COLLAPSE_EPS * _COLLAPSE_EPS:  # also NaN
+            raise DegeneratePoints(f"{cls.WHAT} set collapses to a single location")
+        s = (cls.DIM / var) ** 0.5
+        c = origin + mean
+        T, T_inv = _EYE[cls.DIM] * s, _EYE[cls.DIM] / s
+        T[-1, -1] = T_inv[-1, -1] = 1.0
+        T[:-1, -1], T_inv[:-1, -1] = c * -s, c
+        return cls(T=T, T_inv=T_inv, scale=s, centroid=c), [-s * m for m in mean]
+
+    @classmethod
+    def _fit(cls, xs) -> "_Similarity":
+        """The similarity of the points xs (n, DIM), offsets taken from their mean."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, cls.DIM)
+        if xs.shape[0] == 0:
+            raise DegeneratePoints(f"{cls.WHAT} set is empty")
+        d = xs - (mean := xs.mean(axis=0))
+        return cls._from_moments(xs.shape[0], d.sum(axis=0).tolist(), float(np.vdot(d, d)), mean)[0]
+
     def apply(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float).reshape(-1, self.DIM)
         return (xs - self.centroid) * self.scale
@@ -43,58 +76,45 @@ class PixelNormalization(_Similarity):
     """Similarity u' = s (u - c) of pixels as a homogeneous 3x3 transform."""
 
     DIM = 2
+    WHAT = "pixel"
 
 
 class PointNormalization(_Similarity):
     """Similarity p' = s (p - c) of world points as a homogeneous 4x4 transform."""
 
     DIM = 3
+    WHAT = "point"
 
 
-def _fit(xs, dim: int, radius: float, what: str, out=None) -> dict:
-    """Similarity fields taking xs to zero centroid and mean radius `radius`.
-
-    xs is copied into the rows out (dim, n), new when None, and normalized in
-    place there; every pass runs along n, not along a 2- or 3-wide point.
-    """
-    xs = np.asarray(xs, dtype=float).reshape(-1, dim)
-    n = xs.shape[0]
-    d = np.empty((dim, n)) if out is None else out
-    d[...] = xs.T
-    centroid = d.sum(axis=1) / n
-    d -= centroid[:, None]
-    mean_radius = np.sqrt(np.einsum("ij,ij->j", d, d)).sum() / n
-    if mean_radius < _COLLAPSE_EPS:
-        raise DegeneratePoints(f"{what} set collapses to a single location")
-    scale = radius / mean_radius
-    d *= scale
-    T = _EYE[dim] * scale
-    T[dim, dim] = 1.0
-    T[:dim, dim] = -scale * centroid
-    T_inv = _EYE[dim] / scale
-    T_inv[dim, dim] = 1.0
-    T_inv[:dim, dim] = centroid
-    return dict(T=T, T_inv=T_inv, scale=scale, centroid=centroid)
+def fit_pixel_normalization(us: np.ndarray) -> PixelNormalization:
+    """Fit the pixel similarity (zero centroid, RMS radius sqrt(2)); DegeneratePoints if collapsed."""
+    return PixelNormalization._fit(us)
 
 
-def fit_pixel_normalization(us: np.ndarray, out=None) -> PixelNormalization:
-    """Fit the pixel similarity: zero centroid, mean radius sqrt(2). Given
-    out, a (2, n) array, the normalized pixels are left in it as rows.
+def fit_point_normalization(ps: np.ndarray) -> PointNormalization:
+    """Fit the point similarity (zero centroid, RMS radius sqrt(3)); DegeneratePoints if collapsed."""
+    return PointNormalization._fit(ps)
+
+
+def moment_normalization(S: np.ndarray, u0: np.ndarray, p0: np.ndarray) -> tuple:
+    """(pixel normalization, point normalization, B) from the Gram S = Mt Mt^T
+    of dlt's moment rows of the points less p0 and the pixels less u0.
+
+    S[3, 3] counts the points, S[:3, 3] and S[3, 7::4] sum the point and pixel
+    offsets and the traces of S[:3, :3] and S[7::4, 7::4] their squared norms.
+    With p' = s_p p + a and u' = s_u u + b the offsets' maps, m_norm = m B for
+    B = B_u kron B_p, B_p = [[s_p I, 0], [a, 1]] acting on pbar = (p, 1) and
+    B_u = [[1, b], [0, s_u I]] on (1, u, v), which is m's block order.
 
     Raises:
-        DegeneratePoints: if the mean distance to the centroid is < 1e-12.
+        DegeneratePoints: if either set collapses (RMS radius < 1e-12).
     """
-    return PixelNormalization(**_fit(us, 2, np.sqrt(2.0), "pixel", out))
-
-
-def fit_point_normalization(ps: np.ndarray, out=None) -> PointNormalization:
-    """Fit the world-point similarity: zero centroid, mean radius sqrt(3).
-    Given out, a (3, n) array, the normalized points are left in it as rows.
-
-    Raises:
-        DegeneratePoints: if the mean distance to the centroid is < 1e-12.
-    """
-    return PointNormalization(**_fit(ps, 3, np.sqrt(3.0), "point", out))
+    S = S.tolist()
+    pix, b = PixelNormalization._from_moments(S[3][3], S[3][7::4], S[7][7] + S[11][11], u0)
+    pt, a = PointNormalization._from_moments(S[3][3], S[3][:3], S[0][0] + S[1][1] + S[2][2], p0)
+    Bp, Bu = _EYE[3] * pt.scale, _EYE[2] * pix.scale
+    Bp[3], Bu[0] = (*a, 1.0), (1.0, *b)
+    return pix, pt, (Bu[:, None, :, None] * Bp[:, None]).reshape(12, 12)
 
 
 def denormalize_projection(

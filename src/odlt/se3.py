@@ -33,6 +33,7 @@ from .normalization import PixelNormalization, PointNormalization
 _WEIGHT_COND_LIMIT = 1e10
 _LOST_COND_LIMIT = 1e12
 _PROCRUSTES_TOL = 1e-12
+_COST_RESOLUTION = 8 * np.finfo(float).eps  # the Procrustes cost's rounding per sum(Q |E|)
 _TINY = 2.2250738585072014e-308  # the smallest normal float
 
 
@@ -153,8 +154,10 @@ def weighted_procrustes(
     the small-angle model R ~ (I - [dphi x]) R0, solving 3x3 normal equations
     per iteration and re-projecting onto SO(3) in closed form, on floats. One
     iteration is the default; up to five are allowed, stopping early when a
-    step would raise the cost or |dphi| < _PROCRUSTES_TOL. R_acute and W are
-    float 3x3 arrays and det is det(R_acute), all computed by the caller.
+    step would raise the cost or |dphi| < _PROCRUSTES_TOL, and skipping a step
+    whose predicted decrease g^T dphi is below 8 eps sum(Q |Rs - R|), Q = W * W:
+    the rounding of the cost, which could not tell whether it helped. R_acute
+    and W are float 3x3 arrays and det is det(R_acute), computed by the caller.
 
     Returns:
         (R, fallback_used): fallback_used is True when the normal matrix
@@ -172,11 +175,12 @@ def weighted_procrustes(
     for step in range(max_iters + 1):
         # Over columns j of R, S = Rs, Q = W * W, E = S - R and D = Q * E: the cost sum(D * E),
         # normal matrix sum_ij Q_ij (e_i x R_j)(e_i x R_j)^T and right-hand side sum_j D_j x R_j.
-        new_cost = g0 = g1 = g2 = n00 = n01 = n02 = n11 = n12 = n22 = 0.0
+        new_cost = abs_d = g0 = g1 = g2 = n00 = n01 = n02 = n11 = n12 = n22 = 0.0
         for (r0, r1, r2), (s0, s1, s2), (q0, q1, q2) in zip(R, S, Q):
             e0, e1, e2 = s0 - r0, s1 - r1, s2 - r2
             d0, d1, d2 = q0 * e0, q1 * e1, q2 * e2
             new_cost += d0 * e0 + d1 * e1 + d2 * e2
+            abs_d += (d0 if d0 > 0.0 else -d0) + (d1 if d1 > 0.0 else -d1) + (d2 if d2 > 0.0 else -d2)
             g0, g1, g2 = g0 + d1 * r2 - d2 * r1, g1 + d2 * r0 - d0 * r2, g2 + d0 * r1 - d1 * r0
             n00, n11 = n00 + q1 * r2 * r2 + q2 * r1 * r1, n11 + q0 * r2 * r2 + q2 * r0 * r0
             n22, n01 = n22 + q0 * r1 * r1 + q1 * r0 * r0, n01 - q2 * r0 * r1
@@ -189,9 +193,11 @@ def weighted_procrustes(
         dphi = _solve_psd((n00, n01, n02, n11, n12, n22), (g0, g1, g2), _WEIGHT_COND_LIMIT)
         if dphi is None:
             return R0, True
+        x, y, z = dphi
+        if g0 * x + g1 * y + g2 * z < _COST_RESOLUTION * abs_d:
+            break
         # nearest_rotation((I - [dphi x]) R): I - [dphi x] fixes dphi, so its polar factor
         # (I - [dphi x] + dphi dphi^T / (1 + c)) / c maps R_j to the candidate's column j.
-        x, y, z = dphi
         nn = x * x + y * y + z * z
         c = (1.0 + nn) ** 0.5
         previous, R = R, []

@@ -13,9 +13,11 @@ it adds:
                stopped relative to the noise level its residual shows.
 
 A solve is a deterministic function of (points, pixels, intrinsics, method):
-no step draws random numbers. The weighted methods' preliminary is the full
-set's unweighted null vector, from the 12x12 Gram (weighting); odlt costs 1.49
-ndlt solves at n=50, 1.42 at n=2000 (odlt_over_ndlt, BENCH_gram.json).
+no step draws random numbers. The linear stage fills the moment rows once
+and normalizes them through a 12x12 basis read off their Gram (normalization);
+the weighted methods' preliminary is the full set's unweighted null vector,
+from the same Gram (weighting). odlt costs 1.45 ndlt solves at n=50, 1.41 at
+n=2000 (odlt_over_ndlt, BENCH_moments.json).
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dlt import MIN_POINTS, DltSolution, _assemble_arrays, solve_nullspace
+from .dlt import _LR_MIN_POINTS, MIN_POINTS, DltSolution, _assemble_arrays, _fill_moments
+from .dlt import _r_factor, solve_nullspace
 from .errors import NegativeDepth, RankDeficient, TooFewPoints
 from .geometry import (
     Pose,
@@ -39,8 +42,7 @@ from .normalization import (
     PixelNormalization,
     PointNormalization,
     denormalize_projection,
-    fit_pixel_normalization,
-    fit_point_normalization,
+    moment_normalization,
 )
 from .se3 import (
     declamp_denormalize,
@@ -135,33 +137,39 @@ def _linear_solve(ps: np.ndarray, us: np.ndarray, normalize: bool, weighted: boo
         raise TooFewPoints(ps.shape[0], MIN_POINTS)
     timings = {}
     t0 = time.perf_counter()
-    Mt = np.empty((12, ps.shape[0]))  # _assemble_arrays' moment rows: points 0-2, pixels 7, 11
-    if normalize:
-        pix = fit_pixel_normalization(us, out=Mt[7::4])
-        pt = fit_point_normalization(ps, out=Mt[:3])
+    Mt = np.empty((12, ps.shape[0]))  # the moment rows: points 0-2, pixels 7, 11, filled once
+    if normalize:  # less one point and one pixel, which B absorbs
+        np.subtract(ps.T, ps[0, :, None], out=Mt[:3])
+        np.subtract(us.T, us[0, :, None], out=Mt[7::4])
     else:
         Mt[:3], Mt[7::4] = ps.T, us.T
+    rows = _fill_moments(Mt)
+    B = None
+    if normalize:
+        if not weighted and ps.shape[0] >= _LR_MIN_POINTS:
+            rows = _r_factor(Mt.T).T  # R^T: M's Gram, and the system L(R B)
+        S = rows @ rows.T
+        pix, pt, B = moment_normalization(S, us[0], ps[0])
+    else:
         pix, pt = PixelNormalization.identity(), PointNormalization.identity()
     timings["normalize"] = time.perf_counter() - t0
 
     weights = None
     if weighted:
         t0 = time.perf_counter()
-        _, depths = _preliminary_normalized(Mt)
+        _, depths = _preliminary_normalized(Mt, S, B)
         neg = depths <= 0
         if neg.any():
             frac = float(neg.mean())
             if frac >= NEGATIVE_DEPTH_LIMIT:
                 raise NegativeDepth(f"{frac:.0%} of points behind the preliminary camera")
-            Mt, depths = Mt[:, ~neg], depths[~neg]
-        weights = 1.0 / depths
+            Mt, depths, ps = Mt[:, ~neg], depths[~neg], ps[~neg]
+        rows, weights = Mt, 1.0 / depths
         timings["weights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ps = Mt[:3].T  # the normalized points, for the cheirality sign
-    if weights is not None:
-        ps = ps.copy()  # the weighted assembly scales Mt in place, with no second n-sized array
-    sol = solve_nullspace(_assemble_arrays(Mt, weights), points=ps)
+    T_p = pt.T if normalize else None  # the sign reads the raw points, A's own for dlt
+    sol = solve_nullspace(_assemble_arrays(rows, weights, B), points=ps, T_p=T_p)
     timings["solve"] = time.perf_counter() - t0
     return _LinearOutcome(sol, pix, pt, timings)
 

@@ -14,16 +14,19 @@ Procrustes weight matrix W (made from the squared singular values, it turns
 into c^2 W, scaling the weighted cost and its normal matrix alike) and LOST's
 normal equations (both sides scale by c^2). So a row weight is the inverse
 depth q_i = 1 / (k^T P0 pbar_i) under a preliminary unweighted estimate P0
-from the 12 x 12 Gram of the moment rows. Only the weights see its squared
-condition number (Golub & Van Loan 5.3): the final null space keeps its QR.
+from the 12 x 12 Gram of the normalized moment rows, B^T S B for the Gram S of
+the raw ones. Only the weights see its squared condition number (Golub &
+Van Loan 5.3): the final null space keeps its QR.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dlt import _T1, _T2, _fill_moments
+from .dlt import _T1, _T2
 from .errors import RankDeficient
+
+_T12 = np.hstack([_T1, _T2])  # the row map (m T1, m T2) as one 12 x 24 matrix
 
 # Dropping points that fall behind the preliminary camera is tolerated up to
 # this fraction; beyond it the preliminary estimate cannot be trusted.
@@ -36,20 +39,24 @@ def depths_under(P0: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return ps @ P0[2, :3] + P0[2, 3]
 
 
-def _preliminary_normalized(Mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted preliminary estimate P0 on pre-normalized data.
+def _preliminary_normalized(Mt: np.ndarray, S: np.ndarray, B: np.ndarray) -> tuple:
+    """Unweighted preliminary estimate P0 in normalized coordinates.
 
-    Mt holds the points and pixels, normalized over the full set, as
-    dlt._assemble_arrays' moment rows; the rest is filled in place. P0 is the
-    full set's unweighted null vector at every n (Hartley's argument is about
-    the full normalized set), signed as solve_nullspace signs it given points.
+    Mt holds dlt._fill_moments' moment rows, S = Mt Mt^T their Gram and B
+    the basis that normalizes them (m_norm = m B), fitted to the full set. P0
+    is the full set's unweighted null vector at every n (Hartley's argument
+    is about the full normalized set), signed as solve_nullspace signs it
+    given points: the depths k^T P0 pbar_norm = (B[:4, :4] P0[2]) . pbar of
+    the raw point rows.
 
     Returns (P0, depths of the points under P0).
     """
-    S = _fill_moments(Mt) @ Mt.T
+    C = B @ _T12  # the normalized row map (B T1, B T2): A^T A = C1^T S C1 + C2^T S C2
+    G = C.T @ S @ C
     try:
-        P0 = np.linalg.eigh(_T1.T @ S @ _T1 + _T2.T @ S @ _T2)[1][:, 0].reshape(4, 3).T
+        P0 = np.linalg.eigh(G[:12, :12] + G[12:, 12:])[1][:, 0].reshape(4, 3).T
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"eigh of the preliminary Gram failed: {exc}") from exc
-    depths = depths_under(P0, Mt[:3].T)
+    k = B[:4, :4] @ P0[2]
+    depths = Mt[:3].T @ k[:3] + k[3]
     return (-P0, -depths) if depths.sum() < 0 else (P0, depths)

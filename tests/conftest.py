@@ -14,9 +14,11 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
+from odlt.dlt import _fill_moments
 from odlt.evaluation import SyntheticScenario, generate_scene
 from odlt.errors import DegenerateInput
 from odlt.geometry import Correspondence, cross_matrix, decompose_projection, nearest_rotation
+from odlt.normalization import moment_normalization
 from odlt.solvers import SolverConfig, estimate_projection
 
 
@@ -59,10 +61,21 @@ def oracle_project(Km, R, r, ps):
 
 def moment_rows(ps, us):
     """The (12, n) input of dlt._assemble_arrays and weighting._preliminary_normalized:
-    points (n, 3) as rows 0-2 and pixels (n, 2) as rows 7 and 11, the rest unset."""
+    points (n, 3) as rows 0-2 and pixels (n, 2) as rows 7 and 11, the rest filled
+    by dlt._fill_moments."""
     Mt = np.empty((12, len(ps)))
     Mt[:3], Mt[7::4] = np.asarray(ps, dtype=float).T, np.asarray(us, dtype=float).T
-    return Mt
+    return _fill_moments(Mt)
+
+
+def raw_moments(ps, us):
+    """solve()'s normalized-method inputs: the moment rows Mt of the points less
+    the first point and the pixels less the first pixel, their Gram S and the
+    normalizations and basis moment_normalization reads off S, as
+    (Mt, S, pix, pt, B)."""
+    Mt = moment_rows(ps - ps[0], us - us[0])
+    S = Mt @ Mt.T
+    return (Mt, S, *moment_normalization(S, us[0], ps[0]))
 
 
 def random_intrinsics_matrix(rng, skew=False):
@@ -151,7 +164,8 @@ def oracle_solve_psd(N, b, cond_limit):
 def oracle_weighted_procrustes(R_acute, W, det, max_iters=1):
     """The matrix-level weighted Procrustes step: normal matrix from stacked
     R diag(Q[i]) R^T, eigh solve (condition limit 1e10), polar update by
-    np.outer, costs by procrustes_cost; same contract as se3.weighted_procrustes."""
+    np.outer, costs by procrustes_cost, no step whose predicted decrease
+    g^T dphi is below 8 eps sum(Q |Rs - R|); same contract as se3.weighted_procrustes."""
     if not 1 <= max_iters <= 5:
         raise ValueError(f"max_iters must be in 1..5, got {max_iters}")
     if det == 0:
@@ -175,6 +189,8 @@ def oracle_weighted_procrustes(R_acute, W, det, max_iters=1):
         dphi = oracle_solve_psd(Nmat, g, 1e10)
         if dphi is None:
             return R0, True
+        if g @ dphi < 8 * np.finfo(float).eps * np.sum(Q * np.abs(Rs - R)):
+            break  # a predicted decrease below the cost's rounding: no step
         x, y, z = dphi.tolist()
         c = np.sqrt(1.0 + x * x + y * y + z * z)
         U = np.array([[1.0, z, -y], [-z, 1.0, x], [y, -x, 1.0]]) + np.outer(dphi, dphi / (1.0 + c))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from odlt.dlt import (
+    _LR_MIN_POINTS,
     _QR_BLOCK,
     _QR_CHUNK_MIN_ROWS,
     MIN_POINTS,
@@ -246,16 +247,17 @@ def test_kron_matrix_matches_kron_blocks(rng):
     np.testing.assert_allclose(kron_matrix(ps, us, w), blocks, rtol=1e-15, atol=0)
 
 
-# Above the chunked-QR crossover _assemble_arrays returns L(R), the 24 rows
-# the row map makes from the R factor of the moment matrix, in place of A:
-# at the crossover (n=768, one QR of M), just below and at M's own chunking
-# (1535, 1536 rows), an exact multiple of the block, a one-row leftover and
-# n=10000; in pixels as dlt sees them and normalized, with and without weights.
-@pytest.mark.parametrize("n", [768, 1535, 1536, 2048, 2561, 10000])
+# From _LR_MIN_POINTS = 256 points up _assemble_arrays returns L(R), the 24
+# rows the row map makes from the R factor of the moment matrix, in place of
+# A: at the route (n=256, one QR of M), at n=768, just below and at M's own
+# chunking (1535, 1536 rows), an exact multiple of the block, a one-row
+# leftover and n=10000; in pixels as dlt sees them and normalized, with and
+# without weights.
+@pytest.mark.parametrize("n", [256, 768, 1535, 1536, 2048, 2561, 10000])
 @pytest.mark.parametrize("normalized", [False, True])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_moment_r_factor_matches_kronecker_matrix(n, normalized, weighted):
-    assert 2 * n >= _QR_CHUNK_MIN_ROWS
+    assert n >= _LR_MIN_POINTS
     sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=n)
     (ps, us), _ = generate_scene(sc, 0)
     if normalized:

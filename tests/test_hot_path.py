@@ -4,7 +4,7 @@ Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
 operating point (n=50), none of them a det or solve outside ndlt_gn's
 Gauss-Newton normal equations and no eigh but the weighted preliminary's, the
 QR calls, constraint-matrix assemblies and bytes handed to the null space on
-both sides of the chunked-QR crossover (n=50 and n=2000), the stage functions
+both sides of the L(R) route (n=50 and n=2000), the stage functions
 and input checks solve() calls per method, the step attempts, projections and
 normal-equation builds of one ndlt_gn solve (n=50 and n=2000), the Pose
 validations and the Python-level calls made from odlt's own frames per solve,
@@ -17,9 +17,9 @@ algebra, a stage that re-checks what solve() already checked, a re-validated
 internal pose, added per-call overhead, a return to per-point objects on an
 array path (the Monte Carlo harness, build_problems, eval-colmap, odlt
 solve's problem file), a null space that silently stops (or starts)
-chunking, a null space handed the 2n x 12 matrix above the crossover, a
-weighted solve that assembles or factors a second matrix, a
-normalized copy of the points or pixels outside the moment rows, a LOST
+chunking, a null space handed the 2n x 12 matrix above the route, a
+weighted solve that assembles or factors a second matrix, a fit pass, a
+second moment fill or a normalized copy of the points or pixels, a LOST
 handed mask copies when no point is dropped, or a Gauss-Newton that keeps
 evaluating the cost once it has converged, builds normal equations after its
 last small step, projects a pose twice, re-copies its point and pixel rows,
@@ -86,10 +86,11 @@ def counts(monkeypatch):
 
 
 # QR calls per solve: one per null space of a matrix below the chunked-QR
-# crossover, two (stacked blocks, then their R factors) for a chunked one. At
+# size (1536 rows), two (stacked blocks, then their R factors) for a chunked one. At
 # n=2000 each system is assembled from the chunked R factor of the 2000-row
 # moment matrix (two calls), and its 24-row L(R) takes one more. The weighted
-# methods' preliminary takes no QR: its null vector comes from the Gram.
+# methods' preliminary takes no QR: its null vector comes from the Gram, and
+# ndlt's normalization reads its Gram off the same R factor.
 QR_EXPECTED = {
     50: {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
     2000: {"dlt": 3, "ndlt": 3, "odlt": 3, "odlt_lost": 3, "ndlt_gn": 3},
@@ -145,8 +146,8 @@ def test_assemblies_per_solve(method, n, monkeypatch):
 
 
 # Bytes of each matrix handed to solve_nullspace per solve, under every odlt
-# binding (what perfbench's dlt.A_bytes_per_solve adds up). Below the
-# crossover that is the 2n x 12 A (100 x 12 floats at n=50); from it up, the
+# binding (what perfbench's dlt.A_bytes_per_solve adds up). Below the L(R)
+# route (256 points) that is the 2n x 12 A (100 x 12 floats at n=50); from it up, the
 # 24 x 12 L(R) made from the moment matrix's R factor, so a return to the
 # 2n x 12 matrix at n=2000 fails here without a timing. The weighted
 # methods' preliminary takes its null vector from the Gram's eigh.
@@ -314,38 +315,57 @@ def test_input_checks_per_solve(method, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("n", [50, 2000])
 @pytest.mark.parametrize("method", METHODS)
-def test_normalization_writes_into_the_moment_rows(method, monkeypatch):
-    # The fits leave the normalized points and pixels in the moment rows that
-    # _assemble_arrays takes; solve() builds no normalized (n, 3) or (n, 2)
-    # copy and never calls apply.
+def test_one_moment_fill_and_no_normalized_copy(method, n, monkeypatch):
+    # One pass over the points: solve() fills the moment rows once, from the
+    # raw points and pixels (less the first of each for the normalized
+    # methods, which the basis B absorbs), and normalizes through B. It makes
+    # no fit pass and calls no apply, so it builds no normalized (n, 3) or
+    # (n, 2) copy; the assembly takes those rows (or their 12 x 12 R factor
+    # from 256 points up, unweighted) and the cheirality sign reads the
+    # checked points themselves, through the point normalization.
     tally = Counter()
-    outs, moments = [], []
+    filled, assembled, signed = [], [], []
+
+    def counting(name, fn, record=None):
+        def shim(*args, **kwargs):
+            tally[name] += 1
+            if record is not None:  # the array, and for the fill its values before weighting
+                record.append(kwargs["points"] if name == "sign" else (args[0], args[0].copy()))
+            return fn(*args, **kwargs)
+
+        return shim
+
     for cls in (normalization_module.PixelNormalization, normalization_module.PointNormalization):
-        def counted(self, xs, _apply=cls.apply):
-            tally["apply"] += 1
-            return _apply(self, xs)
-
-        monkeypatch.setattr(cls, "apply", counted)
-    for name in ("fit_pixel_normalization", "fit_point_normalization"):
-        def fit(xs, out=None, _fit=getattr(solvers_module, name)):
-            outs.append(out)
-            return _fit(xs, out=out)
-
-        monkeypatch.setattr(solvers_module, name, fit)
-    assemble = solvers_module._assemble_arrays
-
-    def recorded(Mt, *args):
-        moments.append(Mt)
-        return assemble(Mt, *args)
-
-    monkeypatch.setattr(solvers_module, "_assemble_arrays", recorded)
-    sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
-    arrays, _ = generate_scene(sc, 0)
-    solve(arrays, sc.intrinsics, SolverConfig(method=method))
-    assert tally["apply"] == 0
-    assert len(outs) == (2 if STAGES[method].normalize else 0)
-    assert all(np.shares_memory(out, moments[0]) for out in outs)
+        monkeypatch.setattr(cls, "apply", counting("apply", cls.apply))
+    patched = {
+        "fit_pixel_normalization": counting("fit", normalization_module.fit_pixel_normalization),
+        "fit_point_normalization": counting("fit", normalization_module.fit_point_normalization),
+        "_fill_moments": counting("fill", solvers_module._fill_moments, filled),
+    }
+    for module in odlt_modules():
+        for name, shim in patched.items():
+            if name in vars(module):
+                monkeypatch.setattr(module, name, shim)
+    assemble, final = solvers_module._assemble_arrays, solvers_module.solve_nullspace
+    monkeypatch.setattr(solvers_module, "_assemble_arrays", counting("assemble", assemble, assembled))
+    monkeypatch.setattr(solvers_module, "solve_nullspace", counting("sign", final, signed))
+    sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
+    (ps, us), _ = generate_scene(sc, 0)
+    solve((ps, us), sc.intrinsics, SolverConfig(method=method))
+    assert tally == {"fill": 1, "assemble": 1, "sign": 1}
+    ((Mt, values),) = filled
+    normalize, weighted = STAGES[method].normalize, STAGES[method].weighted
+    np.testing.assert_array_equal(values[:3], (ps - ps[0]).T if normalize else ps.T)
+    np.testing.assert_array_equal(values[7::4], (us - us[0]).T if normalize else us.T)
+    ((rows, _),) = assembled
+    if normalize and not weighted and n >= 256:
+        assert rows.shape == (12, 12)
+    else:
+        assert np.shares_memory(rows, Mt)
+    ((points,),) = [signed]
+    assert np.shares_memory(points, ps) and points.shape == ps.shape
 
 
 def test_lost_takes_the_solve_arrays_when_every_depth_is_positive(monkeypatch):
@@ -394,7 +414,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 85, "ndlt": 105, "odlt": 140, "odlt_lost": 169, "ndlt_gn": 162}
+CALL_BUDGET = {"dlt": 85, "ndlt": 96, "odlt": 127, "odlt_lost": 156, "ndlt_gn": 153}
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -48,6 +48,7 @@ from conftest import (
     oracle_project,
     random_intrinsics_matrix,
     random_rotation,
+    raw_moments,
 )
 
 
@@ -235,8 +236,8 @@ class TestInvariances:
 
     @pytest.mark.parametrize("n", [18, 2000])
     def test_unit_weights_reduce_to_ndlt(self, rng, n):
-        # Criterion 06's stage-level identity on both sides of the chunked-QR
-        # crossover (n = 768): unit row weights assemble the unweighted rows bit
+        # Criterion 06's stage-level identity on both sides of the L(R) route
+        # (from n = 256): unit row weights assemble the unweighted rows bit
         # for bit, and the weighted Procrustes step with W = ones on ndlt's
         # declamped solution gives ndlt's pose.
         for _ in range(10):
@@ -529,16 +530,25 @@ class TestStopAfterSmallStep:
 
 def shift_preliminary(monkeypatch, ps, us, behind):
     """Make the weighted stage's preliminary estimate put `behind` points
-    behind the camera, by moving the real estimate along the optical axis."""
-    pix = fit_pixel_normalization(us)
-    pt = fit_point_normalization(ps)
-    psn = pt.apply(ps)
-    P0, depths = _preliminary_normalized(moment_rows(psn, pix.apply(us)))
+    behind the camera, by moving the real estimate along the optical axis.
+    The stand-in checks that solve() hands it the raw moment rows, their Gram
+    and the basis, as raw_moments builds them, and returns the shifted
+    estimate's depths as the real one reads them, through B."""
+    Mt, S, _, _, B = raw_moments(ps, us)
+    P0, depths = _preliminary_normalized(Mt, S, B)
     depths = np.sort(depths)
     P0_shift = P0.copy()
     P0_shift[2, 3] -= (depths[behind - 1] + depths[behind]) / 2.0
-    shifted = (P0_shift, depths_under(P0_shift, psn))
-    monkeypatch.setattr(solvers_module, "_preliminary_normalized", lambda *_: shifted)
+    k = B[:4, :4] @ P0_shift[2]
+    shifted = (P0_shift, Mt[:3].T @ k[:3] + k[3])
+
+    def stand_in(*args):
+        if args:
+            for got, want in zip(args, (Mt, S, B)):
+                np.testing.assert_array_equal(got, want)
+        return shifted
+
+    monkeypatch.setattr(solvers_module, "_preliminary_normalized", stand_in)
 
 
 class TestWeightEdgeCases:
@@ -696,11 +706,11 @@ class TestApiSurface:
 
 
 class TestPreliminaryCrossover:
-    """On both sides of the chunked-QR crossover (2n >= _QR_CHUNK_MIN_ROWS from
-    n = 768) the weighted stage takes one path: the full set's unweighted null
-    vector, then the weighted assembly of the points in front of it."""
+    """On both sides of the L(R) route (from _LR_MIN_POINTS = 256 points) the
+    weighted stage takes one path: the full set's unweighted null vector, then
+    the weighted assembly of the points in front of it."""
 
-    @pytest.mark.parametrize("n", [50, 767, 768, 2000])
+    @pytest.mark.parametrize("n", [50, 255, 256, 2000])
     @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
     def test_seed_has_no_effect(self, method, n):
         sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=3)
@@ -712,7 +722,7 @@ class TestPreliminaryCrossover:
             np.testing.assert_array_equal(pose.R, base.R)
             np.testing.assert_array_equal(pose.r, base.r)
 
-    @pytest.mark.parametrize("n", [767, 768])
+    @pytest.mark.parametrize("n", [255, 256])
     @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
     def test_assembles_once_and_draws_nothing(self, method, n, monkeypatch):
         # The preliminary comes from the Gram of the moment rows, so the
@@ -737,9 +747,27 @@ class TestPreliminaryCrossover:
         assert not hasattr(weighting_module, "_assemble_arrays")
         assert (tally["assemble"], tally["draw"], tally["eigh"]) == (1, 0, 1)
 
-    @pytest.mark.parametrize("n", [6, 50, 767])
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_route_starts_at_256_points(self, method, n, monkeypatch):
+        # Below the route the null space gets the 2n x 12 A, from it up the
+        # 24 x 12 L(R), for every method.
+        sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=3)
+        arrays, _ = generate_scene(sc, 0)
+        shapes = []
+        final = solvers_module.solve_nullspace
+
+        def recorded(A, **kwargs):
+            shapes.append(A.shape)
+            return final(A, **kwargs)
+
+        monkeypatch.setattr(solvers_module, "solve_nullspace", recorded)
+        solve(arrays, sc.intrinsics, SolverConfig(method))
+        assert shapes == [(2 * n, 12) if n < 256 else (24, 12)]
+
+    @pytest.mark.parametrize("n", [6, 50, 255])
     def test_weighted_assembly_scales_the_unweighted_rows(self, rng, n):
-        # Below the crossover the weighted A is the unweighted A with each
+        # Below the route the weighted A is the unweighted A with each
         # point's two rows scaled by its weight, bit for bit: the products
         # p u and p v are formed before the weights scale the moment rows.
         Km, R, r, ps, us = make_exact_scene(rng, n=n)
@@ -751,12 +779,14 @@ class TestPreliminaryCrossover:
         A.reshape(-1, 24)[:] *= w[:, None]
         np.testing.assert_array_equal(_assemble_arrays(moment_rows(psn, usn), w), A)
 
-    def test_rows_weighted_in_place_match_the_weighted_assembly(self, rng, monkeypatch):
-        # One point behind the preliminary camera: it leaves the moment rows,
-        # and the final null space gets the weighted assembly of the others,
-        # scaled by q = 1 / depth whatever sigma_u is, with the normalized
-        # points of the kept rows for its sign.
-        Km, R, r, ps, us = make_exact_scene(rng, n=20)
+    @pytest.mark.parametrize("n", [20, 300])
+    def test_kept_rows_match_the_weighted_assembly(self, rng, monkeypatch, n):
+        # One point behind the preliminary camera: it leaves the raw moment
+        # rows, and the final null space gets the weighted assembly of the
+        # others with the full set's basis B, scaled by q = 1 / depth whatever
+        # sigma_u is. The cheirality sign reads the kept raw points through
+        # the full set's point normalization.
+        Km, R, r, ps, us = make_exact_scene(rng, n=n)
         us = us + rng.standard_normal(us.shape)
         shift_preliminary(monkeypatch, ps, us, behind=1)
         _, depths = solvers_module._preliminary_normalized()
@@ -764,9 +794,9 @@ class TestPreliminaryCrossover:
         final = solvers_module.solve_nullspace
         assemble = solvers_module._assemble_arrays
 
-        def capture(A, points):
-            seen.append((A, points))
-            return final(A, points=points)
+        def capture(A, points, T_p):
+            seen.append((A, points, T_p))
+            return final(A, points=points, T_p=T_p)
 
         def counted(*args):
             assemblies.append(args)
@@ -775,15 +805,15 @@ class TestPreliminaryCrossover:
         monkeypatch.setattr(solvers_module, "solve_nullspace", capture)
         monkeypatch.setattr(solvers_module, "_assemble_arrays", counted)
         solve((ps, us), Km, SolverConfig(method="odlt", sigma_u=2.0))
-        psn = fit_point_normalization(ps).apply(ps)
-        usn = fit_pixel_normalization(us).apply(us)
+        Mt, _, _, pt, B = raw_moments(ps, us)
         front = depths > 0
-        assert front.sum() == 19
-        expected = _assemble_arrays(moment_rows(psn[front], usn[front]), 1.0 / depths[front])
+        assert front.sum() == n - 1
+        expected = _assemble_arrays(Mt[:, front], 1.0 / depths[front], B)
         assert len(assemblies) == 1
-        ((A, points),) = seen
-        np.testing.assert_array_equal(points, psn[front])
+        ((A, points, T_p),) = seen
         np.testing.assert_array_equal(A, expected)
+        np.testing.assert_array_equal(points, ps[front])
+        np.testing.assert_array_equal(T_p, pt.T)
 
 
 def tilted_plane(rng, n):

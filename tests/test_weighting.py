@@ -16,6 +16,7 @@ from conftest import (
     moment_rows,
     oracle_project,
     random_rotation,
+    raw_moments,
     residual_covariance,
 )
 
@@ -25,11 +26,10 @@ def as_cs(ps, us):
 
 
 def preliminary(ps, us):
-    """_preliminary_normalized on data normalized over the full set."""
-    pix = fit_pixel_normalization(us)
-    pt = fit_point_normalization(ps)
-    P0, _ = _preliminary_normalized(moment_rows(pt.apply(ps), pix.apply(us)))
-    return P0
+    """_preliminary_normalized on the full set's raw moment rows, with the
+    basis that normalizes them, as solve() calls it."""
+    Mt, S, _, _, B = raw_moments(ps, us)
+    return _preliminary_normalized(Mt, S, B)
 
 
 class TestResidualCovariance:
@@ -113,10 +113,10 @@ class TestWeightFactors:
 
 
 class TestPreliminary:
-    @pytest.mark.parametrize("n", [6, 12, 50, 767, 768, 2000])
+    @pytest.mark.parametrize("n", [6, 12, 50, 255, 256, 2000])
     @pytest.mark.parametrize("box", ["centered", "uncentered"])
     def test_depths_are_the_full_set_null_vectors(self, box, n):
-        # At every n, on both sides of the chunked-QR crossover, the
+        # At every n, on both sides of the L(R) route (from n = 256), the
         # preliminary is the full set's unweighted null vector, signed as
         # solve_nullspace signs it given the points: no subset, no draw. It
         # comes from the Gram, which squares A's condition number, so it
@@ -130,23 +130,22 @@ class TestPreliminary:
             (ps, us), _ = generate_scene(sc, trial)
             psn = fit_point_normalization(ps).apply(ps)
             usn = fit_pixel_normalization(us).apply(us)
-            Mt = moment_rows(psn, usn)
-            P0, depths = _preliminary_normalized(Mt)
+            P0, depths = preliminary(ps, us)
             P = solve_nullspace(_assemble_arrays(moment_rows(psn, usn)), points=psn).P
             assert np.linalg.norm(P0 - P) <= (1e-9 if n == 6 else 1e-12), trial
-            # The depths of the points as the moment rows hold them, (3, n).
-            np.testing.assert_array_equal(depths, depths_under(P0, Mt[:3].T))
+            # Read off the raw point rows through B: the normalized points' depths.
+            scale = np.abs(depths).max()
+            np.testing.assert_allclose(depths, depths_under(P0, psn), rtol=0, atol=1e-13 * scale)
             assert depths.sum() > 0
 
-    @pytest.mark.parametrize("n", [6, 50, 767, 768, 2000])
+    @pytest.mark.parametrize("n", [6, 50, 255, 256, 2000])
     def test_row_map_gram_is_the_constraint_gram(self, rng, n):
         # T1^T S T1 + T2^T S T2 for the Gram S of the moment rows is A^T A for
-        # the A that _assemble_arrays builds (its L(R) from n = 768 up, which
+        # the A that _assemble_arrays builds (its L(R) from n = 256 up, which
         # has the same Gram), so the row map has one source: dlt's.
         ps, us = rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
-        A = _assemble_arrays(moment_rows(ps, us))
         Mt = moment_rows(ps, us)
-        dlt_module._fill_moments(Mt)
+        A = _assemble_arrays(Mt)
         S = Mt @ Mt.T
         T1, T2 = dlt_module._T1, dlt_module._T2
         G = T1.T @ S @ T1 + T2.T @ S @ T2
@@ -154,7 +153,7 @@ class TestPreliminary:
 
     def test_lives_in_full_set_normalized_frame(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=30)
-        P0 = preliminary(ps, us)
+        P0, _ = preliminary(ps, us)
         pix = fit_pixel_normalization(us)
         pt = fit_point_normalization(ps)
         np.testing.assert_allclose(
@@ -167,11 +166,11 @@ class TestPreliminary:
         Km, R, r, ps, us = make_exact_scene(rng, n=8)
         psn = fit_point_normalization(ps).apply(ps)
         usn = fit_pixel_normalization(us).apply(us)
-        Mt = moment_rows(psn, usn)
-        P0, depths = _preliminary_normalized(Mt)
+        P0, depths = preliminary(ps, us)
         np.testing.assert_allclose(project_points(P0, psn), usn, atol=1e-7)
-        # The depths of the points as the moment rows hold them, (3, n).
-        np.testing.assert_array_equal(depths, depths_under(P0, Mt[:3].T))
+        # Read off the raw point rows through B: the normalized points' depths.
+        scale = np.abs(depths).max()
+        np.testing.assert_allclose(depths, depths_under(P0, psn), rtol=0, atol=1e-13 * scale)
         assert depths.sum() > 0
 
     def test_rank_deficient_small_set_is_solved_once(self, rng, monkeypatch):

@@ -8,42 +8,47 @@ PARENT_SRC and CHANGE_SRC are directories that hold the odlt package, such as
 the src/ of two checkouts. Each tree runs one fixed grid of CLI commands with
 PYTHONPATH set to it:
 
-    synthetic --no-timing, centered and uncentered, n 6, 12, 50, 767, 768, 2000,
-        sigma 0, 1, 3, 20 trials;
+    synthetic --no-timing, centered and uncentered, n 6, 12, 50, 255, 256, 767,
+        768, 2000, sigma 0, 1, 3, 20 trials;
     eval-colmap on tests/fixtures/colmap_golden and tests/fixtures/colmap_solvable,
         --noise-px 0 and 1, with --per-image.
 
 The CSV rows are compared with their comment manifests left out, since those
 hold a start time. Prints "identical" and exits 0 when every row matches byte
 for byte. Otherwise, for each output that differs, prints the first differing
-rows and the largest relative change over the numeric cells of all its
-differing rows, and exits 1. Both trees run with one BLAS thread, so that
-they use the same kernels.
+rows; per method, the largest relative change over the numeric cells of its
+differing rows, separately for rows with noise (sigma > 0, --noise-px > 0) and
+without, where values at the rounding level dominate; and whether the failure
+counts per method and failure class (the per-image status) match. It exits 1.
+Both trees run with one BLAS thread, so that they use the same kernels.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
-SYNTHETIC = ["--n-list", "6,12,50,767,768,2000", "--sigma-list", "0,1,3", "--trials", "20"]
+SYNTHETIC = ["--n-list", "6,12,50,255,256,767,768,2000", "--sigma-list", "0,1,3", "--trials", "20"]
 
 
 def grid():
-    """(name, CLI arguments, whether it writes a per-image CSV) of every run."""
+    """(name, CLI arguments, whether it writes a per-image CSV, its noise or None
+    when a sigma column holds it) of every run."""
     for scenario in ("centered", "uncentered"):
         args = ["synthetic", "--no-timing", "--scenario", scenario, *SYNTHETIC]
-        yield f"synthetic {scenario}", args, False
+        yield f"synthetic {scenario}", args, False, None
     for fixture in ("colmap_golden", "colmap_solvable"):
         for noise in ("0", "1"):
             args = ["eval-colmap", "--model-dir", str(FIXTURES / fixture), "--noise-px", noise]
-            yield f"eval-colmap {fixture} noise {noise}", args, True
+            yield f"eval-colmap {fixture} noise {noise}", args, True, float(noise)
 
 
 def data_rows(path: Path) -> list[str]:
@@ -83,17 +88,43 @@ def relative_change(a: str, b: str) -> float:
     return worst
 
 
-def compare(name: str, parent: list[str], change: list[str], shown: int = 3) -> bool:
+def failure_counts(rows: list[str]) -> Counter:
+    """Failures per (method, class) of CSV rows: a failures column's counts, or
+    a per-image status other than ok."""
+    counts = Counter()
+    for row in csv.DictReader(rows):
+        if "status" in row:
+            counts[(row["method"], row["status"])] += row["status"] != "ok"
+        else:
+            counts[(row["method"], "failures")] += int(row["failures"])
+    return +counts
+
+
+def compare(name: str, parent: list[str], change: list[str], noise, shown: int = 3) -> bool:
     """Print how change's rows differ from parent's; True when they are identical."""
     if parent == change:
         return True
     print(f"{name}: {len(parent)} lines in the parent, {len(change)} in the change")
-    pairs = [(a, b) for a, b in zip(parent, change) if a != b]
+    header = parent[0].split(",")
+    pairs = [(a, b) for a, b in zip(parent[1:], change[1:]) if a != b]
     for a, b in pairs[:shown]:
         print(f"  parent: {a}\n  change: {b}")
-    if pairs:
-        worst = max(relative_change(a, b) for a, b in pairs)
-        print(f"  {len(pairs)} rows differ; largest relative change {worst:.3g}")
+    worst = {}  # (noisy, method) -> largest relative change
+    for a, b in pairs:
+        row = dict(zip(header, a.split(",")))
+        noisy = float(row["sigma"]) > 0 if noise is None else noise > 0
+        key = (noisy, row["method"])
+        worst[key] = max(worst.get(key, 0.0), relative_change(a, b))
+    print(f"  {len(pairs)} rows differ; largest relative change per method:")
+    for noisy in (True, False):
+        cells = [f"{m} {w:.2g}" for (k, m), w in worst.items() if k == noisy]
+        if cells:
+            print(f"    {'with noise' if noisy else 'noise-free'}: {', '.join(cells)}")
+    before, after = failure_counts(parent), failure_counts(change)
+    if before == after:
+        print(f"  failure counts per method and class identical: {dict(before) or 'none'}")
+    else:
+        print(f"  failure counts differ: parent {dict(before)}, change {dict(after)}")
     return False
 
 
@@ -109,11 +140,11 @@ def main(argv: list[str]) -> int:
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        for name, args, per_image in grid():
+        for name, args, per_image, noise in grid():
             parent = run(parent_src, args, per_image, workdir)
             change = run(change_src, args, per_image, workdir)
             for output in parent:
-                same &= compare(f"{name} {output}", parent[output], change[output])
+                same &= compare(f"{name} {output}", parent[output], change[output], noise)
     if same:
         print("identical")
     return 0 if same else 1
