@@ -19,16 +19,21 @@ block's work held in cache.
 A is mostly structure. Point i's two rows are pbar_i kron (0, -1, v_i) and
 pbar_i kron (1, 0, -u_i): each places two of the 4-column groups of its
 moment row m_i = (pbar_i, u_i pbar_i, v_i pbar_i), negated or not, in fixed
-columns. So the two rows are L(m_i) = (m_i T1, m_i T2) for two fixed 12 x 12
-matrices T1 and T2, and up to row order A = [M T1; M T2] for the n x 12
-moment matrix M: A^T A = T1^T S T1 + T2^T S T2 for S = M^T M. If M = QR, then
-A = diag(Q, Q) L(R), where L(R) is the 24 x 12 matrix that L makes from R's
-12 rows in place of the m_i. diag(Q, Q) has orthonormal columns, so L(R) has
-exactly A's singular values and right singular vectors, and no Gram matrix is
-formed. From _LR_MIN_POINTS = 256 points up _assemble_arrays returns L(R) in
-place of A: half of A's QR work and n-sized memory, and the zero half of A is
-never built. A normalized system is that of the rows m B for normalization's
-12 x 12 B: A is built from B^T Mt, and L(R) from R B, as M B = Q (R B).
+columns. So the two rows are L(m_i) = m_i _T12, read as two rows of 12, for
+one fixed 12 x 24 matrix _T12 = [T1 | T2], and up to row order
+A = [M T1; M T2] for the n x 12 moment matrix M: A^T A = T1^T S T1 + T2^T S T2
+for S = M^T M. If M = QR, then A = diag(Q, Q) L(R), where L(R) is the 24 x 12
+matrix that L makes from R's 12 rows in place of the m_i. diag(Q, Q) has
+orthonormal columns, so L(R) has exactly A's singular values and right
+singular vectors, and no Gram matrix is formed. From _LR_MIN_POINTS = 256
+points up _assemble_arrays returns L(R) in place of A: half of A's QR work and
+n-sized memory, and the zero half of A is never built. A normalized system is
+that of the rows m B for normalization's 12 x 12 B, so its row map is the
+product B _T12, and L(R) is made from R B, as M B = Q (R B).
+
+Each column of _T12 holds at most one nonzero, +1 or -1, so m _T12 copies
+moment entries, negated or not, bit for bit; with B each entry of M (B _T12)
+is the 12-term dot product of a row of M with a column of B, negated or not.
 
 vec(P) is column-major: entries 0-8 hold the left 3x3 block of P column by
 column, entries 9-11 hold the fourth column.
@@ -50,15 +55,17 @@ _RANK_TOL = 1e-10
 # 0.95-0.98 of the time at n=300 and 0.79-0.87 at 767; from 128, 1.02-1.05 at 128.
 _LR_MIN_POINTS = 256
 # Chunked R factor: blocks of _QR_BLOCK rows from _QR_CHUNK_MIN_ROWS rows up.
-# In solve() on one BLAS thread, blocks lose up to 40 us at 1024 rows and win
-# 70-140 us from 1536 rows on, mostly the page faults of numpy's full-size
-# QR work copy.
+# In solve() on one BLAS thread, blocks lose up to 40 us at 1024 rows. From
+# 1536 rows one unchunked QR takes 1.2-1.4x the time of blocks, with 70-100
+# minor page faults per solve against 0-1 (numpy's full-size QR work copy),
+# until glibc's malloc has raised its mmap threshold past that copy; then it
+# takes 0.88-0.99x, with no faults, at 1600-5000 rows (uncentered, 2-CPU host).
 _QR_BLOCK = 512
 _QR_CHUNK_MIN_ROWS = 3 * _QR_BLOCK
 _UPPER = np.triu(np.ones((12, 12), dtype=bool))  # mode="r"'s mask, built once
-_T1, _T2 = np.zeros((2, 12, 12))  # the row map's T1 and T2 (see above), in vec(P) order
-_T1[range(4), range(1, 12, 3)], _T1[range(8, 12), range(2, 12, 3)] = -1.0, 1.0
-_T2[range(4), range(0, 12, 3)], _T2[range(4, 8), range(2, 12, 3)] = 1.0, -1.0
+_T12 = np.zeros((12, 24))  # the row map [T1 | T2] (see above), in vec(P) order
+_T12[range(4), range(1, 12, 3)], _T12[range(8, 12), range(2, 12, 3)] = -1.0, 1.0
+_T12[range(4), range(12, 24, 3)], _T12[range(4, 8), range(14, 24, 3)] = 1.0, -1.0
 
 
 @dataclass(frozen=True)
@@ -94,10 +101,12 @@ def _assemble_arrays(Mt: np.ndarray, weights=None, basis=None) -> np.ndarray:
     values and right singular vectors (see the module docstring).
 
     Mt (12, n) is M = (pbar, u pbar, v pbar) transposed, filled by
-    _fill_moments, so every write runs along n. Weights scale all twelve rows
-    in place, after the products p u and p v were formed, so a weighted row is
-    exactly the unweighted one times its weight, with no second n-sized array.
-    With basis, normalization's 12 x 12 B, the system is that of the rows m B.
+    _fill_moments. Weights scale all twelve rows in place, after the products
+    p u and p v were formed, so a weighted row is exactly the unweighted one
+    times its weight, with no second n-sized array. With basis,
+    normalization's 12 x 12 B, the system is that of the rows m B. Either way
+    it is one exact product M C (see above) of the row map C, _T12 or B _T12:
+    row i of the (k, 24) product holds moment row i's two constraint rows.
     """
     n = Mt.shape[1]
     if n < MIN_POINTS:
@@ -109,19 +118,8 @@ def _assemble_arrays(Mt: np.ndarray, weights=None, basis=None) -> np.ndarray:
         Mt *= w
     if n >= _LR_MIN_POINTS:
         Mt = _r_factor(Mt.T).T  # 12 moment rows in place of n; same row map below
-    if basis is not None:
-        Mt = basis.T @ Mt
-    # rows[m, r, j, i] = pbar[m, j] * su[m, r, i] for the reduced rows
-    # su = ((0, -1, v), (1, 0, -u)): only four column groups are nonzero,
-    # each one of M's column groups, negated or not. t[i, j, r] = rows[:, r, j, i].
-    k = Mt.shape[1]
-    rows = np.zeros((k, 2, 4, 3))
-    t = rows.T
-    np.negative(Mt[:4], out=t[1, :, 0])
-    t[2, :, 0] = Mt[8:]
-    t[0, :, 1] = Mt[:4]
-    np.negative(Mt[4:8], out=t[2, :, 1])
-    return rows.reshape(2 * k, 12)
+    C = _T12 if basis is None else basis @ _T12
+    return (Mt.T @ C).reshape(-1, 12)
 
 
 def _r_factor(A: np.ndarray) -> np.ndarray:
@@ -136,23 +134,6 @@ def _r_factor(A: np.ndarray) -> np.ndarray:
         return np.linalg.qr(np.concatenate([heads.reshape(12 * k, 12), A[k * _QR_BLOCK :]]), mode="r")
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"QR of the constraint rows failed: {exc}") from exc
-
-
-def _null_space(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and V^T of A, rank checked; Vt[11] is the null vector."""
-    try:
-        _, s, Vt = np.linalg.svd(_r_factor(A))
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(f"SVD of the constraint rows failed: {exc}") from exc
-    if s.shape[0] < 12:
-        raise RankDeficient(f"only {s.shape[0]} rows; null space is not unique")
-    if s[0] <= 0.0 or s[10] / s[0] < _RANK_TOL:
-        raise RankDeficient(
-            "null space not unique at working precision (degenerate points, or unnormalized"
-            " coordinates far from the origin): sigma_11/sigma_1 ="
-            f" {s[10] / max(s[0], 1e-300):.3e}"
-        )
-    return s, Vt
 
 
 def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
@@ -177,7 +158,18 @@ def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != 12:
         raise ValueError(f"expected (m, 12) matrix, got {A.shape}")
-    s, Vt = _null_space(A)
+    try:
+        _, s, Vt = np.linalg.svd(_r_factor(A))
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"SVD of the constraint rows failed: {exc}") from exc
+    if s.shape[0] < 12:
+        raise RankDeficient(f"only {s.shape[0]} rows; null space is not unique")
+    if s[0] <= 0.0 or s[10] / s[0] < _RANK_TOL:
+        raise RankDeficient(
+            "null space not unique at working precision (degenerate points, or unnormalized"
+            " coordinates far from the origin): sigma_11/sigma_1 ="
+            f" {s[10] / max(s[0], 1e-300):.3e}"
+        )
     V = Vt.T
     P = Vt[11].reshape(4, 3).T
     mixed = False

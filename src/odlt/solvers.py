@@ -168,8 +168,7 @@ def _linear_solve(ps: np.ndarray, us: np.ndarray, normalize: bool, weighted: boo
         timings["weights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    T_p = pt.T if normalize else None  # the sign reads the raw points, A's own for dlt
-    sol = solve_nullspace(_assemble_arrays(rows, weights, B), points=ps, T_p=T_p)
+    sol = solve_nullspace(_assemble_arrays(rows, weights, B), points=ps, T_p=pt.T)
     timings["solve"] = time.perf_counter() - t0
     return _LinearOutcome(sol, pix, pt, timings)
 

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dlt import _T1, _T2
+from .dlt import _T12
 from .errors import RankDeficient
-
-_T12 = np.hstack([_T1, _T2])  # the row map (m T1, m T2) as one 12 x 24 matrix
 
 # Dropping points that fall behind the preliminary camera is tolerated up to
 # this fraction; beyond it the preliminary estimate cannot be trusted.
@@ -51,7 +49,7 @@ def _preliminary_normalized(Mt: np.ndarray, S: np.ndarray, B: np.ndarray) -> tup
 
     Returns (P0, depths of the points under P0).
     """
-    C = B @ _T12  # the normalized row map (B T1, B T2): A^T A = C1^T S C1 + C2^T S C2
+    C = B @ _T12  # the normalized row map [C1 | C2]: A^T A = C1^T S C1 + C2^T S C2
     G = C.T @ S @ C
     try:
         P0 = np.linalg.eigh(G[:12, :12] + G[12:, 12:])[1][:, 0].reshape(4, 3).T

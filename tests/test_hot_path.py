@@ -414,7 +414,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 85, "ndlt": 96, "odlt": 127, "odlt_lost": 156, "ndlt_gn": 153}
+CALL_BUDGET = {"dlt": 83, "ndlt": 94, "odlt": 125, "odlt_lost": 154, "ndlt_gn": 151}
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from odlt.dlt import _LR_MIN_POINTS, _T1, _T2, _assemble_arrays, _r_factor
+from odlt.dlt import _LR_MIN_POINTS, _T12, _assemble_arrays, _r_factor
 from odlt.errors import DegeneratePoints
 from odlt.evaluation import (
     CENTERED_BOX,
@@ -189,7 +189,8 @@ def test_basis_normalizes_the_system(box, n, weighted):
         else:
             assert A.shape == (24, 12)
             Sw = (direct * w) @ (direct * w).T
-            G = _T1.T @ Sw @ _T1 + _T2.T @ Sw @ _T2  # A^T A of the normalized rows
+            T1, T2 = _T12[:, :12], _T12[:, 12:]
+            G = T1.T @ Sw @ T1 + T2.T @ Sw @ T2  # A^T A of the normalized rows
             assert np.abs(A.T @ A - G).max() <= 1e-13 * np.abs(G).max()
 
 

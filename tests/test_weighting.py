@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import odlt.dlt as dlt_module
+import odlt.solvers as solvers_module
 import odlt.weighting as weighting_module
 from odlt.dlt import _assemble_arrays, solve_nullspace
 from odlt.errors import RankDeficient
@@ -147,7 +148,7 @@ class TestPreliminary:
         Mt = moment_rows(ps, us)
         A = _assemble_arrays(Mt)
         S = Mt @ Mt.T
-        T1, T2 = dlt_module._T1, dlt_module._T2
+        T1, T2 = dlt_module._T12[:, :12], dlt_module._T12[:, 12:]
         G = T1.T @ S @ T1 + T2.T @ S @ T2
         np.testing.assert_allclose(G, A.T @ A, rtol=0, atol=1e-14 * np.abs(G).max())
 
@@ -185,14 +186,14 @@ class TestPreliminary:
         ps = cam @ R + r
         us = oracle_project(Km, R, r, ps)
         calls = []
-        null_space = dlt_module._null_space
+        null_space = solvers_module.solve_nullspace
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
             return null_space(*args, **kwargs)
 
-        monkeypatch.setattr(dlt_module, "_null_space", counted)
+        monkeypatch.setattr(solvers_module, "solve_nullspace", counted)
         with pytest.raises(RankDeficient, match="null space not unique"):
             solve((ps, us), Km, SolverConfig(method="odlt"))
         assert calls == [(16, 12)]
-        assert not hasattr(weighting_module, "_null_space")
+        assert not hasattr(weighting_module, "solve_nullspace")

@@ -9,7 +9,7 @@ the src/ of two checkouts. Each tree runs one fixed grid of CLI commands with
 PYTHONPATH set to it:
 
     synthetic --no-timing, centered and uncentered, n 6, 12, 50, 255, 256, 767,
-        768, 2000, sigma 0, 1, 3, 20 trials;
+        768, 1535, 1536, 2000, sigma 0, 1, 3, 20 trials;
     eval-colmap on tests/fixtures/colmap_golden and tests/fixtures/colmap_solvable,
         --noise-px 0 and 1, with --per-image.
 
@@ -36,7 +36,8 @@ from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
-SYNTHETIC = ["--n-list", "6,12,50,255,256,767,768,2000", "--sigma-list", "0,1,3", "--trials", "20"]
+N_LIST = "6,12,50,255,256,767,768,1535,1536,2000"  # 1535, 1536: either side of chunked QR
+SYNTHETIC = ["--n-list", N_LIST, "--sigma-list", "0,1,3", "--trials", "20"]
 
 
 def grid():
