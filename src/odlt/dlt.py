@@ -7,14 +7,13 @@ the cross-product matrix has rank 2. Stacking n such 2x12 blocks gives the
 homogeneous system A vec(P) = 0 whose null direction is the projection
 matrix estimate.
 
-The null direction comes from the R factor of A = QR: A and the 12x12 R share
-singular values and right singular vectors, so an O(n) QR and the SVD of R
-give A's exact spectrum at any n, with no 2n x 12 left factor and no squared
-Gram matrix (weighting's preliminary uses one). Tall A is factored in chunks
-(TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012): one
-stacked QR of k blocks of _QR_BLOCK rows, then one QR of the k stacked 12x12 R
-factors plus the leftover rows. That is A's R up to row signs, with each
-block's work held in cache.
+The null direction is A's last right singular vector, from one numpy svd:
+LAPACK's dgesdd, which from 22 rows up (11 x 12 / 6, its crossover for 12
+columns) QR-factors A itself and takes the SVD of the 12x12 R, so s and V are
+bit for bit those of an explicit QR and svd of its R, with no squared Gram
+(weighting's preliminary uses one). It also forms A's 2n x 12 left factor, a
+cost L(R) avoids (below). Under 22 rows (n <= 10) dgesdd bidiagonalizes A
+directly, which differs only by rounding.
 
 A is mostly structure. Point i's two rows are pbar_i kron (0, -1, v_i) and
 pbar_i kron (1, 0, -u_i): each places two of the 4-column groups of its
@@ -29,7 +28,10 @@ singular vectors, and no Gram matrix is formed. From _LR_MIN_POINTS = 256
 points up _assemble_arrays returns L(R) in place of A: half of A's QR work and
 n-sized memory, and the zero half of A is never built. A normalized system is
 that of the rows m B for normalization's 12 x 12 B, so its row map is the
-product B _T12, and L(R) is made from R B, as M B = Q (R B).
+product B _T12, and L(R) is made from R B, as M B = Q (R B). _r_factor, the
+only explicit QR, factors tall M in chunks (TSQR; Demmel, Grigori, Hoemmen &
+Langou, SIAM J. Sci. Comput. 2012): one stacked QR of k blocks of _QR_BLOCK
+rows, then one QR of the k stacked 12x12 R factors and the leftover rows.
 
 Each column of _T12 holds at most one nonzero, +1 or -1, so m _T12 copies
 moment entries, negated or not, bit for bit; with B each entry of M (B _T12)
@@ -51,8 +53,8 @@ MIN_POINTS = 6
 
 _RANK_TOL = 1e-10
 
-# In solve() on one BLAS thread, L(R) from 256 rather than 768 points took
-# 0.95-0.98 of the time at n=300 and 0.79-0.87 at 767; from 128, 1.02-1.05 at 128.
+# In solve() on one BLAS thread, L(R) from 256 rather than 768 points took 0.35-0.94
+# of the time at n=256-767; from 128 rather than 256, 0.83-0.99 at 160-255, 0.95-1.02 at 128.
 _LR_MIN_POINTS = 256
 # Chunked R factor: blocks of _QR_BLOCK rows from _QR_CHUNK_MIN_ROWS rows up.
 # In solve() on one BLAS thread, blocks lose up to 40 us at 1024 rows. From
@@ -122,16 +124,16 @@ def _assemble_arrays(Mt: np.ndarray, weights=None, basis=None) -> np.ndarray:
     return (Mt.T @ C).reshape(-1, 12)
 
 
-def _r_factor(A: np.ndarray) -> np.ndarray:
-    """R factor of an (m, 12) A = QR, chunked from _QR_CHUNK_MIN_ROWS rows (see above)."""
-    m = A.shape[0]
+def _r_factor(M: np.ndarray) -> np.ndarray:
+    """R factor (up to row signs) of the moment matrix M = QR, chunked (see above)."""
+    m = M.shape[0]
     try:
         if m < _QR_CHUNK_MIN_ROWS:
-            R = np.linalg.qr(A, mode="raw")[0].T[:12]
+            R = np.linalg.qr(M, mode="raw")[0].T[:12]
             return np.where(_UPPER[: R.shape[0]], R, 0.0)
         k = m // _QR_BLOCK
-        heads = np.linalg.qr(A[: k * _QR_BLOCK].reshape(k, _QR_BLOCK, 12), mode="r")
-        return np.linalg.qr(np.concatenate([heads.reshape(12 * k, 12), A[k * _QR_BLOCK :]]), mode="r")
+        heads = np.linalg.qr(M[: k * _QR_BLOCK].reshape(k, _QR_BLOCK, 12), mode="r")
+        return np.linalg.qr(np.concatenate([heads.reshape(12 * k, 12), M[k * _QR_BLOCK :]]), mode="r")
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"QR of the constraint rows failed: {exc}") from exc
 
@@ -146,12 +148,12 @@ def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
     majority sign.
 
     Args:
-        A: 2n x 12 stacked constraint matrix.
+        A: the 2n x 12 stacked constraint matrix, or its 24 x 12 L(R) (see above).
         points: optional (n,3) array of the world points behind A's rows.
         T_p: optional 4x4 point normalization: A's points are then T_p pbar.
 
     Raises:
-        RankDeficient: if its QR or SVD raises LinAlgError (chained), or if the 11th
+        RankDeficient: if its SVD raises LinAlgError (chained), or if the 11th
             singular value is below 1e-10 of the largest: no unique null space at working
             precision (degenerate points, or unnormalized coordinates far from the origin).
     """
@@ -159,7 +161,7 @@ def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
     if A.ndim != 2 or A.shape[1] != 12:
         raise ValueError(f"expected (m, 12) matrix, got {A.shape}")
     try:
-        _, s, Vt = np.linalg.svd(_r_factor(A))
+        _, s, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"SVD of the constraint rows failed: {exc}") from exc
     if s.shape[0] < 12:
@@ -170,7 +172,6 @@ def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
             " coordinates far from the origin): sigma_11/sigma_1 ="
             f" {s[10] / max(s[0], 1e-300):.3e}"
         )
-    V = Vt.T
     P = Vt[11].reshape(4, 3).T
     mixed = False
     if points is not None:
@@ -178,9 +179,7 @@ def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
         k = P[2] if T_p is None else P[2] @ T_p
         depths = ps @ k[:3] + k[3]
         if depths.sum() < 0:
-            P = -P
-            V = V.copy()
-            V[:, 11] = -V[:, 11]
+            Vt[11] *= -1.0  # P and the returned V are views of Vt
         npos = np.count_nonzero(depths > 0)
         mixed = max(npos, depths.shape[0] - npos) < 0.9 * depths.shape[0]
-    return DltSolution(P=P, singular_values=s, V=V, mixed_depths=mixed)
+    return DltSolution(P=P, singular_values=s, V=Vt.T, mixed_depths=mixed)

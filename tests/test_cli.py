@@ -13,7 +13,7 @@ from odlt import __version__
 from odlt.cli import CSV_COLUMNS, _read_problem, main
 from odlt.colmap import build_problems, parse_model
 from odlt.errors import DepthZero, MalformedLine
-from odlt.evaluation import compute_metrics
+from odlt.evaluation import SyntheticScenario, compute_metrics, generate_scene
 from odlt.geometry import correspondence_arrays
 from odlt.solvers import METHODS, SolverConfig, solve
 
@@ -48,6 +48,16 @@ def write_problem_file(path, problem):
 def solvable_problem():
     problems, _ = build_problems(parse_model(SOLVABLE))
     return problems[0]
+
+
+def write_scene_file(path, n):
+    """A problem file of one n-point synthetic scene."""
+    sc = SyntheticScenario(n=n, trials=1)
+    (ps, us), _ = generate_scene(sc, 0)
+    intr = sc.intrinsics
+    lines = [" ".join(repr(float(v)) for v in (intr.fx, intr.fy, intr.cx, intr.cy))]
+    lines += [" ".join(repr(float(v)) for v in (*u, *p)) for p, u in zip(ps, us)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestSynthetic:
@@ -458,7 +468,10 @@ class TestErrorExits:
     @pytest.mark.parametrize("name", ["svd", "qr"])
     def test_linalg_failure_exits_3_with_its_named_error(self, name, tmp_path, capsys, monkeypatch):
         path = tmp_path / "problem.txt"
-        write_problem_file(path, solvable_problem())
+        if name == "qr":  # only the moment reduction QR-factors, from 256 points up
+            write_scene_file(path, 300)
+        else:
+            write_problem_file(path, solvable_problem())
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")

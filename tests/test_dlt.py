@@ -7,6 +7,7 @@ from odlt.dlt import (
     _QR_CHUNK_MIN_ROWS,
     MIN_POINTS,
     _assemble_arrays,
+    _r_factor,
     solve_nullspace,
 )
 from odlt.errors import RankDeficient, TooFewPoints
@@ -106,8 +107,9 @@ def test_eigensolver_oracle_small_matrix(rng):
     np.testing.assert_allclose(x, x_oracle, atol=1e-8)
 
 
-# Both sides of the single-QR / chunked crossover, an exact multiple of the
-# block size and one row past a multiple (a one-row leftover).
+# The moment reduction's R factor has A's singular values and right singular
+# vectors: both sides of the single-QR / chunked crossover, an exact multiple
+# of the block size and one row past a multiple (a one-row leftover).
 @pytest.mark.parametrize(
     "rows",
     [
@@ -126,7 +128,7 @@ def test_eigensolver_oracle_small_matrix(rng):
 )
 def test_qr_path_agrees_with_direct_svd(rng, rows):
     A = rng.standard_normal((rows, 12))
-    sol = solve_nullspace(A)
+    sol = solve_nullspace(_r_factor(A))
     _, s_oracle, Vt = np.linalg.svd(A, full_matrices=False)
     np.testing.assert_allclose(sol.singular_values, s_oracle, rtol=1e-12)
     x_oracle = Vt[11]
@@ -141,7 +143,7 @@ def test_chunked_path_detects_two_dimensional_nullspace(rng):
     assert rows >= _QR_CHUNK_MIN_ROWS
     A = rng.standard_normal((rows, 10)) @ rng.standard_normal((10, 12))
     with pytest.raises(RankDeficient):
-        solve_nullspace(A)
+        solve_nullspace(_r_factor(A))
 
 
 def test_coplanar_points_rank_deficient(rng):

@@ -16,15 +16,15 @@ a numpy determinant, solve or eigenvalue call back in the 3x3 recovery
 algebra, a stage that re-checks what solve() already checked, a re-validated
 internal pose, added per-call overhead, a return to per-point objects on an
 array path (the Monte Carlo harness, build_problems, eval-colmap, odlt
-solve's problem file), a null space that silently stops (or starts)
-chunking, a null space handed the 2n x 12 matrix above the route, a
-weighted solve that assembles or factors a second matrix, a fit pass, a
-second moment fill or a normalized copy of the points or pixels, a LOST
-handed mask copies when no point is dropped, or a Gauss-Newton that keeps
-evaluating the cost once it has converged, builds normal equations after its
-last small step, projects a pose twice, re-copies its point and pixel rows,
-allocates its Jacobian rows per build or builds the interleaved (2n, 6)
-Jacobian fails here on any host.
+solve's problem file), a moment reduction that silently stops (or starts)
+chunking, a QR back in the null space, a null space handed the 2n x 12
+matrix above the route, a weighted solve that assembles or factors a second
+matrix, a fit pass, a second moment fill or a normalized copy of the points
+or pixels, a LOST handed mask copies when no point is dropped, or a
+Gauss-Newton that keeps evaluating the cost once it has converged, builds
+normal equations after its last small step, projects a pose twice, re-copies
+its point and pixel rows, allocates its Jacobian rows per build or builds the
+interleaved (2n, 6) Jacobian fails here on any host.
 """
 
 import sys
@@ -49,7 +49,7 @@ SOLVABLE = Path(__file__).parent / "fixtures" / "colmap_solvable"
 def odlt_modules():
     return [m for key, m in sys.modules.items() if key == "odlt" or key.startswith("odlt.")]
 
-# Per method: the null space takes one SVD of the 12x12 R factor, and the
+# Per method: the null space takes one SVD of its (m, 12) system, and the
 # weighted methods' preliminary one eigh of the 12x12 Gram A^T A; every
 # nearest_rotation takes one SVD and reads the sign of det(U V^T) from a
 # cofactor expansion, and the weighted Procrustes step takes one (its start).
@@ -85,15 +85,16 @@ def counts(monkeypatch):
     return tally
 
 
-# QR calls per solve: one per null space of a matrix below the chunked-QR
-# size (1536 rows), two (stacked blocks, then their R factors) for a chunked one. At
+# QR calls per solve: only the moment reduction makes them, from the L(R)
+# route's 256 points up; the null space hands its system straight to svd. At
 # n=2000 each system is assembled from the chunked R factor of the 2000-row
-# moment matrix (two calls), and its 24-row L(R) takes one more. The weighted
-# methods' preliminary takes no QR: its null vector comes from the Gram, and
-# ndlt's normalization reads its Gram off the same R factor.
+# moment matrix: two calls, the stacked 512-row blocks, then their R factors
+# with the leftover rows. The weighted methods' preliminary takes no QR: its
+# null vector comes from the Gram, and ndlt's normalization reads its Gram off
+# the same R factor.
 QR_EXPECTED = {
-    50: {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
-    2000: {"dlt": 3, "ndlt": 3, "odlt": 3, "odlt_lost": 3, "ndlt_gn": 3},
+    50: {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 0},
+    2000: {"dlt": 2, "ndlt": 2, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 2},
 }
 
 
@@ -414,7 +415,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 83, "ndlt": 94, "odlt": 125, "odlt_lost": 154, "ndlt_gn": 151}
+CALL_BUDGET = {"dlt": 78, "ndlt": 90, "odlt": 121, "odlt_lost": 150, "ndlt_gn": 147}
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -156,8 +156,9 @@ class TestExactness:
         # random rotation Q, scale s in [0.1, 10] and shift t, leaves the
         # pixels alone and maps the truth pose (R, r) to (R Q^T, s Q r + t).
         # Every generate_scene truth is the identity, so this is what puts a
-        # random truth rotation in front of the weighted methods, whose
-        # preliminary squares the condition number in its Gram. Criterion
+        # random truth rotation in front of the normalizing methods: the
+        # weighted ones' preliminary squares the condition number in its Gram,
+        # and at n=6 the null space is the 12-row system itself. Criterion
         # 01's bounds, the position bound relative to s.
         sc = SyntheticScenario(box=box, n=n, sigma_u=0.0, trials=10, seed=7)
         rng = np.random.default_rng([7, n])
@@ -165,7 +166,7 @@ class TestExactness:
             (ps, us), truth = generate_scene(sc, trial)
             Q, s, t = random_rotation(rng), 10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(-10, 10, 3)
             world = s * ps @ Q.T + t
-            for method in ("odlt", "odlt_lost"):
+            for method in ("ndlt", "odlt", "odlt_lost", "ndlt_gn"):
                 result = solve((world, us), sc.intrinsics, SolverConfig(method=method))
                 rot, pos = pose_errors(result, truth.R @ Q.T, s * Q @ truth.r + t)
                 assert rot < 1e-6, f"{method} trial={trial}: rotation error {rot}"
@@ -861,9 +862,9 @@ class TestLinAlgErrorsAreNamed:
     # Before the null space only the weighted preliminary's eigh, and after it
     # only nearest_rotation's SVD (and ndlt_gn's normal equations), call
     # numpy.linalg; each failure surfaces as a PnpError, chained from the
-    # LinAlgError.
-    @pytest.mark.parametrize("name", ["svd", "qr"])
-    @pytest.mark.parametrize("n", [50, 2000])
+    # LinAlgError. The null space's svd runs at every n; QR runs only in the
+    # moment reduction, from the L(R) route's 256 points up.
+    @pytest.mark.parametrize(("n", "name"), [(50, "svd"), (2000, "svd"), (2000, "qr")])
     @pytest.mark.parametrize("method", METHODS)
     def test_null_space_failure_is_rank_deficient(self, method, n, name, monkeypatch):
         sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)

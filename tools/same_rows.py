@@ -8,8 +8,8 @@ PARENT_SRC and CHANGE_SRC are directories that hold the odlt package, such as
 the src/ of two checkouts. Each tree runs one fixed grid of CLI commands with
 PYTHONPATH set to it:
 
-    synthetic --no-timing, centered and uncentered, n 6, 12, 50, 255, 256, 767,
-        768, 1535, 1536, 2000, sigma 0, 1, 3, 20 trials;
+    synthetic --no-timing, centered and uncentered, n 6, 10, 11, 12, 50, 255,
+        256, 767, 768, 1535, 1536, 2000, sigma 0, 1, 3, 20 trials;
     eval-colmap on tests/fixtures/colmap_golden and tests/fixtures/colmap_solvable,
         --noise-px 0 and 1, with --per-image.
 
@@ -36,7 +36,9 @@ from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
-N_LIST = "6,12,50,255,256,767,768,1535,1536,2000"  # 1535, 1536: either side of chunked QR
+# 10, 11: 20 and 22 rows, either side of the QR that LAPACK's gesdd runs itself;
+# 1535, 1536: either side of the moment reduction's chunked QR.
+N_LIST = "6,10,11,12,50,255,256,767,768,1535,1536,2000"
 SYNTHETIC = ["--n-list", N_LIST, "--sigma-list", "0,1,3", "--trials", "20"]
 
 
