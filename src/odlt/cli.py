@@ -140,8 +140,8 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
                 workers=args.workers,
             )
             for method, agg in zip(args.methods, summary):
-                runtime = "" if args.no_timing else _fmt(agg["mean_runtime_ms"])
-                errors = (_fmt(agg[key]) for key in ("rot_rmse_deg", "pos_rmse", "mean_reproj_px"))
+                runtime = "" if args.no_timing else _aggregate_cell(agg["mean_runtime_ms"])
+                errors = (_aggregate_cell(agg[k]) for k in ("rot_rmse_deg", "pos_rmse", "mean_reproj_px"))
                 rows.append((args.scenario, str(n), _fmt(sigma), method, *errors, runtime,
                              str(agg["failures"]), str(agg["trials"])))
     _write_csv(args.out, _manifest_lines(args, config), CSV_COLUMNS, rows)

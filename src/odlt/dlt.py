@@ -135,7 +135,7 @@ def _r_factor(M: np.ndarray) -> np.ndarray:
         heads = np.linalg.qr(M[: k * _QR_BLOCK].reshape(k, _QR_BLOCK, 12), mode="r")
         return np.linalg.qr(np.concatenate([heads.reshape(12 * k, 12), M[k * _QR_BLOCK :]]), mode="r")
     except np.linalg.LinAlgError as exc:
-        raise RankDeficient(f"QR of the constraint rows failed: {exc}") from exc
+        raise RankDeficient(f"QR of the moment rows failed: {exc}") from exc
 
 
 def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:

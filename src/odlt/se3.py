@@ -32,7 +32,7 @@ from .normalization import PixelNormalization, PointNormalization
 
 _WEIGHT_COND_LIMIT = 1e10
 _LOST_COND_LIMIT = 1e12
-_PROCRUSTES_TOL = 1e-12
+_PROCRUSTES_MAX_STEPS = 5  # a cap: the stop rules end centered n=50 solves after 2 steps
 _COST_RESOLUTION = 8 * np.finfo(float).eps  # the Procrustes cost's rounding per sum(Q |E|)
 _TINY = 2.2250738585072014e-308  # the smallest normal float
 
@@ -143,36 +143,32 @@ def _solve_psd(N: tuple, rhs: tuple, cond_limit: float) -> tuple | None:
     return (v00 * x + v01 * y + v02 * z, v01 * x + v11 * y + v12 * z, v02 * x + v12 * y + i3 * z)
 
 
-def weighted_procrustes(
-    R_acute: np.ndarray, W: np.ndarray, det: float, max_iters: int = 1
-) -> tuple[np.ndarray, bool]:
+def weighted_procrustes(R_acute: np.ndarray, W: np.ndarray, det: float) -> tuple[np.ndarray, bool]:
     """Project the de-clamped linear rotation block onto SO(3), weighted by W.
 
     Minimizes ||(R - R_s) * W||_F over rotations, where R_s is R_acute
     rescaled by s = det(R_acute)^(-1/3). Starting from the unweighted
     projection R0 = nearest_rotation(R_s), the rotation is updated through
     the small-angle model R ~ (I - [dphi x]) R0, solving 3x3 normal equations
-    per iteration and re-projecting onto SO(3) in closed form, on floats. One
-    iteration is the default; up to five are allowed, stopping early when a
-    step would raise the cost or |dphi| < _PROCRUSTES_TOL, and skipping a step
-    whose predicted decrease g^T dphi is below 8 eps sum(Q |Rs - R|), Q = W * W:
-    the rounding of the cost, which could not tell whether it helped. R_acute
-    and W are float 3x3 arrays and det is det(R_acute), computed by the caller.
+    per step and re-projecting onto SO(3) in closed form, on floats. It steps
+    until the predicted decrease g^T dphi falls below 8 eps sum(Q |Rs - R|),
+    Q = W * W (the rounding of the cost, which could not tell whether a step
+    helped), undoing a step that raised the cost, and takes at most
+    _PROCRUSTES_MAX_STEPS steps. R_acute and W are float 3x3 arrays and det is
+    det(R_acute), computed by the caller.
 
     Returns:
         (R, fallback_used): fallback_used is True when the normal matrix
         had condition number > 1e10 and the unweighted projection R0 was
         returned instead.
     """
-    if not 1 <= max_iters <= 5:
-        raise ValueError(f"max_iters must be in 1..5, got {max_iters}")
     if det == 0:
         raise DegenerateInput("de-clamped rotation block is singular")
     Rs = (1.0 / np.cbrt(det)) * R_acute
     R0 = nearest_rotation(Rs)
     S, Q = Rs.T.tolist(), (W * W).T.tolist()  # columns, as R's below
-    R, previous, cost, nn = R0.T.tolist(), None, inf, inf
-    for step in range(max_iters + 1):
+    R, previous, cost = R0.T.tolist(), None, inf
+    for step in range(_PROCRUSTES_MAX_STEPS + 1):
         # Over columns j of R, S = Rs, Q = W * W, E = S - R and D = Q * E: the cost sum(D * E),
         # normal matrix sum_ij Q_ij (e_i x R_j)(e_i x R_j)^T and right-hand side sum_j D_j x R_j.
         new_cost = abs_d = g0 = g1 = g2 = n00 = n01 = n02 = n11 = n12 = n22 = 0.0
@@ -188,7 +184,7 @@ def weighted_procrustes(
         if new_cost > cost:  # the last step raised the cost: undo it
             return np.array(previous).T, False
         cost = new_cost
-        if step == max_iters or nn < _PROCRUSTES_TOL * _PROCRUSTES_TOL:
+        if step == _PROCRUSTES_MAX_STEPS:
             break
         dphi = _solve_psd((n00, n01, n02, n11, n12, n22), (g0, g1, g2), _WEIGHT_COND_LIMIT)
         if dphi is None:
@@ -198,8 +194,7 @@ def weighted_procrustes(
             break
         # nearest_rotation((I - [dphi x]) R): I - [dphi x] fixes dphi, so its polar factor
         # (I - [dphi x] + dphi dphi^T / (1 + c)) / c maps R_j to the candidate's column j.
-        nn = x * x + y * y + z * z
-        c = (1.0 + nn) ** 0.5
+        c = (1.0 + (x * x + y * y + z * z)) ** 0.5
         previous, R = R, []
         for r0, r1, r2 in previous:
             t = (x * r0 + y * r1 + z * r2) / (1.0 + c)

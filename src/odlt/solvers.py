@@ -7,7 +7,7 @@ it adds:
     normalize  similarity-normalize pixels and points before the linear solve.
     weighted   scale the rows by the inverse depths under a preliminary
                unweighted estimate, and project the rotation with the
-               information-weighted Procrustes step.
+               information-weighted Procrustes steps.
     lost       re-triangulate the translation with the rotation fixed (O(n)).
     refine     Gauss-Newton on the reprojection error from the linear pose,
                stopped relative to the noise level its residual shows.
@@ -16,8 +16,7 @@ A solve is a deterministic function of (points, pixels, intrinsics, method):
 no step draws random numbers. The linear stage fills the moment rows once
 and normalizes them through a 12x12 basis read off their Gram (normalization);
 the weighted methods' preliminary is the full set's unweighted null vector,
-from the same Gram (weighting). odlt costs 1.45 ndlt solves at n=50, 1.41 at
-n=2000 (odlt_over_ndlt, BENCH_moments.json).
+from the same Gram (weighting).
 """
 
 from __future__ import annotations
@@ -162,6 +161,8 @@ def _linear_solve(ps: np.ndarray, us: np.ndarray, normalize: bool, weighted: boo
         if neg.any():
             frac = float(neg.mean())
             if frac >= NEGATIVE_DEPTH_LIMIT:
+                # A rank-deficient set has no preliminary camera: raise RankDeficient for it.
+                solve_nullspace(_assemble_arrays(Mt, None, B))
                 raise NegativeDepth(f"{frac:.0%} of points behind the preliminary camera")
             Mt, depths, ps = Mt[:, ~neg], depths[~neg], ps[~neg]
         rows, weights = Mt, 1.0 / depths

@@ -161,13 +161,12 @@ def oracle_solve_psd(N, b, cond_limit):
     return E @ ((E.T @ b) / lam)
 
 
-def oracle_weighted_procrustes(R_acute, W, det, max_iters=1):
-    """The matrix-level weighted Procrustes step: normal matrix from stacked
+def oracle_weighted_procrustes(R_acute, W, det):
+    """The matrix-level weighted Procrustes steps: normal matrix from stacked
     R diag(Q[i]) R^T, eigh solve (condition limit 1e10), polar update by
     np.outer, costs by procrustes_cost, no step whose predicted decrease
-    g^T dphi is below 8 eps sum(Q |Rs - R|); same contract as se3.weighted_procrustes."""
-    if not 1 <= max_iters <= 5:
-        raise ValueError(f"max_iters must be in 1..5, got {max_iters}")
+    g^T dphi is below 8 eps sum(Q |Rs - R|), at most 5 steps; same contract
+    as se3.weighted_procrustes."""
     if det == 0:
         raise DegenerateInput("de-clamped rotation block is singular")
     Rs = (1.0 / np.cbrt(det)) * R_acute
@@ -175,7 +174,7 @@ def oracle_weighted_procrustes(R_acute, W, det, max_iters=1):
     R = nearest_rotation(Rs)
     R0 = R
     cost = procrustes_cost(R, Rs, W)
-    for _ in range(max_iters):
+    for _ in range(5):
         M = ((R[None, :, :] * Q[:, None, :]) @ R.T).tolist()
         Nmat = np.array(
             [
@@ -199,8 +198,6 @@ def oracle_weighted_procrustes(R_acute, W, det, max_iters=1):
         if candidate_cost > cost:
             break
         R, cost = candidate, candidate_cost
-        if np.sqrt(dphi @ dphi) < 1e-12:
-            break
     return R, False
 
 

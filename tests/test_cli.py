@@ -135,6 +135,16 @@ class TestSynthetic:
         _, _, rows = read_csv(out)
         assert float(rows[0][7]) > 0.0
 
+    def test_all_failed_cells_are_empty(self, tmp_path):
+        # 5 points are too few for every trial; as in eval-colmap, a cell
+        # with no success to average is empty, not nan, timed or not.
+        out = tmp_path / "failed.csv"
+        assert main(["synthetic", "--n-list", "5", "--trials", "2", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [row[3] for row in rows] == list(METHODS)
+        for row in rows:
+            assert row[4:] == ["", "", "", "", "2", "2"]
+
     @pytest.mark.parametrize(
         "value, message",
         [
@@ -479,7 +489,8 @@ class TestErrorExits:
         monkeypatch.setattr(np.linalg, name, failing)
         assert main(["solve", "--input", str(path)]) == 3
         err = capsys.readouterr().err
-        assert f"error: {name.upper()} of the constraint rows failed: did not converge" in err
+        rows = "moment" if name == "qr" else "constraint"
+        assert f"error: {name.upper()} of the {rows} rows failed: did not converge" in err
         assert "Traceback" not in err
 
     def test_value_error_from_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ Gauss-Newton normal equations and no eigh but the weighted preliminary's, the
 QR calls, constraint-matrix assemblies and bytes handed to the null space on
 both sides of the L(R) route (n=50 and n=2000), the stage functions
 and input checks solve() calls per method, the step attempts, projections and
-normal-equation builds of one ndlt_gn solve (n=50 and n=2000), the Pose
+normal-equation builds of one ndlt_gn solve (n=50 and n=2000), the weighted
+Procrustes normal-equation solves per solve (n=50 and n=2000), the Pose
 validations and the Python-level calls made from odlt's own frames per solve,
 and the Correspondence objects the Monte Carlo harness, the COLMAP problem
 builder and the CLI create. Unlike a timing, the counts are exact
@@ -24,7 +25,8 @@ or pixels, a LOST handed mask copies when no point is dropped, or a
 Gauss-Newton that keeps evaluating the cost once it has converged, builds
 normal equations after its last small step, projects a pose twice, re-copies
 its point and pixel rows, allocates its Jacobian rows per build or builds the
-interleaved (2n, 6) Jacobian fails here on any host.
+interleaved (2n, 6) Jacobian, or a Procrustes projection back to a fixed
+step count fails here on any host.
 """
 
 import sys
@@ -36,6 +38,7 @@ import pytest
 
 import odlt.geometry as geometry_module
 import odlt.normalization as normalization_module
+import odlt.se3 as se3_module
 import odlt.solvers as solvers_module
 from odlt.cli import main
 from odlt.colmap import build_problems, parse_model
@@ -175,6 +178,32 @@ def test_nullspace_input_bytes_per_solve(method, n, monkeypatch):
             monkeypatch.setattr(module, "solve_nullspace", recorded)
     solve(arrays, sc.intrinsics, SolverConfig(method=method))
     assert nbytes == NULLSPACE_BYTES[n][method]
+
+
+# Weighted Procrustes normal-equation solves (se3._solve_psd) per solve on the
+# uncentered box: one per step, plus the one whose predicted decrease falls
+# below the cost's rounding and ends the steps (3 steps at n=50, 2 at n=2000);
+# LOST adds its translation solve. A fixed step count (one step, or five
+# that ignore the stop rules) fails here without a timing.
+PROCRUSTES_SOLVES = {50: 4, 2000: 3}
+
+
+@pytest.mark.parametrize("n", sorted(PROCRUSTES_SOLVES))
+@pytest.mark.parametrize("method", METHODS)
+def test_procrustes_solves_per_solve(method, n, monkeypatch):
+    tally = Counter()
+    solve_psd = se3_module._solve_psd
+
+    def counted(*args):
+        tally["solve_psd"] += 1
+        return solve_psd(*args)
+
+    monkeypatch.setattr(se3_module, "_solve_psd", counted)
+    sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    solve(arrays, sc.intrinsics, SolverConfig(method=method))
+    stages = STAGES[method]
+    assert tally["solve_psd"] == PROCRUSTES_SOLVES[n] * stages.weighted + stages.lost
 
 
 # Calls solve() makes through odlt.solvers' own bindings, per method. The
@@ -415,7 +444,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 78, "ndlt": 90, "odlt": 121, "odlt_lost": 150, "ndlt_gn": 147}
+CALL_BUDGET = {"dlt": 78, "ndlt": 90, "odlt": 138, "odlt_lost": 167, "ndlt_gn": 147}
 
 
 @pytest.mark.parametrize("method", METHODS)

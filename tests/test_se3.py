@@ -164,9 +164,7 @@ class TestWeightedProcrustes:
         s = 1.0 / np.cbrt(np.linalg.det(R_acute))
         Rs = s * R_acute
 
-        R_impl, fallback = weighted_procrustes(
-            R_acute, W, det=np.linalg.det(R_acute), max_iters=5
-        )
+        R_impl, fallback = weighted_procrustes(R_acute, W, det=np.linalg.det(R_acute))
         assert not fallback
         cost_impl = procrustes_cost(R_impl, Rs, W)
 
@@ -201,14 +199,14 @@ class TestWeightedProcrustes:
         assert rotation_angle_deg(R_impl, best) < 0.01
 
     def test_iterations_do_not_increase_cost(self, rng):
+        # The steps start from the unweighted projection and keep no step that
+        # raises the cost, so they end below it.
         R_acute = random_rotation(rng) + 0.1 * rng.standard_normal((3, 3))
         W = rng.uniform(0.5, 2.0, (3, 3))
-        s = 1.0 / np.cbrt(np.linalg.det(R_acute))
-        costs = []
-        for iters in (1, 2, 3, 4, 5):
-            R, _ = weighted_procrustes(R_acute, W, det=np.linalg.det(R_acute), max_iters=iters)
-            costs.append(procrustes_cost(R, s * R_acute, W))
-        assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
+        Rs = R_acute / np.cbrt(np.linalg.det(R_acute))
+        R, fallback = weighted_procrustes(R_acute, W, det=np.linalg.det(R_acute))
+        assert not fallback
+        assert procrustes_cost(R, Rs, W) < procrustes_cost(nearest_rotation(Rs), Rs, W)
 
     def test_degenerate_weights_fall_back(self, rng):
         R_acute = 1.5 * random_rotation(rng)
@@ -219,11 +217,6 @@ class TestWeightedProcrustes:
         np.testing.assert_allclose(R, nearest_rotation(s * R_acute), atol=1e-12)
 
     def test_validation(self, rng):
-        R_acute = random_rotation(rng)
-        with pytest.raises(ValueError):
-            weighted_procrustes(R_acute, np.ones((3, 3)), det=1.0, max_iters=0)
-        with pytest.raises(ValueError):
-            weighted_procrustes(R_acute, np.ones((3, 3)), det=1.0, max_iters=6)
         singular = np.zeros((3, 3))
         singular[0, 0] = 1.0
         with pytest.raises(DegenerateInput):
@@ -391,21 +384,19 @@ class TestClosedFormsMatchNumpy:
 
     @staticmethod
     def assert_procrustes_matches_numpy(R_acute, W, det, tol=1e-13, fallback_expected=False):
-        costs = []
-        for max_iters in range(1, 6):
-            R, fallback = weighted_procrustes(R_acute, W, det, max_iters)
-            R_ref, fallback_ref = oracle_weighted_procrustes(R_acute, W, det, max_iters)
-            assert fallback == fallback_ref == fallback_expected
-            Rs = R_acute / np.cbrt(det)
-            costs.append(procrustes_cost(R, Rs, W))
-            diff = np.abs(R - R_ref).max()
-            if diff > tol:
-                # A last step (|dphi| ~ 1e-10) that the cost, rounded to about
-                # eps * sum(Q * |Rs - R|), cannot resolve: one side took it.
-                resolution = 8 * EPS * np.sum(W * W * np.abs(Rs - R_ref))
-                assert diff < 1e-9
-                assert abs(costs[-1] - procrustes_cost(R_ref, Rs, W)) <= resolution
-        assert all(b <= a * (1 + 1e-12) for a, b in zip(costs, costs[1:]))
+        R, fallback = weighted_procrustes(R_acute, W, det)
+        R_ref, fallback_ref = oracle_weighted_procrustes(R_acute, W, det)
+        assert fallback == fallback_ref == fallback_expected
+        Rs = R_acute / np.cbrt(det)
+        cost = procrustes_cost(R, Rs, W)
+        diff = np.abs(R - R_ref).max()
+        if diff > tol:
+            # A last step (|dphi| ~ 1e-10) that the cost, rounded to about
+            # eps * sum(Q * |Rs - R|), cannot resolve: one side took it.
+            resolution = 8 * EPS * np.sum(W * W * np.abs(Rs - R_ref))
+            assert diff < 1e-9
+            assert abs(cost - procrustes_cost(R_ref, Rs, W)) <= resolution
+        assert cost <= procrustes_cost(nearest_rotation(Rs), Rs, W) * (1 + 1e-12)
 
     @pytest.mark.parametrize("n", [6, 12, 50, 2000])
     @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
@@ -421,7 +412,7 @@ class TestClosedFormsMatchNumpy:
         # rotations are random, the block far from one and W spans 1e-2..1e2,
         # so that some steps would raise the cost and the guard must undo them.
         # The normal matrix's condition number reaches ~1e8, and with it the
-        # two solves' differences (worst 1.1e-10 over 8000 cases).
+        # two solves' differences (worst 1.0e-10 over 12531 random cases).
         for _ in range(300):
             R_acute = random_rotation(rng) + 0.6 * rng.standard_normal((3, 3))
             det = np.linalg.det(R_acute)

@@ -14,7 +14,13 @@ from odlt.errors import (
     RankDeficient,
     TooFewPoints,
 )
-from odlt.evaluation import CENTERED_BOX, UNCENTERED_BOX, SyntheticScenario, generate_scene
+from odlt.evaluation import (
+    CENTERED_BOX,
+    DEFAULT_INTRINSICS,
+    UNCENTERED_BOX,
+    SyntheticScenario,
+    generate_scene,
+)
 from odlt.geometry import (
     CameraIntrinsics,
     Correspondence,
@@ -844,6 +850,24 @@ def test_exact_planes_are_rank_deficient(n):
         for method in ("odlt", "odlt_lost"):
             with pytest.raises(RankDeficient, match="null space not unique"):
                 solve((ps, us), Km, SolverConfig(method=method))
+
+
+@pytest.mark.parametrize("count", [6, 7])
+@pytest.mark.parametrize("method", METHODS)
+def test_repeated_points_are_rank_deficient(method, count):
+    # 6 or 7 correspondences over 5 distinct points (points 0 and 1 repeated),
+    # exact pixels, identity pose: a two-dimensional null space. The weighted
+    # preliminary's eigh returns some vector in it, whose depths can put more
+    # than 10% of the points behind the camera; before raising NegativeDepth
+    # the weighted stage runs the unweighted null space, whose rank test names
+    # the set as it does for the unweighted methods.
+    Km = intrinsic_matrix(DEFAULT_INTRINSICS)
+    for seed in range(20):
+        points = np.random.default_rng(seed).uniform(*CENTERED_BOX, (5, 3))
+        ps = np.concatenate([points, points[: count - 5]])
+        us = oracle_project(Km, np.eye(3), np.zeros(3), ps)
+        with pytest.raises(RankDeficient, match="null space not unique"):
+            solve((ps, us), DEFAULT_INTRINSICS, SolverConfig(method=method))
 
 
 def failing(fn, when=lambda *args: True):
