@@ -238,9 +238,13 @@ def refine_gauss_newton(
     matrix, as solve() passes them. Parameters are a rotation-vector
     increment composed on the left and the camera center. Each pose tried is
     projected once (_gn_project) from the points and the pixels less the
-    principal point, copied once into (3, n) and (2, n) rows; an accepted
-    one's projection gives the next normal equations (_gn_rows), written into
-    one (6, 2n) buffer per refine.
+    principal point, copied once into (3, n) and (2, n) rows; the projection
+    writes its per-point features into one (12, n) buffer per refine. Every
+    Jacobian entry is a fixed linear combination of those features, so an
+    accepted pose's normal equations (_gn_normal_equations) come from the
+    features' 12x12 Gram, and no Jacobian is formed. A rejected trial
+    overwrites the features, but the last pose projected before a build is
+    always the accepted one.
 
     Iteration stops when the predicted decrease -g^T delta (g = J^T e) is
     below _GN_TOL, after a full step that predicted less than
@@ -258,17 +262,16 @@ def refine_gauss_newton(
     """
     R, r = init.R, init.r
     pts, uv = np.ascontiguousarray(ps.T), np.subtract(us.T, Km[:2, 2:], order="C")
-    cost, proj = _gn_project(pts, uv, Km, R, r)
-    if proj is None:  # nothing to linearize about
+    F, C = _gn_buffers(Km, pts.shape[1])
+    cost, UV = _gn_project(pts, uv, Km, R, r, F)
+    if UV is None:  # nothing to linearize about
         return init, True
     rel_tol = _GN_REL_TOL / (2 * pts.shape[1] - 6)  # rel_tol * cost = _GN_REL_TOL * sigma_hat^2
-    rows = np.empty((6, 2, pts.shape[1]))
     fell_back = False
     for _ in range(_GN_MAX_ITERS):
-        e, G = _gn_rows(Km, R, proj, rows)
-        g = G @ e
+        JtJ, g = _gn_normal_equations(F, UV, C, Km, R)
         try:
-            delta = -np.linalg.solve(G @ G.T, g)
+            delta = -np.linalg.solve(JtJ, g)
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("Gauss-Newton normal matrix is singular") from exc
         pred = -(g @ delta)
@@ -278,13 +281,13 @@ def refine_gauss_newton(
             step = delta / (2.0**halving)
             R_new = rodrigues(step[:3]) @ R
             r_new = r + step[3:]
-            cost_new, proj_new = _gn_project(pts, uv, Km, R_new, r_new)
+            cost_new, UV_new = _gn_project(pts, uv, Km, R_new, r_new, F)
             if cost_new <= cost:
                 break
         else:
             fell_back = True
             break
-        R, r, cost, proj = R_new, r_new, cost_new, proj_new
+        R, r, cost, UV = R_new, r_new, cost_new, UV_new
         if halving == 0 and pred < rel_tol * cost:
             break
     if R is init.R:  # no step taken: hand back the caller's pose bit for bit
@@ -292,44 +295,65 @@ def refine_gauss_newton(
     return Pose._from_rotation(1.5 * R - 0.5 * R @ (R.T @ R), r), fell_back
 
 
-def _gn_project(pts, uv, Km, R, r):
-    """(e . e, proj = (e, ab, UV, 1/x3)) at the pose (R, r) for points pts (3, n) and
-    pixels less the principal point uv (2, n): x = R (p - r), ab = x[:2] / x3,
-    UV = K_2x2 ab, e = uv - UV, all (2, n); (inf, None) if any |x3| < 1e-12."""
+def _gn_buffers(Km, n):
+    """The feature rows F (12, n) and the feature map C (14, 12) of one refine,
+    with what no pose changes set: F's row 3 of ones and C's constant entries
+    (_gn_normal_equations says what each holds)."""
+    F = np.empty((12, n))
+    F[3] = 1.0
+    K2 = Km[:2, :2]
+    C = np.zeros((14, 12))
+    for p in (0, 1):
+        Cp = C[7 * p : 7 * p + 7]
+        Cp[0, [3, 6 + p]] = K2[p, 1], 1.0
+        Cp[1, [3, 4 + p]] = -K2[p, 0], -1.0
+        Cp[2, :2] = -K2[p, 1], K2[p, 0]
+        Cp[6, 10 + p] = 1.0
+    return F, C
+
+
+def _gn_project(pts, uv, Km, R, r, F):
+    """(e . e, UV) at the pose (R, r) for points pts (3, n) and pixels less the
+    principal point uv (2, n): x = R (p - r), (a, b) = x[:2] / x3, UV = K_2x2 (a, b)
+    and e = uv - UV, all (2, n), with a, b, 1/x3 and e written into the rows 0-2
+    and 10-11 of the features F (12, n); (inf, None) if any |x3| < 1e-12."""
     x = R @ pts - (R @ r)[:, None]
     if np.abs(x[2]).min(initial=np.inf) < 1e-12:
         return np.inf, None
-    iz = 1.0 / x[2]
-    ab = x[:2] * iz
-    UV = Km[:2, :2] @ ab
-    e = uv - UV
-    return float(np.vdot(e, e)), (e, ab, UV, iz)
+    iz = np.divide(1.0, x[2], out=F[2])
+    np.multiply(x[:2], iz, out=F[:2])
+    UV = Km[:2, :2] @ F[:2]
+    e = np.subtract(uv, UV, out=F[10:])
+    return float(np.vdot(e, e)), UV
 
 
-def _gn_rows(Km, R, proj, out=None):
-    """Residuals e (2n,) and Jacobian J = G^T for [dphi, dr] as C-ordered rows G (6, 2n):
-    the u rows of points 0..n-1, then their v rows, so J^T J = G G^T and J^T e = G e.
-    G is a view of out, a (6, 2, n) buffer, when one is given.
+def _gn_normal_equations(F, UV, C, Km, R):
+    """J^T J (6, 6) and J^T e (6,) for [dphi, dr] at the pose whose projection
+    last wrote F, from the Gram of the feature rows. Fills F's rows 4-9 from
+    UV and C's rotation entries from R.
 
     The point interaction matrix (Chaumette & Hutchinson 2006) of (a, b) =
     (x1, x2) / x3 is d(a, b)/d(dphi) = [[-a b, 1 + a^2, -b], [-(1 + b^2), a b, a]]
     and d(a, b)/d(r) = -[R_1 - a R_3; R_2 - b R_3] / x3. With (U, V) = K_2x2 (a, b),
-    the predicted pixel less the principal point, -K_2x2 times it gives J's rows:
+    the predicted pixel less the principal point, -K_2x2 times it gives J's row
+    of pixel coordinate p (u or v, UV_p = U or V) of each point:
 
-        u: (U b + s, -(U a + fx), fx b - s a, (fx R_1 + s R_2 - U R_3) / x3)
-        v: (V b + fy, -V a, -fy a, (fy R_2 - V R_3) / x3)
+        (UV_p b + K[p,1], -UV_p a - K[p,0], K[p,0] b - K[p,1] a,
+         ((K_2x2 R[:2])[p,k] - R[2,k] UV_p) / x3 for k = 0, 1, 2)
+
+    Each entry is linear in the features F = (a, b, 1/x3, 1, U a, V a, U b,
+    V b, U/x3, V/x3, e_u, e_v). C stacks two 7x12 maps C_u over C_v: row p of
+    point i is C_p[:6] F[:, i], and C_p[6] picks e_p. So with the Gram F F^T,
+    N = sum_p C_p F F^T C_p^T holds J^T J in N[:6, :6] and J^T e in N[:6, 6].
     """
-    e, (a, b), UV, iz = proj
-    K2 = Km[:2, :2]
-    G = np.empty((6, 2, a.shape[0])) if out is None else out
-    # G[k, p, i]: column k of row p (u or v) of point i
-    np.add(np.multiply(UV, b, out=G[0]), K2[:, 1:], out=G[0])
-    np.negative(np.add(np.multiply(UV, a, out=G[1]), K2[:, :1], out=G[1]), out=G[1])
-    np.matmul(K2, np.stack([b, -a]), out=G[2])
-    np.multiply(R[2][:, None, None], UV, out=G[3:])
-    np.subtract((K2 @ R[:2]).T[:, :, None], G[3:], out=G[3:])
-    G[3:] *= iz
-    return e.reshape(-1), G.reshape(6, -1)
+    np.multiply(UV, F[0], out=F[4:6])
+    np.multiply(UV, F[1], out=F[6:8])
+    np.multiply(UV, F[2], out=F[8:10])
+    C[3:6, 2], C[10:13, 2] = Km[:2, :2] @ R[:2]
+    C[3:6, 8] = C[10:13, 9] = -R[2]
+    M = C @ (F @ F.T) @ C.T
+    N = M[:7, :7] + M[7:, 7:]
+    return N[:6, :6], N[:6, 6]
 
 
 def estimate_projection(cs, cfg: SolverConfig) -> np.ndarray:

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
+import odlt.solvers as solvers_module
 from odlt.dlt import _fill_moments
 from odlt.evaluation import SyntheticScenario, generate_scene
 from odlt.errors import DegenerateInput
@@ -137,6 +138,19 @@ def oracle_gn_jacobian(Km, R, r, ps, us):
         J[2 * i : 2 * i + 2] = -K2 @ dab @ dx
     return e, J
 
+
+
+def gn_rows_at(ps, us, Km, R, r):
+    """Gauss-Newton's residuals e (2n,), Jacobian rows G = J^T (6, 2n) (the u rows
+    of points 0..n-1, then their v rows) and normal equations (J^T J, J^T e) at
+    the pose (R, r), from fresh buffers. G is read as the feature maps C_u[:6]
+    and C_v[:6] applied to the production feature rows F[:10]; J^T J and J^T e
+    are the production build's, from the features' Gram."""
+    F, C = solvers_module._gn_buffers(Km, ps.shape[0])
+    _, UV = solvers_module._gn_project(ps.T, us.T - Km[:2, 2:], Km, R, r, F)
+    JtJ, g = solvers_module._gn_normal_equations(F, UV, C, Km, R)
+    G = np.hstack([C[:6, :10] @ F[:10], C[7:13, :10] @ F[:10]])
+    return F[10:].reshape(-1), G, JtJ, g
 
 # -- numpy recovery oracles ----------------------------------------------------
 

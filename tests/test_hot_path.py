@@ -24,9 +24,9 @@ matrix, a fit pass, a second moment fill or a normalized copy of the points
 or pixels, a LOST handed mask copies when no point is dropped, or a
 Gauss-Newton that keeps evaluating the cost once it has converged, builds
 normal equations after its last small step, projects a pose twice, re-copies
-its point and pixel rows, allocates its Jacobian rows per build or builds the
-interleaved (2n, 6) Jacobian, or a Procrustes projection back to a fixed
-step count fails here on any host.
+its point and pixel rows, allocates its feature rows per projection or build
+or forms a Jacobian, or a Procrustes projection back to a fixed step count
+fails here on any host.
 """
 
 import sys
@@ -242,25 +242,24 @@ def test_stage_calls_per_solve(method, monkeypatch):
 # Gauss-Newton's work in one ndlt_gn solve on the uncentered box: step
 # attempts (one rodrigues each), projections (the start plus one per attempt;
 # the accepted pose's projection also serves the next normal equations) and
-# normal-equation builds (one _gn_rows each, as (6, 2n) C-ordered rows). At
-# n=50 the last step predicts less than _GN_REL_TOL of the residual variance,
-# so no rows are built after it. Neither scene needs a halving. A second
-# projection per step, a cost evaluated after convergence, a confirming build
-# after the last small step or a return to the interleaved (2n, 6) Jacobian
+# normal-equation builds (one _gn_normal_equations each, from the Gram of the
+# (12, n) feature rows). At n=50 the last step predicts less than _GN_REL_TOL
+# of the residual variance, so no normal equations are built after it.
+# Neither scene needs a halving. A second projection per step, a cost
+# evaluated after convergence or a confirming build after the last small step
 # fails here without a timing.
 GN_EXPECTED = {
-    50: {"attempts": 3, "projections": 4, "rows": 3},
-    2000: {"attempts": 2, "projections": 3, "rows": 3},
+    50: {"attempts": 3, "projections": 4, "builds": 3},
+    2000: {"attempts": 2, "projections": 3, "builds": 3},
 }
 
 
 @pytest.mark.parametrize("n", sorted(GN_EXPECTED))
 def test_gn_projections_per_solve(n, monkeypatch):
     tally = Counter()
-    shapes = set()
     rows_in = set()
-    rodrigues, project, rows = (
-        solvers_module.rodrigues, solvers_module._gn_project, solvers_module._gn_rows
+    rodrigues, project, build = (
+        solvers_module.rodrigues, solvers_module._gn_project, solvers_module._gn_normal_equations
     )
 
     def counted_rodrigues(*args):
@@ -274,21 +273,18 @@ def test_gn_projections_per_solve(n, monkeypatch):
         )
         return project(pts, uv, *args)
 
-    def counted_rows(*args):
-        tally["rows"] += 1
-        e, G = rows(*args)
-        shapes.add((G.shape, G.flags.c_contiguous))
-        return e, G
+    def counted_build(*args):
+        tally["builds"] += 1
+        return build(*args)
 
     monkeypatch.setattr(solvers_module, "rodrigues", counted_rodrigues)
     monkeypatch.setattr(solvers_module, "_gn_project", counted_project)
-    monkeypatch.setattr(solvers_module, "_gn_rows", counted_rows)
+    monkeypatch.setattr(solvers_module, "_gn_normal_equations", counted_build)
     sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
     arrays, _ = generate_scene(sc, 0)
     solve(arrays, sc.intrinsics, SolverConfig(method="ndlt_gn"))
     assert tally["projections"] == 1 + tally["attempts"]
     assert dict(tally) == GN_EXPECTED[n]
-    assert shapes == {((6, 2 * n), True)}
     # One contiguous (3, n) point array and one (2, n) pixel array, built once
     # per refine, serve every projection.
     ((_, _, *layout),) = rows_in
@@ -297,22 +293,29 @@ def test_gn_projections_per_solve(n, monkeypatch):
 
 @pytest.mark.parametrize("n", sorted(GN_EXPECTED))
 def test_gn_rows_share_one_buffer_per_refine(n, monkeypatch):
-    # Every normal-equation build in one refine writes the same (6, 2, n)
-    # buffer, allocated once per refine, not a fresh 12n floats per build.
-    built = []
-    rows = solvers_module._gn_rows
+    # Every projection and normal-equation build in one refine writes the same
+    # C-ordered (12, n) feature rows, allocated once per refine, not a fresh
+    # 12n floats per pose or per build.
+    seen = []  # held, so a freed and reused block cannot pass
+    project, build = solvers_module._gn_project, solvers_module._gn_normal_equations
 
-    def recorded(*args):
-        e, G = rows(*args)
-        built.append(G)  # held, so a freed and reused block cannot pass
-        return e, G
+    def recorded_project(pts, uv, Km, R, r, F):
+        seen.append(("project", F))
+        return project(pts, uv, Km, R, r, F)
 
-    monkeypatch.setattr(solvers_module, "_gn_rows", recorded)
+    def recorded_build(F, *args):
+        seen.append(("build", F))
+        return build(F, *args)
+
+    monkeypatch.setattr(solvers_module, "_gn_project", recorded_project)
+    monkeypatch.setattr(solvers_module, "_gn_normal_equations", recorded_build)
     sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
     arrays, _ = generate_scene(sc, 0)
     solve(arrays, sc.intrinsics, SolverConfig(method="ndlt_gn"))
-    assert len(built) == GN_EXPECTED[n]["rows"] > 1
-    assert {G.ctypes.data for G in built} == {built[0].ctypes.data}
+    kinds = Counter(kind for kind, _ in seen)
+    assert kinds == {"project": GN_EXPECTED[n]["projections"], "build": GN_EXPECTED[n]["builds"]}
+    assert {(F.shape, F.flags.c_contiguous) for _, F in seen} == {((12, n), True)}
+    assert {F.ctypes.data for _, F in seen} == {seen[0][1].ctypes.data}
 
 
 # Input checks per solve, counted under every odlt module's binding. solve()
@@ -444,7 +447,7 @@ def test_no_pose_validation_per_solve(method, monkeypatch):
 # sys.setprofile. Ufuncs and operators are not calls to the profiler. A
 # budget, not an exact count: numpy's own layering moves it by a few calls
 # between versions. Counted with numpy 2.4.
-CALL_BUDGET = {"dlt": 78, "ndlt": 90, "odlt": 138, "odlt_lost": 167, "ndlt_gn": 147}
+CALL_BUDGET = {"dlt": 78, "ndlt": 90, "odlt": 138, "odlt_lost": 167, "ndlt_gn": 137}
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -48,6 +48,7 @@ from odlt.solvers import (
 )
 from odlt.weighting import _preliminary_normalized, depths_under
 from conftest import (
+    gn_rows_at,
     make_exact_scene,
     moment_rows,
     oracle_gn_jacobian,
@@ -60,12 +61,6 @@ from conftest import (
 
 def as_cs(ps, us):
     return [Correspondence(p=p, u=u) for p, u in zip(ps, us)]
-
-
-def gn_rows_at(ps, us, Km, R, r):
-    """Gauss-Newton's residuals and (6, 2n) Jacobian rows at the pose (R, r)."""
-    _, proj = solvers_module._gn_project(ps.T, us.T - Km[:2, 2:], Km, R, r)
-    return solvers_module._gn_rows(Km, R, proj)
 
 
 def pose_errors(result, R, r):
@@ -328,7 +323,7 @@ class TestGaussNewton:
             pred = oracle_project(Km, Rp, r + dr, ps)
             return (us - pred).T.reshape(-1)  # all u rows, then all v rows
 
-        e_impl, G = gn_rows_at(ps, us, Km, R, r)
+        e_impl, G, _, _ = gn_rows_at(ps, us, Km, R, r)
         J_impl = G.T
         np.testing.assert_allclose(e_impl, residuals(np.zeros(3), np.zeros(3)), atol=1e-9)
         h = 1e-6
@@ -346,8 +341,8 @@ class TestGaussNewton:
         Km, R, r, ps, us = make_exact_scene(rng, n=30)
         us = us + rng.standard_normal(us.shape)
         result = solve((ps, us), Km, SolverConfig(method="ndlt_gn"))
-        e, G = gn_rows_at(ps, us, Km, result.pose.R, result.pose.r)
-        step = np.linalg.solve(G @ G.T, G @ e)
+        _, _, JtJ, g = gn_rows_at(ps, us, Km, result.pose.R, result.pose.r)
+        step = np.linalg.solve(JtJ, g)
         assert np.linalg.norm(step) < 1e-6
 
     def test_improves_perturbed_initialization(self, rng):
@@ -416,21 +411,63 @@ class TestGaussNewton:
         result = solve((ps, us), sc.intrinsics, SolverConfig(method="ndlt_gn"))
         assert FLAG_FALLBACK_USED not in result.flags
 
-    # The (6, 2n) rows give J^T J = G G^T and J^T e = G e, as refine_gauss_newton
-    # forms them, equal to the products of the interleaved (2n, 6) J that the
-    # oracle builds point by point by the chain rule.
+    # The normal equations refine_gauss_newton builds from the feature Gram
+    # equal the products of the interleaved (2n, 6) J that the oracle builds
+    # point by point by the chain rule. The skewed intrinsics reach the
+    # skew's entries of the feature map (dphi_0, dphi_2 and dr of the u rows).
+    @pytest.mark.parametrize("skew", [False, True], ids=["default", "skewed"])
     @pytest.mark.parametrize("n", [6, 2000])
     @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX])
-    def test_normal_equations_match_interleaved_oracle(self, box, n):
-        sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=1, seed=0)
+    def test_normal_equations_match_interleaved_oracle(self, box, n, skew):
+        intrinsics = DEFAULT_INTRINSICS
+        if skew:
+            Km = random_intrinsics_matrix(np.random.default_rng(n), skew=True)
+            intrinsics = CameraIntrinsics.from_matrix(Km)
+        sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=1, seed=0, intrinsics=intrinsics)
         (ps, us), _ = generate_scene(sc, 0)
         Km = intrinsic_matrix(sc.intrinsics)
         pose = solve((ps, us), Km, SolverConfig(method="ndlt")).pose
-        e, G = gn_rows_at(ps, us, Km, pose.R, pose.r)
+        e, _, JtJ, g = gn_rows_at(ps, us, Km, pose.R, pose.r)
         e_oracle, J = oracle_gn_jacobian(Km, pose.R, pose.r, ps, us)
         np.testing.assert_allclose(e, e_oracle.reshape(-1, 2).T.reshape(-1), rtol=0, atol=1e-9)
-        for got, want in ((G @ G.T, J.T @ J), (G @ e, J.T @ e_oracle)):
+        for got, want in ((JtJ, J.T @ J), (g, J.T @ e_oracle)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_builds_after_a_rejected_step_use_the_accepted_pose(self, monkeypatch):
+        # The first step is rejected, so its trial pose is projected into the
+        # feature rows before the halved step is. Every build must still give
+        # the normal equations of the last accepted pose, as fresh buffers
+        # projected at that pose give them.
+        sc = SyntheticScenario(box=UNCENTERED_BOX, n=50, sigma_u=1.0, trials=1, seed=0)
+        (ps, us), _ = generate_scene(sc, 0)
+        Km = intrinsic_matrix(sc.intrinsics)
+        init = solve((ps, us), Km, SolverConfig(method="ndlt")).pose
+        projected, built = [], []
+        project, build = solvers_module._gn_project, solvers_module._gn_normal_equations
+
+        def rejecting_project(pts, uv, Km, R, r, F):
+            cost, UV = project(pts, uv, Km, R, r, F)
+            projected.append((R, r))
+            return (np.inf if len(projected) == 2 else cost), UV
+
+        def recorded(F, UV, C, Km, R):
+            JtJ, g = build(F, UV, C, Km, R)
+            built.append((R, JtJ.copy(), g.copy()))
+            return JtJ, g
+
+        monkeypatch.setattr(solvers_module, "_gn_project", rejecting_project)
+        monkeypatch.setattr(solvers_module, "_gn_normal_equations", recorded)
+        _, fell_back = refine_gauss_newton(ps, us, Km, init)
+        assert not fell_back
+        assert len(built) > 1
+        monkeypatch.undo()
+        halved = projected[2]
+        assert built[1][0] is halved[0]  # the build after the halving is at the halved pose
+        for R, JtJ, g in built:
+            (r,) = [r for R_p, r in projected if R_p is R]  # the accepted projection of R
+            _, _, JtJ_fresh, g_fresh = gn_rows_at(ps, us, Km, R, r)
+            for got, want in ((JtJ, JtJ_fresh), (g, g_fresh)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     # Without noise the linear pose predicts less than _GN_TOL of decrease, so
     # Gauss-Newton takes no step: the pose is ndlt's bit for bit, unflagged and
@@ -475,13 +512,13 @@ class TestStopAfterSmallStep:
     @staticmethod
     def compare(monkeypatch, scenes):
         builds = Counter()
-        rows = solvers_module._gn_rows
+        build = solvers_module._gn_normal_equations
 
         def counted(*args):
-            builds["rows"] += 1
-            return rows(*args)
+            builds["builds"] += 1
+            return build(*args)
 
-        monkeypatch.setattr(solvers_module, "_gn_rows", counted)
+        monkeypatch.setattr(solvers_module, "_gn_normal_equations", counted)
         total = Counter()
         for ps, us, Km in scenes:
             init = solve((ps, us), Km, SolverConfig(method="ndlt")).pose
@@ -491,20 +528,19 @@ class TestStopAfterSmallStep:
                     if not stop:
                         m.setattr(solvers_module, "_GN_REL_TOL", 0.0)
                     builds.clear()
-                    out[stop] = refine_gauss_newton(ps, us, Km, init), builds["rows"]
-                total[stop] += builds["rows"]
-            ((pose, fell_back), n_rows), ((pose_off, fell_back_off), n_rows_off) = (
+                    out[stop] = refine_gauss_newton(ps, us, Km, init), builds["builds"]
+                total[stop] += builds["builds"]
+            ((pose, fell_back), n_builds), ((pose_off, fell_back_off), n_builds_off) = (
                 out[True], out[False]
             )
             assert fell_back == fell_back_off
-            assert n_rows <= n_rows_off
-            e, G = gn_rows_at(ps, us, Km, pose.R, pose.r)
-            JtJ = G @ G.T
+            assert n_builds <= n_builds_off
+            e, _, JtJ, g = gn_rows_at(ps, us, Km, pose.R, pose.r)
             Q = pose_off.R @ pose.R.T  # exp([dphi x]) for the left increment dphi
             d = np.r_[0.5 * (Q[2, 1] - Q[1, 2]), 0.5 * (Q[0, 2] - Q[2, 0]),
                       0.5 * (Q[1, 0] - Q[0, 1]), pose_off.r - pose.r]
             assert d @ JtJ @ d <= 1e-6 * (e @ e) / (2 * len(ps) - 6)
-            assert np.linalg.norm(np.linalg.solve(JtJ, G @ e)) < 1e-6
+            assert np.linalg.norm(np.linalg.solve(JtJ, g)) < 1e-6
         assert total[True] < total[False]
 
     def test_converged_step_sweep(self, monkeypatch):
