@@ -24,9 +24,9 @@ matrix, a fit pass, a second moment fill or a normalized copy of the points
 or pixels, a LOST handed mask copies when no point is dropped, or a
 Gauss-Newton that keeps evaluating the cost once it has converged, builds
 normal equations after its last small step, projects a pose twice, re-copies
-its point and pixel rows, allocates its feature rows per projection or build
-or forms a Jacobian, or a Procrustes projection back to a fixed step count
-fails here on any host.
+its point and pixel rows or allocates its feature rows per projection or
+build, or a Procrustes projection back to a fixed step count fails here on
+any host.
 """
 
 import sys

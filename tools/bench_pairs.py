@@ -12,7 +12,7 @@ For each workload and each seed 1..N, the tool runs
 
 once in each checkout, one run at a time: the parent first on odd seeds, the
 change first on even seeds. A run that exits non-zero stops the tool with its
-output, since its metrics were not checked.
+error output, since its metrics were not checked.
 
 The JSON written to --out holds, per workload and end-to-end metric of the
 change's BENCHMARK.json: the median, q1 and q3 of each side's runs (linear
@@ -38,7 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-COMMAND = "python3 perfbench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
+COMMAND = (
+    "python3 perfbench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
+)
 UNRESOLVED_RULE = (
     "a metric is unresolved on a workload when the parent's own runs spread (max - min over "
     "median) wider than its bound, unless every change run is better than every parent run"
@@ -50,11 +52,9 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict,
     """(result, host block) of one benchmark run in checkout, with each metric's
     value in place of its {"value", "unit"} object."""
     args = COMMAND.format(workload=workload, seed=seed, seconds=seconds).split()
-    proc = subprocess.run(
-        [sys.executable, *args[1:]], cwd=checkout, capture_output=True, text=True
-    )
+    proc = subprocess.run([sys.executable, *args[1:]], cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit(f"{checkout}: {' '.join(args)} exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
+        sys.exit(f"{checkout}: {' '.join(args)} exited {proc.returncode}\n{proc.stderr}")
     lines = proc.stdout.splitlines()
     host = next(json.loads(line[len("# host "):]) for line in lines if line.startswith("# host "))
     result = json.loads(lines[-1])
