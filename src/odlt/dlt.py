@@ -132,8 +132,10 @@ def _r_factor(M: np.ndarray) -> np.ndarray:
             R = np.linalg.qr(M, mode="raw")[0].T[:12]
             return np.where(_UPPER[: R.shape[0]], R, 0.0)
         k = m // _QR_BLOCK
-        heads = np.linalg.qr(M[: k * _QR_BLOCK].reshape(k, _QR_BLOCK, 12), mode="r")
-        return np.linalg.qr(np.concatenate([heads.reshape(12 * k, 12), M[k * _QR_BLOCK :]]), mode="r")
+        heads = np.linalg.qr(M[: k * _QR_BLOCK].reshape(k, _QR_BLOCK, 12), mode="raw")[0]
+        heads = np.where(_UPPER, heads.swapaxes(1, 2)[:, :12], 0.0).reshape(12 * k, 12)
+        R = np.linalg.qr(np.concatenate([heads, M[k * _QR_BLOCK :]]), mode="raw")[0].T[:12]
+        return np.where(_UPPER, R, 0.0)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"QR of the moment rows failed: {exc}") from exc
 

@@ -9,8 +9,10 @@ entries (column-major, the R' block) form the 3x3 weight matrix W of the
 weighted Procrustes projection of R' onto SO(3). M is never formed: by
 (A kron B) vec(X) = vec(B X A^T) both steps are 3x3, 3x4 and 4x4 products.
 Translation is read off r' or re-triangulated with the rotation fixed (LOST),
-which is O(n) and reuses the optimal weights. After G, the 3x3 algebra runs in
-closed form on floats: only nearest_rotation's SVD calls numpy.linalg.
+which is O(n) and reuses the optimal weights: its normal equations come from
+one (4, n) product of per-point features, as Gauss-Newton's come from the
+Gram F F^T of its features. After G, the 3x3 algebra runs in closed form on
+floats: only nearest_rotation's SVD calls numpy.linalg.
 """
 
 from __future__ import annotations
@@ -232,8 +234,12 @@ def lost_translation(
     de-normalized coordinates: each point contributes the two reduced rows
     L_i of q_i [xbar_i x], xbar = K^-1 ubar = (a, b, 1), with L_i (t + R p_i)
     = 0. Their Gram matrix is q_i^2 S_i, S_i = [[1, 0, -a], [0, 1, -b],
-    [-a, -b, a^2 + b^2]], so the 3x3 normal equations N t = -sum q_i^2 S_i
-    R p_i need only seven q^2-weighted sums of full-length columns: O(n).
+    [-a, -b, rho]], rho = a^2 + b^2, so the 3x3 normal equations are
+    N t = -sum q_i^2 S_i R p_i. N holds the row sums of the (4, n) features
+    Z = q^2 (1, a, b, rho), and as S_i R p_i is linear in p_i, the right-hand
+    side comes from the 4x3 product RS = (Z P) R^T, P the (n, 3) points:
+    (RS00 - RS12, RS01 - RS22, RS32 - RS10 - RS21). One O(n) pass writes Z,
+    as Gauss-Newton's normal equations come from its features' Gram F F^T.
 
     Args:
         ps: checked (n,3) world points; solve() passes views of its own
@@ -254,12 +260,18 @@ def lost_translation(
     if q.shape[0] != ps.shape[0]:
         raise ValueError(f"expected {ps.shape[0]} weights, got {q.shape[0]}")
     Kinv = intrinsic_inverse(Km)
-    a, b = Kinv[:2, :2] @ us.T + Kinv[:2, 2:]
-    m = np.asarray(R, dtype=float) @ ps.T
-    rho = a * a + b * b
-    # h = S_i R p_i, per point
-    h = (m[0] - a * m[2], m[1] - b * m[2], rho * m[2] - a * m[0] - b * m[1])
-    w, sa, sb, srho, s0, s1, s2 = (np.stack([np.ones_like(a), a, b, rho, *h]) @ (q * q)).tolist()
+    Z = np.empty((4, q.shape[0]))  # q^2 (1, a, b, rho), one row per feature
+    np.multiply(q, q, out=Z[0])
+    a, b = np.matmul(Kinv[:2, :2], us.T, out=Z[1:3])
+    a += Kinv[0, 2]
+    b += Kinv[1, 2]
+    rho = np.multiply(a, a, out=Z[3])
+    rho += b * b
+    Z[1:] *= Z[0]
+    w, sa, sb, srho = Z.sum(axis=1).tolist()
+    RS = ((Z @ ps) @ np.asarray(R, dtype=float).T).tolist()  # RS[k][j] = sum_i Z[k, i] (R p_i)_j
+    s0, s1 = RS[0][0] - RS[1][2], RS[0][1] - RS[2][2]
+    s2 = RS[3][2] - RS[1][0] - RS[2][1]
     t = _solve_psd((w, 0.0, -sa, w, -sb, srho), (-s0, -s1, -s2), _LOST_COND_LIMIT)
     if t is None:
         raise RankDeficient("translation normal matrix is ill conditioned")

@@ -78,6 +78,8 @@ FLAG_FALLBACK_USED = "FallbackUsed"
 _GN_MAX_ITERS = 10
 _GN_TOL = 1e-10
 _GN_REL_TOL = 1e-4
+_GN_C = np.zeros((14, 12))  # C's entries of +-1: C_u in rows 0-6, C_v in rows 7-13
+_GN_C[[0, 7], [6, 7]], _GN_C[[1, 8], [4, 5]], _GN_C[[6, 13], [10, 11]] = 1.0, -1.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -297,18 +299,13 @@ def refine_gauss_newton(
 
 def _gn_buffers(Km, n):
     """The feature rows F (12, n) and the feature map C (14, 12) of one refine,
-    with what no pose changes set: F's row 3 of ones and C's constant entries
+    with what no pose changes set: F's row 3 of ones and C's entries from K
     (_gn_normal_equations says what each holds)."""
     F = np.empty((12, n))
     F[3] = 1.0
-    K2 = Km[:2, :2]
-    C = np.zeros((14, 12))
-    for p in (0, 1):
-        Cp = C[7 * p : 7 * p + 7]
-        Cp[0, [3, 6 + p]] = K2[p, 1], 1.0
-        Cp[1, [3, 4 + p]] = -K2[p, 0], -1.0
-        Cp[2, :2] = -K2[p, 1], K2[p, 0]
-        Cp[6, 10 + p] = 1.0
+    C = _GN_C.copy()
+    C[0::7, 3], C[2::7, 1] = Km[:2, 1], Km[:2, 0]
+    C[1::7, 3], C[2::7, 0] = -Km[:2, 0], -Km[:2, 1]
     return F, C
 
 

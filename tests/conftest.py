@@ -152,6 +152,20 @@ def gn_rows_at(ps, us, Km, R, r):
     G = np.hstack([C[:6, :10] @ F[:10], C[7:13, :10] @ F[:10]])
     return F[10:].reshape(-1), G, JtJ, g
 
+def oracle_lost_normal_equations(ps, us, Km, R, q):
+    """LOST's normal equations (N, rhs), N t = rhs, from seven q^2-weighted sums of
+    full-length columns: 1, a, b, rho = a^2 + b^2 and h_i = S_i R p_i, per point,
+    for (a, b, 1) = K^-1 (u, 1) and S_i = [[1, 0, -a], [0, 1, -b], [-a, -b, rho]]."""
+    Kinv = np.linalg.inv(np.asarray(Km, dtype=float))
+    a, b = Kinv[:2, :2] @ us.T + Kinv[:2, 2:]
+    m = np.asarray(R, dtype=float) @ ps.T
+    rho = a * a + b * b
+    h = (m[0] - a * m[2], m[1] - b * m[2], rho * m[2] - a * m[0] - b * m[1])
+    w, sa, sb, srho, s0, s1, s2 = np.stack([np.ones_like(a), a, b, rho, *h]) @ (q * q)
+    N = np.array([[w, 0.0, -sa], [0.0, w, -sb], [-sa, -sb, srho]])
+    return N, -np.array([s0, s1, s2])
+
+
 # -- numpy recovery oracles ----------------------------------------------------
 
 

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import odlt.se3 as se3_module
+import odlt.solvers as solvers_module
 
 from odlt.dlt import DltSolution, _assemble_arrays, solve_nullspace
 from odlt.errors import (
@@ -10,6 +15,7 @@ from odlt.errors import (
     SingularCalibration,
 )
 from odlt.geometry import (
+    CameraIntrinsics,
     Pose,
     compose_projection,
     nearest_rotation,
@@ -21,7 +27,12 @@ from odlt.normalization import (
     fit_pixel_normalization,
     fit_point_normalization,
 )
-from odlt.evaluation import CENTERED_BOX, UNCENTERED_BOX, SyntheticScenario, generate_scene
+from odlt.evaluation import (
+    CENTERED_BOX,
+    UNCENTERED_BOX,
+    SyntheticScenario,
+    generate_scene,
+)
 from odlt.se3 import (
     _solve_psd,
     declamp_denormalize,
@@ -36,6 +47,7 @@ from conftest import (
     make_exact_scene,
     moment_rows,
     oracle_declamp_det_solve,
+    oracle_lost_normal_equations,
     oracle_project,
     oracle_solve_psd,
     oracle_weighted_procrustes,
@@ -299,6 +311,95 @@ class TestLostTranslation:
         Km, R, r, ps, us = make_exact_scene(rng, n=8)
         with pytest.raises(ValueError):
             lost_translation(ps, us, Km, R, np.ones(5))
+
+    @staticmethod
+    def assert_normal_equations_match_oracle(calls, ps, us, Km, R, q):
+        """The last (N, rhs) in calls, as lost_translation handed them to _solve_psd,
+        within 1e-12 of the seven-sum oracle, relative to its largest entry."""
+        (n00, n01, n02, n11, n12, n22), rhs = calls[-1]
+        N = np.array([[n00, n01, n02], [n01, n11, n12], [n02, n12, n22]])
+        want_N, want_rhs = oracle_lost_normal_equations(ps, us, Km, R, q)
+        for got, want in ((N, want_N), (np.array(rhs), want_rhs)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @staticmethod
+    def recorded_solve_psd(monkeypatch):
+        calls = []
+        solve_psd = se3_module._solve_psd
+
+        def recorded(N, rhs, cond_limit):
+            calls.append((N, rhs))
+            return solve_psd(N, rhs, cond_limit)
+
+        monkeypatch.setattr(se3_module, "_solve_psd", recorded)
+        return calls
+
+    @pytest.mark.parametrize("skew", [False, True])
+    @pytest.mark.parametrize("n", [6, 50, 2000])
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX])
+    def test_normal_equations_match_seven_sum_oracle(self, monkeypatch, box, n, skew):
+        # A generated scene (camera at the origin, looking along +z) moved to a
+        # random world frame, so that every entry of R reaches the sums.
+        rng = np.random.default_rng([n, skew])
+        Km = random_intrinsics_matrix(rng, skew=skew)
+        sc = SyntheticScenario(
+            box=box, n=n, sigma_u=1.0, trials=1, seed=0,
+            intrinsics=CameraIntrinsics.from_matrix(Km),
+        )
+        (cam, us), _ = generate_scene(sc, 0)
+        R, r = random_rotation(rng), rng.uniform(-3.0, 3.0, 3)
+        ps = cam @ R + r
+        q = 1.0 / cam[:, 2]
+        calls = self.recorded_solve_psd(monkeypatch)
+        lost_translation(ps, us, Km, R, q)
+        self.assert_normal_equations_match_oracle(calls, ps, us, Km, R, q)
+
+    def test_solve_hands_lost_the_points_in_front(self, monkeypatch):
+        # Two of 50 points mirrored through the camera keep their pixels but
+        # fall behind it: LOST gets the other 48, weighted by 1 / depth under
+        # the pose odlt recovers (its rotation kept bit for bit).
+        rng = np.random.default_rng(28)
+        Km, R, r, ps, us = make_exact_scene(rng, n=50)
+        cam = (ps - r) @ R.T
+        cam[:2] *= -1.0
+        ps = cam @ R + r
+        us = oracle_project(Km, R, r, ps) + 0.5 * rng.standard_normal((50, 2))
+        pose = solve((ps, us), Km, SolverConfig(method="odlt")).pose
+        depths = (ps - pose.r) @ pose.R[2]
+        front = depths > 0
+        assert front.sum() == 48 and not front[:2].any()
+        seen = []
+        lost = solvers_module.lost_translation
+
+        def recorded_lost(*args):
+            seen.append(args)
+            return lost(*args)
+
+        monkeypatch.setattr(solvers_module, "lost_translation", recorded_lost)
+        calls = self.recorded_solve_psd(monkeypatch)
+        solve((ps, us), Km, SolverConfig(method="odlt_lost"))
+        ((lost_ps, lost_us, lost_K, lost_R, lost_q),) = seen
+        np.testing.assert_array_equal(lost_ps, ps[front])
+        np.testing.assert_array_equal(lost_us, us[front])
+        np.testing.assert_array_equal(lost_R, pose.R)
+        np.testing.assert_allclose(lost_q, 1.0 / depths[front], rtol=1e-13)
+        self.assert_normal_equations_match_oracle(
+            calls, ps[front], us[front], Km, pose.R, 1.0 / depths[front]
+        )
+
+    def test_one_call_allocates_at_most_eight_rows(self, rng):
+        # The (4, n) features and a few n-sized temporaries: 7.1 rows at this n.
+        n = 2000
+        Km, R, r, ps, us = make_exact_scene(rng, n=n)
+        q = 1.0 / ((ps - r) @ R[2])
+        lost_translation(ps, us, Km, R, q)
+        tracemalloc.start()
+        try:
+            lost_translation(ps, us, Km, R, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * 8
 
 
 # -- closed forms against the numpy code they replaced --------------------------

@@ -3,7 +3,7 @@
 Usage:
 
     python tools/bench_pairs.py PARENT CHANGE --workloads paper_n50 large_n \\
-        --pairs 10 --seconds 30 --claim TEXT --out BENCH_x.json
+        --pairs 10 --seconds 30 --claim TEXT --out BENCH_x.json [--traced paper_n50]
 
 PARENT and CHANGE are checkouts (directories holding perfbench/ and src/).
 For each workload and each seed 1..N, the tool runs
@@ -26,6 +26,11 @@ operations per pair and one verdict line per workload, which names the
 metrics worse than their bound, the unresolved ones and those that gained by
 the claim rule: the change won at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's IQR.
+
+With --traced W, after the pairs the tool runs the same command with
+--trace 1 once in each checkout on workload W (seed 1, parent first) and
+writes, under "traced", both sides' per-layer metrics and each metric's
+relative change (change over parent, less 1; null where the parent reads 0).
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from pathlib import Path
 import numpy as np
 
 COMMAND = (
-    "python3 perfbench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
+    "python3 perfbench/run.py --workload {workload} --seed {seed} --seconds {seconds} "
+    "--trace {trace}"
 )
 UNRESOLVED_RULE = (
     "a metric is unresolved on a workload when the parent's own runs spread (max - min over "
@@ -48,10 +54,12 @@ UNRESOLVED_RULE = (
 GAIN_SHARE = 0.9
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> tuple[dict, dict]:
     """(result, host block) of one benchmark run in checkout, with each metric's
     value in place of its {"value", "unit"} object."""
-    args = COMMAND.format(workload=workload, seed=seed, seconds=seconds).split()
+    args = COMMAND.format(workload=workload, seed=seed, seconds=seconds, trace=trace).split()
     proc = subprocess.run([sys.executable, *args[1:]], cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: {' '.join(args)} exited {proc.returncode}\n{proc.stderr}")
@@ -119,6 +127,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--claim", required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--traced", metavar="WORKLOAD",
+                        help="after the pairs, one --trace 1 run per side on this workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -126,7 +136,7 @@ def main(argv=None) -> int:
 
     report = {
         "claim": args.claim,
-        "command": COMMAND.replace("{seconds}", f"{args.seconds:g}"),
+        "command": COMMAND.replace("{seconds}", f"{args.seconds:g}").replace("{trace}", "0"),
         "protocol": (
             f"{args.pairs} alternating pairs per workload (seeds 1-{args.pairs}), parent first "
             "on odd seeds and change first on even seeds; one run at a time, each from its own "
@@ -173,6 +183,19 @@ def main(argv=None) -> int:
             f"gain by the claim rule: {names(lambda m, s: gained(m, s, args.pairs))}"
         )
         args.out.write_text(json.dumps(report, indent=1) + "\n")  # each workload as it ends
+    if args.traced:
+        traced = {"workload": args.traced, "seed": 1, "command": COMMAND.format(
+            workload=args.traced, seed=1, seconds=f"{args.seconds:g}", trace=1)}
+        for side in ("parent", "change"):
+            traced[side] = run(getattr(args, side), args.traced, 1, args.seconds, trace=1)[0]
+        parent, change = traced["parent"]["metrics"], traced["change"]["metrics"]
+        traced["change_rel"] = {
+            name: change[name] / parent[name] - 1.0
+            if parent[name] and change.get(name) is not None else None
+            for name in parent
+        }
+        report["traced"] = traced
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
     print("\n".join(report["verdict"]))
     return 0
 
