@@ -152,6 +152,7 @@ def gn_rows_at(ps, us, Km, R, r):
     G = np.hstack([C[:6, :10] @ F[:10], C[7:13, :10] @ F[:10]])
     return F[10:].reshape(-1), G, JtJ, g
 
+
 def oracle_lost_normal_equations(ps, us, Km, R, q):
     """LOST's normal equations (N, rhs), N t = rhs, from seven q^2-weighted sums of
     full-length columns: 1, a, b, rho = a^2 + b^2 and h_i = S_i R p_i, per point,

@@ -27,12 +27,7 @@ from odlt.normalization import (
     fit_pixel_normalization,
     fit_point_normalization,
 )
-from odlt.evaluation import (
-    CENTERED_BOX,
-    UNCENTERED_BOX,
-    SyntheticScenario,
-    generate_scene,
-)
+from odlt.evaluation import CENTERED_BOX, UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.se3 import (
     _solve_psd,
     declamp_denormalize,
@@ -358,7 +353,7 @@ class TestLostTranslation:
         # Two of 50 points mirrored through the camera keep their pixels but
         # fall behind it: LOST gets the other 48, weighted by 1 / depth under
         # the pose odlt recovers (its rotation kept bit for bit).
-        rng = np.random.default_rng(28)
+        rng = np.random.default_rng(7)
         Km, R, r, ps, us = make_exact_scene(rng, n=50)
         cam = (ps - r) @ R.T
         cam[:2] *= -1.0
@@ -378,7 +373,7 @@ class TestLostTranslation:
         monkeypatch.setattr(solvers_module, "lost_translation", recorded_lost)
         calls = self.recorded_solve_psd(monkeypatch)
         solve((ps, us), Km, SolverConfig(method="odlt_lost"))
-        ((lost_ps, lost_us, lost_K, lost_R, lost_q),) = seen
+        ((lost_ps, lost_us, _, lost_R, lost_q),) = seen
         np.testing.assert_array_equal(lost_ps, ps[front])
         np.testing.assert_array_equal(lost_us, us[front])
         np.testing.assert_array_equal(lost_R, pose.R)
