@@ -259,8 +259,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _floats(a) -> list:
+    """a's entries in row-major order as Python floats, whose repr is _fmt's."""
+    return np.asarray(a, dtype=float).ravel().tolist()
+
+
+def _ints(a) -> list:
+    """a's entries in row-major order as Python ints, truncated as int() truncates."""
+    return np.asarray(a, dtype=np.int64).ravel().tolist()
+
+
 def write_model(model: ColmapModel, model_dir) -> None:
-    """Serialize a model back to COLMAP text files (floats at full precision)."""
+    """Serialize a model back to COLMAP text files (floats at full precision).
+
+    Each line is written as it is made, so the text of the whole model is
+    never held in memory.
+    """
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
     with open(model_dir / "cameras.txt", "w") as fh:
@@ -283,23 +297,21 @@ def write_model(model: ColmapModel, model_dir) -> None:
         fh.write("#   POINTS2D[] as (X, Y, POINT3D_ID)\n")
         for img in sorted(model.images.values(), key=lambda i: i.image_id):
             head = [str(img.image_id)]
-            head += [_fmt(v) for v in img.qvec]
-            head += [_fmt(v) for v in img.tvec]
+            head += map(repr, _floats(img.qvec) + _floats(img.tvec))
             head += [str(img.camera_id), img.name]
             fh.write(" ".join(head) + "\n")
-            obs = []
-            for (x, y), pid in zip(img.xys, img.point3d_ids):
-                obs += [_fmt(x), _fmt(y), str(int(pid))]
-            fh.write(" ".join(obs) + "\n")
+            xy = _floats(img.xys)
+            obs = zip(xy[0::2], xy[1::2], _ints(img.point3d_ids))
+            fh.write(" ".join(f"{x!r} {y!r} {pid}" for x, y, pid in obs) + "\n")
     with open(model_dir / "points3D.txt", "w") as fh:
         fh.write("# 3D point list with one line of data per point:\n")
         fh.write("#   POINT3D_ID, X, Y, Z, R, G, B, ERROR, TRACK[] as (IMAGE_ID, POINT2D_IDX)\n")
         for pt in sorted(model.points3d.values(), key=lambda p: p.point3d_id):
             row = [str(pt.point3d_id)]
-            row += [_fmt(v) for v in pt.xyz]
-            row += [str(int(v)) for v in pt.rgb]
+            row += map(repr, _floats(pt.xyz))
+            row += map(str, _ints(pt.rgb))
             row.append(_fmt(pt.error))
-            row += [str(int(v)) for v in pt.track.reshape(-1)]
+            row += map(str, _ints(pt.track))
             fh.write(" ".join(row) + "\n")
 
 

@@ -1,8 +1,8 @@
 """End-to-end pose solvers built from the linear engine.
 
 solve() is the one pose pipeline. Every method runs the linear solve, the
-pose recovery and a final reprojection; STAGES says which optional stages
-it adds:
+pose recovery and a final reprojection, which ndlt_gn reads off its refine's
+cost; STAGES says which optional stages it adds:
 
     normalize  similarity-normalize pixels and points before the linear solve.
     weighted   scale the rows by the inverse depths under a preliminary
@@ -106,7 +106,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PnpResult:
-    """Solver output: pose, fit quality, diagnostic flags, stage timings (s)."""
+    """Solver output: pose, fit quality, diagnostic flags, stage timings (s).
+
+    reprojection_rms is sqrt(e . e / n) over the points the pose was fitted
+    to, inf if one lies on its camera plane; ndlt_gn reports the cost its
+    refine computed at the pose it accepted, so timings["reprojection"] times
+    only the square root there.
+    """
 
     pose: Pose
     reprojection_rms: float
@@ -117,10 +123,22 @@ class PnpResult:
 def _reprojection_rms(ps: np.ndarray, us: np.ndarray, Km: np.ndarray, pose: Pose) -> float:
     KR = Km @ pose.R
     y = KR @ ps.T - (KR @ pose.r)[:, None]
-    if np.abs(y[2]).min(initial=np.inf) < 1e-12:
+    # Any |depth| < 1e-12, in one pass when every depth is above it.
+    if not y[2].min(initial=np.inf) > 1e-12 and np.abs(y[2]).min(initial=np.inf) < 1e-12:
         return np.inf
     d = y[:2] / y[2] - us.T
     return float(np.sqrt(np.vdot(d, d) / ps.shape[0]))
+
+
+def _shared_identity(cls):
+    """cls.identity() with read-only arrays, so that every dlt solve can share it."""
+    norm = cls.identity()
+    for a in (norm.T, norm.T_inv, norm.centroid):
+        a.flags.writeable = False
+    return norm
+
+
+_IDENTITY = _shared_identity(PixelNormalization), _shared_identity(PointNormalization)
 
 
 class _LinearOutcome(NamedTuple):
@@ -152,7 +170,7 @@ def _linear_solve(ps: np.ndarray, us: np.ndarray, normalize: bool, weighted: boo
         S = rows @ rows.T
         pix, pt, B = moment_normalization(S, us[0], ps[0])
     else:
-        pix, pt = PixelNormalization.identity(), PointNormalization.identity()
+        pix, pt = _IDENTITY
     timings["normalize"] = time.perf_counter() - t0
 
     weights = None
@@ -219,13 +237,16 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
         timings["lost"] = time.perf_counter() - t0
     if refine:
         t0 = time.perf_counter()
-        pose, fell_back = refine_gauss_newton(ps, us, Km, pose)
+        pose, fell_back, cost = refine_gauss_newton(ps, us, Km, pose)
         if fell_back:
             flags.add(FLAG_FALLBACK_USED)
         timings["refine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rms = _reprojection_rms(ps, us, Km, pose)
+    if refine:  # the refine costed the pose it returns
+        rms = float(np.sqrt(cost / ps.shape[0]))
+    else:
+        rms = _reprojection_rms(ps, us, Km, pose)
     timings["reprojection"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
     return PnpResult(pose=pose, reprojection_rms=rms, flags=frozenset(flags), timings=timings)
@@ -233,15 +254,16 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
 
 def refine_gauss_newton(
     ps: np.ndarray, us: np.ndarray, Km: np.ndarray, init: Pose
-) -> tuple[Pose, bool]:
+) -> tuple[Pose, bool, float]:
     """Minimize the reprojection error by Gauss-Newton from a given pose.
 
     ps (n,3) and us (n,2) are checked float arrays and Km the 3x3 intrinsic
     matrix, as solve() passes them. Parameters are a rotation-vector
     increment composed on the left and the camera center. Each pose tried is
     projected once (_gn_project) from the points and the pixels less the
-    principal point, copied once into (3, n) and (2, n) rows; the projection
-    writes its per-point features into one (12, n) buffer per refine. Every
+    principal point, copied once into (4, n) and (2, n) rows (the points over
+    a row of ones, so that one product projects them); the projection writes
+    its per-point features into one (12, n) buffer per refine. Every
     Jacobian entry is a fixed linear combination of those features, so an
     accepted pose's normal equations (_gn_normal_equations) come from the
     features' 12x12 Gram, and no Jacobian is formed. A rejected trial
@@ -257,18 +279,22 @@ def refine_gauss_newton(
     none lowers it, or init puts a point on its camera plane, the current pose
     is returned with fell_back True. With no step taken it is init itself;
     otherwise one Newton-Schulz step 1.5 R - 0.5 R R^T R re-orthonormalizes
-    the product of step rotations.
+    the product of step rotations, which moves the pose by rounding only.
 
     Returns:
-        (pose, fell_back).
+        (pose, fell_back, cost): cost is e . e at the last pose accepted, so
+        init's when no step is taken or none lowers it, and inf when init puts
+        a point on its camera plane.
     """
     R, r = init.R, init.r
-    pts, uv = np.ascontiguousarray(ps.T), np.subtract(us.T, Km[:2, 2:], order="C")
-    F, C = _gn_buffers(Km, pts.shape[1])
+    pts = np.ones((4, ps.shape[0]))
+    pts[:3] = ps.T
+    uv = np.subtract(us.T, Km[:2, 2:], order="C")
+    F, C = _gn_buffers(Km, ps.shape[0])
     cost, UV = _gn_project(pts, uv, Km, R, r, F)
     if UV is None:  # nothing to linearize about
-        return init, True
-    rel_tol = _GN_REL_TOL / (2 * pts.shape[1] - 6)  # rel_tol * cost = _GN_REL_TOL * sigma_hat^2
+        return init, True, cost
+    rel_tol = _GN_REL_TOL / (2 * ps.shape[0] - 6)  # rel_tol * cost = _GN_REL_TOL * sigma_hat^2
     fell_back = False
     for _ in range(_GN_MAX_ITERS):
         JtJ, g = _gn_normal_equations(F, UV, C, Km, R)
@@ -293,8 +319,8 @@ def refine_gauss_newton(
         if halving == 0 and pred < rel_tol * cost:
             break
     if R is init.R:  # no step taken: hand back the caller's pose bit for bit
-        return init, fell_back
-    return Pose._from_rotation(1.5 * R - 0.5 * R @ (R.T @ R), r), fell_back
+        return init, fell_back, cost
+    return Pose._from_rotation(1.5 * R - 0.5 * R @ (R.T @ R), r), fell_back, cost
 
 
 def _gn_buffers(Km, n):
@@ -310,12 +336,14 @@ def _gn_buffers(Km, n):
 
 
 def _gn_project(pts, uv, Km, R, r, F):
-    """(e . e, UV) at the pose (R, r) for points pts (3, n) and pixels less the
-    principal point uv (2, n): x = R (p - r), (a, b) = x[:2] / x3, UV = K_2x2 (a, b)
-    and e = uv - UV, all (2, n), with a, b, 1/x3 and e written into the rows 0-2
-    and 10-11 of the features F (12, n); (inf, None) if any |x3| < 1e-12."""
-    x = R @ pts - (R @ r)[:, None]
-    if np.abs(x[2]).min(initial=np.inf) < 1e-12:
+    """(e . e, UV) at the pose (R, r) for homogeneous points pts (4, n), the
+    points over a row of ones, and pixels less the principal point uv (2, n):
+    x = [R | -R r] pts = R (p - r) in one product, (a, b) = x[:2] / x3,
+    UV = K_2x2 (a, b) and e = uv - UV, all (2, n), with a, b, 1/x3 and e written
+    into the rows 0-2 and 10-11 of the features F (12, n); (inf, None) if any
+    |x3| < 1e-12."""
+    x = np.concatenate((R, (R @ -r)[:, None]), axis=1) @ pts
+    if not x[2].min(initial=np.inf) > 1e-12 and np.abs(x[2]).min(initial=np.inf) < 1e-12:
         return np.inf, None
     iz = np.divide(1.0, x[2], out=F[2])
     np.multiply(x[:2], iz, out=F[:2])

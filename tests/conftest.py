@@ -147,7 +147,8 @@ def gn_rows_at(ps, us, Km, R, r):
     and C_v[:6] applied to the production feature rows F[:10]; J^T J and J^T e
     are the production build's, from the features' Gram."""
     F, C = solvers_module._gn_buffers(Km, ps.shape[0])
-    _, UV = solvers_module._gn_project(ps.T, us.T - Km[:2, 2:], Km, R, r, F)
+    pts = np.vstack([ps.T, np.ones(ps.shape[0])])  # the points over a row of ones
+    _, UV = solvers_module._gn_project(pts, us.T - Km[:2, 2:], Km, R, r, F)
     JtJ, g = solvers_module._gn_normal_equations(F, UV, C, Km, R)
     G = np.hstack([C[:6, :10] @ F[:10], C[7:13, :10] @ F[:10]])
     return F[10:].reshape(-1), G, JtJ, g

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from odlt.colmap import (
+    ColmapCamera,
+    ColmapImage,
     ColmapModel,
+    ColmapPoint3D,
     build_problems,
     parse_model,
     write_model,
@@ -18,7 +21,7 @@ from odlt.errors import (
     NonFiniteInput,
     UnsupportedCameraModel,
 )
-from odlt.geometry import correspondence_arrays, rotation_angle_deg
+from odlt.geometry import CameraIntrinsics, correspondence_arrays, rotation_angle_deg
 from odlt.solvers import SolverConfig, solve
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -115,7 +118,79 @@ class TestGoldenParse:
         np.testing.assert_allclose(pose2.r, [0.0, -3.0, 0.0], atol=1e-15)
 
 
+def edge_model() -> ColmapModel:
+    """A small model with the values a writer can get wrong: -0.0, 1e-300,
+    1e300, integral floats, float32 and int32 arrays, a name with spaces, an
+    image with no observations and both camera models, in unsorted dicts."""
+    intrinsics = CameraIntrinsics(fx=1e3, fy=999.9999999999999, cx=0.1, cy=-0.0)
+    cameras = {
+        2: ColmapCamera(2, "SIMPLE_PINHOLE", 640, 480, CameraIntrinsics(800.0, 800.0, 320.0, 240.5)),
+        1: ColmapCamera(1, "PINHOLE", 1600, 1200, intrinsics),
+    }
+    images = {
+        3: ColmapImage(
+            3, "view with spaces.png", 2, np.array([1.0, 0.0, -0.0, 0.0]),
+            np.array([1e-300, -2.0, 3.5]), np.array([[-0.0, 1e-300], [5.0, 0.1 + 0.2]]),
+            np.array([7, -1], dtype=np.int64),
+        ),
+        1: ColmapImage(
+            1, "empty.png", 1, np.array([0.5, 0.5, 0.5, 0.5]), np.array([0.0, 0.0, 4.0]),
+            np.empty((0, 2)), np.empty(0, dtype=np.int64),
+        ),
+        2: ColmapImage(
+            2, "f32.png", 1, np.array([0.5, -0.5, 0.5, -0.5]), np.array([-1e-300, 1e300, 12.0]),
+            np.array([[320.25, 240.125], [1.0 / 3.0, 2.0]], dtype=np.float32),
+            np.array([7, 9], dtype=np.int32),
+        ),
+    }
+    points3d = {
+        9: ColmapPoint3D(
+            9, np.array([1.0, -0.0, 1e-300]), np.array([0, 255, 128], dtype=np.uint8), 0.0,
+            np.array([[2, 1]], dtype=np.int32),
+        ),
+        7: ColmapPoint3D(
+            7, np.array([0.1, 2.0, 4.0]), np.array([128, 128, 128]), 0.5,
+            np.array([[3, 0], [2, 0]], dtype=np.int64),
+        ),
+    }
+    return ColmapModel(cameras=cameras, images=images, points3d=points3d)
+
+
+# edge_model() as write_model wrote it when it formatted one numpy scalar at a
+# time (_fmt(float(x)), str(int(v))); formatting from .tolist() must not move a byte.
+EDGE_MODEL_FILES = {
+    "cameras.txt": (
+        "# Camera list with one line of data per camera:\n"
+        "#   CAMERA_ID, MODEL, WIDTH, HEIGHT, PARAMS[]\n"
+        "1 PINHOLE 1600 1200 1000.0 999.9999999999999 0.1 -0.0\n"
+        "2 SIMPLE_PINHOLE 640 480 800.0 320.0 240.5\n"
+    ),
+    "images.txt": (
+        "# Image list with two lines of data per image:\n"
+        "#   IMAGE_ID, QW, QX, QY, QZ, TX, TY, TZ, CAMERA_ID, NAME\n"
+        "#   POINTS2D[] as (X, Y, POINT3D_ID)\n"
+        "1 0.5 0.5 0.5 0.5 0.0 0.0 4.0 1 empty.png\n"
+        "\n"
+        "2 0.5 -0.5 0.5 -0.5 -1e-300 1e+300 12.0 1 f32.png\n"
+        "320.25 240.125 7 0.3333333432674408 2.0 9\n"
+        "3 1.0 0.0 -0.0 0.0 1e-300 -2.0 3.5 2 view with spaces.png\n"
+        "-0.0 1e-300 7 5.0 0.30000000000000004 -1\n"
+    ),
+    "points3D.txt": (
+        "# 3D point list with one line of data per point:\n"
+        "#   POINT3D_ID, X, Y, Z, R, G, B, ERROR, TRACK[] as (IMAGE_ID, POINT2D_IDX)\n"
+        "7 0.1 2.0 4.0 128 128 128 0.5 3 0 2 0\n"
+        "9 1.0 -0.0 1e-300 0 255 128 0.0 2 1\n"
+    ),
+}
+
+
 class TestRoundTrip:
+    def test_edge_model_writes_golden_bytes(self, tmp_path):
+        write_model(edge_model(), tmp_path)
+        for name, text in EDGE_MODEL_FILES.items():
+            assert (tmp_path / name).read_bytes() == text.encode(), name
+
     def test_parse_write_parse_is_identity(self, tmp_path):
         model = parse_model(GOLDEN)
         write_model(model, tmp_path / "copy")

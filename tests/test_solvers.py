@@ -350,11 +350,14 @@ class TestGaussNewton:
         us = us + rng.standard_normal(us.shape)
         wobble = solvers_module.rodrigues(np.array([0.02, -0.015, 0.01]))
         init = Pose(R=wobble @ R, r=r + np.array([0.05, -0.04, 0.08]))
-        refined, fell_back = refine_gauss_newton(ps, us, Km, init)
+        refined, fell_back, cost = refine_gauss_newton(ps, us, Km, init)
         init_rms = solvers_module._reprojection_rms(ps, us, Km, init)
         assert not fell_back
         assert solvers_module._reprojection_rms(ps, us, Km, refined) < init_rms
         assert rotation_angle_deg(refined.R, R) < 0.2
+        # The cost handed back is that of the pose returned, not the start's.
+        e, _, _, _ = gn_rows_at(ps, us, Km, refined.R, refined.r)
+        assert abs(cost - e @ e) <= 1e-12 * (e @ e)
 
     def test_fallback_flag_when_no_step_improves(self, rng, monkeypatch):
         Km, R, r, ps, us = make_exact_scene(rng, n=12)
@@ -369,13 +372,15 @@ class TestGaussNewton:
 
         monkeypatch.setattr(solvers_module, "_gn_project", stuck_project)
         init = Pose(R=R, r=r)
-        pose, fell_back = refine_gauss_newton(ps, us, Km, init)
+        pose, fell_back, cost = refine_gauss_newton(ps, us, Km, init)
         assert fell_back
         np.testing.assert_allclose(pose.R, R, atol=1e-12)
         np.testing.assert_array_equal(pose.r, r)
+        assert cost == 1.0  # the start's, not a rejected trial's
         calls["n"] = 0
         result = solve((ps, us), Km, SolverConfig(method="ndlt_gn"))
         assert FLAG_FALLBACK_USED in result.flags
+        assert result.reprojection_rms == np.sqrt(1.0 / len(ps))  # the refine's cost
 
     def test_restart_from_own_output_stops_at_once(self, monkeypatch):
         # At its own optimum the predicted decrease is below _GN_TOL, so a
@@ -391,7 +396,7 @@ class TestGaussNewton:
             return project(*args)
 
         monkeypatch.setattr(solvers_module, "_gn_project", counted)
-        again, fell_back = refine_gauss_newton(ps, us, intrinsic_matrix(sc.intrinsics), pose)
+        again, fell_back, _ = refine_gauss_newton(ps, us, intrinsic_matrix(sc.intrinsics), pose)
         assert calls["project"] == 1
         assert not fell_back
         np.testing.assert_array_equal(again.R, pose.R)
@@ -463,10 +468,12 @@ class TestGaussNewton:
 
         monkeypatch.setattr(solvers_module, "_gn_project", rejecting_project)
         monkeypatch.setattr(solvers_module, "_gn_normal_equations", recorded)
-        _, fell_back = refine_gauss_newton(ps, us, Km, init)
+        pose, fell_back, cost = refine_gauss_newton(ps, us, Km, init)
         assert not fell_back
         assert len(built) > 1
         monkeypatch.undo()
+        e, _, _, _ = gn_rows_at(ps, us, Km, pose.R, pose.r)  # not the rejected trial's inf
+        assert abs(cost - e @ e) <= 1e-12 * (e @ e)
         halved = projected[2]
         assert built[1][0] is halved[0]  # the build after the halving is at the halved pose
         for R, JtJ, g in built:
@@ -492,14 +499,36 @@ class TestGaussNewton:
             assert rotation_angle_deg(gn.pose.R, truth.R) < 1e-6, trial
             assert np.linalg.norm(gn.pose.r - truth.r) < 1e-8, trial
 
+    # ndlt_gn reports its refine's own cost, in place of projecting the pose
+    # once more: it must read as the pose's reprojection RMS, recomputed.
+    @pytest.mark.parametrize("skew", [False, True], ids=["plain", "skewed"])
+    @pytest.mark.parametrize("n", [6, 50, 2000])
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
+    def test_reported_rms_is_the_returned_pose_reprojection(self, box, n, skew):
+        intrinsics = DEFAULT_INTRINSICS
+        if skew:
+            Km = random_intrinsics_matrix(np.random.default_rng(n), skew=True)
+            intrinsics = CameraIntrinsics.from_matrix(Km)
+        sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=5, seed=4, intrinsics=intrinsics)
+        Km = intrinsic_matrix(sc.intrinsics)
+        for trial in range(sc.trials):
+            (ps, us), _ = generate_scene(sc, trial)
+            result = solve((ps, us), Km, SolverConfig(method="ndlt_gn"))
+            want = solvers_module._reprojection_rms(ps, us, Km, result.pose)
+            if want == np.inf:
+                assert result.reprojection_rms == np.inf, trial
+            else:
+                assert abs(result.reprojection_rms - want) <= 1e-12 * want + 1e-12, trial
+
     def test_start_with_a_point_on_the_camera_plane_is_returned_flagged(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=12)
         ps = ps.copy()
         ps[0] = r + R[0]  # x = R (p - r) = (1, 0, 0): depth 0
         init = Pose(R=R, r=r)
-        pose, fell_back = refine_gauss_newton(ps, us, Km, init)
+        pose, fell_back, cost = refine_gauss_newton(ps, us, Km, init)
         assert fell_back
         assert pose is init
+        assert cost == np.inf
 
 
 class TestStopAfterSmallStep:
@@ -536,7 +565,7 @@ class TestStopAfterSmallStep:
                     builds.clear()
                     out[stop] = refine_gauss_newton(ps, us, Km, init), builds["builds"]
                 total[stop] += builds["builds"]
-            ((pose, fell_back), n_builds), ((pose_off, fell_back_off), n_builds_off) = (
+            ((pose, fell_back, _), n_builds), ((pose_off, fell_back_off, _), n_builds_off) = (
                 out[True], out[False]
             )
             assert fell_back == fell_back_off

@@ -27,10 +27,13 @@ metrics worse than their bound, the unresolved ones and those that gained by
 the claim rule: the change won at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's IQR.
 
-With --traced W, after the pairs the tool runs the same command with
---trace 1 once in each checkout on workload W (seed 1, parent first) and
-writes, under "traced", both sides' per-layer metrics and each metric's
-relative change (change over parent, less 1; null where the parent reads 0).
+With --traced W, after the pairs the tool runs two traced pairs of the same
+command with --trace 1 on workload W: seed 1 parent first, then seed 2 change
+first, so that host drift between the runs of a pair shows as opposite moves
+in the two pairs rather than as a saving. Under "traced" it writes each
+pair's per-layer metrics for both sides with each metric's relative change
+(change over parent, less 1; null where the parent reads 0), and each
+metric's median relative change over the two pairs (null if either is).
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ UNRESOLVED_RULE = (
     "median) wider than its bound, unless every change run is better than every parent run"
 )
 GAIN_SHARE = 0.9
+TRACED_SEEDS = (1, 2)  # the parent runs first on odd seeds, as in the pairs
 
 
 def run(
@@ -111,6 +115,20 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
+def pair_order(seed: int) -> tuple[str, str]:
+    return ("parent", "change") if seed % 2 else ("change", "parent")
+
+
+def relative_changes(parent: dict, change: dict) -> dict:
+    """Each parent metric's change over parent, less 1; None where the parent
+    reads 0 or the change lacks it."""
+    return {
+        name: change[name] / parent[name] - 1.0
+        if parent[name] and change.get(name) is not None else None
+        for name in parent
+    }
+
+
 def gained(metric: dict, s: dict, pairs: int) -> bool:
     """The claim rule: the change won at least GAIN_SHARE of the pairs and its
     median is better than the parent's by more than the parent's IQR."""
@@ -152,7 +170,7 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         pairs = []
         for seed in range(1, args.pairs + 1):
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            order = pair_order(seed)
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side], host = run(getattr(args, side), workload, seed, args.seconds)
@@ -184,15 +202,20 @@ def main(argv=None) -> int:
         )
         args.out.write_text(json.dumps(report, indent=1) + "\n")  # each workload as it ends
     if args.traced:
-        traced = {"workload": args.traced, "seed": 1, "command": COMMAND.format(
-            workload=args.traced, seed=1, seconds=f"{args.seconds:g}", trace=1)}
-        for side in ("parent", "change"):
-            traced[side] = run(getattr(args, side), args.traced, 1, args.seconds, trace=1)[0]
-        parent, change = traced["parent"]["metrics"], traced["change"]["metrics"]
-        traced["change_rel"] = {
-            name: change[name] / parent[name] - 1.0
-            if parent[name] and change.get(name) is not None else None
-            for name in parent
+        traced = {"workload": args.traced, "command": COMMAND.format(
+            workload=args.traced, seed="{seed}", seconds=f"{args.seconds:g}", trace=1), "pairs": []}
+        for seed in TRACED_SEEDS:
+            order = pair_order(seed)
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run(getattr(args, side), args.traced, seed, args.seconds, trace=1)[0]
+            pair["change_rel"] = relative_changes(pair["parent"]["metrics"], pair["change"]["metrics"])
+            traced["pairs"].append(pair)
+        rels = [pair["change_rel"] for pair in traced["pairs"]]
+        traced["median_change_rel"] = {
+            name: None if None in (r.get(name) for r in rels)
+            else float(np.median([r[name] for r in rels]))
+            for name in rels[0]
         }
         report["traced"] = traced
         args.out.write_text(json.dumps(report, indent=1) + "\n")
