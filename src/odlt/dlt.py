@@ -25,13 +25,14 @@ for S = M^T M. If M = QR, then A = diag(Q, Q) L(R), where L(R) is the 24 x 12
 matrix that L makes from R's 12 rows in place of the m_i. diag(Q, Q) has
 orthonormal columns, so L(R) has exactly A's singular values and right
 singular vectors, and no Gram matrix is formed. From _LR_MIN_POINTS = 256
-points up _assemble_arrays returns L(R) in place of A: half of A's QR work and
-n-sized memory, and the zero half of A is never built. A normalized system is
-that of the rows m B for normalization's 12 x 12 B, so its row map is the
-product B _T12, and L(R) is made from R B, as M B = Q (R B). _r_factor, the
-only explicit QR, factors tall M in chunks (TSQR; Demmel, Grigori, Hoemmen &
-Langou, SIAM J. Sci. Comput. 2012): one stacked QR of k blocks of _QR_BLOCK
-rows, then one QR of the k stacked 12x12 R factors and the leftover rows.
+points up _system_rows hands on R^T in place of M^T, and _assemble_arrays
+makes L(R) of it in place of A: half of A's QR work and n-sized memory, and
+the zero half of A is never built. A normalized system is that of the rows
+m B for normalization's 12 x 12 B, so its row map is the product B _T12, and
+L(R) is made from R B, as M B = Q (R B). _r_factor, the only explicit QR,
+factors tall M in chunks (TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J.
+Sci. Comput. 2012): one stacked QR of k blocks of _QR_BLOCK rows, then one QR
+of the k stacked 12x12 R factors and the leftover rows.
 
 Each column of _T12 holds at most one nonzero, +1 or -1, so m _T12 copies
 moment entries, negated or not, bit for bit; with B each entry of M (B _T12)
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, TooFewPoints
+from .errors import RankDeficient
 
 MIN_POINTS = 6
 
@@ -97,29 +98,18 @@ def _fill_moments(Mt: np.ndarray) -> np.ndarray:
     return Mt
 
 
-def _assemble_arrays(Mt: np.ndarray, weights=None, basis=None) -> np.ndarray:
-    """The 2n x 12 constraint matrix A of (optionally row-weighted) points,
-    or from _LR_MIN_POINTS points up the 24 x 12 L(R) that shares A's singular
-    values and right singular vectors (see the module docstring).
+def _system_rows(Mt: np.ndarray) -> np.ndarray:
+    """The rows to assemble, the one choice of route: Mt (12, n) itself below
+    _LR_MIN_POINTS points, else the 12 x 12 R^T of M = QR, whose system is L(R)."""
+    return Mt if Mt.shape[1] < _LR_MIN_POINTS else _r_factor(Mt.T).T
 
-    Mt (12, n) is M = (pbar, u pbar, v pbar) transposed, filled by
-    _fill_moments. Weights scale all twelve rows in place, after the products
-    p u and p v were formed, so a weighted row is exactly the unweighted one
-    times its weight, with no second n-sized array. With basis,
+
+def _assemble_arrays(Mt: np.ndarray, basis=None) -> np.ndarray:
+    """The constraint rows of the moment rows Mt (12, k), which it does not write:
+    A for _fill_moments' rows, L(R) for _system_rows' R^T. With basis,
     normalization's 12 x 12 B, the system is that of the rows m B. Either way
     it is one exact product M C (see above) of the row map C, _T12 or B _T12:
-    row i of the (k, 24) product holds moment row i's two constraint rows.
-    """
-    n = Mt.shape[1]
-    if n < MIN_POINTS:
-        raise TooFewPoints(n, MIN_POINTS)
-    if weights is not None:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape[0] != n:
-            raise ValueError(f"expected {n} weights, got {w.shape[0]}")
-        Mt *= w
-    if n >= _LR_MIN_POINTS:
-        Mt = _r_factor(Mt.T).T  # 12 moment rows in place of n; same row map below
+    row i of the (k, 24) product holds moment row i's two constraint rows."""
     C = _T12 if basis is None else basis @ _T12
     return (Mt.T @ C).reshape(-1, 12)
 

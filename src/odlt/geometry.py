@@ -48,8 +48,11 @@ class CameraIntrinsics:
     skew: float = 0.0
 
     def __post_init__(self):
-        for name in ("fx", "fy", "cx", "cy", "skew"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        try:
+            for name in ("fx", "fy", "cx", "cy", "skew"):
+                object.__setattr__(self, name, float(getattr(self, name)))
+        except (TypeError, ValueError) as exc:
+            raise InvalidIntrinsics(f"{name} must be a number: {exc}") from exc
         _checked_intrinsic_matrix(self.matrix)
 
     @property
@@ -76,7 +79,10 @@ def _checked_intrinsic_matrix(K) -> np.ndarray:
     Raises:
         InvalidIntrinsics: if any of these does not hold.
     """
-    K = np.asarray(K, dtype=float)
+    try:
+        K = np.asarray(K, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidIntrinsics(f"intrinsic matrix entries must be numbers: {exc}") from exc
     if K.shape != (3, 3):
         raise InvalidIntrinsics(f"expected 3x3 intrinsic matrix, got {K.shape}")
     if not np.isfinite(K).all():
@@ -154,25 +160,26 @@ def correspondence_arrays(cs) -> tuple[np.ndarray, np.ndarray]:
     """Split correspondences into point and pixel arrays.
 
     Accepts either a sequence of Correspondence or a pre-split pair
-    (points (n,3), pixels (n,2)), at least one of them an ndarray. Returns
+    (points (n,3), pixels (n,2)): a tuple or list of two items, the first not
+    a Correspondence, each an array or nested sequences of numbers. Returns
     C-contiguous float64 arrays, so that a solve does not depend on the
     memory layout of its input; contiguous float64 input is not copied.
 
     Raises:
-        InvalidShape: if the arrays do not have shapes (n,3) and (n,2).
+        InvalidShape: if the input is neither, cannot be read as numbers, or
+            the arrays do not have shapes (n,3) and (n,2).
         NonFiniteInput: if any coordinate is NaN or infinite.
     """
-    if (
-        isinstance(cs, (tuple, list))
-        and len(cs) == 2
-        and (isinstance(cs[0], np.ndarray) or isinstance(cs[1], np.ndarray))
-    ):
-        ps = np.asarray(cs[0], dtype=float, order="C")
-        us = np.asarray(cs[1], dtype=float, order="C")
-    else:
-        # One concatenate per field; [()] keeps an empty sequence a (0, k) array.
-        ps = np.concatenate([c.p for c in cs] or [()], dtype=float).reshape(-1, 3)
-        us = np.concatenate([c.u for c in cs] or [()], dtype=float).reshape(-1, 2)
+    try:
+        if isinstance(cs, (tuple, list)) and len(cs) == 2 and not isinstance(cs[0], Correspondence):
+            ps = np.asarray(cs[0], dtype=float, order="C")
+            us = np.asarray(cs[1], dtype=float, order="C")
+        else:
+            # One concatenate per field; [()] keeps an empty sequence a (0, k) array.
+            ps = np.concatenate([c.p for c in cs] or [()], dtype=float).reshape(-1, 3)
+            us = np.concatenate([c.u for c in cs] or [()], dtype=float).reshape(-1, 2)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidShape(f"neither a (points, pixels) pair nor Correspondences: {exc}") from exc
     if ps.shape[1:] != (3,) or us.shape[1:] != (2,) or ps.shape[0] != us.shape[0]:
         raise InvalidShape(
             f"expected point and pixel arrays of shapes (n,3) and (n,2), "

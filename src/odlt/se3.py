@@ -1,13 +1,14 @@
 """Recovery of a metric SE(3) pose from the linear solution.
 
 The null-space estimate lives in normalized projective coordinates. Removing
-the calibration and the normalizations ("de-clamping") gives
+the calibration and the normalizations (declamp_denormalize) gives
 G = K^-1 T_u^-1 P_norm T_p = R'[I | -r'], R' only approximately a scaled
-rotation. The information matrix of vec(P_norm) transports through the vec
-form of that map, M = T_p^T kron (K^-1 T_u^-1); its nine leading diagonal
-entries (column-major, the R' block) form the 3x3 weight matrix W of the
-weighted Procrustes projection of R' onto SO(3). M is never formed: by
-(A kron B) vec(X) = vec(B X A^T) both steps are 3x3, 3x4 and 4x4 products.
+rotation. For the weighted methods, rotation_weights transports the
+information matrix of vec(P_norm) through the vec form of that map,
+M = T_p^T kron (K^-1 T_u^-1): its nine leading diagonal entries (column-major,
+the R' block) form the 3x3 weight matrix W of the weighted Procrustes
+projection of R' onto SO(3). M is never formed: by (A kron B) vec(X) =
+vec(B X A^T) both steps are 3x3, 3x4 and 4x4 products.
 Translation is read off r' or re-triangulated with the rotation fixed (LOST),
 which is O(n) and reuses the optimal weights: its normal equations come from
 one (4, n) product of per-point features, as Gauss-Newton's come from the
@@ -17,7 +18,6 @@ floats: only nearest_rotation's SVD calls numpy.linalg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import acos, cos, inf
 
 import numpy as np
@@ -37,17 +37,6 @@ _LOST_COND_LIMIT = 1e12
 _PROCRUSTES_MAX_STEPS = 5  # a cap: the stop rules end centered n=50 solves after 2 steps
 _COST_RESOLUTION = 8 * np.finfo(float).eps  # the Procrustes cost's rounding per sum(Q |E|)
 _TINY = 2.2250738585072014e-308  # the smallest normal float
-
-
-@dataclass(frozen=True)
-class DenormalizedPose:
-    """De-clamped linear solution: R_acute [I | -r_acute], det(R_acute), and
-    the weight matrix W (or None) holding the marginal information of its entries."""
-
-    R_acute: np.ndarray
-    r_acute: np.ndarray
-    W: np.ndarray | None
-    det: float
 
 
 def intrinsic_inverse(Km: np.ndarray) -> np.ndarray:
@@ -72,34 +61,19 @@ def intrinsic_inverse(Km: np.ndarray) -> np.ndarray:
 
 
 def declamp_denormalize(
-    sol: DltSolution,
-    Km: np.ndarray,
-    pixel_norm: PixelNormalization,
-    point_norm: PointNormalization,
-    weights: bool = True,
-) -> DenormalizedPose:
+    sol: DltSolution, Km: np.ndarray, pixel_norm: PixelNormalization, point_norm: PointNormalization
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Map the normalized linear solution back to calibrated world coordinates.
 
-    Km is the checked 3x3 intrinsic matrix. Computes G = K^-1 T_u^-1 P_norm T_p,
-    reads off R_acute = G[:, :3], det(R_acute) by cofactors and r_acute =
-    -R_acute^-1 G[:, 3] = -adj(R_acute) G[:, 3] / det. With weights, it transports
-    the information matrix of vec(P_norm) through M^-1, M = T_p^T kron (K^-1 T_u^-1),
-    to fill W from the nine leading diagonal entries (column-major); else W is None.
+    Km is the checked 3x3 intrinsic matrix. Computes G = K^-1 T_u^-1 P_norm T_p
+    and returns (R_acute, r_acute, det): R_acute = G[:, :3], its determinant by
+    cofactors and r_acute = -R_acute^-1 G[:, 3] = -adj(R_acute) G[:, 3] / det.
 
     Raises:
         SingularCalibration: if K cannot be inverted reliably.
         DegenerateInput: if det(R_acute) is zero or subnormal or r_acute not finite.
     """
     G = intrinsic_inverse(Km) @ pixel_norm.T_inv @ sol.P @ point_norm.T
-    # Sigma'^-1 = M^-T (V D^2 V^T) M^-1; only its R' diagonal is needed. With
-    # C = T_u K, column k of M^-T V is vec(C^T X_k T_p^-T), X_k = unvec(V[:, k]),
-    # whose first nine entries are the left 3x3 block.
-    W = None
-    if weights:
-        C = pixel_norm.T @ Km
-        X = sol.V.T.reshape(12, 4, 3).transpose(0, 2, 1)
-        Y = C.T @ X @ point_norm.T_inv[:3].T
-        W = (sol.singular_values**2 @ (Y * Y).reshape(12, 9)).reshape(3, 3)
     (a, b, c, x), (d, e, f, y), (g, h, i, z) = G.tolist()
     A, B, C = e * i - f * h, f * g - d * i, d * h - e * g  # the first column of adj(R_acute)
     det = a * A + b * B + c * C
@@ -110,7 +84,21 @@ def declamp_denormalize(
     r2 = -(C * x + (b * g - a * h) * y + (a * e - b * d) * z) / det
     if not (-inf < r0 < inf and -inf < r1 < inf and -inf < r2 < inf):
         raise DegenerateInput("de-clamped camera center is not finite")
-    return DenormalizedPose(G[:, :3], np.array([r0, r1, r2]), W, det)
+    return G[:, :3], np.array([r0, r1, r2]), det
+
+
+def rotation_weights(
+    sol: DltSolution, Km: np.ndarray, pixel_norm: PixelNormalization, point_norm: PointNormalization
+) -> np.ndarray:
+    """The weight matrix W of weighted_procrustes for declamp_denormalize's R_acute:
+    the R' diagonal of Sigma'^-1 = M^-T (V D^2 V^T) M^-1, the information of
+    vec(P_norm) transported through M^-1. With C = T_u K, column k of M^-T V is
+    vec(C^T X_k T_p^-T), X_k = unvec(V[:, k]), whose first nine entries are the
+    left 3x3 block."""
+    C = pixel_norm.T @ Km
+    X = sol.V.T.reshape(12, 4, 3).transpose(0, 2, 1)
+    Y = C.T @ X @ point_norm.T_inv[:3].T
+    return (sol.singular_values**2 @ (Y * Y).reshape(12, 9)).reshape(3, 3)
 
 
 def _largest_eigenvalue(a: float, b: float, c: float, d: float, e: float, f: float) -> float:

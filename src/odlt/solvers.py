@@ -21,14 +21,15 @@ from the same Gram (weighting).
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dlt import _LR_MIN_POINTS, MIN_POINTS, DltSolution, _assemble_arrays, _fill_moments
-from .dlt import _r_factor, solve_nullspace
+from .dlt import MIN_POINTS, DltSolution, _assemble_arrays, _fill_moments, _system_rows
+from .dlt import solve_nullspace
 from .errors import NegativeDepth, RankDeficient, TooFewPoints
 from .geometry import (
     Pose,
@@ -47,6 +48,7 @@ from .se3 import (
     declamp_denormalize,
     lost_translation,
     recover_scale_and_position,
+    rotation_weights,
     weighted_procrustes,
 )
 from .weighting import NEGATIVE_DEPTH_LIMIT, _preliminary_normalized
@@ -100,8 +102,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not 0 < self.sigma_u < np.inf:
-            raise ValueError(f"sigma_u must be finite and positive, got {self.sigma_u}")
+        if not (isinstance(self.sigma_u, numbers.Real) and 0 < self.sigma_u < np.inf):
+            raise ValueError(f"sigma_u must be finite and positive, got {self.sigma_u!r}")
 
 
 @dataclass(frozen=True)
@@ -162,18 +164,16 @@ def _linear_solve(ps: np.ndarray, us: np.ndarray, normalize: bool, weighted: boo
         np.subtract(us.T, us[0, :, None], out=Mt[7::4])
     else:
         Mt[:3], Mt[7::4] = ps.T, us.T
-    rows = _fill_moments(Mt)
+    _fill_moments(Mt)
+    rows = Mt if weighted else _system_rows(Mt)  # R^T has M's Gram; weighted rows: below
     B = None
     if normalize:
-        if not weighted and ps.shape[0] >= _LR_MIN_POINTS:
-            rows = _r_factor(Mt.T).T  # R^T: M's Gram, and the system L(R B)
         S = rows @ rows.T
         pix, pt, B = moment_normalization(S, us[0], ps[0])
     else:
         pix, pt = _IDENTITY
     timings["normalize"] = time.perf_counter() - t0
 
-    weights = None
     if weighted:
         t0 = time.perf_counter()
         _, depths = _preliminary_normalized(Mt, S, B)
@@ -182,14 +182,15 @@ def _linear_solve(ps: np.ndarray, us: np.ndarray, normalize: bool, weighted: boo
             frac = float(neg.mean())
             if frac >= NEGATIVE_DEPTH_LIMIT:
                 # A rank-deficient set has no preliminary camera: raise RankDeficient for it.
-                solve_nullspace(_assemble_arrays(Mt, None, B))
+                solve_nullspace(_assemble_arrays(_system_rows(Mt), B))
                 raise NegativeDepth(f"{frac:.0%} of points behind the preliminary camera")
             Mt, depths, ps = Mt[:, ~neg], depths[~neg], ps[~neg]
-        rows, weights = Mt, 1.0 / depths
+        Mt *= 1.0 / depths  # after the fill formed p u and p v: each row times its weight
+        rows = _system_rows(Mt)
         timings["weights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sol = solve_nullspace(_assemble_arrays(rows, weights, B), points=ps, T_p=pt.T)
+    sol = solve_nullspace(_assemble_arrays(rows, B), points=ps, T_p=pt.T)
     timings["solve"] = time.perf_counter() - t0
     return _LinearOutcome(sol, pix, pt, timings)
 
@@ -216,14 +217,15 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
     timings = out.timings
 
     t0 = time.perf_counter()
-    dn = declamp_denormalize(out.sol, Km, out.pix, out.pt, weights=weighted)
+    R_acute, r_acute, det = declamp_denormalize(out.sol, Km, out.pix, out.pt)
     if weighted:
-        R, fallback = weighted_procrustes(dn.R_acute, dn.W, dn.det)
+        W = rotation_weights(out.sol, Km, out.pix, out.pt)
+        R, fallback = weighted_procrustes(R_acute, W, det)
         if fallback:
             flags.add(FLAG_DEGENERATE_WEIGHTS)
     else:
-        R = nearest_rotation(dn.R_acute)
-    pose = recover_scale_and_position(dn.r_acute, R, dn.det)
+        R = nearest_rotation(R_acute)
+    pose = recover_scale_and_position(r_acute, R, det)
     timings["recover"] = time.perf_counter() - t0
 
     if lost:

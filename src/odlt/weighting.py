@@ -16,7 +16,10 @@ normal equations (both sides scale by c^2). So a row weight is the inverse
 depth q_i = 1 / (k^T P0 pbar_i) under a preliminary unweighted estimate P0
 from the 12 x 12 Gram of the normalized moment rows, B^T S B for the Gram S of
 the raw ones. Only the weights see its squared condition number (Golub &
-Van Loan 5.3): the final null space keeps its QR.
+Van Loan 5.3): the final null space keeps its QR. The weighted stage of
+solvers scales each point's moment row by q_i, then lets dlt._system_rows
+pick the route of the weighted rows; se3.rotation_weights reads W off the
+weighted null space.
 """
 
 from __future__ import annotations

@@ -60,13 +60,17 @@ def oracle_project(Km, R, r, ps):
     return hom[:, :2] / hom[:, 2:3]
 
 
-def moment_rows(ps, us):
+def moment_rows(ps, us, weights=None):
     """The (12, n) input of dlt._assemble_arrays and weighting._preliminary_normalized:
     points (n, 3) as rows 0-2 and pixels (n, 2) as rows 7 and 11, the rest filled
-    by dlt._fill_moments."""
+    by dlt._fill_moments; with weights (n,), each point's column then scaled by
+    its weight, as solve()'s weighted stage scales its rows."""
     Mt = np.empty((12, len(ps)))
     Mt[:3], Mt[7::4] = np.asarray(ps, dtype=float).T, np.asarray(us, dtype=float).T
-    return _fill_moments(Mt)
+    _fill_moments(Mt)
+    if weights is not None:
+        Mt *= np.asarray(weights, dtype=float)
+    return Mt
 
 
 def raw_moments(ps, us):

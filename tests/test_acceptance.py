@@ -43,6 +43,7 @@ from odlt.se3 import (
     declamp_denormalize,
     intrinsic_inverse,
     recover_scale_and_position,
+    rotation_weights,
     weighted_procrustes,
 )
 from odlt.solvers import (
@@ -195,14 +196,14 @@ def test_criterion_06_unit_weight_reduction(rng):
         psn = fit_point_normalization(ps).apply(ps)
         usn = fit_pixel_normalization(us).apply(us)
         np.testing.assert_array_equal(
-            _assemble_arrays(moment_rows(psn, usn), np.ones(15)),
+            _assemble_arrays(moment_rows(psn, usn, np.ones(15))),
             _assemble_arrays(moment_rows(psn, usn)),
         )
         out = _linear_solve(ps, us, normalize=True, weighted=False)
-        dn = declamp_denormalize(out.sol, Km, out.pix, out.pt, weights=False)
-        R_unit, fallback = weighted_procrustes(dn.R_acute, np.ones((3, 3)), dn.det)
+        R_acute, r_acute, det = declamp_denormalize(out.sol, Km, out.pix, out.pt)
+        R_unit, fallback = weighted_procrustes(R_acute, np.ones((3, 3)), det)
         assert not fallback
-        unit = recover_scale_and_position(dn.r_acute, R_unit, dn.det)
+        unit = recover_scale_and_position(r_acute, R_unit, det)
         plain = solve((ps, us), Km, SolverConfig(method="ndlt"))
         np.testing.assert_allclose(unit.R, plain.pose.R, atol=1e-12)
         np.testing.assert_allclose(unit.r, plain.pose.r, atol=1e-12)
@@ -307,11 +308,12 @@ def test_criterion_08b_procrustes_vs_grid_refine_oracle(rng):
         Km, _, _, ps, us = make_exact_scene(rng, n=20)
         us = us + rng.standard_normal(us.shape)
         out = _linear_solve(ps, us, normalize=True, weighted=True)
-        dn = declamp_denormalize(out.sol, Km, out.pix, out.pt)
-        s = np.linalg.det(dn.R_acute) ** (-1.0 / 3.0)
-        Rs = s * dn.R_acute
-        W = dn.W / dn.W.max()
-        R_impl, fallback = weighted_procrustes(dn.R_acute, dn.W, dn.det)
+        R_acute, _, det = declamp_denormalize(out.sol, Km, out.pix, out.pt)
+        W_raw = rotation_weights(out.sol, Km, out.pix, out.pt)
+        s = np.linalg.det(R_acute) ** (-1.0 / 3.0)
+        Rs = s * R_acute
+        W = W_raw / W_raw.max()
+        R_impl, fallback = weighted_procrustes(R_acute, W_raw, det)
         assert not fallback
         cost_impl = _procrustes_cost(R_impl, Rs, W)
         cost_oracle = _grid_refine_oracle(Rs, W, rng)

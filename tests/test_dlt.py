@@ -5,12 +5,12 @@ from odlt.dlt import (
     _LR_MIN_POINTS,
     _QR_BLOCK,
     _QR_CHUNK_MIN_ROWS,
-    MIN_POINTS,
     _assemble_arrays,
     _r_factor,
+    _system_rows,
     solve_nullspace,
 )
-from odlt.errors import RankDeficient, TooFewPoints
+from odlt.errors import RankDeficient
 from odlt.evaluation import UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.geometry import Pose, compose_projection
 from odlt.normalization import fit_pixel_normalization, fit_point_normalization
@@ -44,7 +44,7 @@ def test_constraint_block_matches_kron_oracle(rng):
     np.testing.assert_array_equal(_assemble_arrays(moment_rows(ps, us))[4:6], oracle)
     w = rng.uniform(0.5, 2.0, 6)
     np.testing.assert_allclose(
-        _assemble_arrays(moment_rows(ps, us), w)[4:6], w[2] * oracle, rtol=1e-15, atol=0
+        _assemble_arrays(moment_rows(ps, us, w))[4:6], w[2] * oracle, rtol=1e-15, atol=0
     )
 
 
@@ -162,18 +162,12 @@ def test_too_few_rows_rejected(rng):
         solve_nullspace(rng.standard_normal((20, 11)))
 
 
-def test_too_few_points(rng):
-    _, _, _, ps, us = make_exact_scene(rng, n=MIN_POINTS - 1)
-    with pytest.raises(TooFewPoints):
-        _assemble_arrays(moment_rows(ps, us))
-
-
 def test_weight_scale_invariance(rng):
     _, _, _, ps, us = make_exact_scene(rng, n=14)
     us = us + rng.standard_normal(us.shape)
     w = rng.uniform(0.5, 2.0, len(ps))
-    sol_a = solve_nullspace(_assemble_arrays(moment_rows(ps, us), w), points=ps)
-    sol_b = solve_nullspace(_assemble_arrays(moment_rows(ps, us), 3.7 * w), points=ps)
+    sol_a = solve_nullspace(_assemble_arrays(moment_rows(ps, us, w)), points=ps)
+    sol_b = solve_nullspace(_assemble_arrays(moment_rows(ps, us, 3.7 * w)), points=ps)
     np.testing.assert_allclose(sol_a.P, sol_b.P, atol=1e-12)
 
 
@@ -182,8 +176,8 @@ def test_permutation_invariance(rng):
     us = us + rng.standard_normal(us.shape)
     w = rng.uniform(0.5, 2.0, len(ps))
     perm = rng.permutation(len(ps))
-    sol_a = solve_nullspace(_assemble_arrays(moment_rows(ps, us), w), points=ps)
-    A_perm = _assemble_arrays(moment_rows(ps[perm], us[perm]), w[perm])
+    sol_a = solve_nullspace(_assemble_arrays(moment_rows(ps, us, w)), points=ps)
+    A_perm = _assemble_arrays(moment_rows(ps[perm], us[perm], w[perm]))
     sol_b = solve_nullspace(A_perm, points=ps[perm])
     np.testing.assert_allclose(sol_a.P, sol_b.P, atol=1e-9)
 
@@ -193,7 +187,7 @@ def test_weights_affect_noisy_solution(rng):
     us = us + rng.standard_normal(us.shape)
     uniform = solve_nullspace(_assemble_arrays(moment_rows(ps, us)), points=ps)
     w = rng.uniform(0.1, 5.0, len(ps))
-    skewed = solve_nullspace(_assemble_arrays(moment_rows(ps, us), w), points=ps)
+    skewed = solve_nullspace(_assemble_arrays(moment_rows(ps, us, w)), points=ps)
     assert np.abs(uniform.P - skewed.P).max() > 1e-8
 
 
@@ -249,8 +243,8 @@ def test_kron_matrix_matches_kron_blocks(rng):
     np.testing.assert_allclose(kron_matrix(ps, us, w), blocks, rtol=1e-15, atol=0)
 
 
-# From _LR_MIN_POINTS = 256 points up _assemble_arrays returns L(R), the 24
-# rows the row map makes from the R factor of the moment matrix, in place of
+# From _LR_MIN_POINTS = 256 points up _system_rows hands on the R factor of the
+# moment matrix, from which _assemble_arrays makes L(R), 24 rows, in place of
 # A: at the route (n=256, one QR of M), at n=768, just below and at M's own
 # chunking (1535, 1536 rows), an exact multiple of the block, a one-row
 # leftover and n=10000; in pixels as dlt sees them and normalized, with and
@@ -266,7 +260,7 @@ def test_moment_r_factor_matches_kronecker_matrix(n, normalized, weighted):
         ps = fit_point_normalization(ps).apply(ps)
         us = fit_pixel_normalization(us).apply(us)
     w = np.random.default_rng(n).uniform(0.5, 2.0, n) if weighted else None
-    LR = _assemble_arrays(moment_rows(ps, us), w)
+    LR = _assemble_arrays(_system_rows(moment_rows(ps, us, w)))
     assert LR.shape == (24, 12)
     _, s_oracle, Vt = np.linalg.svd(kron_matrix(ps, us, w), full_matrices=False)
     sol = solve_nullspace(LR)
@@ -285,7 +279,7 @@ def test_coplanar_points_rank_deficient_above_crossover(rng):
     ps = ps.copy()
     ps[:, 2] = 5.0
     us = oracle_project(Km, R, r, ps)
-    LR = _assemble_arrays(moment_rows(ps, us))
+    LR = _assemble_arrays(_system_rows(moment_rows(ps, us)))
     assert LR.shape == (24, 12)
     with pytest.raises(RankDeficient):
         solve_nullspace(LR, points=ps)

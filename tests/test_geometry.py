@@ -336,6 +336,30 @@ class TestSmallPieces:
         with pytest.raises(ValueError, match="finite"):
             Correspondence(p=np.array(coords["p"]), u=np.array(coords["u"]))
 
+    def test_plain_list_pair_reads_as_arrays(self, rng):
+        # A pair of nested lists is the (points, pixels) pair; it used to be
+        # read as a sequence of Correspondence and fail on c.p.
+        ps, us = rng.uniform(-1, 1, (8, 3)), rng.uniform(0, 100, (8, 2))
+        for pair in ((ps.tolist(), us.tolist()), [ps.tolist(), us.tolist()]):
+            got_ps, got_us = correspondence_arrays(pair)
+            assert got_ps.tobytes() == ps.tobytes() and got_us.tobytes() == us.tobytes()
+            assert got_ps.flags.c_contiguous and got_us.flags.c_contiguous
+
+    def test_two_correspondences_are_a_sequence_not_a_pair(self, rng):
+        ps, us = rng.uniform(-1, 1, (2, 3)), rng.uniform(0, 100, (2, 2))
+        got_ps, got_us = correspondence_arrays([Correspondence(p=p, u=u) for p, u in zip(ps, us)])
+        assert got_ps.tobytes() == ps.tobytes() and got_us.tobytes() == us.tobytes()
+
+    @pytest.mark.parametrize(
+        "cs",
+        [None, 3.0, ([["a"] * 3] * 8, [["b"] * 2] * 8), ([[1.0, 2.0, 3.0], [1.0]], [[1.0, 2.0]] * 2),
+         [np.zeros(3), np.zeros(3), np.zeros(3)]],
+        ids=["none", "number", "strings", "ragged", "not-correspondences"],
+    )
+    def test_unreadable_input_is_invalid_shape(self, cs):
+        with pytest.raises(InvalidShape):
+            correspondence_arrays(cs)
+
     def test_correspondence_coerces_and_reshapes(self):
         c = Correspondence(p=[[1, 2, 3]], u=(4, 5))
         assert c.p.dtype == c.u.dtype == np.float64
@@ -387,6 +411,22 @@ class TestIntrinsicMatrix:
     def test_wrong_shape(self):
         with pytest.raises(InvalidIntrinsics, match="3x3"):
             intrinsic_matrix(np.eye(3, 4))
+
+    def test_non_numeric_matrix_is_invalid_intrinsics(self):
+        # Used to escape as numpy's bare ValueError.
+        with pytest.raises(InvalidIntrinsics, match="numbers"):
+            intrinsic_matrix([["a"] * 3] * 3)
+        with pytest.raises(InvalidIntrinsics, match="numbers"):
+            CameraIntrinsics.from_matrix([["a"] * 3] * 3)
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "skew"])
+    def test_non_numeric_field_is_invalid_intrinsics(self, field):
+        # Used to escape as the ValueError (or TypeError, for None) of float().
+        for bad in ("a", None):
+            values = dict(fx=800.0, fy=790.0, cx=320.0, cy=240.0, skew=0.0)
+            values[field] = bad
+            with pytest.raises(InvalidIntrinsics, match=f"{field} must be a number"):
+                CameraIntrinsics(**values)
 
     def test_error_is_a_pnp_error_and_a_value_error(self):
         assert issubclass(InvalidIntrinsics, PnpError)

@@ -21,7 +21,8 @@ solve's problem file), a moment reduction that silently stops (or starts)
 chunking, a QR back in the null space, a null space handed the 2n x 12
 matrix above the route, a weighted solve that assembles or factors a second
 matrix, a fit pass, a second moment fill or a normalized copy of the points
-or pixels, a LOST handed mask copies when no point is dropped, or a
+or pixels, rows other than the filled ones (or their R factor, from the
+route up) handed to the assembly, an assembly that writes its input, a LOST handed mask copies when no point is dropped, or a
 Gauss-Newton that keeps evaluating the cost once it has converged, builds
 normal equations after its last small step, projects a pose twice (or once
 more after the refine, for the reported residual), re-copies
@@ -350,25 +351,30 @@ def test_input_checks_per_solve(method, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("n", [50, 2000])
+@pytest.mark.parametrize("n", [50, 255, 256, 2000])
 @pytest.mark.parametrize("method", METHODS)
 def test_one_moment_fill_and_no_normalized_copy(method, n, monkeypatch):
     # One pass over the points: solve() fills the moment rows once, from the
     # raw points and pixels (less the first of each for the normalized
     # methods, which the basis B absorbs), and normalizes through B. It makes
     # no fit pass and calls no apply, so it builds no normalized (n, 3) or
-    # (n, 2) copy; the assembly takes those rows (or their 12 x 12 R factor
-    # from 256 points up, unweighted) and the cheirality sign reads the
-    # checked points themselves, through the point normalization.
+    # (n, 2) copy. Every method hands the assembly the filled rows themselves
+    # (the weighted ones scaled in place) below 256 points, and from 256 up
+    # the 12 x 12 R^T of their moment reduction; the assembly writes neither.
+    # The cheirality sign reads the checked points themselves, through the
+    # point normalization.
     tally = Counter()
     filled, assembled, signed = [], [], []
 
     def counting(name, fn, record=None):
         def shim(*args, **kwargs):
             tally[name] += 1
-            if record is not None:  # the array, and for the fill its values before weighting
+            if record is not None:  # the array, and its values before the call
                 record.append(kwargs["points"] if name == "sign" else (args[0], args[0].copy()))
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if name == "assemble":
+                np.testing.assert_array_equal(args[0], record[-1][1])
+            return out
 
         return shim
 
@@ -391,14 +397,14 @@ def test_one_moment_fill_and_no_normalized_copy(method, n, monkeypatch):
     solve((ps, us), sc.intrinsics, SolverConfig(method=method))
     assert tally == {"fill": 1, "assemble": 1, "sign": 1}
     ((Mt, values),) = filled
-    normalize, weighted = STAGES[method].normalize, STAGES[method].weighted
+    normalize = STAGES[method].normalize
     np.testing.assert_array_equal(values[:3], (ps - ps[0]).T if normalize else ps.T)
     np.testing.assert_array_equal(values[7::4], (us - us[0]).T if normalize else us.T)
     ((rows, _),) = assembled
-    if normalize and not weighted and n >= 256:
-        assert rows.shape == (12, 12)
+    if n >= 256:
+        assert rows.shape == (12, 12) and not np.shares_memory(rows, Mt)
     else:
-        assert np.shares_memory(rows, Mt)
+        assert rows is Mt
     ((points,),) = [signed]
     assert np.shares_memory(points, ps) and points.shape == ps.shape
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from odlt.dlt import _LR_MIN_POINTS, _T12, _assemble_arrays, _r_factor
+from odlt.dlt import _LR_MIN_POINTS, _T12, _assemble_arrays, _r_factor, _system_rows
 from odlt.errors import DegeneratePoints
 from odlt.evaluation import (
     CENTERED_BOX,
@@ -171,9 +171,9 @@ def test_moment_sums_match_a_direct_fit(box, case, n):
 @BOXES
 def test_basis_normalizes_the_system(box, n, weighted):
     # m B for the raw moment rows m is the moment row of the normalized point
-    # and pixel, and the system _assemble_arrays builds from the raw rows and B
-    # is the normalized one: A row for row below 256 points, from there up
-    # L(R B), whose Gram is A's. The rows are normalized directly in extended
+    # and pixel, and the system _assemble_arrays builds from the raw rows, as
+    # _system_rows routes them, and B is the normalized one: A row for row
+    # below 256 points, from there up L(R B), whose Gram is A's. The rows are normalized directly in extended
     # precision, so that a world 1e5 from the origin loses no digits there.
     for case in ("drawn", "shifted"):
         ps, us = scene(box, n, case)
@@ -182,9 +182,9 @@ def test_basis_normalizes_the_system(box, n, weighted):
         rows = B.T @ Mt
         assert (np.abs(rows - direct).max(axis=0) <= 1e-13 * np.linalg.norm(direct, axis=0)).all()
         w = np.random.default_rng(n).uniform(0.5, 2.0, n) if weighted else np.ones(n)
-        A = _assemble_arrays(Mt, w, B)
+        A = _assemble_arrays(_system_rows(Mt * w), B)
         if n < _LR_MIN_POINTS:
-            A_direct = _assemble_arrays(direct, w)
+            A_direct = _assemble_arrays(direct * w)
             assert (np.abs(A - A_direct) <= 1e-13 * np.linalg.norm(A_direct, axis=1)[:, None]).all()
         else:
             assert A.shape == (24, 12)

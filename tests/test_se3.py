@@ -34,6 +34,7 @@ from odlt.se3 import (
     intrinsic_inverse,
     lost_translation,
     recover_scale_and_position,
+    rotation_weights,
     weighted_procrustes,
 )
 from odlt.solvers import METHODS, SolverConfig, _linear_solve, solve
@@ -122,17 +123,17 @@ class TestDeclamp:
             r = rng.uniform(-2, 2, 3)
             _, _, _, ps, us = make_exact_scene(rng, n=20, Km=Km, R=R, r=r)
             sol, pix, pt = solve_normalized(ps, us)
-            out = declamp_denormalize(sol, Km, pix, pt)
-            np.testing.assert_allclose(out.r_acute, r, atol=1e-6)
-            s = 1.0 / np.cbrt(np.linalg.det(out.R_acute))
-            np.testing.assert_allclose(s * out.R_acute, R, atol=1e-6)
+            R_acute, r_acute, _ = declamp_denormalize(sol, Km, pix, pt)
+            np.testing.assert_allclose(r_acute, r, atol=1e-6)
+            s = 1.0 / np.cbrt(np.linalg.det(R_acute))
+            np.testing.assert_allclose(s * R_acute, R, atol=1e-6)
 
     def test_weight_matrix_is_transported_information_diagonal(self, rng):
         Km = random_intrinsics_matrix(rng)
         _, _, _, ps, us = make_exact_scene(rng, n=15, Km=Km)
         us = us + 0.5 * rng.standard_normal(us.shape)
         sol, pix, pt = solve_normalized(ps, us)
-        out = declamp_denormalize(sol, Km, pix, pt)
+        W = rotation_weights(sol, Km, pix, pt)
 
         Kinv = intrinsic_inverse(Km)
         M = np.kron(pt.T.T, Kinv @ pix.T_inv)
@@ -140,8 +141,8 @@ class TestDeclamp:
         Minv = np.linalg.inv(M)
         transported = Minv.T @ info @ Minv
         W_oracle = np.diag(transported)[:9].reshape(3, 3, order="F")
-        np.testing.assert_allclose(out.W, W_oracle, rtol=1e-6)
-        assert out.W.min() > 0
+        np.testing.assert_allclose(W, W_oracle, rtol=1e-6)
+        assert W.min() > 0
 
     def test_singular_rotation_block_is_degenerate_input(self):
         # The left 3x3 block has a zero third row, so det(R_acute) == 0 exactly;
@@ -499,9 +500,10 @@ class TestClosedFormsMatchNumpy:
     def test_weighted_procrustes_matches_numpy(self, box, n):
         outcomes, Km = recovery_inputs(box, n)
         for out in outcomes:
-            dn = declamp_denormalize(out.sol, Km, out.pix, out.pt)
-            self.assert_procrustes_matches_numpy(dn.R_acute, dn.W, dn.det)
-            self.assert_procrustes_matches_numpy(dn.R_acute, np.zeros((3, 3)), dn.det, 0.0, True)
+            R_acute, _, det = declamp_denormalize(out.sol, Km, out.pix, out.pt)
+            W = rotation_weights(out.sol, Km, out.pix, out.pt)
+            self.assert_procrustes_matches_numpy(R_acute, W, det)
+            self.assert_procrustes_matches_numpy(R_acute, np.zeros((3, 3)), det, 0.0, True)
 
     def test_weighted_procrustes_matches_numpy_far_from_a_rotation(self, rng):
         # Solver pairs sit near the identity with W's first two rows alike; here
@@ -523,10 +525,10 @@ class TestClosedFormsMatchNumpy:
         for out in outcomes:
             G = intrinsic_inverse(Km) @ out.pix.T_inv @ out.sol.P @ out.pt.T
             det_ref, r_ref = oracle_declamp_det_solve(G[:, :3], G[:, 3])
-            dn = declamp_denormalize(out.sol, Km, out.pix, out.pt)
-            np.testing.assert_array_equal(dn.R_acute, G[:, :3])
-            assert abs(dn.det - det_ref) <= 1e-14 * abs(det_ref)
-            assert np.linalg.norm(dn.r_acute - r_ref) <= 1e-14 * np.linalg.norm(r_ref)
+            R_acute, r_acute, det = declamp_denormalize(out.sol, Km, out.pix, out.pt)
+            np.testing.assert_array_equal(R_acute, G[:, :3])
+            assert abs(det - det_ref) <= 1e-14 * abs(det_ref)
+            assert np.linalg.norm(r_acute - r_ref) <= 1e-14 * np.linalg.norm(r_ref)
 
     @pytest.mark.parametrize(
         "diag, center",

@@ -6,10 +6,11 @@ import pytest
 
 import odlt.solvers as solvers_module
 import odlt.weighting as weighting_module
-from odlt.dlt import _assemble_arrays
+from odlt.dlt import _assemble_arrays, _system_rows
 from odlt.errors import (
     DegenerateInput,
     InvalidIntrinsics,
+    InvalidShape,
     NegativeDepth,
     RankDeficient,
     TooFewPoints,
@@ -248,14 +249,14 @@ class TestInvariances:
             psn = fit_point_normalization(ps).apply(ps)
             usn = fit_pixel_normalization(us).apply(us)
             np.testing.assert_array_equal(
-                _assemble_arrays(moment_rows(psn, usn), np.ones(n)),
-                _assemble_arrays(moment_rows(psn, usn)),
+                _assemble_arrays(_system_rows(moment_rows(psn, usn, np.ones(n)))),
+                _assemble_arrays(_system_rows(moment_rows(psn, usn))),
             )
             out = solvers_module._linear_solve(ps, us, normalize=True, weighted=False)
-            dn = declamp_denormalize(out.sol, Km, out.pix, out.pt, weights=False)
-            R_unit, fallback = weighted_procrustes(dn.R_acute, np.ones((3, 3)), dn.det)
+            R_acute, r_acute, det = declamp_denormalize(out.sol, Km, out.pix, out.pt)
+            R_unit, fallback = weighted_procrustes(R_acute, np.ones((3, 3)), det)
             assert not fallback
-            unit = recover_scale_and_position(dn.r_acute, R_unit, dn.det)
+            unit = recover_scale_and_position(r_acute, R_unit, det)
             plain = solve((ps, us), Km, SolverConfig(method="ndlt"))
             np.testing.assert_allclose(unit.R, plain.pose.R, atol=1e-12)
             np.testing.assert_allclose(unit.r, plain.pose.r, atol=1e-12)
@@ -685,6 +686,27 @@ class TestApiSurface:
             with pytest.raises(ValueError, match="sigma_u must be finite and positive"):
                 SolverConfig(sigma_u=sigma_u)
 
+    def test_non_numeric_sigma_u_is_the_documented_value_error(self):
+        # Used to raise TypeError from the comparison.
+        for sigma_u in ("1", None, [1.0]):
+            with pytest.raises(ValueError, match="sigma_u must be finite and positive"):
+                SolverConfig(sigma_u=sigma_u)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_plain_list_pair_solves_like_the_array_pair(self, rng, method):
+        Km, R, r, ps, us = make_exact_scene(rng, n=30)
+        us = us + rng.standard_normal(us.shape)
+        a = solve((ps, us), Km, SolverConfig(method=method))
+        b = solve((ps.tolist(), us.tolist()), Km, SolverConfig(method=method))
+        assert a.pose.R.tobytes() == b.pose.R.tobytes()
+        assert a.pose.r.tobytes() == b.pose.r.tobytes()
+        assert (a.reprojection_rms, a.flags) == (b.reprojection_rms, b.flags)
+
+    @pytest.mark.parametrize("cs", [None, ([["a"] * 3] * 8, [["b"] * 2] * 8)], ids=["none", "strings"])
+    def test_unreadable_input_is_invalid_shape(self, cs):
+        with pytest.raises(InvalidShape):
+            solve(cs, np.eye(3), SolverConfig())
+
     def test_estimate_projection_properties(self, rng):
         Km, R, r, ps, us = make_exact_scene(rng, n=20)
         scenes = [((ps, us), compose_projection(Km, Pose(R=R, r=r)))]
@@ -855,7 +877,7 @@ class TestPreliminaryCrossover:
         w = rng.uniform(0.1, 10.0, n)
         A = _assemble_arrays(moment_rows(psn, usn))
         A.reshape(-1, 24)[:] *= w[:, None]
-        np.testing.assert_array_equal(_assemble_arrays(moment_rows(psn, usn), w), A)
+        np.testing.assert_array_equal(_assemble_arrays(moment_rows(psn, usn, w)), A)
 
     @pytest.mark.parametrize("n", [20, 300])
     def test_kept_rows_match_the_weighted_assembly(self, rng, monkeypatch, n):
@@ -886,7 +908,7 @@ class TestPreliminaryCrossover:
         Mt, _, _, pt, B = raw_moments(ps, us)
         front = depths > 0
         assert front.sum() == n - 1
-        expected = _assemble_arrays(Mt[:, front], 1.0 / depths[front], B)
+        expected = _assemble_arrays(_system_rows(Mt[:, front] * (1.0 / depths[front])), B)
         assert len(assemblies) == 1
         ((A, points, T_p),) = seen
         np.testing.assert_array_equal(A, expected)

@@ -4,7 +4,7 @@ import pytest
 import odlt.dlt as dlt_module
 import odlt.solvers as solvers_module
 import odlt.weighting as weighting_module
-from odlt.dlt import _assemble_arrays, solve_nullspace
+from odlt.dlt import _assemble_arrays, _system_rows, solve_nullspace
 from odlt.errors import RankDeficient
 from odlt.evaluation import CENTERED_BOX, UNCENTERED_BOX, SyntheticScenario, generate_scene
 from odlt.geometry import Correspondence, Pose, compose_projection, project_points
@@ -132,7 +132,7 @@ class TestPreliminary:
             psn = fit_point_normalization(ps).apply(ps)
             usn = fit_pixel_normalization(us).apply(us)
             P0, depths = preliminary(ps, us)
-            P = solve_nullspace(_assemble_arrays(moment_rows(psn, usn)), points=psn).P
+            P = solve_nullspace(_assemble_arrays(_system_rows(moment_rows(psn, usn))), points=psn).P
             assert np.linalg.norm(P0 - P) <= (1e-9 if n == 6 else 1e-12), trial
             # Read off the raw point rows through B: the normalized points' depths.
             scale = np.abs(depths).max()
@@ -142,11 +142,11 @@ class TestPreliminary:
     @pytest.mark.parametrize("n", [6, 50, 255, 256, 2000])
     def test_row_map_gram_is_the_constraint_gram(self, rng, n):
         # T1^T S T1 + T2^T S T2 for the Gram S of the moment rows is A^T A for
-        # the A that _assemble_arrays builds (its L(R) from n = 256 up, which
+        # the A that _assemble_arrays builds from _system_rows (L(R) from 256 up, which
         # has the same Gram), so the row map has one source: dlt's.
         ps, us = rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
         Mt = moment_rows(ps, us)
-        A = _assemble_arrays(Mt)
+        A = _assemble_arrays(_system_rows(Mt))
         S = Mt @ Mt.T
         T1, T2 = dlt_module._T12[:, :12], dlt_module._T12[:, 12:]
         G = T1.T @ S @ T1 + T2.T @ S @ T2

@@ -11,16 +11,21 @@ PYTHONPATH set to it:
     synthetic --no-timing, centered and uncentered, n 6, 10, 11, 12, 50, 255,
         256, 767, 768, 1535, 1536, 2000, sigma 0, 1, 3, 20 trials;
     eval-colmap on tests/fixtures/colmap_golden and tests/fixtures/colmap_solvable,
-        --noise-px 0 and 1, with --per-image.
+        --noise-px 0 and 1, with --per-image;
+    solve --format json-lines, all five methods, on two problem files the tool
+        writes once from a fixed numpy seed: centered n=50 sigma 1 and
+        uncentered n=300 sigma 3 (the synthetic boxes, camera at the origin).
 
 The CSV rows are compared with their comment manifests left out, since those
-hold a start time. Prints "identical" and exits 0 when every row matches byte
-for byte. Otherwise, for each output that differs, prints the first differing
-rows; per method, the largest relative change over the numeric cells of its
-differing rows, separately for rows with noise (sigma > 0, --noise-px > 0) and
-without, where values at the rounding level dominate; and whether the failure
-counts per method and failure class (the per-image status) match. It exits 1.
-Both trees run with one BLAS thread, so that they use the same kernels.
+hold a start time, and the JSON lines of solve as printed: they also hold
+reprojection_rms and the flags, which no CSV row does. Prints "identical" and
+exits 0 when every row and line matches byte for byte. Otherwise, for each
+output that differs, prints the first differing rows; for CSV rows also, per
+method, the largest relative change over the numeric cells of its differing
+rows, separately for rows with noise (sigma > 0, --noise-px > 0) and without,
+where values at the rounding level dominate; and whether the failure counts
+per method and failure class (the per-image status) match. It exits 1. Both
+trees run with one BLAS thread, so that they use the same kernels.
 """
 
 from __future__ import annotations
@@ -34,17 +39,43 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 # 10, 11: 20 and 22 rows, either side of the QR that LAPACK's gesdd runs itself;
 # 1535, 1536: either side of the moment reduction's chunked QR.
 N_LIST = "6,10,11,12,50,255,256,767,768,1535,1536,2000"
 SYNTHETIC = ["--n-list", N_LIST, "--sigma-list", "0,1,3", "--trials", "20"]
+METHODS = ("dlt", "ndlt", "odlt", "odlt_lost", "ndlt_gn")
+# solve's problems: (name, box (lo, hi) as in odlt.evaluation, n, pixel sigma).
+PROBLEMS = (
+    ("centered n=50 sigma 1", ((-2.0, -2.0, 4.0), (2.0, 2.0, 8.0)), 50, 1.0),
+    ("uncentered n=300 sigma 3", ((1.0, 1.0, 4.0), (2.0, 2.0, 8.0)), 300, 3.0),
+)
+PROBLEM_SEED = 20240607
 
 
-def grid():
+def write_problems(workdir: Path) -> list[tuple[str, Path]]:
+    """Write PROBLEMS as odlt solve problem files, fx = fy = 800 and principal
+    point (320, 240), the camera at the origin looking down +z, the values
+    written by repr so that both trees read the same floats."""
+    rng = np.random.default_rng(PROBLEM_SEED)
+    out = []
+    for k, (name, (lo, hi), n, sigma) in enumerate(PROBLEMS):
+        ps = rng.uniform(lo, hi, (n, 3))
+        us = 800.0 * ps[:, :2] / ps[:, 2:] + (320.0, 240.0) + sigma * rng.standard_normal((n, 2))
+        lines = ["800.0 800.0 320.0 240.0"]
+        lines += [" ".join(repr(float(v)) for v in (*u, *p)) for p, u in zip(ps, us)]
+        path = workdir / f"problem{k}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        out.append((name, path))
+    return out
+
+
+def grid(problems: list[tuple[str, Path]]):
     """(name, CLI arguments, whether it writes a per-image CSV, its noise or None
-    when a sigma column holds it) of every run."""
+    when a sigma column holds it) of every run; solve runs write no CSV."""
     for scenario in ("centered", "uncentered"):
         args = ["synthetic", "--no-timing", "--scenario", scenario, *SYNTHETIC]
         yield f"synthetic {scenario}", args, False, None
@@ -52,6 +83,10 @@ def grid():
         for noise in ("0", "1"):
             args = ["eval-colmap", "--model-dir", str(FIXTURES / fixture), "--noise-px", noise]
             yield f"eval-colmap {fixture} noise {noise}", args, True, float(noise)
+    for name, path in problems:
+        for method in METHODS:
+            args = ["solve", "--input", str(path), "--method", method, "--format", "json-lines"]
+            yield f"solve {name} {method}", args, False, None
 
 
 def data_rows(path: Path) -> list[str]:
@@ -59,15 +94,20 @@ def data_rows(path: Path) -> list[str]:
 
 
 def run(src: Path, args: list[str], per_image: bool, workdir: Path) -> dict[str, list[str]]:
-    """The data rows of one CLI run on the tree src, by output name."""
+    """The data rows of one CLI run on the tree src, by output name: the CSV
+    rows, or the printed lines of solve."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    solving = args[0] == "solve"
     out, detail = workdir / "rows.csv", workdir / "per_image.csv"
-    extra = ["--per-image", str(detail)] if per_image else []
-    cmd = [sys.executable, "-m", "odlt.cli", *args, "--out", str(out), *extra]
+    extra = [] if solving else ["--out", str(out)]
+    extra += ["--per-image", str(detail)] if per_image else []
+    cmd = [sys.executable, "-m", "odlt.cli", *args, *extra]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{src}: {' '.join(args)} exited {done.returncode}\n{done.stderr}")
+    if solving:
+        return {"json line": done.stdout.splitlines()}
     rows = {"rows": data_rows(out)}
     if per_image:
         rows["per-image rows"] = data_rows(detail)
@@ -108,6 +148,10 @@ def compare(name: str, parent: list[str], change: list[str], noise, shown: int =
     if parent == change:
         return True
     print(f"{name}: {len(parent)} lines in the parent, {len(change)} in the change")
+    if name.startswith("solve "):  # JSON lines, no CSV header
+        for a, b in zip(parent, change):
+            print(f"  parent: {a}\n  change: {b}")
+        return False
     header = parent[0].split(",")
     pairs = [(a, b) for a, b in zip(parent[1:], change[1:]) if a != b]
     for a, b in pairs[:shown]:
@@ -143,7 +187,7 @@ def main(argv: list[str]) -> int:
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        for name, args, per_image, noise in grid():
+        for name, args, per_image, noise in grid(write_problems(workdir)):
             parent = run(parent_src, args, per_image, workdir)
             change = run(change_src, args, per_image, workdir)
             for output in parent:
