@@ -8,9 +8,10 @@ Subcommands:
   solve        solve a single problem from a small text file and print the
                pose
 
-Every CSV starts with a comment manifest (command line, config as JSON,
-seed, package version, start time) so a results file is reproducible from
-its own header. Floats are written with repr() so rows are exact.
+Every CSV starts with a comment manifest (the command line, as odlt and the
+arguments main() parsed, config as JSON, seed, package version, start time)
+so a results file is reproducible from its own header. Floats are written
+with repr() so rows are exact.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import datetime
 import json
 import math
+import shlex
 import sys
 
 import numpy as np
@@ -56,7 +58,7 @@ def _aggregate_cell(x) -> str:
 def _manifest_lines(args: argparse.Namespace, config: dict) -> list:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return [
-        "# command: " + " ".join(sys.argv if sys.argv else ["odlt"]),
+        "# command: " + shlex.join(["odlt", *args.argv]),
         "# config: " + json.dumps(config, sort_keys=True),
         f"# seed: {getattr(args, 'seed', 0)}",
         f"# version: {__version__}",
@@ -77,15 +79,29 @@ def _write_csv(path, manifest, header, rows) -> None:
             out.close()
 
 
-def _count(text: str) -> int:
-    """A positive integer; argparse names the option."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _count(text: str, least: int = 1) -> int:
+    """An integer >= least, 1 or 0; argparse names the option."""
+    if not text.strip().isdecimal() or int(text) < least:
+        kind = "a positive" if least else "a non-negative"
+        raise argparse.ArgumentTypeError(f"expected {kind} integer, got {text!r}")
     return int(text)
 
 
+def _seed(text: str) -> int:
+    return _count(text, 0)
+
+
+def _split(text: str, item) -> list:
+    """The comma separated items of text, empty ones skipped, each parsed by
+    item; at least one. The one place the list options are split."""
+    items = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"expected a non-empty comma separated list, got {text!r}")
+    return items
+
+
 def _count_list(text: str) -> list:
-    return [_count(tok) for tok in text.split(",") if tok]
+    return _split(text, _count)
 
 
 def _noise_level(text: str, rule: str = ">= 0") -> float:
@@ -104,17 +120,19 @@ def _stated_noise(text: str) -> float:
 
 
 def _sigma_list(text: str) -> list:
-    return [_noise_level(tok) for tok in text.split(",") if tok]
+    return _split(text, _noise_level)
+
+
+def _method(text: str) -> str:
+    if text not in METHODS:
+        raise argparse.ArgumentTypeError(
+            f"unknown method {text!r} (choose from {', '.join(METHODS)})"
+        )
+    return text
 
 
 def _method_list(text: str) -> list:
-    methods = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise argparse.ArgumentTypeError(
-                f"unknown method {m!r} (choose from {', '.join(METHODS)})"
-            )
-    return methods
+    return _split(text, _method)
 
 
 def _cmd_synthetic(args: argparse.Namespace) -> int:
@@ -274,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma separated pixel noise levels (default: 1.0)",
     )
     p_syn.add_argument("--trials", type=_count, default=500, help="trials per cell (default: 500)")
-    p_syn.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
+    p_syn.add_argument("--seed", type=_seed, default=0, help="base seed, >= 0 (default: 0)")
     p_syn.add_argument(
         "--methods", type=_method_list, default=list(METHODS),
         help="comma separated methods (default: all)",
@@ -312,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra Gaussian pixel noise added to observations (default: 0)",
     )
     p_col.add_argument(
-        "--seed", type=int, default=0,
-        help="seed of the added pixel noise; the solvers draw no random numbers (default: 0)",
+        "--seed", type=_seed, default=0,
+        help="seed of the added pixel noise, >= 0; the solvers draw no random numbers (default: 0)",
     )
     p_col.add_argument("--out", default="-", help="output CSV path, - for stdout (default: -)")
     p_col.add_argument("--per-image", default=None, help="also write per-image rows to this CSV")
@@ -340,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifest's command line
     try:
         return args.func(args)
     except (PnpError, OSError) as exc:

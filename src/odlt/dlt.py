@@ -140,8 +140,8 @@ def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
     majority sign.
 
     Args:
-        A: the 2n x 12 stacked constraint matrix, or its 24 x 12 L(R) (see above).
-        points: optional (n,3) array of the world points behind A's rows.
+        A: the float 2n x 12 stacked constraint matrix, or its 24 x 12 L(R) (see above).
+        points: optional float (n,3) array of the world points behind A's rows.
         T_p: optional 4x4 point normalization: A's points are then T_p pbar.
 
     Raises:
@@ -149,7 +149,6 @@ def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
             singular value is below 1e-10 of the largest: no unique null space at working
             precision (degenerate points, or unnormalized coordinates far from the origin).
     """
-    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != 12:
         raise ValueError(f"expected (m, 12) matrix, got {A.shape}")
     try:
@@ -167,9 +166,8 @@ def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
     P = Vt[11].reshape(4, 3).T
     mixed = False
     if points is not None:
-        ps = np.asarray(points, dtype=float).reshape(-1, 3)
         k = P[2] if T_p is None else P[2] @ T_p
-        depths = ps @ k[:3] + k[3]
+        depths = points @ k[:3] + k[3]
         if depths.sum() < 0:
             Vt[11] *= -1.0  # P and the returned V are views of Vt
         npos = np.count_nonzero(depths > 0)

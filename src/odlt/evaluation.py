@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import numbers
 import statistics
 import time
 from dataclasses import dataclass
@@ -47,7 +48,14 @@ _TRUNCATION_SIGMAS = 6.0
 
 @dataclass(frozen=True)
 class SyntheticScenario:
-    """One benchmark cell: box, point count, noise level, trial budget."""
+    """One benchmark cell: box, point count, noise level, trial budget, and the
+    seed of its scenes' RNG streams.
+
+    Raises:
+        ValueError: if n or trials is not an integer >= 1, seed not one
+            >= 0, sigma_u not finite and >= 0 or box not two corners with
+            hi > lo.
+    """
 
     box: tuple = CENTERED_BOX
     n: int = 50
@@ -57,12 +65,12 @@ class SyntheticScenario:
     intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+        for name, least in (("n", 1), ("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0 <= self.sigma_u < np.inf:
             raise ValueError(f"sigma_u must be finite and >= 0, got {self.sigma_u}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
         lo, hi = np.asarray(self.box[0], dtype=float), np.asarray(self.box[1], dtype=float)
         if lo.shape != (3,) or hi.shape != (3,) or not np.all(hi > lo):
             raise ValueError(f"box must be ((x0,y0,z0),(x1,y1,z1)) with hi > lo, got {self.box}")

@@ -122,6 +122,5 @@ def denormalize_projection(
     pixel_norm: PixelNormalization,
     point_norm: PointNormalization,
 ) -> np.ndarray:
-    """Map a projection estimated in normalized coordinates back: T_u^-1 P T_p."""
-    P_norm = np.asarray(P_norm, dtype=float).reshape(3, 4)
+    """Map a 3x4 projection estimated in normalized coordinates back: T_u^-1 P T_p."""
     return pixel_norm.T_inv @ P_norm @ point_norm.T

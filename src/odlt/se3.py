@@ -3,12 +3,15 @@
 The null-space estimate lives in normalized projective coordinates. Removing
 the calibration and the normalizations (declamp_denormalize) gives
 G = K^-1 T_u^-1 P_norm T_p = R'[I | -r'], R' only approximately a scaled
-rotation. For the weighted methods, rotation_weights transports the
-information matrix of vec(P_norm) through the vec form of that map,
-M = T_p^T kron (K^-1 T_u^-1): its nine leading diagonal entries (column-major,
-the R' block) form the 3x3 weight matrix W of the weighted Procrustes
-projection of R' onto SO(3). M is never formed: by (A kron B) vec(X) =
-vec(B X A^T) both steps are 3x3, 3x4 and 4x4 products.
+rotation. declamp_denormalize alone judges det(R'): it raises DegenerateInput
+for a singular block and ReflectionDetected for a mirrored one (det < 0), so
+the stages after it take det > 0, and like it they take solve()'s checked
+float arrays as given, coercing none. For the weighted methods,
+rotation_weights transports the information matrix of vec(P_norm) through
+the vec form of that map, M = T_p^T kron (K^-1 T_u^-1): its nine leading
+diagonal entries (column-major, the R' block) form the 3x3 weight matrix W
+of the weighted Procrustes projection of R' onto SO(3). M is never formed:
+by (A kron B) vec(X) = vec(B X A^T) both steps are 3x3, 3x4 and 4x4 products.
 Translation is read off r' or re-triangulated with the rotation fixed (LOST),
 which is O(n) and reuses the optimal weights: its normal equations come from
 one (4, n) product of per-point features, as Gauss-Newton's come from the
@@ -68,10 +71,14 @@ def declamp_denormalize(
     Km is the checked 3x3 intrinsic matrix. Computes G = K^-1 T_u^-1 P_norm T_p
     and returns (R_acute, r_acute, det): R_acute = G[:, :3], its determinant by
     cofactors and r_acute = -R_acute^-1 G[:, 3] = -adj(R_acute) G[:, 3] / det.
+    It is the one judge of det: what it returns has det >= the smallest normal
+    float, so the stages after it take det as a positive scale.
 
     Raises:
         SingularCalibration: if K cannot be inverted reliably.
         DegenerateInput: if det(R_acute) is zero or subnormal or r_acute not finite.
+        ReflectionDetected: if det < 0 (after the depth sign fix, this
+            indicates a mirrored solution, not a camera pose).
     """
     G = intrinsic_inverse(Km) @ pixel_norm.T_inv @ sol.P @ point_norm.T
     (a, b, c, x), (d, e, f, y), (g, h, i, z) = G.tolist()
@@ -84,6 +91,8 @@ def declamp_denormalize(
     r2 = -(C * x + (b * g - a * h) * y + (a * e - b * d) * z) / det
     if not (-inf < r0 < inf and -inf < r1 < inf and -inf < r2 < inf):
         raise DegenerateInput("de-clamped camera center is not finite")
+    if det < 0:
+        raise ReflectionDetected(f"linear rotation block has determinant {det!r}")
     return G[:, :3], np.array([r0, r1, r2]), det
 
 
@@ -145,15 +154,13 @@ def weighted_procrustes(R_acute: np.ndarray, W: np.ndarray, det: float) -> tuple
     Q = W * W (the rounding of the cost, which could not tell whether a step
     helped), undoing a step that raised the cost, and takes at most
     _PROCRUSTES_MAX_STEPS steps. R_acute and W are float 3x3 arrays and det is
-    det(R_acute), computed by the caller.
+    det(R_acute) > 0, as declamp_denormalize returns them.
 
     Returns:
         (R, fallback_used): fallback_used is True when the normal matrix
         had condition number > 1e10 and the unweighted projection R0 was
         returned instead.
     """
-    if det == 0:
-        raise DegenerateInput("de-clamped rotation block is singular")
     Rs = (1.0 / np.cbrt(det)) * R_acute
     R0 = nearest_rotation(Rs)
     S, Q = Rs.T.tolist(), (W * W).T.tolist()  # columns, as R's below
@@ -193,23 +200,14 @@ def weighted_procrustes(R_acute: np.ndarray, W: np.ndarray, det: float) -> tuple
     return np.array(R).T, False
 
 
-def recover_scale_and_position(r_acute: np.ndarray, R_final: np.ndarray, det: float) -> Pose:
+def recover_scale_and_position(r_acute: np.ndarray, R_final: np.ndarray) -> Pose:
     """Assemble the metric pose from the Procrustes rotation and r_acute.
 
     The center of projection is invariant to the global scale of the linear
-    solution, so the pose pairs the rotation R_final, unchecked, with r_acute.
-    det is det(R_acute), the determinant declamp_denormalize computed.
-
-    Raises:
-        ReflectionDetected: if det < 0 (after the depth sign fix, this
-            indicates a mirrored solution, not a camera pose).
-        DegenerateInput: if det == 0.
+    solution, so the pose pairs the rotation R_final, unchecked, with the
+    float (3,) r_acute of declamp_denormalize, which has judged det(R_acute).
     """
-    if det < 0:
-        raise ReflectionDetected(f"linear rotation block has determinant {det!r}")
-    if det == 0:
-        raise DegenerateInput("linear rotation block is singular")
-    return Pose._from_rotation(R_final, np.asarray(r_acute, dtype=float))
+    return Pose._from_rotation(R_final, r_acute)
 
 
 def lost_translation(
@@ -234,8 +232,9 @@ def lost_translation(
             arrays, masked copies only when some point is behind the camera.
         us: checked (n,2) pixels, as ps.
         Km: checked 3x3 intrinsic matrix.
-        R: fixed 3x3 rotation.
-        weights: positive per-point scalars q_i (from the final estimate).
+        R: fixed float 3x3 rotation.
+        weights: float (n,) array of the positive per-point scalars q_i
+            (from the final estimate).
 
     Returns:
         Translation t (world origin in camera coordinates); the camera
@@ -244,12 +243,9 @@ def lost_translation(
     Raises:
         RankDeficient: if the normal matrix has condition number > 1e12.
     """
-    q = np.asarray(weights, dtype=float).reshape(-1)
-    if q.shape[0] != ps.shape[0]:
-        raise ValueError(f"expected {ps.shape[0]} weights, got {q.shape[0]}")
     Kinv = intrinsic_inverse(Km)
-    Z = np.empty((4, q.shape[0]))  # q^2 (1, a, b, rho), one row per feature
-    np.multiply(q, q, out=Z[0])
+    Z = np.empty((4, ps.shape[0]))  # q^2 (1, a, b, rho), one row per feature
+    np.multiply(weights, weights, out=Z[0])
     a, b = np.matmul(Kinv[:2, :2], us.T, out=Z[1:3])
     a += Kinv[0, 2]
     b += Kinv[1, 2]
@@ -257,7 +253,7 @@ def lost_translation(
     rho += b * b
     Z[1:] *= Z[0]
     w, sa, sb, srho = Z.sum(axis=1).tolist()
-    RS = ((Z @ ps) @ np.asarray(R, dtype=float).T).tolist()  # RS[k][j] = sum_i Z[k, i] (R p_i)_j
+    RS = ((Z @ ps) @ R.T).tolist()  # RS[k][j] = sum_i Z[k, i] (R p_i)_j
     s0, s1 = RS[0][0] - RS[1][2], RS[0][1] - RS[2][2]
     s2 = RS[3][2] - RS[1][0] - RS[2][1]
     t = _solve_psd((w, 0.0, -sa, w, -sb, srho), (-s0, -s1, -s2), _LOST_COND_LIMIT)

@@ -225,7 +225,7 @@ def solve(cs, K, cfg: Optional[SolverConfig] = None) -> PnpResult:
             flags.add(FLAG_DEGENERATE_WEIGHTS)
     else:
         R = nearest_rotation(R_acute)
-    pose = recover_scale_and_position(r_acute, R, det)
+    pose = recover_scale_and_position(r_acute, R)
     timings["recover"] = time.perf_counter() - t0
 
     if lost:

@@ -203,7 +203,7 @@ def test_criterion_06_unit_weight_reduction(rng):
         R_acute, r_acute, det = declamp_denormalize(out.sol, Km, out.pix, out.pt)
         R_unit, fallback = weighted_procrustes(R_acute, np.ones((3, 3)), det)
         assert not fallback
-        unit = recover_scale_and_position(r_acute, R_unit, det)
+        unit = recover_scale_and_position(r_acute, R_unit)
         plain = solve((ps, us), Km, SolverConfig(method="ndlt"))
         np.testing.assert_allclose(unit.R, plain.pose.R, atol=1e-12)
         np.testing.assert_allclose(unit.r, plain.pose.r, atol=1e-12)

@@ -193,6 +193,54 @@ class TestSynthetic:
             main(["synthetic", "--methods", "p3p"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthetic", "--n-list", ","],
+            ["synthetic", "--sigma-list", ","],
+            ["synthetic", "--methods", ","],
+            ["eval-colmap", "--model-dir", str(SOLVABLE), "--methods", " , "],
+        ],
+        ids=["n-list", "sigma-list", "methods", "eval-colmap-methods"],
+    )
+    def test_empty_list_is_an_argparse_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        option, value = argv[-2:]
+        message = f"expected a non-empty comma separated list, got {value!r}"
+        assert f"argument {option}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthetic", "--n-list", "6", "--trials", "2"],
+            # It builds its noise generator even with no noise to draw.
+            ["eval-colmap", "--model-dir", str(GOLDEN), "--noise-px", "0"],
+        ],
+        ids=["synthetic", "eval-colmap"],
+    )
+    def test_negative_seed_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got '-1'" in err
+
+    def test_manifest_names_the_parsed_command(self, tmp_path, monkeypatch):
+        # The manifest records odlt and main's own argv, not the interpreter's
+        # sys.argv, so a results file names the command that wrote it.
+        out = tmp_path / "rows.csv"
+        argv = ["synthetic", "--n-list", "6", "--trials", "2", "--no-timing", "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", ["-c"])
+        assert main(argv) == 0
+        assert read_csv(out)[0][0] == "# command: odlt " + " ".join(argv)
+        monkeypatch.setattr(sys, "argv", ["/somewhere/odlt/cli.py", *argv])
+        assert main() == 0
+        assert read_csv(out)[0][0] == "# command: odlt " + " ".join(argv)
+
 
 class TestEvalColmap:
     def test_zero_noise_aggregates(self, tmp_path):

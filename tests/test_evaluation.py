@@ -93,6 +93,11 @@ class TestSceneGeneration:
             SyntheticScenario(trials=0)
         with pytest.raises(ValueError):
             SyntheticScenario(box=((0, 0, 4), (0, 2, 8)))
+        for field, least in (("n", 1), ("trials", 1), ("seed", 0)):
+            for value in (least - 1, 6.5, "6"):
+                with pytest.raises(ValueError, match=f"{field} must be an integer >= {least}"):
+                    SyntheticScenario(**{field: value})
+            assert getattr(SyntheticScenario(**{field: np.int64(6)}), field) == 6
 
 
 class TestMetrics:

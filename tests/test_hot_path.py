@@ -22,7 +22,9 @@ chunking, a QR back in the null space, a null space handed the 2n x 12
 matrix above the route, a weighted solve that assembles or factors a second
 matrix, a fit pass, a second moment fill or a normalized copy of the points
 or pixels, rows other than the filled ones (or their R factor, from the
-route up) handed to the assembly, an assembly that writes its input, a LOST handed mask copies when no point is dropped, or a
+route up) handed to the assembly, an assembly that writes its input, a
+mirrored solve that weighs or projects its rotation before it raises
+ReflectionDetected, a LOST handed mask copies when no point is dropped, or a
 Gauss-Newton that keeps evaluating the cost once it has converged, builds
 normal equations after its last small step, projects a pose twice (or once
 more after the refine, for the reported residual), re-copies
@@ -44,6 +46,7 @@ import odlt.se3 as se3_module
 import odlt.solvers as solvers_module
 from odlt.cli import main
 from odlt.colmap import build_problems, parse_model
+from odlt.errors import ReflectionDetected
 from odlt.evaluation import UNCENTERED_BOX, SyntheticScenario, generate_scene, run_monte_carlo
 from odlt.geometry import Correspondence
 from odlt.solvers import METHODS, STAGES, SolverConfig, solve
@@ -240,6 +243,32 @@ def test_stage_calls_per_solve(method, monkeypatch):
     assert {name: tally[name] for name in STAGE_CALLS} == {
         name: calls[method] for name, calls in STAGE_CALLS.items()
     }
+
+
+# The centered n=50 scene mirrored in z, seen at the pixels of the unmirrored
+# one: the camera diag(1, 1, -1) explains it, and no rotation does. Declamping
+# judges the determinant, so the solve ends there, before the rotation weights,
+# the Procrustes steps or any nearest_rotation.
+@pytest.mark.parametrize("method", METHODS)
+def test_reflection_ends_the_solve_at_declamping(method, monkeypatch):
+    called = []
+    for owner, name in (
+        (solvers_module, "rotation_weights"),
+        (solvers_module, "weighted_procrustes"),
+        (solvers_module, "nearest_rotation"),
+        (se3_module, "nearest_rotation"),
+    ):
+
+        def recorded(*args, _fn=getattr(owner, name), _name=name):
+            called.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+    sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
+    (ps, us), _ = generate_scene(sc, 0)
+    with pytest.raises(ReflectionDetected):
+        solve((ps * (1.0, 1.0, -1.0), us), sc.intrinsics, SolverConfig(method=method))
+    assert called == []
 
 
 # Gauss-Newton's work in one ndlt_gn solve on the uncentered box: step

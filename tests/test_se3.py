@@ -154,6 +154,15 @@ class TestDeclamp:
                 sol, np.eye(3), PixelNormalization.identity(), PointNormalization.identity()
             )
 
+    def test_mirrored_block_is_a_reflection(self, rng):
+        # G = -R [I | -r]: a finite center, but no rotation explains det(-R) = -1.
+        R, r = random_rotation(rng), rng.uniform(-2, 2, 3)
+        sol = DltSolution(P=np.column_stack([-R, R @ r]), singular_values=np.ones(12), V=np.eye(12))
+        with pytest.raises(ReflectionDetected, match="determinant -"):
+            declamp_denormalize(
+                sol, np.eye(3), PixelNormalization.identity(), PointNormalization.identity()
+            )
+
 
 class TestWeightedProcrustes:
     def test_uniform_weights_reduce_to_plain_projection(self, rng):
@@ -224,27 +233,14 @@ class TestWeightedProcrustes:
         assert fallback
         np.testing.assert_allclose(R, nearest_rotation(s * R_acute), atol=1e-12)
 
-    def test_validation(self, rng):
-        singular = np.zeros((3, 3))
-        singular[0, 0] = 1.0
-        with pytest.raises(DegenerateInput):
-            weighted_procrustes(singular, np.ones((3, 3)), det=np.linalg.det(singular))
-
 
 class TestRecoverScale:
     def test_scale_and_pose(self, rng):
         R = random_rotation(rng)
         r = rng.uniform(-2, 2, 3)
-        pose = recover_scale_and_position(r, R, np.linalg.det(2.0 * R))
+        pose = recover_scale_and_position(r, R)
         np.testing.assert_array_equal(pose.R, R)
         np.testing.assert_allclose(pose.r, r, atol=1e-15)
-
-    def test_reflection_raises(self, rng):
-        R = random_rotation(rng)
-        with pytest.raises(ReflectionDetected):
-            recover_scale_and_position(np.zeros(3), R, np.linalg.det(-R))
-        with pytest.raises(DegenerateInput):
-            recover_scale_and_position(np.zeros(3), R, np.linalg.det(np.zeros((3, 3))))
 
 
 class TestLostTranslation:
@@ -495,12 +491,26 @@ class TestClosedFormsMatchNumpy:
             assert abs(cost - procrustes_cost(R_ref, Rs, W)) <= resolution
         assert cost <= procrustes_cost(nearest_rotation(Rs), Rs, W) * (1 + 1e-12)
 
+    @staticmethod
+    def declamped(out, Km):
+        """(G, declamp_denormalize's output) of one linear outcome; None for a
+        mirrored block (det < 0, as the uncentered n=6 outcomes hold), after
+        asserting that declamping raises ReflectionDetected for it."""
+        G = intrinsic_inverse(Km) @ out.pix.T_inv @ out.sol.P @ out.pt.T
+        if np.linalg.det(G[:, :3]) < 0:
+            with pytest.raises(ReflectionDetected):
+                declamp_denormalize(out.sol, Km, out.pix, out.pt)
+            return None
+        return G, declamp_denormalize(out.sol, Km, out.pix, out.pt)
+
     @pytest.mark.parametrize("n", [6, 12, 50, 2000])
     @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
     def test_weighted_procrustes_matches_numpy(self, box, n):
         outcomes, Km = recovery_inputs(box, n)
         for out in outcomes:
-            R_acute, _, det = declamp_denormalize(out.sol, Km, out.pix, out.pt)
+            if (declamped := self.declamped(out, Km)) is None:
+                continue
+            R_acute, _, det = declamped[1]
             W = rotation_weights(out.sol, Km, out.pix, out.pt)
             self.assert_procrustes_matches_numpy(R_acute, W, det)
             self.assert_procrustes_matches_numpy(R_acute, np.zeros((3, 3)), det, 0.0, True)
@@ -523,9 +533,10 @@ class TestClosedFormsMatchNumpy:
     def test_declamp_matches_numpy_det_and_solve(self, box, n):
         outcomes, Km = recovery_inputs(box, n)
         for out in outcomes:
-            G = intrinsic_inverse(Km) @ out.pix.T_inv @ out.sol.P @ out.pt.T
+            if (declamped := self.declamped(out, Km)) is None:
+                continue
+            G, (R_acute, r_acute, det) = declamped
             det_ref, r_ref = oracle_declamp_det_solve(G[:, :3], G[:, 3])
-            R_acute, r_acute, det = declamp_denormalize(out.sol, Km, out.pix, out.pt)
             np.testing.assert_array_equal(R_acute, G[:, :3])
             assert abs(det - det_ref) <= 1e-14 * abs(det_ref)
             assert np.linalg.norm(r_acute - r_ref) <= 1e-14 * np.linalg.norm(r_ref)

@@ -12,20 +12,25 @@ PYTHONPATH set to it:
         256, 767, 768, 1535, 1536, 2000, sigma 0, 1, 3, 20 trials;
     eval-colmap on tests/fixtures/colmap_golden and tests/fixtures/colmap_solvable,
         --noise-px 0 and 1, with --per-image;
-    solve --format json-lines, all five methods, on two problem files the tool
-        writes once from a fixed numpy seed: centered n=50 sigma 1 and
-        uncentered n=300 sigma 3 (the synthetic boxes, camera at the origin).
+    solve --format json-lines, all five methods, on four problem files the
+        tool writes once from a fixed numpy seed (the synthetic boxes, camera
+        at the origin): centered n=50 sigma 1 and uncentered n=300 sigma 3,
+        which solve, and two that fail: the first mirrored in z with its
+        pixels kept (ReflectionDetected for every method), and 6
+        correspondences over 5 distinct points at sigma 0 (RankDeficient).
 
 The CSV rows are compared with their comment manifests left out, since those
-hold a start time, and the JSON lines of solve as printed: they also hold
-reprojection_rms and the flags, which no CSV row does. Prints "identical" and
-exits 0 when every row and line matches byte for byte. Otherwise, for each
-output that differs, prints the first differing rows; for CSV rows also, per
-method, the largest relative change over the numeric cells of its differing
-rows, separately for rows with noise (sigma > 0, --noise-px > 0) and without,
-where values at the rounding level dominate; and whether the failure counts
-per method and failure class (the per-image status) match. It exits 1. Both
-trees run with one BLAS thread, so that they use the same kernels.
+hold a start time. A solve's output is compared as printed: its JSON line,
+which holds reprojection_rms and the flags, its exit code and its stderr
+line, which tells one PnpError from another. No CSV row holds any of these.
+Prints "identical" and exits 0 when every row and line matches byte for
+byte. Otherwise, for each output that differs, prints the first differing
+rows; for CSV rows also, per method, the largest relative change over the
+numeric cells of its differing rows, separately for rows with noise
+(sigma > 0, --noise-px > 0) and without, where values at the rounding level
+dominate; and whether the failure counts per method and failure class (the
+per-image status) match. It exits 1. Both trees run with one BLAS thread, so
+that they use the same kernels.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 N_LIST = "6,10,11,12,50,255,256,767,768,1535,1536,2000"
 SYNTHETIC = ["--n-list", N_LIST, "--sigma-list", "0,1,3", "--trials", "20"]
 METHODS = ("dlt", "ndlt", "odlt", "odlt_lost", "ndlt_gn")
-# solve's problems: (name, box (lo, hi) as in odlt.evaluation, n, pixel sigma).
+# solve's solvable problems: (name, box (lo, hi) as in odlt.evaluation, n, pixel sigma).
 PROBLEMS = (
     ("centered n=50 sigma 1", ((-2.0, -2.0, 4.0), (2.0, 2.0, 8.0)), 50, 1.0),
     ("uncentered n=300 sigma 3", ((1.0, 1.0, 4.0), (2.0, 2.0, 8.0)), 300, 3.0),
@@ -56,15 +61,26 @@ PROBLEMS = (
 PROBLEM_SEED = 20240607
 
 
+def project(ps: np.ndarray) -> np.ndarray:
+    return 800.0 * ps[:, :2] / ps[:, 2:] + (320.0, 240.0)
+
+
 def write_problems(workdir: Path) -> list[tuple[str, Path]]:
-    """Write PROBLEMS as odlt solve problem files, fx = fy = 800 and principal
-    point (320, 240), the camera at the origin looking down +z, the values
-    written by repr so that both trees read the same floats."""
+    """Write PROBLEMS and the two failing problems (see above) as odlt solve
+    problem files, fx = fy = 800 and principal point (320, 240), the camera
+    at the origin looking down +z, the values written by repr so that both
+    trees read the same floats."""
     rng = np.random.default_rng(PROBLEM_SEED)
-    out = []
-    for k, (name, (lo, hi), n, sigma) in enumerate(PROBLEMS):
+    scenes = []
+    for name, (lo, hi), n, sigma in PROBLEMS:
         ps = rng.uniform(lo, hi, (n, 3))
-        us = 800.0 * ps[:, :2] / ps[:, 2:] + (320.0, 240.0) + sigma * rng.standard_normal((n, 2))
+        scenes.append((name, ps, project(ps) + sigma * rng.standard_normal((n, 2))))
+    _, ps, us = scenes[0]
+    scenes.append(("centered n=50 sigma 1 mirrored in z", ps * (1.0, 1.0, -1.0), us))
+    ps = rng.uniform(*PROBLEMS[0][1], (5, 3))[[0, 1, 2, 3, 4, 0]]
+    scenes.append(("6 over 5 distinct points sigma 0", ps, project(ps)))
+    out = []
+    for k, (name, ps, us) in enumerate(scenes):
         lines = ["800.0 800.0 320.0 240.0"]
         lines += [" ".join(repr(float(v)) for v in (*u, *p)) for p, u in zip(ps, us)]
         path = workdir / f"problem{k}.txt"
@@ -95,7 +111,8 @@ def data_rows(path: Path) -> list[str]:
 
 def run(src: Path, args: list[str], per_image: bool, workdir: Path) -> dict[str, list[str]]:
     """The data rows of one CLI run on the tree src, by output name: the CSV
-    rows, or the printed lines of solve."""
+    rows, or solve's printed lines, exit code and stderr lines. Only solve may
+    fail, with exit 3 (a PnpError)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     solving = args[0] == "solve"
@@ -104,10 +121,11 @@ def run(src: Path, args: list[str], per_image: bool, workdir: Path) -> dict[str,
     extra += ["--per-image", str(detail)] if per_image else []
     cmd = [sys.executable, "-m", "odlt.cli", *args, *extra]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
+    if done.returncode not in ((0, 3) if solving else (0,)):
         raise SystemExit(f"{src}: {' '.join(args)} exited {done.returncode}\n{done.stderr}")
     if solving:
-        return {"json line": done.stdout.splitlines()}
+        lines = [*done.stdout.splitlines(), f"exit {done.returncode}", *done.stderr.splitlines()]
+        return {"output": lines}
     rows = {"rows": data_rows(out)}
     if per_image:
         rows["per-image rows"] = data_rows(detail)
@@ -148,7 +166,7 @@ def compare(name: str, parent: list[str], change: list[str], noise, shown: int =
     if parent == change:
         return True
     print(f"{name}: {len(parent)} lines in the parent, {len(change)} in the change")
-    if name.startswith("solve "):  # JSON lines, no CSV header
+    if name.startswith("solve "):  # printed lines, no CSV header
         for a, b in zip(parent, change):
             print(f"  parent: {a}\n  change: {b}")
         return False
