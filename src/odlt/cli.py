@@ -20,6 +20,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import shlex
 import sys
 
@@ -363,7 +364,17 @@ def main(argv=None) -> int:
     args.argv = argv  # the manifest's command line
     try:
         return args.func(args)
-    except (PnpError, OSError) as exc:
+    except BrokenPipeError:
+        # The reader closed stdout (odlt ... | head): end quietly, as the SIGPIPE
+        # note in Python's signal docs does, so that the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    except PnpError as exc:
+        print(f"error: {exc} ({type(exc).__name__})", file=sys.stderr)
+        return 3
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

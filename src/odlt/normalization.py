@@ -34,11 +34,6 @@ class _Similarity:
     centroid: np.ndarray
 
     @classmethod
-    def identity(cls) -> "_Similarity":
-        eye = np.eye(cls.DIM + 1)
-        return cls(T=eye, T_inv=eye.copy(), scale=1.0, centroid=np.zeros(cls.DIM))
-
-    @classmethod
     def _from_moments(cls, count: float, total, squares: float, origin) -> tuple:
         """The similarity to zero centroid and RMS radius sqrt(DIM) of count points
         whose offsets from origin sum to total and their squared norms to squares,
@@ -119,8 +114,11 @@ def moment_normalization(S: np.ndarray, u0: np.ndarray, p0: np.ndarray) -> tuple
 
 def denormalize_projection(
     P_norm: np.ndarray,
-    pixel_norm: PixelNormalization,
-    point_norm: PointNormalization,
+    pixel_norm: PixelNormalization | None,
+    point_norm: PointNormalization | None,
 ) -> np.ndarray:
-    """Map a 3x4 projection estimated in normalized coordinates back: T_u^-1 P T_p."""
+    """Map a 3x4 projection estimated in normalized coordinates back: T_u^-1 P T_p.
+    Both normalizations None means unnormalized (dlt): P_norm itself is returned."""
+    if pixel_norm is None and point_norm is None:
+        return P_norm
     return pixel_norm.T_inv @ P_norm @ point_norm.T

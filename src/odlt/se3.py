@@ -64,12 +64,16 @@ def intrinsic_inverse(Km: np.ndarray) -> np.ndarray:
 
 
 def declamp_denormalize(
-    sol: DltSolution, Km: np.ndarray, pixel_norm: PixelNormalization, point_norm: PointNormalization
+    sol: DltSolution,
+    Km: np.ndarray,
+    pixel_norm: PixelNormalization | None,
+    point_norm: PointNormalization | None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Map the normalized linear solution back to calibrated world coordinates.
 
-    Km is the checked 3x3 intrinsic matrix. Computes G = K^-1 T_u^-1 P_norm T_p
-    and returns (R_acute, r_acute, det): R_acute = G[:, :3], its determinant by
+    Km is the checked 3x3 intrinsic matrix. Computes G = K^-1 T_u^-1 P_norm T_p,
+    or G = K^-1 P when both normalizations are None (dlt, unnormalized), and
+    returns (R_acute, r_acute, det): R_acute = G[:, :3], its determinant by
     cofactors and r_acute = -R_acute^-1 G[:, 3] = -adj(R_acute) G[:, 3] / det.
     It is the one judge of det: what it returns has det >= the smallest normal
     float, so the stages after it take det as a positive scale.
@@ -80,7 +84,8 @@ def declamp_denormalize(
         ReflectionDetected: if det < 0 (after the depth sign fix, this
             indicates a mirrored solution, not a camera pose).
     """
-    G = intrinsic_inverse(Km) @ pixel_norm.T_inv @ sol.P @ point_norm.T
+    Kinv = intrinsic_inverse(Km)
+    G = Kinv @ sol.P if pixel_norm is None else Kinv @ pixel_norm.T_inv @ sol.P @ point_norm.T
     (a, b, c, x), (d, e, f, y), (g, h, i, z) = G.tolist()
     A, B, C = e * i - f * h, f * g - d * i, d * h - e * g  # the first column of adj(R_acute)
     det = a * A + b * B + c * C

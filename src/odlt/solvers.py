@@ -132,23 +132,13 @@ def _reprojection_rms(ps: np.ndarray, us: np.ndarray, Km: np.ndarray, pose: Pose
     return float(np.sqrt(np.vdot(d, d) / ps.shape[0]))
 
 
-def _shared_identity(cls):
-    """cls.identity() with read-only arrays, so that every dlt solve can share it."""
-    norm = cls.identity()
-    for a in (norm.T, norm.T_inv, norm.centroid):
-        a.flags.writeable = False
-    return norm
-
-
-_IDENTITY = _shared_identity(PixelNormalization), _shared_identity(PointNormalization)
-
-
 class _LinearOutcome(NamedTuple):
-    """Null-space solution, the normalizations it lives in, timings."""
+    """Null-space solution, the normalizations it lives in (None for dlt,
+    which solves in raw coordinates), timings."""
 
     sol: DltSolution
-    pix: PixelNormalization
-    pt: PointNormalization
+    pix: Optional[PixelNormalization]
+    pt: Optional[PointNormalization]
     timings: dict
 
 
@@ -166,12 +156,10 @@ def _linear_solve(ps: np.ndarray, us: np.ndarray, normalize: bool, weighted: boo
         Mt[:3], Mt[7::4] = ps.T, us.T
     _fill_moments(Mt)
     rows = Mt if weighted else _system_rows(Mt)  # R^T has M's Gram; weighted rows: below
-    B = None
+    pix = pt = B = None
     if normalize:
         S = rows @ rows.T
         pix, pt, B = moment_normalization(S, us[0], ps[0])
-    else:
-        pix, pt = _IDENTITY
     timings["normalize"] = time.perf_counter() - t0
 
     if weighted:
@@ -190,7 +178,7 @@ def _linear_solve(ps: np.ndarray, us: np.ndarray, normalize: bool, weighted: boo
         timings["weights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sol = solve_nullspace(_assemble_arrays(rows, B), points=ps, T_p=pt.T)
+    sol = solve_nullspace(_assemble_arrays(rows, B), points=ps, T_p=None if pt is None else pt.T)
     timings["solve"] = time.perf_counter() - t0
     return _LinearOutcome(sol, pix, pt, timings)
 

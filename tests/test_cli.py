@@ -50,10 +50,10 @@ def solvable_problem():
     return problems[0]
 
 
-def write_scene_file(path, n):
-    """A problem file of one n-point synthetic scene."""
-    sc = SyntheticScenario(n=n, trials=1)
-    (ps, us), _ = generate_scene(sc, 0)
+def write_scene_file(path, n, sigma_u=1.0, scene=lambda ps, us: (ps, us)):
+    """A problem file of one n-point synthetic scene, or of scene(ps, us) made from it."""
+    sc = SyntheticScenario(n=n, sigma_u=sigma_u, trials=1)
+    ps, us = scene(*generate_scene(sc, 0)[0])
     intr = sc.intrinsics
     lines = [" ".join(repr(float(v)) for v in (intr.fx, intr.fy, intr.cx, intr.cy))]
     lines += [" ".join(repr(float(v)) for v in (*u, *p)) for p, u in zip(ps, us)]
@@ -558,6 +558,50 @@ class TestErrorExits:
         assert main(["solve", "--input", str(path)]) == 3
         err = capsys.readouterr().err
         assert f"error: {path}:" in err and "not UTF-8 text" in err
+
+    @pytest.mark.parametrize(
+        "name, n, sigma_u, scene",
+        [
+            # The scene mirrored in z, seen at its own pixels: no rotation explains it.
+            ("ReflectionDetected", 50, 1.0, lambda ps, us: (ps * (1.0, 1.0, -1.0), us)),
+            # 6 correspondences over 5 distinct points at sigma 0.
+            ("RankDeficient", 5, 0.0, lambda ps, us: (ps[[0, 1, 2, 3, 4, 0]], us[[0, 1, 2, 3, 4, 0]])),
+        ],
+        ids=["ReflectionDetected", "RankDeficient"],
+    )
+    def test_solve_error_names_its_class(self, tmp_path, capsys, name, n, sigma_u, scene):
+        path = tmp_path / "problem.txt"
+        write_scene_file(path, n, sigma_u, scene)
+        assert main(["solve", "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f" ({name})\n")
+
+    def test_malformed_line_names_its_class(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("800.0 800.0 320.0\n")
+        assert main(["solve", "--input", str(path)]) == 3
+        assert capsys.readouterr().err.endswith(" (MalformedLine)\n")
+
+    def test_os_error_line_names_no_class(self, tmp_path, capsys):
+        # A missing --out directory is the environment's fault, not a PnpError.
+        out = tmp_path / "missing" / "rows.csv"
+        argv = ["synthetic", "--trials", "1", "--n-list", "6", "--sigma-list", "0", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory") and not err.endswith(")\n")
+
+    def test_closed_stdout_ends_quietly(self):
+        # odlt ... | head -1: the reader takes one line and closes the pipe while
+        # about 250 kB, more than a 64 KiB pipe buffer holds, is still unwritten.
+        sigmas = ",".join(str(s) for s in range(2500))
+        cmd = [sys.executable, "-m", "odlt.cli", "synthetic", "--trials", "1", "--n-list", "6",
+               "--sigma-list", sigmas, "--methods", "dlt", "--no-timing"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"# command: odlt synthetic")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""  # no error line, no traceback at exit
+        proc.stderr.close()
 
     @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"])
     @pytest.mark.parametrize("bad_line", [1, 2, 700, 1500])

@@ -24,8 +24,10 @@ matrix, a fit pass, a second moment fill or a normalized copy of the points
 or pixels, rows other than the filled ones (or their R factor, from the
 route up) handed to the assembly, an assembly that writes its input, a
 mirrored solve that weighs or projects its rotation before it raises
-ReflectionDetected, a LOST handed mask copies when no point is dropped, or a
-Gauss-Newton that keeps evaluating the cost once it has converged, builds
+ReflectionDetected, a dlt solve that normalizes or hands its recovery
+anything but None for the normalizations, a LOST handed mask copies when no
+point is dropped, or a Gauss-Newton that keeps evaluating the cost once it
+has converged, builds
 normal equations after its last small step, projects a pose twice (or once
 more after the refine, for the reported residual), re-copies
 its point and pixel rows or allocates its feature rows per projection or
@@ -436,6 +438,36 @@ def test_one_moment_fill_and_no_normalized_copy(method, n, monkeypatch):
         assert rows is Mt
     ((points,),) = [signed]
     assert np.shares_memory(points, ps) and points.shape == ps.shape
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_unnormalized_is_none(method, monkeypatch):
+    # dlt solves in raw coordinates: it calls no moment_normalization and hands
+    # declamping None for both normalizations. Each normalized method hands it
+    # the pair that moment_normalization returned, not a copy.
+    fitted, declamped = [], []
+    moment, declamp = solvers_module.moment_normalization, solvers_module.declamp_denormalize
+
+    def recorded_moment(*args):
+        out = moment(*args)
+        fitted.append(out[:2])
+        return out
+
+    def recorded_declamp(sol, Km, pix, pt):
+        declamped.append((pix, pt))
+        return declamp(sol, Km, pix, pt)
+
+    monkeypatch.setattr(solvers_module, "moment_normalization", recorded_moment)
+    monkeypatch.setattr(solvers_module, "declamp_denormalize", recorded_declamp)
+    sc = SyntheticScenario(n=50, sigma_u=1.0, trials=1, seed=0)
+    arrays, _ = generate_scene(sc, 0)
+    solve(arrays, sc.intrinsics, SolverConfig(method=method))
+    ((pix, pt),) = declamped
+    if STAGES[method].normalize:
+        ((fit_pix, fit_pt),) = fitted
+        assert pix is fit_pix and pt is fit_pt
+    else:
+        assert fitted == [] and pix is None and pt is None
 
 
 def test_lost_takes_the_solve_arrays_when_every_depth_is_positive(monkeypatch):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from odlt.dlt import _LR_MIN_POINTS, _T12, _assemble_arrays, _r_factor, _system_rows
+from odlt.dlt import _LR_MIN_POINTS, _T12, DltSolution, _assemble_arrays, _r_factor, _system_rows
 from odlt.errors import DegeneratePoints
 from odlt.evaluation import (
     CENTERED_BOX,
@@ -21,6 +21,7 @@ from odlt.normalization import (
     fit_point_normalization,
     moment_normalization,
 )
+from odlt.se3 import declamp_denormalize
 from odlt.solvers import SolverConfig, solve
 
 from conftest import moment_rows, random_intrinsics_matrix, random_rotation, raw_moments
@@ -64,15 +65,21 @@ def test_inverse_matrices(rng):
     np.testing.assert_allclose(pnorm.T_inv @ pnorm.T, np.eye(4), atol=1e-12)
 
 
-def test_identity_constructors():
-    un = PixelNormalization.identity()
-    pn = PointNormalization.identity()
-    us = np.array([[3.0, 4.0], [-1.0, 0.5]])
-    ps = np.array([[1.0, 2.0, 3.0]])
-    np.testing.assert_array_equal(un.apply(us), us)
-    np.testing.assert_array_equal(pn.apply(ps), ps)
-    np.testing.assert_array_equal(un.T, np.eye(3))
-    np.testing.assert_array_equal(pn.T_inv, np.eye(4))
+def test_none_is_the_identity_normalization(rng):
+    # dlt passes None for both normalizations: bit for bit what an explicit
+    # identity pair gives, in the recovery and in estimate_projection's map back.
+    pix = PixelNormalization(T=np.eye(3), T_inv=np.eye(3), scale=1.0, centroid=np.zeros(2))
+    pt = PointNormalization(T=np.eye(4), T_inv=np.eye(4), scale=1.0, centroid=np.zeros(3))
+    for _ in range(20):
+        Km = random_intrinsics_matrix(rng, skew=True)
+        P = rng.standard_normal((3, 4))
+        P *= np.sign(np.linalg.det(P[:, :3]))  # det > 0: declamping raises on a mirror
+        sol = DltSolution(P=P, singular_values=np.ones(12), V=np.eye(12))
+        unnormalized = declamp_denormalize(sol, Km, None, None)
+        for got, want in zip(unnormalized, declamp_denormalize(sol, Km, pix, pt)):
+            np.testing.assert_array_equal(got, want)
+        assert denormalize_projection(P, None, None) is P
+        np.testing.assert_array_equal(denormalize_projection(P, pix, pt), P)
 
 
 def test_refit_of_normalized_data_is_identity_like(rng):

@@ -17,12 +17,17 @@ PYTHONPATH set to it:
         at the origin): centered n=50 sigma 1 and uncentered n=300 sigma 3,
         which solve, and two that fail: the first mirrored in z with its
         pixels kept (ReflectionDetected for every method), and 6
-        correspondences over 5 distinct points at sigma 0 (RankDeficient).
+        correspondences over 5 distinct points at sigma 0 (RankDeficient);
+    estimate_projection, which no CLI command calls, for dlt, ndlt and odlt on
+        the two problem files that solve, run by python -c: the repr of every
+        entry of the 3x4 P.
 
 The CSV rows are compared with their comment manifests left out, since those
 hold a start time. A solve's output is compared as printed: its JSON line,
 which holds reprojection_rms and the flags, its exit code and its stderr
-line, which tells one PnpError from another. No CSV row holds any of these.
+line, which tells one PnpError from another (by the class name that ends
+it, where the tree prints one). No CSV row holds any of these. Nor does one
+hold P, whose printed line is compared with its exit code.
 Prints "identical" and exits 0 when every row and line matches byte for
 byte. Otherwise, for each output that differs, prints the first differing
 rows; for CSV rows also, per method, the largest relative change over the
@@ -59,6 +64,15 @@ PROBLEMS = (
     ("uncentered n=300 sigma 3", ((1.0, 1.0, 4.0), (2.0, 2.0, 8.0)), 300, 3.0),
 )
 PROBLEM_SEED = 20240607
+PROJECTION_METHODS = ("dlt", "ndlt", "odlt")
+# argv: a problem file of write_problems, a method; prints P's entries by repr.
+PROJECTION = """import sys
+import numpy as np
+from odlt import SolverConfig, estimate_projection
+rows = np.loadtxt(sys.argv[1], skiprows=1)
+P = estimate_projection((rows[:, 2:], rows[:, :2]), SolverConfig(method=sys.argv[2]))
+print(" ".join(repr(float(v)) for v in P.flat))
+"""
 
 
 def project(ps: np.ndarray) -> np.ndarray:
@@ -90,8 +104,9 @@ def write_problems(workdir: Path) -> list[tuple[str, Path]]:
 
 
 def grid(problems: list[tuple[str, Path]]):
-    """(name, CLI arguments, whether it writes a per-image CSV, its noise or None
-    when a sigma column holds it) of every run; solve runs write no CSV."""
+    """(name, arguments, whether it writes a per-image CSV, its noise or None
+    when a sigma column holds it) of every run: the arguments of odlt's CLI, or
+    of python for estimate_projection. solve and estimate_projection write no CSV."""
     for scenario in ("centered", "uncentered"):
         args = ["synthetic", "--no-timing", "--scenario", scenario, *SYNTHETIC]
         yield f"synthetic {scenario}", args, False, None
@@ -103,6 +118,10 @@ def grid(problems: list[tuple[str, Path]]):
         for method in METHODS:
             args = ["solve", "--input", str(path), "--method", method, "--format", "json-lines"]
             yield f"solve {name} {method}", args, False, None
+    for name, path in problems[: len(PROBLEMS)]:
+        for method in PROJECTION_METHODS:
+            args = ["-c", PROJECTION, str(path), method]
+            yield f"estimate_projection {name} {method}", args, False, None
 
 
 def data_rows(path: Path) -> list[str]:
@@ -110,20 +129,20 @@ def data_rows(path: Path) -> list[str]:
 
 
 def run(src: Path, args: list[str], per_image: bool, workdir: Path) -> dict[str, list[str]]:
-    """The data rows of one CLI run on the tree src, by output name: the CSV
-    rows, or solve's printed lines, exit code and stderr lines. Only solve may
-    fail, with exit 3 (a PnpError)."""
+    """The data rows of one run on the tree src, by output name: the CSV rows,
+    or the printed lines, exit code and stderr lines of solve or
+    estimate_projection. Only solve may fail, with exit 3 (a PnpError)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    solving = args[0] == "solve"
+    printed = args[0] in ("solve", "-c")  # no CSV
     out, detail = workdir / "rows.csv", workdir / "per_image.csv"
-    extra = [] if solving else ["--out", str(out)]
+    extra = [] if printed else ["--out", str(out)]
     extra += ["--per-image", str(detail)] if per_image else []
-    cmd = [sys.executable, "-m", "odlt.cli", *args, *extra]
+    cmd = [sys.executable, *(args if args[0] == "-c" else ["-m", "odlt.cli", *args]), *extra]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if done.returncode not in ((0, 3) if solving else (0,)):
+    if done.returncode not in ((0, 3) if args[0] == "solve" else (0,)):
         raise SystemExit(f"{src}: {' '.join(args)} exited {done.returncode}\n{done.stderr}")
-    if solving:
+    if printed:
         lines = [*done.stdout.splitlines(), f"exit {done.returncode}", *done.stderr.splitlines()]
         return {"output": lines}
     rows = {"rows": data_rows(out)}
@@ -166,7 +185,7 @@ def compare(name: str, parent: list[str], change: list[str], noise, shown: int =
     if parent == change:
         return True
     print(f"{name}: {len(parent)} lines in the parent, {len(change)} in the change")
-    if name.startswith("solve "):  # printed lines, no CSV header
+    if name.startswith(("solve ", "estimate_projection ")):  # printed lines, no CSV header
         for a, b in zip(parent, change):
             print(f"  parent: {a}\n  change: {b}")
         return False
