@@ -67,14 +67,19 @@ def _manifest_lines(args: argparse.Namespace, config: dict) -> list:
     ]
 
 
-def _write_csv(path, manifest, header, rows) -> None:
+def _write_csv(path, manifest, header, chunks) -> None:
+    """Write the manifest and header, then each chunk of rows as chunks yields
+    it, flushing after each: a reader sees a grid's cells as they finish."""
     out = sys.stdout if path == "-" else open(path, "w")
     try:
         for line in manifest:
             out.write(line + "\n")
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
+        out.flush()
+        for rows in chunks:
+            for row in rows:
+                out.write(",".join(row) + "\n")
+            out.flush()
     finally:
         if out is not sys.stdout:
             out.close()
@@ -142,7 +147,12 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
         seed=args.seed, methods=args.methods, timing=not args.no_timing,
         timing_reps=args.timing_reps, workers=args.workers,
     )
-    rows = []
+    _write_csv(args.out, _manifest_lines(args, config), CSV_COLUMNS, _synthetic_cells(args))
+    return 0
+
+
+def _synthetic_cells(args: argparse.Namespace):
+    """The rows of each (n, sigma) cell of the grid, one list per cell, as it finishes."""
     for n in args.n_list:
         for sigma in args.sigma_list:
             scenario = SyntheticScenario(
@@ -158,13 +168,13 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
                 timing_reps=0 if args.no_timing else args.timing_reps,
                 workers=args.workers,
             )
+            rows = []
             for method, agg in zip(args.methods, summary):
                 runtime = "" if args.no_timing else _aggregate_cell(agg["mean_runtime_ms"])
                 errors = (_aggregate_cell(agg[k]) for k in ("rot_rmse_deg", "pos_rmse", "mean_reproj_px"))
                 rows.append((args.scenario, str(n), _fmt(sigma), method, *errors, runtime,
                              str(agg["failures"]), str(agg["trials"])))
-    _write_csv(args.out, _manifest_lines(args, config), CSV_COLUMNS, rows)
-    return 0
+            yield rows
 
 
 def _cmd_eval_colmap(args: argparse.Namespace) -> int:
@@ -200,10 +210,10 @@ def _cmd_eval_colmap(args: argparse.Namespace) -> int:
             errors = (_aggregate_cell(agg[k]) for k in ("rot_rmse_deg", "pos_rmse", "mean_reproj_px"))
             rows.append((str(model_dir), method, str(agg["trials"]), str(skipped), *errors,
                          str(agg["failures"])))
-    _write_csv(args.out, _manifest_lines(args, config), header, rows)
+    _write_csv(args.out, _manifest_lines(args, config), header, [rows])
     if args.per_image:
         detail_header = ("model", "method", "image", "rot_err_deg", "pos_err", "mean_reproj_px", "status")
-        _write_csv(args.per_image, _manifest_lines(args, config), detail_header, detail_rows)
+        _write_csv(args.per_image, _manifest_lines(args, config), detail_header, [detail_rows])
     return 0
 
 

@@ -7,13 +7,14 @@ the cross-product matrix has rank 2. Stacking n such 2x12 blocks gives the
 homogeneous system A vec(P) = 0 whose null direction is the projection
 matrix estimate.
 
-The null direction is A's last right singular vector, from one numpy svd:
-LAPACK's dgesdd, which from 22 rows up (11 x 12 / 6, its crossover for 12
-columns) QR-factors A itself and takes the SVD of the 12x12 R, so s and V are
-bit for bit those of an explicit QR and svd of its R, with no squared Gram
-(weighting's preliminary uses one). It also forms A's 2n x 12 left factor, a
-cost L(R) avoids (below). Under 22 rows (n <= 10) dgesdd bidiagonalizes A
-directly, which differs only by rounding.
+solve_nullspace takes the null direction as A's last right singular vector,
+from one numpy svd: LAPACK's dgesdd, which from 22 rows up (11 x 12 / 6, its
+crossover for 12 columns) QR-factors A itself and takes the SVD of the 12x12
+R, so s and V are bit for bit those of an explicit QR and svd of its R, with
+no squared Gram. It also forms A's 2n x 12 left factor, a cost L(R) avoids
+(below). Under 22 rows (n <= 10) dgesdd bidiagonalizes A directly, which
+differs only by rounding. solve_gram takes it from the eigh of the 12 x 12
+normal matrix A^T A instead (the last paragraph says when).
 
 A is mostly structure. Point i's two rows are pbar_i kron (0, -1, v_i) and
 pbar_i kron (1, 0, -u_i): each places two of the 4-column groups of its
@@ -38,6 +39,21 @@ Each column of _T12 holds at most one nonzero, +1 or -1, so m _T12 copies
 moment entries, negated or not, bit for bit; with B each entry of M (B _T12)
 is the 12-term dot product of a row of M with a column of B, negated or not.
 
+A^T A needs no factor of the rows: for the row map C = [C1 | C2], _T12 or
+B _T12, it is C1^T S C1 + C2^T S C2 (_normal_eigh), from the 12 x 12 Gram S
+of the moment rows. The Gram squares A's condition number: with its
+eigenvalues ascending, its smallest eigenvector carries an error of about
+eps lambda_12 / (lambda_2 - lambda_1) (Golub & Van Loan 8.1). Normalization
+keeps that small for most systems, but not for all at n = 6 or 7, where the
+rows barely outnumber the unknowns. So solve_gram, which the weighted
+methods' normalized system takes (weighting), trusts the eigh only while
+lambda_2 - lambda_1 >= _GRAM_MIN_GAP lambda_12, an error of about
+eps / _GRAM_MIN_GAP; else it factors the rows on the route above and hands
+solve_nullspace their A or L(R). A rank-deficient system always has a small
+gap, so it always meets solve_nullspace's rank test. dlt is not normalized,
+so it keeps solve_nullspace; ndlt and ndlt_gn keep it too, and with it their
+outputs bit for bit.
+
 vec(P) is column-major: entries 0-8 hold the left 3x3 block of P column by
 column, entries 9-11 hold the fourth column.
 """
@@ -53,6 +69,11 @@ from .errors import RankDeficient
 MIN_POINTS = 6
 
 _RANK_TOL = 1e-10
+# solve_gram's bound on the Gram's eigenvalue gap (see above). With no bound,
+# a noise-free uncentered n=6 scene missed the zero-noise position bound 1e-8
+# (1.4e-8); with it the worst position error of odlt over perfbench's
+# zero-noise scenes for seeds 1-40 was 8.8e-11.
+_GRAM_MIN_GAP = 1e-5
 
 # In solve() on one BLAS thread, L(R) from 256 rather than 768 points took 0.35-0.94
 # of the time at n=256-767; from 128 rather than 256, 0.83-0.99 at 160-255, 0.95-1.02 at 128.
@@ -78,7 +99,8 @@ class DltSolution:
     Attributes:
         P: 3x4 projection estimate (unit Frobenius norm, cheirality-fixed
             when points were supplied).
-        singular_values: all 12 singular values, descending.
+        singular_values: all 12 singular values, descending (from solve_gram,
+            the square roots of A^T A's eigenvalues, negative ones taken as 0).
         V: 12x12 matrix of right singular vectors (columns, same order).
         mixed_depths: True when fewer than 90% of the supplied points share
             the majority depth sign under P.
@@ -130,6 +152,21 @@ def _r_factor(M: np.ndarray) -> np.ndarray:
         raise RankDeficient(f"QR of the moment rows failed: {exc}") from exc
 
 
+def _cheirality(x: np.ndarray, points, T_p) -> bool:
+    """Negate the null vector x (12,), in place, when the depths of points under
+    P = unvec(x) sum below zero (cheirality), and return mixed_depths: True when
+    fewer than 90% of the depths share the majority sign. T_p as solve_nullspace's."""
+    if points is None:
+        return False
+    P2 = x[2::3]  # P's third row
+    k = P2 if T_p is None else P2 @ T_p
+    depths = points @ k[:3] + k[3]
+    if depths.sum() < 0:
+        x *= -1.0
+    npos = np.count_nonzero(depths > 0)
+    return max(npos, depths.shape[0] - npos) < 0.9 * depths.shape[0]
+
+
 def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
     """Extract the null direction of the stacked constraint matrix.
 
@@ -163,13 +200,36 @@ def solve_nullspace(A: np.ndarray, points=None, T_p=None) -> DltSolution:
             " coordinates far from the origin): sigma_11/sigma_1 ="
             f" {s[10] / max(s[0], 1e-300):.3e}"
         )
-    P = Vt[11].reshape(4, 3).T
-    mixed = False
-    if points is not None:
-        k = P[2] if T_p is None else P[2] @ T_p
-        depths = points @ k[:3] + k[3]
-        if depths.sum() < 0:
-            Vt[11] *= -1.0  # P and the returned V are views of Vt
-        npos = np.count_nonzero(depths > 0)
-        mixed = max(npos, depths.shape[0] - npos) < 0.9 * depths.shape[0]
-    return DltSolution(P=P, singular_values=s, V=Vt.T, mixed_depths=mixed)
+    mixed = _cheirality(Vt[11], points, T_p)
+    return DltSolution(P=Vt[11].reshape(4, 3).T, singular_values=s, V=Vt.T, mixed_depths=mixed)
+
+
+def _normal_eigh(S: np.ndarray, C: np.ndarray, name: str) -> tuple:
+    """Eigenvalues (ascending) and eigenvectors of the 12 x 12 normal matrix
+    A^T A = C1^T S C1 + C2^T S C2 of the system with row map C = [C1 | C2] and
+    moment rows of Gram S (see above); name says which Gram a failure names.
+
+    Raises:
+        RankDeficient: if eigh raises LinAlgError (chained).
+    """
+    G = C.T @ S @ C
+    try:
+        return np.linalg.eigh(G[:12, :12] + G[12:, 12:])
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"eigh of the {name} Gram failed: {exc}") from exc
+
+
+def solve_gram(Mt: np.ndarray, basis: np.ndarray, points, T_p) -> DltSolution:
+    """solve_nullspace of the system of the moment rows Mt (12, n) normalized by
+    basis, from the eigh of its normal matrix (see above) while the eigenvalue
+    gap lambda_2 - lambda_1 is at least _GRAM_MIN_GAP lambda_12; else (or if the
+    gap is NaN) from its rows' own route, which keeps that route's rank test.
+    singular_values are sqrt(max(lambda, 0)), descending, V the eigenvectors in
+    that order. points and T_p as solve_nullspace's."""
+    w, U = _normal_eigh(Mt @ Mt.T, basis @ _T12, "constraint")
+    if not w[1] - w[0] >= _GRAM_MIN_GAP * w[11]:
+        return solve_nullspace(_assemble_arrays(_system_rows(Mt), basis), points=points, T_p=T_p)
+    V = U[:, ::-1]
+    mixed = _cheirality(V[:, 11], points, T_p)
+    s = np.sqrt(np.maximum(w[::-1], 0.0))
+    return DltSolution(P=V[:, 11].reshape(4, 3).T, singular_values=s, V=V, mixed_depths=mixed)

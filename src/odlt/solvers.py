@@ -16,7 +16,11 @@ A solve is a deterministic function of (points, pixels, intrinsics, method):
 no step draws random numbers. The linear stage fills the moment rows once
 and normalizes them through a 12x12 basis read off their Gram (normalization);
 the weighted methods' preliminary is the full set's unweighted null vector,
-from the same Gram (weighting).
+from the same Gram (weighting). dlt, ndlt and ndlt_gn factor their rows for
+the null space (dlt.solve_nullspace); the weighted methods take it from the
+eigh of the weighted rows' Gram (dlt.solve_gram), and factor those rows only
+when its eigenvalue gap is too small to trust: for a rank-deficient set, and
+in some scenes of 6 or 7 points.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dlt import MIN_POINTS, DltSolution, _assemble_arrays, _fill_moments, _system_rows
-from .dlt import solve_nullspace
+from .dlt import solve_gram, solve_nullspace
 from .errors import NegativeDepth, RankDeficient, TooFewPoints
 from .geometry import (
     Pose,
@@ -174,11 +178,14 @@ def _linear_solve(ps: np.ndarray, us: np.ndarray, normalize: bool, weighted: boo
                 raise NegativeDepth(f"{frac:.0%} of points behind the preliminary camera")
             Mt, depths, ps = Mt[:, ~neg], depths[~neg], ps[~neg]
         Mt *= 1.0 / depths  # after the fill formed p u and p v: each row times its weight
-        rows = _system_rows(Mt)
         timings["weights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sol = solve_nullspace(_assemble_arrays(rows, B), points=ps, T_p=None if pt is None else pt.T)
+    T_p = None if pt is None else pt.T
+    if weighted:
+        sol = solve_gram(Mt, B, ps, T_p)
+    else:
+        sol = solve_nullspace(_assemble_arrays(rows, B), points=ps, T_p=T_p)
     timings["solve"] = time.perf_counter() - t0
     return _LinearOutcome(sol, pix, pt, timings)
 

@@ -15,19 +15,19 @@ into c^2 W, scaling the weighted cost and its normal matrix alike) and LOST's
 normal equations (both sides scale by c^2). So a row weight is the inverse
 depth q_i = 1 / (k^T P0 pbar_i) under a preliminary unweighted estimate P0
 from the 12 x 12 Gram of the normalized moment rows, B^T S B for the Gram S of
-the raw ones. Only the weights see its squared condition number (Golub &
-Van Loan 5.3): the final null space keeps its QR. The weighted stage of
-solvers scales each point's moment row by q_i, then lets dlt._system_rows
-pick the route of the weighted rows; se3.rotation_weights reads W off the
-weighted null space.
+the raw ones, through dlt._normal_eigh. The weighted stage of solvers scales
+each point's moment row by q_i and hands the weighted rows to dlt.solve_gram,
+whose null vector comes from the same kernel on their Gram, unless its
+eigenvalue gap is too small for the Gram's squared condition number (Golub &
+Van Loan 8.1); then, and only then, the weighted rows are factored.
+se3.rotation_weights reads W off the weighted null space.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dlt import _T12
-from .errors import RankDeficient
+from .dlt import _T12, _normal_eigh
 
 # Dropping points that fall behind the preliminary camera is tolerated up to
 # this fraction; beyond it the preliminary estimate cannot be trusted.
@@ -52,12 +52,7 @@ def _preliminary_normalized(Mt: np.ndarray, S: np.ndarray, B: np.ndarray) -> tup
 
     Returns (P0, depths of the points under P0).
     """
-    C = B @ _T12  # the normalized row map [C1 | C2]: A^T A = C1^T S C1 + C2^T S C2
-    G = C.T @ S @ C
-    try:
-        P0 = np.linalg.eigh(G[:12, :12] + G[12:, 12:])[1][:, 0].reshape(4, 3).T
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(f"eigh of the preliminary Gram failed: {exc}") from exc
+    P0 = _normal_eigh(S, B @ _T12, "preliminary")[1][:, 0].reshape(4, 3).T
     k = B[:4, :4] @ P0[2]
     depths = Mt[:3].T @ k[:3] + k[3]
     return (-P0, -depths) if depths.sum() < 0 else (P0, depths)

@@ -241,6 +241,27 @@ class TestSynthetic:
         assert main() == 0
         assert read_csv(out)[0][0] == "# command: odlt " + " ".join(argv)
 
+    def test_rows_are_written_as_each_cell_finishes(self, tmp_path, monkeypatch):
+        # The manifest and header go out before the first cell runs, and each
+        # cell's rows before the next cell runs, so a reader sees them at once.
+        out = tmp_path / "rows.csv"
+        argv = ["synthetic", "--n-list", "6,7", "--sigma-list", "0,1", "--trials", "2",
+                "--methods", "dlt,odlt", "--no-timing", "--out", str(out)]
+        seen = []
+        run = cli_module.run_monte_carlo
+
+        def recorded(*args, **kwargs):
+            seen.append(out.read_text().splitlines())
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "run_monte_carlo", recorded)
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        head = sum(line.startswith("#") for line in lines) + 1  # manifest and header
+        assert lines[head - 1] == ",".join(CSV_COLUMNS)
+        assert len(lines) == head + 4 * 2
+        assert seen == [lines[: head + 2 * cell] for cell in range(4)]
+
 
 class TestEvalColmap:
     def test_zero_noise_aggregates(self, tmp_path):
@@ -523,10 +544,23 @@ class TestSolve:
 
 
 class TestErrorExits:
-    @pytest.mark.parametrize("name", ["svd", "qr"])
-    def test_linalg_failure_exits_3_with_its_named_error(self, name, tmp_path, capsys, monkeypatch):
+    # Each numpy.linalg call that can fail first in a solve: ndlt's null space
+    # (svd), its moment reduction (qr, only from 256 points up) and the default
+    # odlt's preliminary (eigh), which comes before any svd of odlt's.
+    @pytest.mark.parametrize(
+        ("name", "method", "message"),
+        [
+            ("svd", "ndlt", "SVD of the constraint rows failed"),
+            ("qr", "ndlt", "QR of the moment rows failed"),
+            ("eigh", None, "eigh of the preliminary Gram failed"),
+        ],
+        ids=["svd", "qr", "eigh"],
+    )
+    def test_linalg_failure_exits_3_with_its_named_error(
+        self, name, method, message, tmp_path, capsys, monkeypatch
+    ):
         path = tmp_path / "problem.txt"
-        if name == "qr":  # only the moment reduction QR-factors, from 256 points up
+        if name == "qr":
             write_scene_file(path, 300)
         else:
             write_problem_file(path, solvable_problem())
@@ -535,10 +569,10 @@ class TestErrorExits:
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(np.linalg, name, failing)
-        assert main(["solve", "--input", str(path)]) == 3
+        argv = ["solve", "--input", str(path)] + (["--method", method] if method else [])
+        assert main(argv) == 3
         err = capsys.readouterr().err
-        rows = "moment" if name == "qr" else "constraint"
-        assert f"error: {name.upper()} of the {rows} rows failed: did not converge" in err
+        assert f"error: {message}: did not converge (RankDeficient)" in err
         assert "Traceback" not in err
 
     def test_value_error_from_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch):

@@ -2,9 +2,10 @@
 
 Counts the numpy.linalg / numpy.kron calls one solve() makes at the paper's
 operating point (n=50), none of them a det or solve outside ndlt_gn's
-Gauss-Newton normal equations and no eigh but the weighted preliminary's, the
-QR calls, constraint-matrix assemblies and bytes handed to the null space on
-both sides of the L(R) route (n=50 and n=2000), the stage functions
+Gauss-Newton normal equations and no eigh but the weighted methods' two Gram
+eigh (the preliminary's and the weighted system's), the QR calls,
+constraint-matrix assemblies and bytes handed to the null space on both
+sides of the L(R) route (n=50 and n=2000), the stage functions
 and input checks solve() calls per method, the step attempts, projections and
 normal-equation builds of one ndlt_gn solve (n=50 and n=2000), the weighted
 Procrustes normal-equation solves per solve (n=50 and n=2000), the Pose
@@ -19,8 +20,8 @@ internal pose, added per-call overhead, a return to per-point objects on an
 array path (the Monte Carlo harness, build_problems, eval-colmap, odlt
 solve's problem file), a moment reduction that silently stops (or starts)
 chunking, a QR back in the null space, a null space handed the 2n x 12
-matrix above the route, a weighted solve that assembles or factors a second
-matrix, a fit pass, a second moment fill or a normalized copy of the points
+matrix above the route, a weighted solve that assembles or factors any
+matrix above n = 7, a fit pass, a second moment fill or a normalized copy of the points
 or pixels, rows other than the filled ones (or their R factor, from the
 route up) handed to the assembly, an assembly that writes its input, a
 mirrored solve that weighs or projects its rotation before it raises
@@ -42,6 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import odlt.dlt as dlt_module
 import odlt.geometry as geometry_module
 import odlt.normalization as normalization_module
 import odlt.se3 as se3_module
@@ -59,8 +61,9 @@ SOLVABLE = Path(__file__).parent / "fixtures" / "colmap_solvable"
 def odlt_modules():
     return [m for key, m in sys.modules.items() if key == "odlt" or key.startswith("odlt.")]
 
-# Per method: the null space takes one SVD of its (m, 12) system, and the
-# weighted methods' preliminary one eigh of the 12x12 Gram A^T A; every
+# Per method: the null space takes one SVD of its (m, 12) system, or for the
+# weighted methods one eigh of the weighted system's 12x12 Gram A^T A, after
+# their preliminary's eigh of the unweighted one; every
 # nearest_rotation takes one SVD and reads the sign of det(U V^T) from a
 # cofactor expansion, and the weighted Procrustes step takes one (its start).
 # Everything else after the null space is closed-form 3x3 algebra on floats:
@@ -70,8 +73,8 @@ def odlt_modules():
 EXPECTED = {
     "dlt": {"svd": 2, "det": 0, "solve": 0, "eigh": 0, "cond": 0, "kron": 0},
     "ndlt": {"svd": 2, "det": 0, "solve": 0, "eigh": 0, "cond": 0, "kron": 0},
-    "odlt": {"svd": 2, "det": 0, "solve": 0, "eigh": 1, "cond": 0, "kron": 0},
-    "odlt_lost": {"svd": 2, "det": 0, "solve": 0, "eigh": 1, "cond": 0, "kron": 0},
+    "odlt": {"svd": 1, "det": 0, "solve": 0, "eigh": 2, "cond": 0, "kron": 0},
+    "odlt_lost": {"svd": 1, "det": 0, "solve": 0, "eigh": 2, "cond": 0, "kron": 0},
     "ndlt_gn": {"svd": 2, "det": 0, "solve": 3, "eigh": 0, "cond": 0, "kron": 0},
 }
 
@@ -99,12 +102,12 @@ def counts(monkeypatch):
 # route's 256 points up; the null space hands its system straight to svd. At
 # n=2000 each system is assembled from the chunked R factor of the 2000-row
 # moment matrix: two calls, the stacked 512-row blocks, then their R factors
-# with the leftover rows. The weighted methods' preliminary takes no QR: its
-# null vector comes from the Gram, and ndlt's normalization reads its Gram off
-# the same R factor.
+# with the leftover rows; ndlt's normalization reads its Gram off the same R
+# factor. The weighted methods take no QR: both their null vectors come from
+# Grams of the moment rows, and their normalization reads the filled rows' Gram.
 QR_EXPECTED = {
     50: {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 0},
-    2000: {"dlt": 2, "ndlt": 2, "odlt": 2, "odlt_lost": 2, "ndlt_gn": 2},
+    2000: {"dlt": 2, "ndlt": 2, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 2},
 }
 
 
@@ -128,12 +131,12 @@ def test_qr_calls_per_solve(method, n, counts):
     assert counts["qr"] == QR_EXPECTED[n][method]
 
 
-# Constraint matrices assembled per solve, under every odlt binding. At every n
-# a weighted solve assembles only the weighted system: its preliminary comes
-# from the Gram of the moment rows, with no A.
+# Constraint matrices assembled per solve, under every odlt binding. At these n
+# a weighted solve assembles none: its preliminary and its weighted null space
+# both come from Grams of the moment rows, with no A.
 ASSEMBLY_EXPECTED = {
-    50: {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
-    2000: {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
+    50: {"dlt": 1, "ndlt": 1, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 1},
+    2000: {"dlt": 1, "ndlt": 1, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 1},
 }
 
 
@@ -161,10 +164,11 @@ def test_assemblies_per_solve(method, n, monkeypatch):
 # route (256 points) that is the 2n x 12 A (100 x 12 floats at n=50); from it up, the
 # 24 x 12 L(R) made from the moment matrix's R factor, so a return to the
 # 2n x 12 matrix at n=2000 fails here without a timing. The weighted
-# methods' preliminary takes its null vector from the Gram's eigh.
+# methods hand solve_nullspace nothing: both their null vectors come from a
+# Gram's eigh.
 NULLSPACE_BYTES = {
-    50: {"dlt": [9600], "ndlt": [9600], "odlt": [9600], "odlt_lost": [9600], "ndlt_gn": [9600]},
-    2000: {"dlt": [2304], "ndlt": [2304], "odlt": [2304], "odlt_lost": [2304], "ndlt_gn": [2304]},
+    50: {"dlt": [9600], "ndlt": [9600], "odlt": [], "odlt_lost": [], "ndlt_gn": [9600]},
+    2000: {"dlt": [2304], "ndlt": [2304], "odlt": [], "odlt_lost": [], "ndlt_gn": [2304]},
 }
 
 
@@ -215,13 +219,15 @@ def test_procrustes_solves_per_solve(method, n, monkeypatch):
 
 # Calls solve() makes through odlt.solvers' own bindings, per method. The
 # weighted stage's preliminary forms its Gram and takes its null vector
-# inside weighting, so only the final assembly and null space count here.
+# inside weighting; its weighted null space is one solve_gram, which assembles
+# nothing at n=50.
 # ndlt_gn reports the cost its refine left, so it projects no pose after it.
 # perfbench traces these names.
 STAGE_CALLS = {
-    "_assemble_arrays": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
+    "_assemble_arrays": {"dlt": 1, "ndlt": 1, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 1},
     "_preliminary_normalized": {"dlt": 0, "ndlt": 0, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 0},
-    "solve_nullspace": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 1},
+    "solve_nullspace": {"dlt": 1, "ndlt": 1, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 1},
+    "solve_gram": {"dlt": 0, "ndlt": 0, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 0},
     "lost_translation": {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 1, "ndlt_gn": 0},
     "refine_gauss_newton": {"dlt": 0, "ndlt": 0, "odlt": 0, "odlt_lost": 0, "ndlt_gn": 1},
     "_reprojection_rms": {"dlt": 1, "ndlt": 1, "odlt": 1, "odlt_lost": 1, "ndlt_gn": 0},
@@ -389,11 +395,12 @@ def test_one_moment_fill_and_no_normalized_copy(method, n, monkeypatch):
     # raw points and pixels (less the first of each for the normalized
     # methods, which the basis B absorbs), and normalizes through B. It makes
     # no fit pass and calls no apply, so it builds no normalized (n, 3) or
-    # (n, 2) copy. Every method hands the assembly the filled rows themselves
-    # (the weighted ones scaled in place) below 256 points, and from 256 up
-    # the 12 x 12 R^T of their moment reduction; the assembly writes neither.
-    # The cheirality sign reads the checked points themselves, through the
-    # point normalization.
+    # (n, 2) copy. The unweighted methods hand the assembly the filled rows
+    # themselves below 256 points, and from 256 up the 12 x 12 R^T of their
+    # moment reduction; the weighted methods hand solve_gram the filled rows
+    # themselves, scaled in place, at every n. Neither writes them. The one
+    # cheirality sign reads the checked points themselves, through the point
+    # normalization.
     tally = Counter()
     filled, assembled, signed = [], [], []
 
@@ -401,9 +408,9 @@ def test_one_moment_fill_and_no_normalized_copy(method, n, monkeypatch):
         def shim(*args, **kwargs):
             tally[name] += 1
             if record is not None:  # the array, and its values before the call
-                record.append(kwargs["points"] if name == "sign" else (args[0], args[0].copy()))
+                record.append(args[1] if name == "sign" else (args[0], args[0].copy()))
             out = fn(*args, **kwargs)
-            if name == "assemble":
+            if name in ("assemble", "gram"):
                 np.testing.assert_array_equal(args[0], record[-1][1])
             return out
 
@@ -420,19 +427,21 @@ def test_one_moment_fill_and_no_normalized_copy(method, n, monkeypatch):
         for name, shim in patched.items():
             if name in vars(module):
                 monkeypatch.setattr(module, name, shim)
-    assemble, final = solvers_module._assemble_arrays, solvers_module.solve_nullspace
+    assemble, gram = solvers_module._assemble_arrays, solvers_module.solve_gram
     monkeypatch.setattr(solvers_module, "_assemble_arrays", counting("assemble", assemble, assembled))
-    monkeypatch.setattr(solvers_module, "solve_nullspace", counting("sign", final, signed))
+    monkeypatch.setattr(solvers_module, "solve_gram", counting("gram", gram, assembled))
+    monkeypatch.setattr(dlt_module, "_cheirality", counting("sign", dlt_module._cheirality, signed))
     sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
     (ps, us), _ = generate_scene(sc, 0)
     solve((ps, us), sc.intrinsics, SolverConfig(method=method))
-    assert tally == {"fill": 1, "assemble": 1, "sign": 1}
+    weighted = STAGES[method].weighted
+    assert tally == {"fill": 1, "gram" if weighted else "assemble": 1, "sign": 1}
     ((Mt, values),) = filled
     normalize = STAGES[method].normalize
     np.testing.assert_array_equal(values[:3], (ps - ps[0]).T if normalize else ps.T)
     np.testing.assert_array_equal(values[7::4], (us - us[0]).T if normalize else us.T)
     ((rows, _),) = assembled
-    if n >= 256:
+    if n >= 256 and not weighted:
         assert rows.shape == (12, 12) and not np.shares_memory(rows, Mt)
     else:
         assert rows is Mt

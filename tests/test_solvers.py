@@ -1,12 +1,14 @@
+import itertools
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import odlt.dlt as dlt_module
 import odlt.solvers as solvers_module
 import odlt.weighting as weighting_module
-from odlt.dlt import _assemble_arrays, _system_rows
+from odlt.dlt import _assemble_arrays, _system_rows, solve_nullspace
 from odlt.errors import (
     DegenerateInput,
     InvalidIntrinsics,
@@ -36,7 +38,12 @@ from odlt.normalization import (
     fit_pixel_normalization,
     fit_point_normalization,
 )
-from odlt.se3 import declamp_denormalize, recover_scale_and_position, weighted_procrustes
+from odlt.se3 import (
+    declamp_denormalize,
+    recover_scale_and_position,
+    rotation_weights,
+    weighted_procrustes,
+)
 from odlt.solvers import (
     FLAG_FALLBACK_USED,
     FLAG_MIXED_DEPTHS,
@@ -808,7 +815,7 @@ class TestApiSurface:
 class TestPreliminaryCrossover:
     """On both sides of the L(R) route (from _LR_MIN_POINTS = 256 points) the
     weighted stage takes one path: the full set's unweighted null vector, then
-    the weighted assembly of the points in front of it."""
+    the weighted null space of the points in front of it, from its Gram."""
 
     @pytest.mark.parametrize("n", [50, 255, 256, 2000])
     @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
@@ -824,10 +831,10 @@ class TestPreliminaryCrossover:
 
     @pytest.mark.parametrize("n", [255, 256])
     @pytest.mark.parametrize("method", ["odlt", "odlt_lost"])
-    def test_assembles_once_and_draws_nothing(self, method, n, monkeypatch):
-        # The preliminary comes from the Gram of the moment rows, so the
-        # weighted system is the one matrix assembled, and one eigh the only
-        # extra decomposition.
+    def test_assembles_nothing_and_draws_nothing(self, method, n, monkeypatch):
+        # The preliminary and the weighted null space both come from Grams of
+        # the moment rows, so no matrix is assembled, and two eigh are the
+        # only decompositions before the rotation's.
         sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=3)
         arrays, _ = generate_scene(sc, 0)
         tally = Counter()
@@ -845,25 +852,35 @@ class TestPreliminaryCrossover:
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         solve(arrays, sc.intrinsics, SolverConfig(method))
         assert not hasattr(weighting_module, "_assemble_arrays")
-        assert (tally["assemble"], tally["draw"], tally["eigh"]) == (1, 0, 1)
+        assert (tally["assemble"], tally["draw"], tally["eigh"]) == (0, 0, 2)
 
     @pytest.mark.parametrize("n", [255, 256])
     @pytest.mark.parametrize("method", METHODS)
     def test_route_starts_at_256_points(self, method, n, monkeypatch):
         # Below the route the null space gets the 2n x 12 A, from it up the
-        # 24 x 12 L(R), for every method.
+        # 24 x 12 L(R), for every unweighted method. The weighted methods hand
+        # solve_gram the (12, n) moment rows on both sides, and factor none.
         sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=3)
         arrays, _ = generate_scene(sc, 0)
         shapes = []
-        final = solvers_module.solve_nullspace
+        final, gram = dlt_module.solve_nullspace, solvers_module.solve_gram
 
         def recorded(A, **kwargs):
             shapes.append(A.shape)
             return final(A, **kwargs)
 
-        monkeypatch.setattr(solvers_module, "solve_nullspace", recorded)
+        def recorded_gram(Mt, *args):
+            shapes.append(Mt.shape)
+            return gram(Mt, *args)
+
+        for module in (solvers_module, dlt_module):
+            monkeypatch.setattr(module, "solve_nullspace", recorded)
+        monkeypatch.setattr(solvers_module, "solve_gram", recorded_gram)
         solve(arrays, sc.intrinsics, SolverConfig(method))
-        assert shapes == [(2 * n, 12) if n < 256 else (24, 12)]
+        if STAGES[method].weighted:
+            assert shapes == [(12, n)]
+        else:
+            assert shapes == [(2 * n, 12) if n < 256 else (24, 12)]
 
     @pytest.mark.parametrize("n", [6, 50, 255])
     def test_weighted_assembly_scales_the_unweighted_rows(self, rng, n):
@@ -882,38 +899,136 @@ class TestPreliminaryCrossover:
     @pytest.mark.parametrize("n", [20, 300])
     def test_kept_rows_match_the_weighted_assembly(self, rng, monkeypatch, n):
         # One point behind the preliminary camera: it leaves the raw moment
-        # rows, and the final null space gets the weighted assembly of the
+        # rows, and the final null space gets the weighted moment rows of the
         # others with the full set's basis B, scaled by q = 1 / depth whatever
-        # sigma_u is. The cheirality sign reads the kept raw points through
-        # the full set's point normalization.
+        # sigma_u is, and assembles no matrix of them. The cheirality sign
+        # reads the kept raw points through the full set's point normalization.
         Km, R, r, ps, us = make_exact_scene(rng, n=n)
         us = us + rng.standard_normal(us.shape)
         shift_preliminary(monkeypatch, ps, us, behind=1)
         _, depths = solvers_module._preliminary_normalized()
         seen, assemblies = [], []
-        final = solvers_module.solve_nullspace
-        assemble = solvers_module._assemble_arrays
+        gram = solvers_module.solve_gram
+        assemble = dlt_module._assemble_arrays
 
-        def capture(A, points, T_p):
-            seen.append((A, points, T_p))
-            return final(A, points=points, T_p=T_p)
+        def capture(*args):
+            seen.append(args)
+            return gram(*args)
 
         def counted(*args):
             assemblies.append(args)
             return assemble(*args)
 
-        monkeypatch.setattr(solvers_module, "solve_nullspace", capture)
-        monkeypatch.setattr(solvers_module, "_assemble_arrays", counted)
+        monkeypatch.setattr(solvers_module, "solve_gram", capture)
+        for module in (solvers_module, dlt_module):
+            monkeypatch.setattr(module, "_assemble_arrays", counted)
         solve((ps, us), Km, SolverConfig(method="odlt", sigma_u=2.0))
         Mt, _, _, pt, B = raw_moments(ps, us)
         front = depths > 0
         assert front.sum() == n - 1
-        expected = _assemble_arrays(_system_rows(Mt[:, front] * (1.0 / depths[front])), B)
-        assert len(assemblies) == 1
-        ((A, points, T_p),) = seen
-        np.testing.assert_array_equal(A, expected)
+        assert assemblies == []
+        ((rows, basis, points, T_p),) = seen
+        np.testing.assert_array_equal(rows, Mt[:, front] * (1.0 / depths[front]))
+        np.testing.assert_array_equal(basis, B)
         np.testing.assert_array_equal(points, ps[front])
         np.testing.assert_array_equal(T_p, pt.T)
+
+
+class TestWeightedGram:
+    """The weighted null space comes from the eigh of the weighted rows' Gram
+    (dlt.solve_gram), and from their SVD only when its eigenvalue gap is small."""
+
+    def test_zero_noise_exactness_over_seeds(self):
+        # Criterion 01's shapes and bounds, for the seeds perfbench's zero-noise
+        # check draws (1-40, two scenes each). The Gram squares the condition
+        # number: trusted at every gap, it misses the position bound at n = 6.
+        for seed in range(1, 41):
+            for box in (CENTERED_BOX, UNCENTERED_BOX):
+                for n in (6, 20, 100):
+                    sc = SyntheticScenario(box=box, n=n, sigma_u=0.0, trials=2, seed=seed)
+                    for trial in range(sc.trials):
+                        arrays, truth = generate_scene(sc, trial)
+                        for method in ("odlt", "odlt_lost"):
+                            result = solve(arrays, sc.intrinsics, SolverConfig(method=method))
+                            rot, pos = pose_errors(result, truth.R, truth.r)
+                            assert rot < 1e-6, (seed, box, n, trial, method, rot)
+                            assert pos < 1e-8, (seed, box, n, trial, method, pos)
+
+    def test_small_gap_factors_the_rows_as_before(self, monkeypatch):
+        # Uncentered n=6, seed 2, scene 3: the weighted Gram's gap is below
+        # _GRAM_MIN_GAP, so the weighted rows take the route every weighted
+        # solve took before the Gram (_system_rows, _assemble_arrays,
+        # solve_nullspace), built here from raw_moments: the same solution bit
+        # for bit.
+        sc = SyntheticScenario(box=UNCENTERED_BOX, n=6, sigma_u=1.0, trials=4, seed=2)
+        (ps, us), _ = generate_scene(sc, 3)
+        calls = []
+        final = dlt_module.solve_nullspace
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return final(*args, **kwargs)
+
+        monkeypatch.setattr(dlt_module, "solve_nullspace", counted)
+        sol = solvers_module._linear_solve(ps, us, normalize=True, weighted=True).sol
+        assert calls == [(12, 12)]
+        Mt, S, _, pt, B = raw_moments(ps, us)
+        _, depths = _preliminary_normalized(Mt, S, B)
+        assert (depths > 0).all()
+        rows = _system_rows(Mt * (1.0 / depths))
+        expected = final(_assemble_arrays(rows, B), points=ps, T_p=pt.T)
+        for got, want in zip(
+            (sol.P, sol.singular_values, sol.V, sol.mixed_depths),
+            (expected.P, expected.singular_values, expected.V, expected.mixed_depths),
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
+    @pytest.mark.parametrize("n", [12, 2000])
+    def test_wide_gap_factors_no_rows(self, box, n, monkeypatch):
+        # From n = 8 up no scene measured had a small gap: the null space is
+        # the Gram's, and no row is factored or assembled.
+        calls = Counter()
+        for name in ("solve_nullspace", "_assemble_arrays", "_r_factor"):
+
+            def shim(*args, _fn=getattr(dlt_module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in (dlt_module, solvers_module):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, shim)
+        sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=10 if n < 256 else 2, seed=2)
+        for trial in range(sc.trials):
+            arrays, _ = generate_scene(sc, trial)
+            for method in ("odlt", "odlt_lost"):
+                solve(arrays, sc.intrinsics, SolverConfig(method=method))
+        assert calls == {}
+
+    @pytest.mark.parametrize("box", [CENTERED_BOX, UNCENTERED_BOX], ids=["centered", "uncentered"])
+    @pytest.mark.parametrize("n", [12, 50, 300, 2000])
+    def test_weights_match_the_svd_of_the_same_system(self, box, n, monkeypatch):
+        # rotation_weights reads sigma_k^2 and v_k. From the eigh pairs they
+        # give the W that the SVD of the same weighted rows gives, to 1e-12 of
+        # its largest entry.
+        seen = []
+        gram = solvers_module.solve_gram
+
+        def capture(*args):
+            seen.append(args)
+            return gram(*args)
+
+        monkeypatch.setattr(solvers_module, "solve_gram", capture)
+        sc = SyntheticScenario(box=box, n=n, sigma_u=1.0, trials=3, seed=5)
+        Km = intrinsic_matrix(sc.intrinsics)
+        for trial in range(sc.trials):
+            (ps, us), _ = generate_scene(sc, trial)
+            out = solvers_module._linear_solve(ps, us, normalize=True, weighted=True)
+            Mt, B, points, T_p = seen.pop()
+            svd = solve_nullspace(_assemble_arrays(_system_rows(Mt), B), points=points, T_p=T_p)
+            W = rotation_weights(out.sol, Km, out.pix, out.pt)
+            W_svd = rotation_weights(svd, Km, out.pix, out.pt)
+            assert np.abs(W - W_svd).max() <= 1e-12 * np.abs(W_svd).max(), trial
 
 
 def tilted_plane(rng, n):
@@ -979,15 +1094,29 @@ class TestLinAlgErrorsAreNamed:
     # Before the null space only the weighted preliminary's eigh, and after it
     # only nearest_rotation's SVD (and ndlt_gn's normal equations), call
     # numpy.linalg; each failure surfaces as a PnpError, chained from the
-    # LinAlgError. The null space's svd runs at every n; QR runs only in the
-    # moment reduction, from the L(R) route's 256 points up.
+    # LinAlgError. The unweighted null space's svd runs at every n; QR runs
+    # only in its moment reduction, from the L(R) route's 256 points up.
     @pytest.mark.parametrize(("n", "name"), [(50, "svd"), (2000, "svd"), (2000, "qr")])
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", [m for m in METHODS if not STAGES[m].weighted])
     def test_null_space_failure_is_rank_deficient(self, method, n, name, monkeypatch):
         sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
         arrays, _ = generate_scene(sc, 0)
         monkeypatch.setattr(np.linalg, name, failing(getattr(np.linalg, name)))
         with pytest.raises(RankDeficient) as exc:
+            solve(arrays, sc.intrinsics, SolverConfig(method=method))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("n", [50, 2000])
+    @pytest.mark.parametrize("method", [m for m in METHODS if STAGES[m].weighted])
+    def test_weighted_gram_failure_is_rank_deficient(self, method, n, monkeypatch):
+        # The weighted null space is the solve's second eigh, of the weighted
+        # rows' Gram, at both n.
+        sc = SyntheticScenario(box=UNCENTERED_BOX, n=n, sigma_u=1.0, trials=1, seed=0)
+        arrays, _ = generate_scene(sc, 0)
+        calls = itertools.count()
+        eigh = failing(np.linalg.eigh, when=lambda *args: next(calls) == 1)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(RankDeficient, match="^eigh of the constraint Gram failed") as exc:
             solve(arrays, sc.intrinsics, SolverConfig(method=method))
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
